@@ -11,7 +11,6 @@ and finite temperature.
 
 from .constants import CODATA, PhysicalConstants
 from .finite_temperature import (
-    ThermalObservable,
     delta_T_energy_pert,
     delta_T_force_pert,
     energy_ppT,
@@ -21,14 +20,7 @@ from .finite_temperature import (
     sphere_plate_T,
     thermal_ideal_ratios,
 )
-from .geometry import (
-    Geometry,
-    ThermalState,
-    effective_temperature,
-    matsubara_frequencies,
-    to_reduced,
-    to_reduced_y,
-)
+from .geometry import Geometry, ThermalState, effective_temperature
 from .materials import ALUMINUM, PRESETS, Material, load_material
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -84,9 +76,6 @@ __all__ = [
     "Geometry",
     "ThermalState",
     "effective_temperature",
-    "matsubara_frequencies",
-    "to_reduced",
-    "to_reduced_y",
     "QuadratureConfig",
     "QuadratureResult",
     "DEFAULT_CONFIG",
@@ -111,7 +100,6 @@ __all__ = [
     "force_sphere0",
     "relative_deviation",
     "normal_skin_pert0",
-    "ThermalObservable",
     "ideal_energy_T",
     "ideal_energy_T_integral",
     "energy_ppT",

@@ -14,9 +14,8 @@ thermal-ratio  real-to-ideal energy and force ratios at temperature T
 Output is CSV: ``#``-prefixed provenance header (constants, material, model,
 tolerances, tool version, column names), then purely numeric rows in
 scientific notation with 17 significant digits.  Rows derived from quadrature
-carry the error estimate and a converged flag.  Scans are computed in a
-thread pool (capped by the CASIMIR_THREADS environment variable) and written
-in grid order, so identical configurations produce byte-identical files.
+carry the error estimate and a converged flag.  Scans run serially in grid
+order, so identical configurations produce byte-identical files.
 
 Exit status: 0 on success, 1 on configuration errors (the message names the
 offending field), 2 when any output row failed to converge.
@@ -27,9 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -255,19 +252,6 @@ def _config(spec: RunSpec) -> QuadratureConfig:
     return QuadratureConfig(rel_tol=spec.rel_tol)
 
 
-def _threads() -> int:
-    env = os.environ.get("CASIMIR_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise SpecError(f"CASIMIR_THREADS: not an integer: {env!r}") from None
-        if n < 1:
-            raise SpecError(f"CASIMIR_THREADS: must be >= 1, got {n}")
-        return n
-    return min(32, os.cpu_count() or 1)
-
-
 def _grid_points(grid: tuple[float, float, int, bool]) -> list[float]:
     import numpy as np
 
@@ -361,7 +345,7 @@ def _scan_row(a: float, spec: RunSpec, material, model, config):
     )
 
 
-def _figure1_row(a: float, material, config):
+def _figure1_row(a: float, spec: RunSpec, material, model, config):
     reference = force_pp0(
         a, ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.LIFSHITZ), material, config
     )
@@ -378,7 +362,7 @@ def _figure1_row(a: float, material, config):
     return (a, d_exact, d_approx, err, float(conv))
 
 
-def _figure2_row(a: float, material, config):
+def _figure2_row(a: float, spec: RunSpec, material, model, config):
     row = [a]
     err = 0.0
     conv = True
@@ -453,6 +437,10 @@ _COLUMNS = {
 }
 
 
+# Grid commands: one row per separation, all with the _scan_row signature.
+_GRID_ROWS = {"scan": _scan_row, "figure1": _figure1_row, "figure2": _figure2_row}
+
+
 def run(spec: RunSpec, stream=None) -> int:
     """Execute a validated RunSpec; returns the process exit status."""
     spec = _validate(spec)
@@ -464,26 +452,10 @@ def run(spec: RunSpec, stream=None) -> int:
     if spec.command == "point":
         for row in _point_rows(spec, material, model, config):
             csv.add(*row)
-    elif spec.command == "scan":
-        points = _grid_points(spec.grid)
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            rows = list(
-                pool.map(lambda a: _scan_row(a, spec, material, model, config), points)
-            )
-        for row in rows:
-            csv.add(*row)
-    elif spec.command == "figure1":
-        points = _grid_points(spec.grid)
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            rows = list(pool.map(lambda a: _figure1_row(a, material, config), points))
-        for row in rows:
-            csv.add(*row)
-    elif spec.command == "figure2":
-        points = _grid_points(spec.grid)
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            rows = list(pool.map(lambda a: _figure2_row(a, material, config), points))
-        for row in rows:
-            csv.add(*row)
+    elif spec.command in _GRID_ROWS:
+        row_fn = _GRID_ROWS[spec.command]
+        for a in _grid_points(spec.grid):
+            csv.add(*row_fn(a, spec, material, model, config))
     elif spec.command == "coefficients":
         sets = {v: coefficients(v).c for v in CoefficientVariant}
         for k in range(5):

@@ -24,7 +24,7 @@ remainder in coth(pi l t) - 1 and sinh^-2(pi l t), t = T_eff / T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,7 +49,9 @@ from .reflection import (
     static_reflection_factors,
 )
 from .zero_temperature import (
+    Observable,
     ObservableKind,
+    _observable,
     energy_pp0,
     force_bracket,
     force_pp0,
@@ -57,7 +59,6 @@ from .zero_temperature import (
 )
 
 __all__ = [
-    "ThermalObservable",
     "ideal_energy_T",
     "ideal_energy_T_integral",
     "energy_ppT",
@@ -88,23 +89,6 @@ def _csch2(z: float) -> float:
     if z > _CLAMP_Z:
         return 0.0
     return 4.0 * math.exp(-2.0 * z) / math.expm1(-2.0 * z) ** 2
-
-
-@dataclass(frozen=True)
-class ThermalObservable:
-    """A finite-temperature Casimir quantity with its provenance attached.
-
-    When ``decomposition`` is present it holds the (zero-T part, thermal
-    correction) pair whose sum reproduces ``value``.
-    """
-
-    kind: ObservableKind
-    value: float
-    geometry: Geometry
-    model: ImpedanceModel
-    temperature: float
-    quadrature: QuadratureResult
-    decomposition: tuple[float, float] | None = None
 
 
 def _thermal_state(a: float, T: float, constants: PhysicalConstants) -> ThermalState:
@@ -231,7 +215,7 @@ def energy_ppT(
     config: QuadratureConfig = DEFAULT_CONFIG,
     constants: PhysicalConstants = CODATA,
     decompose: bool = False,
-) -> ThermalObservable:
+) -> Observable:
     """Casimir energy per unit area of parallel plates at temperature T.
 
     The ideal-metal part is evaluated from its closed series; the impedance
@@ -242,32 +226,21 @@ def energy_ppT(
     geometry = Geometry(separation=a)
     ideal = ideal_energy_T(a, T, config, constants)
     if model.kind is ImpedanceKind.IDEAL_METAL:
-        value = ideal
-        quad = QuadratureResult(
-            value=value, abs_error_estimate=0.0, evaluations=0, converged=True
+        corr = QuadratureResult(
+            value=0.0, abs_error_estimate=0.0, evaluations=0, converged=True
         )
     else:
         corr = _matsubara_correction(
             a, T, model, material, config, constants, ObservableKind.ENERGY_PER_AREA
         )
-        pref = constants.k_B * T / (8.0 * math.pi * a**2)
-        value = ideal + pref * corr.value
-        quad = replace(
-            corr, value=value, abs_error_estimate=pref * corr.abs_error_estimate
-        )
-    decomposition = None
+    pref = constants.k_B * T / (8.0 * math.pi * a**2)
+    obs = _observable(
+        ObservableKind.ENERGY_PER_AREA, pref, corr, geometry, model, T, offset=ideal
+    )
     if decompose:
         zero = energy_pp0(a, model, material, config, constants).value
-        decomposition = (zero, value - zero)
-    return ThermalObservable(
-        kind=ObservableKind.ENERGY_PER_AREA,
-        value=value,
-        geometry=geometry,
-        model=model,
-        temperature=T,
-        quadrature=quad,
-        decomposition=decomposition,
-    )
+        obs = replace(obs, decomposition=(zero, obs.value - zero))
+    return obs
 
 
 def force_ppT(
@@ -278,7 +251,7 @@ def force_ppT(
     config: QuadratureConfig = DEFAULT_CONFIG,
     constants: PhysicalConstants = CODATA,
     decompose: bool = False,
-) -> ThermalObservable:
+) -> Observable:
     """Casimir pressure between parallel plates at temperature T, in Pa.
 
     The complete bracket is summed over Matsubara frequencies; the ideal
@@ -290,23 +263,11 @@ def force_ppT(
         a, T, model, material, config, constants, ObservableKind.FORCE_PER_AREA
     )
     pref = -constants.k_B * T / (8.0 * math.pi * a**3)
-    value = pref * corr.value
-    quad = replace(
-        corr, value=value, abs_error_estimate=abs(pref) * corr.abs_error_estimate
-    )
-    decomposition = None
+    obs = _observable(ObservableKind.FORCE_PER_AREA, pref, corr, geometry, model, T)
     if decompose:
         zero = force_pp0(a, model, material, config, constants).value
-        decomposition = (zero, value - zero)
-    return ThermalObservable(
-        kind=ObservableKind.FORCE_PER_AREA,
-        value=value,
-        geometry=geometry,
-        model=model,
-        temperature=T,
-        quadrature=quad,
-        decomposition=decomposition,
-    )
+        obs = replace(obs, decomposition=(zero, obs.value - zero))
+    return obs
 
 
 def sphere_plate_T(
@@ -317,22 +278,17 @@ def sphere_plate_T(
     material: Material | None = None,
     config: QuadratureConfig = DEFAULT_CONFIG,
     constants: PhysicalConstants = CODATA,
-) -> ThermalObservable:
+) -> Observable:
     """Force on a sphere above a plate at temperature T: F = 2 pi R E(a, T)."""
     geometry = Geometry(separation=a, sphere_radius=R)
     energy = energy_ppT(a, T, model, material, config, constants)
-    scale = 2.0 * math.pi * R
-    return ThermalObservable(
-        kind=ObservableKind.SPHERE_PLATE_FORCE,
-        value=scale * energy.value,
-        geometry=geometry,
-        model=model,
-        temperature=T,
-        quadrature=replace(
-            energy.quadrature,
-            value=scale * energy.value,
-            abs_error_estimate=scale * energy.quadrature.abs_error_estimate,
-        ),
+    return _observable(
+        ObservableKind.SPHERE_PLATE_FORCE,
+        2.0 * math.pi * R,
+        energy.quadrature,
+        geometry,
+        model,
+        T,
     )
 
 

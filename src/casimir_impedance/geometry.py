@@ -12,18 +12,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import CODATA, PhysicalConstants
 
-__all__ = [
-    "Geometry",
-    "ThermalState",
-    "to_reduced",
-    "to_reduced_y",
-    "effective_temperature",
-    "matsubara_frequencies",
-]
+__all__ = ["Geometry", "ThermalState", "effective_temperature"]
 
 # Proximity treatment of the sphere is good to relative order a/R; past this
 # ratio the leading-order mapping is no longer quantitatively trustworthy.
@@ -85,40 +76,3 @@ def effective_temperature(a: float, constants: PhysicalConstants = CODATA) -> fl
     if not (a > 0.0):
         raise ValueError(f"separation must be positive, got {a!r}")
     return constants.hbar * constants.c / (2.0 * a * constants.k_B)
-
-
-def to_reduced(zeta, a: float, constants: PhysicalConstants = CODATA):
-    """Map an imaginary angular frequency zeta (rad/s) to xi = 2 a zeta / c."""
-    if not (a > 0.0):
-        raise ValueError(f"separation must be positive, got {a!r}")
-    zeta = np.asarray(zeta, dtype=float)
-    if np.any(zeta < 0.0):
-        raise ValueError("imaginary frequency zeta must be >= 0")
-    out = 2.0 * a * zeta / constants.c
-    return float(out) if out.ndim == 0 else out
-
-
-def to_reduced_y(R, a: float):
-    """Map the radial wave number R (1/m) to the reduced variable y = 2 R a."""
-    if not (a > 0.0):
-        raise ValueError(f"separation must be positive, got {a!r}")
-    R = np.asarray(R, dtype=float)
-    if np.any(R < 0.0):
-        raise ValueError("radial wave number must be >= 0")
-    out = 2.0 * R * a
-    return float(out) if out.ndim == 0 else out
-
-
-def matsubara_frequencies(
-    T: float, a: float, l_max: int, constants: PhysicalConstants = CODATA
-) -> np.ndarray:
-    """Reduced Matsubara frequencies xi_l = 2 pi (T / T_eff) l for l = 0..l_max.
-
-    The underlying dimensional frequencies are zeta_l = 2 pi k_B T l / hbar.
-    """
-    if not (T > 0.0):
-        raise ValueError(f"temperature must be positive, got {T!r}")
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max!r}")
-    T_eff = effective_temperature(a, constants)
-    return 2.0 * math.pi * (T / T_eff) * np.arange(l_max + 1, dtype=float)

@@ -140,13 +140,22 @@ def _eval_panels(
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Kronrod value, Gauss-difference error, and |f| integral per panel."""
+    """Kronrod value, Gauss-difference error, and |f| integral per panel.
+
+    ``f`` may return ``(values, carried_errors)``: the error bounds already
+    attached to each value (for instance by an inner quadrature) are
+    integrated with the Kronrod weights and added to the panel error.
+    """
     center = 0.5 * (lo + hi)
     halfw = 0.5 * (hi - lo)
     x = center[:, None] + halfw[:, None] * _NODES[None, :]
     groups = np.broadcast_to(gidx[:, None], x.shape)
     with np.errstate(all="ignore"):
-        vals = np.asarray(f(groups.ravel(), x.ravel()), dtype=float).reshape(x.shape)
+        out = f(groups.ravel(), x.ravel())
+    carried = None
+    if isinstance(out, tuple):
+        out, carried = out
+    vals = np.asarray(out, dtype=float).reshape(x.shape)
     bad = ~np.isfinite(vals)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -158,7 +167,10 @@ def _eval_panels(
     kron = halfw * (vals @ _WK15)
     gauss = halfw * (vals @ _WG7)
     resabs = halfw * (np.abs(vals) @ _WK15)
-    return kron, np.abs(kron - gauss), resabs, x.size
+    err = np.abs(kron - gauss)
+    if carried is not None:
+        err = err + halfw * (np.reshape(carried, x.shape) @ _WK15)
+    return kron, err, resabs, x.size
 
 
 def _batch_adaptive(
@@ -280,17 +292,19 @@ def integrate_xi_y(
 ) -> QuadratureResult:
     """Integrate f(xi, y) over the wedge 0 <= xi <= y < infinity.
 
-    The outer xi integral runs adaptively on [0, y_cutoff_margin]; each outer
-    node requires the inner y integral from that xi, and all inner integrals
-    of a refinement sweep are evaluated in one vectorized batch at a tenth of
-    the outer tolerance.  Inner error bounds are propagated through the outer
-    quadrature weights into the reported estimate.
+    The outer xi integral on [0, y_cutoff_margin] and the inner y integrals
+    run on the same adaptive engine.  Each outer node needs the inner y
+    integral from that xi; all inner integrals of an outer refinement sweep
+    are evaluated in one vectorized batch at a tenth of the outer tolerance,
+    and their error bounds are carried through the outer quadrature weights
+    into the reported estimate.  ``evaluations`` counts integrand points.
     """
     margin = config.y_cutoff_margin
     inner_tol = 0.1 * config.rel_tol
-    state = {"evals": 0}
+    inner_evals = 0
 
-    def outer_nodes(xi_nodes: np.ndarray):
+    def outer(_groups: np.ndarray, xi_nodes: np.ndarray):
+        nonlocal inner_evals
         edges = [_initial_edges(x, x + margin) for x in xi_nodes]
 
         def inner(groups: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -306,63 +320,18 @@ def integrate_xi_y(
                 f"(xi={xi_nodes[exc.group]!r}, y={exc.x!r})",
                 x=exc.x,
             ) from None
-        state["evals"] += evals
-        tails = np.abs(vals) * math.exp(-margin)
-        return vals, errs + tails
+        inner_evals += evals
+        return vals, errs + np.abs(vals) * math.exp(-margin)
 
-    # Outer adaptive loop over xi panels, mirroring the inner engine but with
-    # the inner-integral error carried alongside the Gauss-Kronrod difference.
-    edges = _initial_edges(0.0, margin)
-    lo, hi = edges[:-1], edges[1:]
-
-    def eval_outer(lo_arr, hi_arr):
-        center = 0.5 * (lo_arr + hi_arr)
-        halfw = 0.5 * (hi_arr - lo_arr)
-        x = center[:, None] + halfw[:, None] * _NODES[None, :]
-        fvals, ferrs = outer_nodes(x.ravel())
-        fvals = fvals.reshape(x.shape)
-        ferrs = ferrs.reshape(x.shape)
-        kron = halfw * (fvals @ _WK15)
-        gauss = halfw * (fvals @ _WG7)
-        carried = halfw * (ferrs @ _WK15)
-        resabs = halfw * (np.abs(fvals) @ _WK15)
-        return kron, np.abs(kron - gauss) + carried, resabs
-
-    vals, errs, resabs = eval_outer(lo, hi)
-    converged = False
-    for _ in range(_MAX_ROUNDS):
-        total = math.fsum(vals)
-        target = max(
-            config.rel_tol * abs(total), _ROUNDOFF * math.fsum(resabs), _ABS_FLOOR
-        )
-        err_total = math.fsum(errs)
-        if err_total <= target:
-            converged = True
-            break
-        if len(lo) >= config.max_subdivisions:
-            break
-        split = errs > target / (2.0 * len(lo))
-        if not split.any():
-            split[np.argmax(errs)] = True
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs, new_resabs = eval_outer(new_lo, new_hi)
-        keep = ~split
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-        resabs = np.concatenate([resabs[keep], new_resabs])
-
-    value = math.fsum(vals)
+    vals, errs, _, conv = _batch_adaptive(
+        outer, [_initial_edges(0.0, margin)], config.rel_tol, config.max_subdivisions
+    )
     # Outer tail beyond xi = margin is bounded by the same envelope argument.
-    err = math.fsum(errs) + abs(value) * math.exp(-margin)
     return QuadratureResult(
-        value=float(value),
-        abs_error_estimate=float(err),
-        evaluations=state["evals"],
-        converged=bool(converged),
+        value=float(vals[0]),
+        abs_error_estimate=float(errs[0] + abs(vals[0]) * math.exp(-margin)),
+        evaluations=inner_evals,
+        converged=bool(conv[0]),
     )
 
 

@@ -56,7 +56,12 @@ class ObservableKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Observable:
-    """A computed Casimir quantity with its provenance attached."""
+    """A computed Casimir quantity with its provenance attached.
+
+    ``temperature`` is 0 for the zero-temperature entry points.  When
+    ``decomposition`` is present it holds the (zero-T part, thermal
+    correction) pair whose sum reproduces ``value``.
+    """
 
     kind: ObservableKind
     value: float
@@ -64,6 +69,30 @@ class Observable:
     model: ImpedanceModel
     temperature: float
     quadrature: QuadratureResult
+    decomposition: tuple[float, float] | None = None
+
+
+def _observable(
+    kind: ObservableKind,
+    scale: float,
+    raw: QuadratureResult,
+    geometry: Geometry,
+    model: ImpedanceModel,
+    temperature: float,
+    offset: float = 0.0,
+) -> Observable:
+    """Wrap ``offset + scale * raw`` as an Observable; the error scales by |scale|."""
+    value = scale * raw.value + offset
+    return Observable(
+        kind=kind,
+        value=value,
+        geometry=geometry,
+        model=model,
+        temperature=temperature,
+        quadrature=replace(
+            raw, value=value, abs_error_estimate=abs(scale) * raw.abs_error_estimate
+        ),
+    )
 
 
 def ideal_closed_forms(
@@ -117,16 +146,7 @@ def energy_pp0(
 
     raw = integrate_xi_y(integrand, config)
     scale = constants.hbar * constants.c / (32.0 * math.pi**2 * a**3)
-    return Observable(
-        kind=ObservableKind.ENERGY_PER_AREA,
-        value=scale * raw.value,
-        geometry=geometry,
-        model=model,
-        temperature=0.0,
-        quadrature=replace(
-            raw, value=scale * raw.value, abs_error_estimate=scale * raw.abs_error_estimate
-        ),
-    )
+    return _observable(ObservableKind.ENERGY_PER_AREA, scale, raw, geometry, model, 0.0)
 
 
 def force_pp0(
@@ -146,18 +166,7 @@ def force_pp0(
 
     raw = integrate_xi_y(integrand, config)
     scale = -constants.hbar * constants.c / (32.0 * math.pi**2 * a**4)
-    return Observable(
-        kind=ObservableKind.FORCE_PER_AREA,
-        value=scale * raw.value,
-        geometry=geometry,
-        model=model,
-        temperature=0.0,
-        quadrature=replace(
-            raw,
-            value=scale * raw.value,
-            abs_error_estimate=abs(scale) * raw.abs_error_estimate,
-        ),
-    )
+    return _observable(ObservableKind.FORCE_PER_AREA, scale, raw, geometry, model, 0.0)
 
 
 def force_sphere0(
@@ -175,18 +184,13 @@ def force_sphere0(
     """
     geometry = Geometry(separation=a, sphere_radius=R)
     energy = energy_pp0(a, model, material, config, constants)
-    scale = 2.0 * math.pi * R
-    return Observable(
-        kind=ObservableKind.SPHERE_PLATE_FORCE,
-        value=scale * energy.value,
-        geometry=geometry,
-        model=model,
-        temperature=0.0,
-        quadrature=replace(
-            energy.quadrature,
-            value=scale * energy.value,
-            abs_error_estimate=scale * energy.quadrature.abs_error_estimate,
-        ),
+    return _observable(
+        ObservableKind.SPHERE_PLATE_FORCE,
+        2.0 * math.pi * R,
+        energy.quadrature,
+        geometry,
+        model,
+        0.0,
     )
 
 

@@ -234,31 +234,18 @@ def test_figure1_curves_and_determinism():
     assert text2 == text
 
 
-def test_scan_thread_invariance(monkeypatch):
+def test_scan_run_twice_byte_identical():
     spec = RunSpec(
         command="scan", model="ideal", grid=(1e-7, 1e-6, 4, True), rel_tol=1e-7
     )
-    monkeypatch.setenv("CASIMIR_THREADS", "1")
-    _, serial = _run(spec)
-    monkeypatch.setenv("CASIMIR_THREADS", "4")
-    _, parallel = _run(spec)
-    assert serial == parallel
-    rows = _rows(serial)
+    _, first = _run(spec)
+    _, second = _run(spec)
+    assert first == second
+    rows = _rows(first)
     assert len(rows) == 4
     e0, f0 = ideal_closed_forms(1e-7)
     assert rows[0][1] == pytest.approx(e0, rel=1e-6)
     assert rows[0][4] == pytest.approx(f0, rel=1e-6)
-
-
-def test_threads_env_validation(monkeypatch):
-    monkeypatch.setenv("CASIMIR_THREADS", "abc")
-    with pytest.raises(SpecError, match="CASIMIR_THREADS"):
-        cli._threads()
-    monkeypatch.setenv("CASIMIR_THREADS", "0")
-    with pytest.raises(SpecError, match=">= 1"):
-        cli._threads()
-    monkeypatch.setenv("CASIMIR_THREADS", "3")
-    assert cli._threads() == 3
 
 
 def test_nonconverged_rows_exit_2(monkeypatch):

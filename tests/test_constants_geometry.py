@@ -1,8 +1,7 @@
-"""Constants, material parameters, and the reduced-variable mappings."""
+"""Constants, material parameters, geometry and the thermal state of a gap."""
 
 import math
 
-import numpy as np
 import pytest
 
 from casimir_impedance import (
@@ -14,9 +13,6 @@ from casimir_impedance import (
     ThermalState,
     effective_temperature,
     load_material,
-    matsubara_frequencies,
-    to_reduced,
-    to_reduced_y,
 )
 
 
@@ -75,31 +71,6 @@ def test_thermal_state_for_gap():
     assert state.t == pytest.approx(state.T_eff / 300.0, rel=1e-14)
     cold = ThermalState.for_gap(1e-6, 0.0)
     assert math.isinf(cold.t)
-
-
-def test_reduced_frequency_mapping():
-    a = 1e-6
-    zeta = 3.7e14
-    assert to_reduced(zeta, a) == pytest.approx(2 * a * zeta / CODATA.c, rel=1e-14)
-    assert to_reduced(0.0, a) == 0.0
-    np.testing.assert_allclose(
-        to_reduced(np.array([1e14, 2e14]), a),
-        [2 * a * 1e14 / CODATA.c, 2 * a * 2e14 / CODATA.c],
-    )
-    with pytest.raises(ValueError):
-        to_reduced(-1.0, a)
-
-
-def test_reduced_wavenumber_mapping():
-    assert to_reduced_y(5e5, 1e-6) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_matsubara_frequencies_spacing():
-    a, T = 1e-6, 300.0
-    xi = matsubara_frequencies(T, a, 4)
-    step = 2 * math.pi * T / effective_temperature(a)
-    np.testing.assert_allclose(xi, step * np.arange(5), rtol=1e-14)
-    assert xi[0] == 0.0
 
 
 def test_geometry_validation():

@@ -11,6 +11,7 @@ from casimir_impedance import (
     ImpedanceKind,
     ImpedanceModel,
     Material,
+    Observable,
     ObservableKind,
     QuadratureConfig,
     delta_T_energy_pert,
@@ -18,7 +19,9 @@ from casimir_impedance import (
     effective_temperature,
     energy_pp0,
     energy_ppT,
+    force_pp0,
     force_ppT,
+    force_sphere0,
     ideal_closed_forms,
     ideal_energy_T,
     ideal_energy_T_integral,
@@ -86,14 +89,47 @@ def test_ideal_model_short_circuits(ideal_model):
     assert obs.quadrature.converged
 
 
-def test_thermal_observable_metadata(aluminum, plasma_impedance):
-    a, T = 1e-6, 300.0
-    obs = energy_ppT(a, T, plasma_impedance, aluminum)
-    assert obs.kind is ObservableKind.ENERGY_PER_AREA
-    assert obs.temperature == T
-    assert obs.geometry.separation == a
-    assert obs.decomposition is None
+_A, _T, _R = 1e-6, 300.0, 2e-4
+
+# Every observable entry point: (kind, temperature, call(model, material,
+# config, **kwargs)).  Only the plate entry points at T > 0 take decompose.
+_ENTRY_POINTS = {
+    "energy_pp0": (ObservableKind.ENERGY_PER_AREA, 0.0,
+                   lambda *args: energy_pp0(_A, *args)),
+    "force_pp0": (ObservableKind.FORCE_PER_AREA, 0.0,
+                  lambda *args: force_pp0(_A, *args)),
+    "force_sphere0": (ObservableKind.SPHERE_PLATE_FORCE, 0.0,
+                      lambda *args: force_sphere0(_A, _R, *args)),
+    "energy_ppT": (ObservableKind.ENERGY_PER_AREA, _T,
+                   lambda *args, **kw: energy_ppT(_A, _T, *args, **kw)),
+    "force_ppT": (ObservableKind.FORCE_PER_AREA, _T,
+                  lambda *args, **kw: force_ppT(_A, _T, *args, **kw)),
+    "sphere_plate_T": (ObservableKind.SPHERE_PLATE_FORCE, _T,
+                       lambda *args: sphere_plate_T(_A, _R, _T, *args)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, decompose",
+    [(name, False) for name in _ENTRY_POINTS] + [("energy_ppT", True), ("force_ppT", True)],
+)
+def test_observable_contract(name, decompose, aluminum, plasma_impedance, fast_config):
+    kind, temperature, call = _ENTRY_POINTS[name]
+    kwargs = {"decompose": True} if decompose else {}
+    obs = call(plasma_impedance, aluminum, fast_config, **kwargs)
+    assert isinstance(obs, Observable)
+    assert obs.kind is kind
+    assert obs.temperature == temperature
+    assert obs.geometry.separation == _A
+    assert obs.model is plasma_impedance
     assert obs.value < 0.0
+    assert obs.quadrature.value == obs.value
+    assert obs.quadrature.abs_error_estimate >= 0.0
+    if decompose:
+        zero, thermal = obs.decomposition
+        assert zero + thermal == obs.value
+    else:
+        assert obs.decomposition is None
 
 
 def test_decomposition_identity(aluminum, plasma_impedance, fast_config):

@@ -51,6 +51,17 @@ def test_integrate_y_from_nonfinite_integrand():
         integrate_y_from(bad, 0.0)
 
 
+def test_integrate_xi_y_nonfinite_integrand_names_both_coordinates():
+    def bad(xi, y):
+        out = np.exp(-y) * np.ones_like(xi)
+        out[y > 1.0] = np.nan
+        return out
+
+    with pytest.raises(IntegrandError, match=r"xi=.*y=") as info:
+        integrate_xi_y(bad)
+    assert info.value.x > 1.0
+
+
 def test_integrate_y_from_deterministic():
     f = lambda y: y**2 / np.expm1(y + 1e-9)
     a = integrate_y_from(f, 0.0)
