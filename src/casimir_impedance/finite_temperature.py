@@ -35,8 +35,8 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
+    _integrate_y_batch,
     dilog,
-    integrate_y_from,
     log1mexp,
     riemann_zeta,
     sum_matsubara_primed,
@@ -148,11 +148,11 @@ def ideal_energy_T_integral(
     state = _thermal_state(a, T, constants)
     tau = 1.0 / state.t
 
-    def term(l: int) -> float:
-        lower = 2.0 * math.pi * tau * l
-        return integrate_y_from(lambda y: y * log1mexp(y), lower, config).value
+    def terms(ls: np.ndarray) -> np.ndarray:
+        lowers = 2.0 * math.pi * tau * ls
+        return _integrate_y_batch(lambda _groups, y: y * log1mexp(y), lowers, config)[0]
 
-    total = sum_matsubara_primed(term, config)
+    total = sum_matsubara_primed(terms, config)
     return constants.k_B * T / (4.0 * math.pi * a**2) * total.value
 
 
@@ -173,37 +173,40 @@ def _matsubara_correction(
     """
     state = _thermal_state(a, T, constants)
     tau = 1.0 / state.t
-    side = {"err": 0.0, "evals": 0, "ok": True}
+    energy = integrand_kind is ObservableKind.ENERGY_PER_AREA
+    blocks = []  # per-term (errors, evaluations, converged) of each block
 
-    def factors_at(l: int, y: np.ndarray):
-        if l == 0:
-            return static_reflection_factors(model, y, a, material, constants)
-        xi_l = 2.0 * math.pi * tau * l
-        Z = impedance(model.kind, xi_l, a, material, constants)
-        return reflection_factors(Z, y, xi_l, model.formalism)
+    def terms(ls: np.ndarray) -> np.ndarray:
+        lowers = 2.0 * math.pi * tau * ls
+        Z = impedance(model.kind, lowers, a, material, constants)
 
-    def term(l: int) -> float:
-        lower = 2.0 * math.pi * tau * l
-
-        def integrand(y: np.ndarray) -> np.ndarray:
-            x_par, x_perp = factors_at(l, y)
-            if integrand_kind is ObservableKind.ENERGY_PER_AREA:
+        def integrand(groups: np.ndarray, y: np.ndarray) -> np.ndarray:
+            xi = lowers[groups]
+            x_par, x_perp = reflection_factors(Z[groups], y, xi, model.formalism)
+            static = ls[groups] == 0
+            if static.any():
+                x_par[static], x_perp[static] = static_reflection_factors(
+                    model, y[static], a, material, constants
+                )
+            if energy:
                 em1 = np.expm1(y)
                 return y * (np.log1p(x_par / em1) + np.log1p(x_perp / em1))
             return y * y * force_bracket(x_par, x_perp, y)
 
-        res = integrate_y_from(integrand, lower, config)
-        side["err"] += res.abs_error_estimate
-        side["evals"] += res.evaluations
-        side["ok"] = side["ok"] and res.converged
-        return res.value
+        vals, *side = _integrate_y_batch(integrand, lowers, config)
+        blocks.append(side)
+        return vals
 
-    total = sum_matsubara_primed(term, config)
+    total = sum_matsubara_primed(terms, config)
+    # Only the terms the sum consumed count; the rest of the last block is
+    # discarded with its accounting.
+    n = total.evaluations
+    errs, evals, conv = (np.concatenate(col)[:n] for col in zip(*blocks))
     return QuadratureResult(
         value=total.value,
-        abs_error_estimate=total.abs_error_estimate + side["err"],
-        evaluations=total.evaluations + side["evals"],
-        converged=bool(total.converged and side["ok"]),
+        abs_error_estimate=total.abs_error_estimate + math.fsum(errs.tolist()),
+        evaluations=n + int(evals.sum()),
+        converged=bool(total.converged and conv.all()),
     )
 
 
@@ -305,8 +308,12 @@ def _pert_ratio(a: float, material: Material | None) -> float:
 
 
 def _pert_sum(term, config: QuadratureConfig) -> float:
-    """Sum term(l) for l >= 1; terms decay like e^(-2 pi l t)."""
-    res = sum_matsubara_primed(lambda l: 0.0 if l == 0 else term(l), config)
+    """Sum the scalar term(l) for l >= 1; terms decay like e^(-2 pi l t)."""
+
+    def terms(ls: np.ndarray) -> list[float]:
+        return [0.0 if l == 0 else term(l) for l in ls.tolist()]
+
+    res = sum_matsubara_primed(terms, config)
     if not res.converged:
         raise RuntimeError("thermal expansion l-sum did not converge")
     return res.value

@@ -4,18 +4,30 @@ Every integrand in this package decays like exp(-y) in the "radial" variable
 and like exp(-xi) after the inner integration, so semi-infinite ranges are cut
 at ``lower + y_cutoff_margin``: the neglected tail is bounded by the envelope
 at exp(-margin) ~ 3e-20 of the retained part for the default margin of 45.
-Panels are laid out geometrically from the lower bound (widths 0.5, 0.5, 1,
-2, ...) and refined adaptively with a 15-point Kronrod extension of 7-point
+Panels are laid out geometrically from the lower bound (widths 0.5, 1, 2,
+4, ...) and refined adaptively with a 15-point Kronrod extension of 7-point
 Gauss quadrature; the Gauss/Kronrod difference serves as the per-panel error
 bound.  All evaluation is vectorized and deterministic, and final sums are
 rounded once through math.fsum, so identical inputs give identical results.
+
+One engine, ``_batch_adaptive``, integrates a batch of independent 1-D
+integrals (groups) at once.  Its per-group bookkeeping is array arithmetic
+over the panels of all groups (bincount sums per sweep, one sort by group for
+the final sums), with no Python loop over groups and panels, and a group
+takes the refinement decisions it would take alone.  The y-integrals from an array of lower bounds go
+through it in one call: the inner integrals of each outer sweep of
+``integrate_xi_y``, and one block of Matsubara terms at a time in the
+finite-temperature sums, whose ``terms(ls)`` callables take an array of
+indices.  ``sum_matsubara_primed`` asks for blocks of 16, 32 and then 64
+indices and applies its stopping rule term by term, as if the terms came one
+at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy import special
@@ -44,6 +56,12 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 # A group is closed once this many panel splits failed to reduce its error.
 _MAX_STALLS = 30
+
+# Matsubara terms are evaluated in blocks of l, one engine call per block.
+# Blocks double from the first size up to the cap; the cap bounds the memory
+# of a block and the terms computed past the index where the sum stops.
+_BLOCK_FIRST = 16
+_BLOCK_MAX = 64
 
 
 class IntegrandError(RuntimeError):
@@ -122,16 +140,29 @@ _WG7 = np.zeros(15)
 _WG7[1::2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 
 
-def _initial_edges(lo: float, hi: float) -> np.ndarray:
-    """Geometric panel edges from lo, matched to exp(-x) integrand decay."""
-    width = hi - lo
+def _initial_panels(
+    lowers: np.ndarray, width: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Geometric initial panels on [lower, lower + width] for every lower bound.
+
+    Edges sit at offsets 0, 0.5, 1.5, 3.5, ... from each lower bound (panel
+    widths 0.5, 1, 2, ..., matched to exp(-x) integrand decay) while they stay
+    inside the range, and at its upper end.  Returns the panels' (group
+    index, lower edge, upper edge), grouped in order and ascending in x.
+    """
+    lowers = np.asarray(lowers, dtype=float)
+    widths = (lowers + width) - lowers
     offsets = [0.0]
     step = 0.5
-    while offsets[-1] + step < width:
+    while offsets[-1] + step < widths.max():
         offsets.append(offsets[-1] + step)
         step *= 2.0
-    offsets.append(width)
-    return lo + np.asarray(offsets)
+    offsets = np.asarray(offsets)
+    n = 1 + (offsets[None, 1:] < widths[:, None]).sum(axis=1)
+    edges = lowers[:, None] + np.append(offsets, 0.0)
+    edges[np.arange(lowers.size), n] = lowers + widths
+    panel = np.arange(offsets.size) < n[:, None]
+    return np.repeat(np.arange(lowers.size), n), edges[:, :-1][panel], edges[:, 1:][panel]
 
 
 def _eval_panels(
@@ -139,7 +170,7 @@ def _eval_panels(
     gidx: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kronrod value, Gauss-difference error, and |f| integral per panel.
 
     ``f`` may return ``(values, carried_errors)``: the error bounds already
@@ -170,28 +201,29 @@ def _eval_panels(
     err = np.abs(kron - gauss)
     if carried is not None:
         err = err + halfw * (np.reshape(carried, x.shape) @ _WK15)
-    return kron, err, resabs, x.size
+    return kron, err, resabs
 
 
 def _batch_adaptive(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    edges: Sequence[np.ndarray],
+    lowers: np.ndarray,
+    width: float,
     rel_tol: float,
     max_panels: int,
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive Gauss-Kronrod over a batch of 1-D integrals.
 
-    ``f(group_index, x)`` must be vectorized; ``edges[g]`` gives the initial
-    panel edges of group g.  Returns per-group (values, error bounds,
-    total evaluations, converged flags).
+    Group g integrates over [lowers[g], lowers[g] + width]; ``f(group_index,
+    x)`` must be vectorized.  Returns per-group (values, error bounds,
+    evaluations, converged flags).  Every decision about a group reads only
+    that group's panels, in an order the other groups do not affect, so a
+    group refines as it would alone; only the last bits of the rule's matrix
+    products may follow the layout of the batch.
     """
-    n_groups = len(edges)
-    gidx = np.concatenate(
-        [np.full(len(e) - 1, g, dtype=np.intp) for g, e in enumerate(edges)]
-    )
-    lo = np.concatenate([np.asarray(e[:-1], dtype=float) for e in edges])
-    hi = np.concatenate([np.asarray(e[1:], dtype=float) for e in edges])
-    vals, errs, resabs, evals = _eval_panels(f, gidx, lo, hi)
+    n_groups = len(lowers)
+    gidx, lo, hi = _initial_panels(lowers, width)
+    n_initial = np.bincount(gidx, minlength=n_groups)
+    vals, errs, resabs = _eval_panels(f, gidx, lo, hi)
     # Groups whose splits repeatedly fail to shrink the error are noise
     # limited (integrand roundoff); they are closed rather than refined to
     # the panel budget.  Mirrors the QUADPACK iroff counters.
@@ -214,23 +246,20 @@ def _batch_adaptive(
         if not open_groups.any():
             break
         # Split every panel of an unconverged group holding more than its
-        # fair share of that group's error budget; always split the worst.
+        # fair share of that group's error budget.  This always includes the
+        # worst panel: an open group's largest error is at least its mean,
+        # g_err / g_n > target / g_n, twice the share.
         share = (target / (2.0 * g_n))[gidx]
         split = open_groups[gidx] & (errs > share)
-        for g in np.flatnonzero(open_groups):
-            members = np.flatnonzero(gidx == g)
-            if not split[members].any():
-                split[members[np.argmax(errs[members])]] = True
         mid = 0.5 * (lo[split] + hi[split])
         new_g = np.concatenate([gidx[split], gidx[split]])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs, new_resabs, n_eval = _eval_panels(f, new_g, new_lo, new_hi)
-        evals += n_eval
+        new_vals, new_errs, new_resabs = _eval_panels(f, new_g, new_lo, new_hi)
         n_split = int(split.sum())
         child_err = new_errs[:n_split] + new_errs[n_split:]
         futile = child_err >= 0.99 * errs[split]
-        np.add.at(stalls, gidx[split][futile], 1)
+        stalls += np.bincount(gidx[split][futile], minlength=n_groups)
         keep = ~split
         gidx = np.concatenate([gidx[keep], new_g])
         lo = np.concatenate([lo[keep], new_lo])
@@ -239,17 +268,46 @@ def _batch_adaptive(
         errs = np.concatenate([errs[keep], new_errs])
         resabs = np.concatenate([resabs[keep], new_resabs])
 
-    # Final per-group reduction; fsum gives an order-independent rounding.
-    g_val = np.empty(n_groups)
-    g_err = np.empty(n_groups)
-    g_abs = np.empty(n_groups)
-    for g in range(n_groups):
-        members = gidx == g
-        g_val[g] = math.fsum(vals[members])
-        g_err[g] = math.fsum(errs[members])
-        g_abs[g] = math.fsum(resabs[members])
+    # Final per-group reduction: one sort by group, then fsum over each
+    # group's slice, which rounds once whatever the order of its panels.
+    order = np.argsort(gidx, kind="stable")
+    g_n = np.bincount(gidx, minlength=n_groups)
+    ends = np.cumsum(g_n).tolist()
+    starts = [0] + ends[:-1]
+
+    def fsums(column: np.ndarray) -> np.ndarray:
+        col = column[order].tolist()
+        return np.array([math.fsum(col[s:e]) for s, e in zip(starts, ends)])
+
+    g_val, g_err, g_abs = fsums(vals), fsums(errs), fsums(resabs)
     converged = g_err <= targets(g_val, g_abs)
-    return g_val, g_err, evals, converged
+    # Every split evaluates two children in place of one parent.
+    evaluations = _NODES.size * (2 * g_n - n_initial)
+    return g_val, g_err, evaluations, converged
+
+
+def _integrate_y_batch(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lowers: np.ndarray,
+    config: QuadratureConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate f(group, y) over [lowers[group], infinity) for every group.
+
+    One engine call for the whole batch.  Returns per-group (values, error
+    bounds including the truncated tail, evaluations, converged flags).
+    """
+    lowers = np.asarray(lowers, dtype=float)
+    if np.any(lowers < 0.0):
+        raise ValueError(f"lower bound must be >= 0, got {float(lowers.min())!r}")
+    margin = config.y_cutoff_margin
+    try:
+        vals, errs, evals, conv = _batch_adaptive(
+            f, lowers, margin, config.rel_tol, config.max_subdivisions
+        )
+    except IntegrandError as exc:
+        raise IntegrandError(f"integrand returned non-finite value at y={exc.x!r}",
+                             group=exc.group, x=exc.x) from None
+    return vals, errs + np.abs(vals) * math.exp(-margin), evals, conv
 
 
 def integrate_y_from(
@@ -263,25 +321,11 @@ def integrate_y_from(
     by the exp(-y) envelope the dropped tail is below exp(-margin) of the
     result, which is added to the error estimate.
     """
-    if lower < 0.0:
-        raise ValueError(f"lower bound must be >= 0, got {lower!r}")
-    edges = [_initial_edges(lower, lower + config.y_cutoff_margin)]
-
-    def batched(_groups: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.asarray(f(x), dtype=float)
-
-    try:
-        vals, errs, evals, conv = _batch_adaptive(
-            batched, edges, config.rel_tol, config.max_subdivisions
-        )
-    except IntegrandError as exc:
-        raise IntegrandError(f"integrand returned non-finite value at y={exc.x!r}",
-                             x=exc.x) from None
-    tail = abs(vals[0]) * math.exp(-config.y_cutoff_margin)
+    vals, errs, evals, conv = _integrate_y_batch(lambda _groups, y: f(y), [lower], config)
     return QuadratureResult(
         value=float(vals[0]),
-        abs_error_estimate=float(errs[0] + tail),
-        evaluations=evals,
+        abs_error_estimate=float(errs[0]),
+        evaluations=int(evals[0]),
         converged=bool(conv[0]),
     )
 
@@ -300,31 +344,28 @@ def integrate_xi_y(
     into the reported estimate.  ``evaluations`` counts integrand points.
     """
     margin = config.y_cutoff_margin
-    inner_tol = 0.1 * config.rel_tol
+    inner_config = replace(config, rel_tol=0.1 * config.rel_tol)
     inner_evals = 0
 
     def outer(_groups: np.ndarray, xi_nodes: np.ndarray):
         nonlocal inner_evals
-        edges = [_initial_edges(x, x + margin) for x in xi_nodes]
 
         def inner(groups: np.ndarray, y: np.ndarray) -> np.ndarray:
             return np.asarray(f(xi_nodes[groups], y), dtype=float)
 
         try:
-            vals, errs, evals, _ = _batch_adaptive(
-                inner, edges, inner_tol, config.max_subdivisions
-            )
+            vals, errs, evals, _ = _integrate_y_batch(inner, xi_nodes, inner_config)
         except IntegrandError as exc:
             raise IntegrandError(
                 "integrand returned non-finite value at "
                 f"(xi={xi_nodes[exc.group]!r}, y={exc.x!r})",
                 x=exc.x,
             ) from None
-        inner_evals += evals
-        return vals, errs + np.abs(vals) * math.exp(-margin)
+        inner_evals += int(evals.sum())
+        return vals, errs
 
     vals, errs, _, conv = _batch_adaptive(
-        outer, [_initial_edges(0.0, margin)], config.rel_tol, config.max_subdivisions
+        outer, [0.0], margin, config.rel_tol, config.max_subdivisions
     )
     # Outer tail beyond xi = margin is bounded by the same envelope argument.
     return QuadratureResult(
@@ -335,26 +376,53 @@ def integrate_xi_y(
     )
 
 
+def _blocks(
+    terms: Callable[[np.ndarray], np.ndarray], n: int
+) -> Iterator[tuple[int, float]]:
+    """(l, terms(l)) for l = 0 .. n - 1, evaluated in doubling blocks of l."""
+    start, size = 0, _BLOCK_FIRST
+    while start < n:
+        ls = np.arange(start, min(start + size, n))
+        values = np.asarray(terms(ls), dtype=float)
+        if values.shape != ls.shape:
+            raise ValueError(
+                f"terms(ls) must return one value per l: got shape {values.shape} "
+                f"for {ls.size} indices"
+            )
+        yield from zip(ls.tolist(), values.tolist())
+        start += ls.size
+        size = min(2 * size, _BLOCK_MAX)
+
+
 def sum_matsubara_primed(
-    term: Callable[[int], float],
+    terms: Callable[[np.ndarray], np.ndarray],
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuadratureResult:
-    """Sum term(l) for l = 0, 1, 2, ... with the l = 0 term at half weight.
+    """Sum the terms t_l for l = 0, 1, 2, ... with t_0 at half weight.
 
-    Truncation relies on the geometric decay of Matsubara terms: once the
-    running ratio of consecutive magnitudes is below 1, the remaining tail is
-    estimated as t_l * r / (1 - r) and the sum stops when that falls under
-    series_tail_tol of the accumulated value.
+    ``terms(ls)`` returns t_l for an integer array of indices; it is called
+    on consecutive blocks of l that double in size up to a fixed cap, so an
+    integral per term becomes one batched engine call per block.  Truncation
+    relies on the geometric decay of Matsubara terms and reads the terms one
+    by one in order: once the running ratio of consecutive magnitudes is
+    below 1, the remaining tail is estimated as t_l * r / (1 - r) and the sum
+    stops when that falls under series_tail_tol of the accumulated value.
+    Terms of the last block past the stopping index are discarded, and
+    ``evaluations`` counts the terms summed.
     """
-    terms = [0.5 * float(term(0))]
+    seq = _blocks(terms, config.max_matsubara_terms + 1)
+    summed = [0.5 * next(seq)[1]]
+    # Upper bound on |sum|, so the exact sum is taken only where the stop
+    # test could pass; the factor covers the rounding of the running total.
+    abs_sum = abs(summed[0])
     prev = 0.0
     tail = math.inf
     converged = False
     zeros_in_row = 0
-    for l in range(1, config.max_matsubara_terms + 1):
-        t_l = float(term(l))
-        terms.append(t_l)
+    for l, t_l in seq:
+        summed.append(t_l)
         mag = abs(t_l)
+        abs_sum += mag
         if mag == 0.0:
             zeros_in_row += 1
             if zeros_in_row >= 2:
@@ -368,16 +436,18 @@ def sum_matsubara_primed(
             r = mag / prev
             if r < 1.0:
                 tail = mag * r / (1.0 - r)
-                partial = abs(math.fsum(terms))
-                if tail <= max(config.series_tail_tol * partial, _ABS_FLOOR):
+                bound = config.series_tail_tol * abs_sum * (1.0 + 1e-9)
+                if tail <= max(bound, _ABS_FLOOR) and tail <= max(
+                    config.series_tail_tol * abs(math.fsum(summed)), _ABS_FLOOR
+                ):
                     converged = True
                     break
         prev = mag
-    value = math.fsum(terms)
+    value = math.fsum(summed)
     return QuadratureResult(
         value=value,
         abs_error_estimate=float(tail) if math.isfinite(tail) else abs(value),
-        evaluations=len(terms),
+        evaluations=len(summed),
         converged=converged,
     )
 

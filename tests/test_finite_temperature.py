@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from casimir_impedance import (
@@ -25,13 +26,18 @@ from casimir_impedance import (
     ideal_closed_forms,
     ideal_energy_T,
     ideal_energy_T_integral,
+    impedance,
     integrate_y_from,
     log1mexp,
+    reflection_factors,
     riemann_zeta,
     sphere_plate_T,
+    static_reflection_factors,
     sum_matsubara_primed,
     thermal_ideal_ratios,
 )
+from casimir_impedance import finite_temperature, quadrature
+from casimir_impedance.zero_temperature import force_bracket
 
 
 def test_closed_series_matches_integral_route():
@@ -77,7 +83,8 @@ def test_primed_sum_convention():
 
     assert term(0) == pytest.approx(-riemann_zeta(3.0), rel=1e-10)
     explicit = 0.5 * term(0) + sum(term(l) for l in range(1, 40))
-    assert sum_matsubara_primed(term).value == pytest.approx(explicit, rel=1e-10)
+    summed = sum_matsubara_primed(lambda ls: [term(l) for l in ls])
+    assert summed.value == pytest.approx(explicit, rel=1e-10)
     expected = CODATA.k_B * T / (4.0 * math.pi * a**2) * explicit
     assert ideal_energy_T_integral(a, T) == pytest.approx(expected, rel=1e-10)
 
@@ -229,3 +236,67 @@ def test_ratios_approach_unity_with_temperature(aluminum):
     _, f1 = thermal_ideal_ratios(1e-3, 1.0, model, aluminum)
     _, f2 = thermal_ideal_ratios(1e-3, 2.0, model, aluminum)
     assert abs(1.0 - f2) < abs(1.0 - f1)
+
+
+@pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
+def test_batched_matsubara_sum_matches_per_term_integrals(observable, aluminum, plasma_lifshitz):
+    # Oracle: one integrate_y_from per Matsubara index, the integrand written
+    # out.  The Lifshitz formalism makes the static l = 0 term non-zero.
+    a, T = 1e-6, 30.0
+    tau = T / effective_temperature(a)
+    energy = observable is energy_ppT
+    results = []
+
+    def term(l):
+        xi = 2.0 * math.pi * tau * l
+
+        def integrand(y):
+            if l == 0:
+                x_par, x_perp = static_reflection_factors(plasma_lifshitz, y, a, aluminum)
+            else:
+                Z = impedance(plasma_lifshitz, xi, a, aluminum)
+                x_par, x_perp = reflection_factors(Z, y, xi, plasma_lifshitz.formalism)
+            if energy:
+                em1 = np.expm1(y)
+                return y * (np.log1p(x_par / em1) + np.log1p(x_perp / em1))
+            return y * y * force_bracket(x_par, x_perp, y)
+
+        results.append(integrate_y_from(integrand, xi))
+        return results[-1].value
+
+    total = sum_matsubara_primed(lambda ls: [term(l) for l in ls])
+    n = total.evaluations
+    assert n > 128 and results[0].value != 0.0
+    if energy:
+        expected = ideal_energy_T(a, T) + CODATA.k_B * T / (8.0 * math.pi * a**2) * total.value
+    else:
+        expected = -CODATA.k_B * T / (8.0 * math.pi * a**3) * total.value
+    obs = observable(a, T, plasma_lifshitz, aluminum)
+    assert obs.value == pytest.approx(expected, rel=1e-13)
+    assert obs.quadrature.evaluations == n + sum(r.evaluations for r in results[:n])
+    assert obs.quadrature.converged == all(r.converged for r in results[:n])
+
+
+def test_matsubara_sum_runs_one_engine_call_per_block(monkeypatch, aluminum, plasma_impedance):
+    # Hardware-independent guard: per-term engine calls (one per Matsubara
+    # index, 5,807 here) would fail this bound.
+    calls = []
+    terms = []
+    engine = quadrature._batch_adaptive
+    primed = finite_temperature.sum_matsubara_primed
+
+    def counted_engine(*args, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
+
+    def counted_sum(*args, **kwargs):
+        res = primed(*args, **kwargs)
+        terms.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(quadrature, "_batch_adaptive", counted_engine)
+    monkeypatch.setattr(finite_temperature, "sum_matsubara_primed", counted_sum)
+    force_ppT(1e-6, 1.0, plasma_impedance, aluminum)
+    (n,) = terms
+    assert n > 5000
+    assert len(calls) <= math.ceil(n / 64) + 2

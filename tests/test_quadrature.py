@@ -15,7 +15,7 @@ from casimir_impedance import (
     riemann_zeta,
     sum_matsubara_primed,
 )
-from casimir_impedance.quadrature import DEFAULT_CONFIG
+from casimir_impedance.quadrature import DEFAULT_CONFIG, _batch_adaptive, _initial_panels
 
 
 def test_integrate_y_from_zero():
@@ -100,12 +100,12 @@ def test_matsubara_prime_weight():
 
 def test_matsubara_exponential_terms():
     q = math.exp(-3.0)
-    res = sum_matsubara_primed(lambda l: math.exp(-3.0 * l))
+    res = sum_matsubara_primed(lambda ls: np.exp(-3.0 * ls))
     assert res.value == pytest.approx(0.5 + q / (1.0 - q), rel=1e-12)
 
 
 def test_matsubara_stops_on_exact_zeros():
-    res = sum_matsubara_primed(lambda l: 1.0 if l == 1 else 0.0)
+    res = sum_matsubara_primed(lambda ls: np.where(ls == 1, 1.0, 0.0))
     assert res.converged
     assert res.value == 1.0
     assert res.evaluations <= 5
@@ -173,3 +173,116 @@ def test_dilog_values():
     )
     with pytest.raises(ValueError, match="0 <= x <= 1"):
         dilog(1.5)
+
+
+def _sequential_primed_sum(term, config=DEFAULT_CONFIG):
+    """Reference: one scalar term at a time, exact sum at every ratio test."""
+    terms = [0.5 * float(term(0))]
+    prev = 0.0
+    tail = math.inf
+    converged = False
+    zeros_in_row = 0
+    for l in range(1, config.max_matsubara_terms + 1):
+        t_l = float(term(l))
+        terms.append(t_l)
+        mag = abs(t_l)
+        if mag == 0.0:
+            zeros_in_row += 1
+            if zeros_in_row >= 2:
+                tail = 0.0
+                converged = True
+                break
+            prev = 0.0
+            continue
+        zeros_in_row = 0
+        if l >= 3 and prev > 0.0:
+            r = mag / prev
+            if r < 1.0:
+                tail = mag * r / (1.0 - r)
+                partial = abs(math.fsum(terms))
+                if tail <= max(config.series_tail_tol * partial, 1e-300):
+                    converged = True
+                    break
+        prev = mag
+    value = math.fsum(terms)
+    return (value, float(tail) if math.isfinite(tail) else abs(value),
+            len(terms), converged)
+
+
+@pytest.mark.parametrize("series, config", [
+    (lambda l: 0.5**l, DEFAULT_CONFIG),
+    (lambda l: math.exp(-3.0 * l), DEFAULT_CONFIG),
+    (lambda l: 1.0 if l == 1 else 0.0, DEFAULT_CONFIG),
+    (lambda l: 1.0 / (l + 1.0), QuadratureConfig(max_matsubara_terms=10)),
+    (lambda l: 0.99**l, DEFAULT_CONFIG),
+    (lambda l: (-0.5) ** l, DEFAULT_CONFIG),
+], ids=["half", "exp3", "exact-zeros", "budget", "slow", "alternating"])
+def test_blocked_stop_rule_matches_sequential_rule(series, config):
+    blocks = []
+
+    def terms(ls):
+        blocks.append(ls.tolist())
+        return [series(l) for l in ls.tolist()]
+
+    res = sum_matsubara_primed(terms, config)
+    value, tail, n, converged = _sequential_primed_sum(series, config)
+    assert (res.value, res.abs_error_estimate, res.evaluations, res.converged) == (
+        value, tail, n, converged)
+    # Consecutive capped blocks from l = 0, none begun past the stopping
+    # index (the slow series stops near l = 2,750, after 45 blocks).
+    assert sum(blocks, []) == list(range(len(sum(blocks, []))))
+    assert blocks[-1][0] < n and max(map(len, blocks)) <= 64
+
+
+def test_matsubara_terms_must_return_one_value_per_index():
+    with pytest.raises(ValueError, match="one value per l"):
+        sum_matsubara_primed(lambda ls: 1.0)
+
+
+def _engine(f, lowers, rel_tol=1e-9):
+    return _batch_adaptive(f, np.asarray(lowers, dtype=float), 45.0, rel_tol, 10_000)
+
+
+def test_batch_adaptive_groups_are_independent():
+    # A smooth decay, a narrow peak that needs many refinement rounds, and a
+    # noise-limited integrand that is closed by the stall counter.
+    def f(groups, y):
+        smooth = y**2 * np.exp(-y)
+        peak = np.exp(-y) / ((y - 3.7) ** 2 + 1e-6)
+        noise = np.exp(-y) + 1e-9 * np.sin(1e12 * y)
+        return np.choose(groups % 3, [smooth, peak, noise])
+
+    lowers = [0.0, 0.5, 0.0, 2.0, 1.0, 0.25, 3.0]
+    vals, errs, evals, conv = _engine(f, lowers, rel_tol=1e-12)
+    for g, lower in enumerate(lowers):
+        one = _engine(lambda _groups, y: f(np.full(y.shape, g), y), [lower], rel_tol=1e-12)
+        assert vals[g] == pytest.approx(one[0][0], rel=1e-13)
+        assert evals[g] == one[2][0]
+        assert conv[g] == one[3][0]
+    peak, noise = evals[1::3], evals[2::3]
+    assert np.all(peak > 5 * evals[0]) and np.all(conv[1::3])
+    # Stalled groups stop far below the panel budget and report it.
+    assert not np.any(conv[2::3]) and np.all(noise < 15 * 2 * 10_000)
+
+
+def _edges_of_one_range(lo, hi):
+    """Reference: the geometric edges of one range, built one at a time."""
+    width = hi - lo
+    offsets = [0.0]
+    step = 0.5
+    while offsets[-1] + step < width:
+        offsets.append(offsets[-1] + step)
+        step *= 2.0
+    offsets.append(width)
+    return lo + np.asarray(offsets)
+
+
+@pytest.mark.parametrize("width", [45.0, 31.5, 11.0])
+def test_initial_panels_match_per_range_construction(width):
+    # Large lower bounds round lower + width, so the ranges differ in width.
+    lowers = np.array([0.0, 0.1, 2.5, 64.0, 3e4, 1e16, 1e20])
+    edges = [_edges_of_one_range(x, x + width) for x in lowers]
+    gidx, lo, hi = _initial_panels(lowers, width)
+    assert gidx.tolist() == [g for g, e in enumerate(edges) for _ in e[1:]]
+    assert lo.tolist() == np.concatenate([e[:-1] for e in edges]).tolist()
+    assert hi.tolist() == np.concatenate([e[1:] for e in edges]).tolist()
