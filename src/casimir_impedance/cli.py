@@ -14,8 +14,12 @@ thermal-ratio  real-to-ideal energy and force ratios at temperature T
 Output is CSV: ``#``-prefixed provenance header (constants, material, model,
 tolerances, tool version, column names), then purely numeric rows in
 scientific notation with 17 significant digits.  Rows derived from quadrature
-carry the error estimate and a converged flag.  Scans run serially in grid
-order, so identical configurations produce byte-identical files.
+carry the error estimate and a converged flag.  A zero-temperature grid
+command integrates each of its observables over the whole grid in one batched
+engine call, each separation an independent group, and writes the rows in
+grid order; scans at T > 0 compute one separation after another.  Identical
+configurations produce byte-identical files.  Warnings raised while a grid
+is computed are collapsed into one stderr line per source with a count.
 
 Exit status: 0 on success, 1 on configuration errors (the message names the
 offending field), 2 when any output row failed to converge.
@@ -27,6 +31,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -43,7 +48,13 @@ from .materials import PRESETS, Material, load_material
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .reflection import Formalism, ImpedanceKind, ImpedanceModel
 from .series import CoefficientVariant, coefficients, series_force
-from .zero_temperature import energy_pp0, force_pp0, force_sphere0
+from .zero_temperature import (
+    ObservableKind,
+    _plates0,
+    energy_pp0,
+    force_pp0,
+    force_sphere0,
+)
 
 __all__ = [
     "RunSpec",
@@ -327,60 +338,70 @@ def _point_rows(spec: RunSpec, material, model, config):
     return rows
 
 
-def _scan_row(a: float, spec: RunSpec, material, model, config):
+def _scan_rows(grid: list[float], spec: RunSpec, material, model, config):
     if spec.T == 0.0:
-        e = energy_pp0(a, model, material, config)
-        f = force_pp0(a, model, material, config)
+        es, fs = (
+            _plates0(kind, grid, model, material, config, CODATA)
+            for kind in (ObservableKind.ENERGY_PER_AREA, ObservableKind.FORCE_PER_AREA)
+        )
     else:
-        e = energy_ppT(a, spec.T, model, material, config)
-        f = force_ppT(a, spec.T, model, material, config)
-    return (
-        a,
-        e.value,
-        e.quadrature.abs_error_estimate,
-        float(e.quadrature.converged),
-        f.value,
-        f.quadrature.abs_error_estimate,
-        float(f.quadrature.converged),
-    )
-
-
-def _figure1_row(a: float, spec: RunSpec, material, model, config):
-    reference = force_pp0(
-        a, ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.LIFSHITZ), material, config
-    )
-    direct = force_pp0(
-        a, ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.IMPEDANCE), material, config
-    )
-    approx = series_force(a, material, CoefficientVariant.IMPEDANCE_APPROX, 4)
-    d_exact = (reference.value - direct.value) / reference.value
-    d_approx = (reference.value - approx) / reference.value
-    err = (
-        reference.quadrature.abs_error_estimate + direct.quadrature.abs_error_estimate
-    ) / abs(reference.value)
-    conv = reference.quadrature.converged and direct.quadrature.converged
-    return (a, d_exact, d_approx, err, float(conv))
-
-
-def _figure2_row(a: float, spec: RunSpec, material, model, config):
-    row = [a]
-    err = 0.0
-    conv = True
-    for kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX):
-        reference = energy_pp0(
-            a, ImpedanceModel(kind, Formalism.LIFSHITZ), material, config
+        es = [energy_ppT(a, spec.T, model, material, config) for a in grid]
+        fs = [force_ppT(a, spec.T, model, material, config) for a in grid]
+    return [
+        (
+            a,
+            e.value,
+            e.quadrature.abs_error_estimate,
+            float(e.quadrature.converged),
+            f.value,
+            f.quadrature.abs_error_estimate,
+            float(f.quadrature.converged),
         )
-        direct = energy_pp0(
-            a, ImpedanceModel(kind, Formalism.IMPEDANCE), material, config
+        for a, e, f in zip(grid, es, fs)
+    ]
+
+
+def _deviation_curve(kind: ObservableKind, impedance_kind, grid, material, config):
+    """(Lifshitz value, impedance-route deviation, error, converged) per a."""
+    references, directs = (
+        _plates0(
+            kind, grid, ImpedanceModel(impedance_kind, formalism), material, config, CODATA
         )
-        row.append((reference.value - direct.value) / reference.value)
-        err += (
-            reference.quadrature.abs_error_estimate
-            + direct.quadrature.abs_error_estimate
-        ) / abs(reference.value)
-        conv = conv and reference.quadrature.converged and direct.quadrature.converged
-    row.extend([err, float(conv)])
-    return tuple(row)
+        for formalism in (Formalism.LIFSHITZ, Formalism.IMPEDANCE)
+    )
+    return [
+        (
+            ref.value,
+            (ref.value - direct.value) / ref.value,
+            (ref.quadrature.abs_error_estimate + direct.quadrature.abs_error_estimate)
+            / abs(ref.value),
+            ref.quadrature.converged and direct.quadrature.converged,
+        )
+        for ref, direct in zip(references, directs)
+    ]
+
+
+def _figure1_rows(grid: list[float], spec: RunSpec, material, model, config):
+    curve = _deviation_curve(
+        ObservableKind.FORCE_PER_AREA, ImpedanceKind.PLASMA_EXACT, grid, material, config
+    )
+    rows = []
+    for a, (reference, d_exact, err, conv) in zip(grid, curve):
+        approx = series_force(a, material, CoefficientVariant.IMPEDANCE_APPROX, 4)
+        rows.append((a, d_exact, (reference - approx) / reference, err, float(conv)))
+    return rows
+
+
+def _figure2_rows(grid: list[float], spec: RunSpec, material, model, config):
+    exact, approx = (
+        _deviation_curve(ObservableKind.ENERGY_PER_AREA, kind, grid, material, config)
+        for kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX)
+    )
+    return [
+        (a, d_exact, d_approx, err_exact + err_approx, float(ok_exact and ok_approx))
+        for a, (_, d_exact, err_exact, ok_exact), (_, d_approx, err_approx, ok_approx)
+        in zip(grid, exact, approx)
+    ]
 
 
 def _thermal_ratio_row(spec: RunSpec, material, model, config):
@@ -437,8 +458,22 @@ _COLUMNS = {
 }
 
 
-# Grid commands: one row per separation, all with the _scan_row signature.
-_GRID_ROWS = {"scan": _scan_row, "figure1": _figure1_row, "figure2": _figure2_row}
+# Grid commands: each takes the whole grid and returns one row per separation,
+# in grid order.
+_GRID_ROWS = {"scan": _scan_rows, "figure1": _figure1_rows, "figure2": _figure2_rows}
+
+
+def _warning_summary(command: str, caught: list[warnings.WarningMessage]) -> None:
+    """One stderr line per warning site: its first message and a count."""
+    sites: dict[tuple, list[warnings.WarningMessage]] = {}
+    for w in caught:
+        sites.setdefault((w.category, w.filename, w.lineno), []).append(w)
+    for records in sites.values():
+        print(
+            f"warning: {command}: {records[0].message} "
+            f"({len(records)} warning{'s' if len(records) > 1 else ''} like this)",
+            file=sys.stderr,
+        )
 
 
 def run(spec: RunSpec, stream=None) -> int:
@@ -453,9 +488,14 @@ def run(spec: RunSpec, stream=None) -> int:
         for row in _point_rows(spec, material, model, config):
             csv.add(*row)
     elif spec.command in _GRID_ROWS:
-        row_fn = _GRID_ROWS[spec.command]
-        for a in _grid_points(spec.grid):
-            csv.add(*row_fn(a, spec, material, model, config))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = _GRID_ROWS[spec.command](
+                _grid_points(spec.grid), spec, material, model, config
+            )
+        _warning_summary(spec.command, caught)
+        for row in rows:
+            csv.add(*row)
     elif spec.command == "coefficients":
         sets = {v: coefficients(v).c for v in CoefficientVariant}
         for k in range(5):
@@ -476,14 +516,10 @@ def run(spec: RunSpec, stream=None) -> int:
     else:
         sys.stdout.write(text)
 
-    converged_column = (
-        _COLUMNS[spec.command].index("converged")
-        if "converged" in _COLUMNS[spec.command]
-        else None
-    )
-    if converged_column is not None:
-        if any(row[converged_column] == 0.0 for row in csv.rows):
-            return 2
+    columns = _COLUMNS[spec.command]
+    flags = [i for i, name in enumerate(columns) if name.endswith("converged")]
+    if any(row[i] == 0.0 for row in csv.rows for i in flags):
+        return 2
     return 0
 
 

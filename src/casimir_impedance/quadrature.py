@@ -14,13 +14,22 @@ One engine, ``_batch_adaptive``, integrates a batch of independent 1-D
 integrals (groups) at once.  Its per-group bookkeeping is array arithmetic
 over the panels of all groups (bincount sums per sweep, one sort by group for
 the final sums), with no Python loop over groups and panels, and a group
-takes the refinement decisions it would take alone.  The y-integrals from an array of lower bounds go
-through it in one call: the inner integrals of each outer sweep of
-``integrate_xi_y``, and one block of Matsubara terms at a time in the
+takes the refinement decisions it would take alone.  The y-integrals from an
+array of lower bounds go through it in one call: the inner integrals of each
+outer sweep of a wedge, and one block of Matsubara terms at a time in the
 finite-temperature sums, whose ``terms(ls)`` callables take an array of
 indices.  ``sum_matsubara_primed`` asks for blocks of 16, 32 and then 64
 indices and applies its stopping rule term by term, as if the terms came one
 at a time.
+
+``_integrate_xi_y_batch`` runs many wedge integrals (one per separation of a
+grid) as the groups of one outer engine call; each outer sweep integrates the
+inner y-integrals of all groups' new nodes in one batch, and
+``integrate_xi_y`` is its one-group case.  The rule's sums are BLAS matrix
+products, whose rounding of a row depends on its position in the matrix, so
+the engine takes them per separation: a wedge in a batch gets exactly the
+bits of the same wedge computed alone.  Panel batches above ``_EVAL_MAX``
+points are evaluated in chunks of whole separations.
 """
 
 from __future__ import annotations
@@ -62,6 +71,12 @@ _MAX_STALLS = 30
 # of a block and the terms computed past the index where the sum stops.
 _BLOCK_FIRST = 16
 _BLOCK_MAX = 64
+
+# Most integrand points evaluated in one call.  Larger panel batches (the
+# inner integrals of a whole separation grid) are evaluated in chunks, which
+# bounds the integrand's temporaries; the sweeps of a single wedge stay below
+# it (at most 11,025 points on the benchmark's inputs).
+_EVAL_MAX = 16_384
 
 
 class IntegrandError(RuntimeError):
@@ -165,43 +180,109 @@ def _initial_panels(
     return np.repeat(np.arange(lowers.size), n), edges[:, :-1][panel], edges[:, 1:][panel]
 
 
+def _kronrod(
+    vals: np.ndarray, halfw: np.ndarray, carried: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gauss-Kronrod rule applied to the node values of each panel."""
+    kron = halfw * (vals @ _WK15)
+    gauss = halfw * (vals @ _WG7)
+    resabs = halfw * (np.abs(vals) @ _WK15)
+    err = np.abs(kron - gauss)
+    if carried is not None:
+        err = err + halfw * (carried @ _WK15)
+    return kron, err, resabs
+
+
+def _node_values(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    gidx: np.ndarray,
+    center: np.ndarray,
+    halfw: np.ndarray,
+    per_slice: int,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """f at the 15 nodes of every panel, at most per_slice panels per call.
+
+    Returns the values and, when ``f`` returns ``(values, carried_errors)``,
+    the carried errors, both shaped (panels, nodes).
+    """
+    vals, carried = [], []
+    for start in range(0, gidx.size, per_slice):
+        part = slice(start, start + per_slice)
+        x = center[part, None] + halfw[part, None] * _NODES[None, :]
+        groups = np.broadcast_to(gidx[part, None], x.shape)
+        with np.errstate(all="ignore"):
+            out = f(groups.ravel(), x.ravel())
+        if isinstance(out, tuple):
+            out, carry = out
+            carried.append(np.reshape(carry, x.shape))
+        v = np.asarray(out, dtype=float).reshape(x.shape)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise IntegrandError(
+                f"integrand returned non-finite value at x={x[i, j]!r}",
+                group=int(gidx[start + i]),
+                x=float(x[i, j]),
+            )
+        vals.append(v)
+    if len(vals) == 1:
+        return vals[0], carried[0] if carried else None
+    return np.concatenate(vals), np.concatenate(carried) if carried else None
+
+
 def _eval_panels(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     gidx: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
+    owners: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kronrod value, Gauss-difference error, and |f| integral per panel.
 
     ``f`` may return ``(values, carried_errors)``: the error bounds already
     attached to each value (for instance by an inner quadrature) are
     integrated with the Kronrod weights and added to the panel error.
+
+    The rule's sums are BLAS matrix products, which round a row according to
+    its position in the matrix.  ``owners[g]`` names the independent problem
+    group g belongs to; each problem's sums are taken over its own panels
+    alone, in order, so its results do not depend on the batch it shares.
+    Whole problems are evaluated together in chunks of at most ``_EVAL_MAX``
+    points, which bounds the memory of large batches; a problem above that
+    is evaluated alone, in slices.
     """
+    per_slice = _EVAL_MAX // _NODES.size
+    owner = None if owners is None else owners[gidx]
+    if owner is None or (owner == owner[0]).all():
+        # One problem: its sums span the whole batch, as in a lone call.
+        halfw = 0.5 * (hi - lo)
+        vals, carried = _node_values(f, gidx, 0.5 * (lo + hi), halfw, per_slice)
+        return _kronrod(vals, halfw, carried)
+    order = np.argsort(owner, kind="stable")
+    gidx, lo, hi = gidx[order], lo[order], hi[order]
+    edges = [0, *(np.flatnonzero(np.diff(owner[order])) + 1).tolist(), gidx.size]
     center = 0.5 * (lo + hi)
     halfw = 0.5 * (hi - lo)
-    x = center[:, None] + halfw[:, None] * _NODES[None, :]
-    groups = np.broadcast_to(gidx[:, None], x.shape)
-    with np.errstate(all="ignore"):
-        out = f(groups.ravel(), x.ravel())
-    carried = None
-    if isinstance(out, tuple):
-        out, carried = out
-    vals = np.asarray(out, dtype=float).reshape(x.shape)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise IntegrandError(
-            f"integrand returned non-finite value at x={x[i, j]!r}",
-            group=int(gidx[i]),
-            x=float(x[i, j]),
+    out = np.empty((3, gidx.size))
+    first = 0
+    while first < len(edges) - 1:
+        # Problems first .. last - 1 form the chunk of panels begin .. end.
+        last = first + 1
+        while last < len(edges) - 1 and edges[last + 1] - edges[first] <= per_slice:
+            last += 1
+        begin, end = edges[first], edges[last]
+        vals, carried = _node_values(
+            f, gidx[begin:end], center[begin:end], halfw[begin:end], per_slice
         )
-    kron = halfw * (vals @ _WK15)
-    gauss = halfw * (vals @ _WG7)
-    resabs = halfw * (np.abs(vals) @ _WK15)
-    err = np.abs(kron - gauss)
-    if carried is not None:
-        err = err + halfw * (np.reshape(carried, x.shape) @ _WK15)
-    return kron, err, resabs
+        for p in range(first, last):
+            rows = slice(edges[p], edges[p + 1])
+            part = slice(edges[p] - begin, edges[p + 1] - begin)
+            out[:, rows] = _kronrod(
+                vals[part], halfw[rows], None if carried is None else carried[part]
+            )
+        first = last
+    out[:, order] = out.copy()
+    return out[0], out[1], out[2]
 
 
 def _batch_adaptive(
@@ -210,6 +291,7 @@ def _batch_adaptive(
     width: float,
     rel_tol: float,
     max_panels: int,
+    owners: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive Gauss-Kronrod over a batch of 1-D integrals.
 
@@ -217,13 +299,15 @@ def _batch_adaptive(
     x)`` must be vectorized.  Returns per-group (values, error bounds,
     evaluations, converged flags).  Every decision about a group reads only
     that group's panels, in an order the other groups do not affect, so a
-    group refines as it would alone; only the last bits of the rule's matrix
-    products may follow the layout of the batch.
+    group refines as it would alone.  Only the last bits of the rule's matrix
+    products follow the layout of the batch, unless ``owners`` (one per
+    group) names independent problems: each problem then gets exactly the
+    results of a call for that problem alone.
     """
     n_groups = len(lowers)
     gidx, lo, hi = _initial_panels(lowers, width)
     n_initial = np.bincount(gidx, minlength=n_groups)
-    vals, errs, resabs = _eval_panels(f, gidx, lo, hi)
+    vals, errs, resabs = _eval_panels(f, gidx, lo, hi, owners)
     # Groups whose splits repeatedly fail to shrink the error are noise
     # limited (integrand roundoff); they are closed rather than refined to
     # the panel budget.  Mirrors the QUADPACK iroff counters.
@@ -255,7 +339,7 @@ def _batch_adaptive(
         new_g = np.concatenate([gidx[split], gidx[split]])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs, new_resabs = _eval_panels(f, new_g, new_lo, new_hi)
+        new_vals, new_errs, new_resabs = _eval_panels(f, new_g, new_lo, new_hi, owners)
         n_split = int(split.sum())
         child_err = new_errs[:n_split] + new_errs[n_split:]
         futile = child_err >= 0.99 * errs[split]
@@ -290,11 +374,13 @@ def _integrate_y_batch(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lowers: np.ndarray,
     config: QuadratureConfig,
+    owners: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate f(group, y) over [lowers[group], infinity) for every group.
 
-    One engine call for the whole batch.  Returns per-group (values, error
-    bounds including the truncated tail, evaluations, converged flags).
+    One engine call for the whole batch (``owners`` as in ``_batch_adaptive``).
+    Returns per-group (values, error bounds including the truncated tail,
+    evaluations, converged flags).
     """
     lowers = np.asarray(lowers, dtype=float)
     if np.any(lowers < 0.0):
@@ -302,7 +388,7 @@ def _integrate_y_batch(
     margin = config.y_cutoff_margin
     try:
         vals, errs, evals, conv = _batch_adaptive(
-            f, lowers, margin, config.rel_tol, config.max_subdivisions
+            f, lowers, margin, config.rel_tol, config.max_subdivisions, owners
         )
     except IntegrandError as exc:
         raise IntegrandError(f"integrand returned non-finite value at y={exc.x!r}",
@@ -330,6 +416,57 @@ def integrate_y_from(
     )
 
 
+def _integrate_xi_y_batch(
+    sweep: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]],
+    n_groups: int,
+    config: QuadratureConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate over the wedge 0 <= xi <= y < infinity for every group.
+
+    One outer engine call runs the xi integrals of all groups.  Each outer
+    sweep calls ``sweep(groups, xi)`` once with its new nodes, so work that
+    depends only on (group, xi) is done once per node; it returns
+    ``inner(k, y)``, the integrand at points y of node k.  The inner y
+    integrals of all nodes of the sweep run in one batch at a tenth of the
+    outer tolerance, and their error bounds are carried through the outer
+    quadrature weights.  Returns per-group (values, error bounds,
+    evaluations, converged flags); ``evaluations`` counts integrand points.
+    """
+    margin = config.y_cutoff_margin
+    inner_config = replace(config, rel_tol=0.1 * config.rel_tol)
+    inner_evals = np.zeros(n_groups, dtype=np.int64)
+    # Every group owns its outer panels and its nodes' inner panels, so each
+    # gets the bits of a one-group call; a lone group needs no owners.
+    owners = np.arange(n_groups) if n_groups > 1 else None
+
+    def outer(groups: np.ndarray, xi_nodes: np.ndarray):
+        nonlocal inner_evals
+        try:
+            vals, errs, evals, _ = _integrate_y_batch(
+                sweep(groups, xi_nodes),
+                xi_nodes,
+                inner_config,
+                None if owners is None else groups,
+            )
+        except IntegrandError as exc:
+            raise IntegrandError(
+                "integrand returned non-finite value at "
+                f"(xi={xi_nodes[exc.group]!r}, y={exc.x!r})",
+                group=int(groups[exc.group]),
+                x=exc.x,
+            ) from None
+        inner_evals += np.bincount(groups, weights=evals, minlength=n_groups).astype(
+            np.int64
+        )
+        return vals, errs
+
+    vals, errs, _, conv = _batch_adaptive(
+        outer, np.zeros(n_groups), margin, config.rel_tol, config.max_subdivisions, owners
+    )
+    # Outer tail beyond xi = margin is bounded by the same envelope argument.
+    return vals, errs + np.abs(vals) * math.exp(-margin), inner_evals, conv
+
+
 def integrate_xi_y(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     config: QuadratureConfig = DEFAULT_CONFIG,
@@ -343,35 +480,15 @@ def integrate_xi_y(
     and their error bounds are carried through the outer quadrature weights
     into the reported estimate.  ``evaluations`` counts integrand points.
     """
-    margin = config.y_cutoff_margin
-    inner_config = replace(config, rel_tol=0.1 * config.rel_tol)
-    inner_evals = 0
 
-    def outer(_groups: np.ndarray, xi_nodes: np.ndarray):
-        nonlocal inner_evals
+    def sweep(_groups: np.ndarray, xi_nodes: np.ndarray):
+        return lambda k, y: np.asarray(f(xi_nodes[k], y), dtype=float)
 
-        def inner(groups: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return np.asarray(f(xi_nodes[groups], y), dtype=float)
-
-        try:
-            vals, errs, evals, _ = _integrate_y_batch(inner, xi_nodes, inner_config)
-        except IntegrandError as exc:
-            raise IntegrandError(
-                "integrand returned non-finite value at "
-                f"(xi={xi_nodes[exc.group]!r}, y={exc.x!r})",
-                x=exc.x,
-            ) from None
-        inner_evals += int(evals.sum())
-        return vals, errs
-
-    vals, errs, _, conv = _batch_adaptive(
-        outer, [0.0], margin, config.rel_tol, config.max_subdivisions
-    )
-    # Outer tail beyond xi = margin is bounded by the same envelope argument.
+    vals, errs, evals, conv = _integrate_xi_y_batch(sweep, 1, config)
     return QuadratureResult(
         value=float(vals[0]),
-        abs_error_estimate=float(errs[0] + abs(vals[0]) * math.exp(-margin)),
-        evaluations=inner_evals,
+        abs_error_estimate=float(errs[0]),
+        evaluations=int(evals[0]),
         converged=bool(conv[0]),
     )
 

@@ -66,14 +66,15 @@ def _require_material(kind: ImpedanceKind, material: Material | None) -> Materia
 def impedance(
     kind: ImpedanceKind | ImpedanceModel,
     xi,
-    a: float,
+    a,
     material: Material | None = None,
     constants: PhysicalConstants = CODATA,
 ):
     """Surface impedance Z at reduced imaginary frequency xi for gap width a.
 
-    Vectorized over xi.  The reduced plasma frequency is w_p = 2 a omega_p / c
-    and the reduced conductivity sigma_r = 2 a sigma / c, so that
+    Vectorized over xi and over gap widths a that broadcast against it.  The
+    reduced plasma frequency is w_p = 2 a omega_p / c and the reduced
+    conductivity sigma_r = 2 a sigma / c, so that
 
     * ideal metal:   Z = 0
     * exact plasma:  Z = xi / sqrt(w_p^2 + xi^2)
@@ -86,14 +87,16 @@ def impedance(
     """
     if isinstance(kind, ImpedanceModel):
         kind = kind.kind
-    if not (a > 0.0):
-        raise ValueError(f"separation must be positive, got {a!r}")
+    a = np.asarray(a, dtype=float)
+    bad = ~(a > 0.0)
+    if bad.any():
+        raise ValueError(f"separation must be positive, got {float(a[bad][0])!r}")
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0.0):
         raise ValueError("reduced frequency xi must be >= 0")
 
     if kind is ImpedanceKind.IDEAL_METAL:
-        out = np.zeros_like(xi)
+        out = np.zeros(np.broadcast(xi, a).shape)
     elif kind is ImpedanceKind.PLASMA_EXACT:
         m = _require_material(kind, material)
         w_p = 2.0 * a * m.omega_p / constants.c

@@ -30,7 +30,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
-    integrate_xi_y,
+    _integrate_xi_y_batch,
     log1mexp,
     riemann_zeta,
 )
@@ -108,14 +108,6 @@ def ideal_closed_forms(
     )
 
 
-def _factor_fn(model, a, material, constants):
-    def factors(xi: np.ndarray, y: np.ndarray):
-        Z = impedance(model.kind, xi, a, material, constants)
-        return reflection_factors(Z, y, xi, model.formalism)
-
-    return factors
-
-
 def energy_bracket(x_par, x_perp, y):
     """Mode-sum bracket of the energy integrand (both polarizations)."""
     em1 = np.expm1(y)
@@ -129,6 +121,54 @@ def force_bracket(x_par, x_perp, y):
     return (1.0 - x_par) / (em1 + x_par) + (1.0 - x_perp) / (em1 + x_perp)
 
 
+def _plates0(
+    kind: ObservableKind,
+    a_values,
+    model: ImpedanceModel,
+    material: Material | None,
+    config: QuadratureConfig,
+    constants: PhysicalConstants,
+) -> list[Observable]:
+    """Plate energies or pressures at T = 0 for every separation, in order.
+
+    One wedge-engine call covers all separations, one group each.  The
+    impedance depends only on (a, xi), so it is computed once per outer node
+    and gathered for that node's inner points.
+    """
+    geometries = [Geometry(separation=a) for a in a_values]
+    a_arr = np.asarray(a_values, dtype=float)
+    energy = kind is ObservableKind.ENERGY_PER_AREA
+
+    def sweep(groups: np.ndarray, xi: np.ndarray):
+        Z = impedance(model.kind, xi, a_arr[groups], material, constants)
+
+        def integrand(k: np.ndarray, y: np.ndarray) -> np.ndarray:
+            x_par, x_perp = reflection_factors(Z[k], y, xi[k], model.formalism)
+            if energy:
+                return y * energy_bracket(x_par, x_perp, y)
+            return y * y * force_bracket(x_par, x_perp, y)
+
+        return integrand
+
+    vals, errs, evals, conv = _integrate_xi_y_batch(sweep, a_arr.size, config)
+    hc = constants.hbar * constants.c
+    observables = []
+    for geometry, value, err, n, ok in zip(geometries, vals, errs, evals, conv):
+        raw = QuadratureResult(
+            value=float(value),
+            abs_error_estimate=float(err),
+            evaluations=int(n),
+            converged=bool(ok),
+        )
+        a = geometry.separation
+        if energy:
+            scale = hc / (32.0 * math.pi**2 * a**3)
+        else:
+            scale = -hc / (32.0 * math.pi**2 * a**4)
+        observables.append(_observable(kind, scale, raw, geometry, model, 0.0))
+    return observables
+
+
 def energy_pp0(
     a: float,
     model: ImpedanceModel,
@@ -137,16 +177,7 @@ def energy_pp0(
     constants: PhysicalConstants = CODATA,
 ) -> Observable:
     """Casimir energy per unit area of parallel plates at T = 0, in J/m^2."""
-    geometry = Geometry(separation=a)
-    factors = _factor_fn(model, a, material, constants)
-
-    def integrand(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x_par, x_perp = factors(xi, y)
-        return y * energy_bracket(x_par, x_perp, y)
-
-    raw = integrate_xi_y(integrand, config)
-    scale = constants.hbar * constants.c / (32.0 * math.pi**2 * a**3)
-    return _observable(ObservableKind.ENERGY_PER_AREA, scale, raw, geometry, model, 0.0)
+    return _plates0(ObservableKind.ENERGY_PER_AREA, [a], model, material, config, constants)[0]
 
 
 def force_pp0(
@@ -157,16 +188,7 @@ def force_pp0(
     constants: PhysicalConstants = CODATA,
 ) -> Observable:
     """Casimir pressure between parallel plates at T = 0, in Pa (negative)."""
-    geometry = Geometry(separation=a)
-    factors = _factor_fn(model, a, material, constants)
-
-    def integrand(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x_par, x_perp = factors(xi, y)
-        return y * y * force_bracket(x_par, x_perp, y)
-
-    raw = integrate_xi_y(integrand, config)
-    scale = -constants.hbar * constants.c / (32.0 * math.pi**2 * a**4)
-    return _observable(ObservableKind.FORCE_PER_AREA, scale, raw, geometry, model, 0.0)
+    return _plates0(ObservableKind.FORCE_PER_AREA, [a], model, material, config, constants)[0]
 
 
 def force_sphere0(

@@ -2,11 +2,12 @@
 
 import io
 import math
+import warnings
 from types import SimpleNamespace
 
 import pytest
 
-from casimir_impedance import cli
+from casimir_impedance import cli, zero_temperature
 from casimir_impedance import ideal_closed_forms, ideal_energy_T
 from casimir_impedance.cli import (
     RunSpec,
@@ -259,6 +260,65 @@ def test_nonconverged_rows_exit_2(monkeypatch):
     assert status == 2
     rows = _rows(text)
     assert rows[1][5] == 0.0
+
+
+@pytest.mark.parametrize("command, calls", [("figure1", 2), ("figure2", 4), ("scan", 2)])
+def test_grid_commands_make_one_engine_call_per_curve(monkeypatch, command, calls):
+    wedge = zero_temperature._integrate_xi_y_batch
+    seen = []
+
+    def counted(sweep, n_groups, config):
+        seen.append(n_groups)
+        return wedge(sweep, n_groups, config)
+
+    monkeypatch.setattr(zero_temperature, "_integrate_xi_y_batch", counted)
+    for count in (2, 5):
+        seen.clear()
+        spec = RunSpec(
+            command=command, material="Al", grid=(3e-7, 2e-6, count, True), rel_tol=1e-6
+        )
+        status, text = _run(spec)
+        assert status == 0 and len(_rows(text)) == count
+        assert seen == [count] * calls
+
+
+@pytest.mark.parametrize("command", ["figure1", "figure2", "scan"])
+def test_nonconverged_grid_rows_exit_2(monkeypatch, command):
+    def stub(kind, a_values, *args):
+        return [
+            SimpleNamespace(
+                value=-1.0,
+                quadrature=SimpleNamespace(abs_error_estimate=1e-12, converged=i != 1),
+            )
+            for i in range(len(a_values))
+        ]
+
+    monkeypatch.setattr(cli, "_plates0", stub)
+    spec = RunSpec(command=command, material="Al", grid=(1e-6, 2e-6, 3, True))
+    status, text = _run(spec)
+    assert status == 2
+    columns = cli._COLUMNS[command]
+    flags = [i for i, name in enumerate(columns) if name.endswith("converged")]
+    rows = _rows(text)
+    assert [[row[i] for i in flags] for row in rows] == [
+        [1.0] * len(flags), [0.0] * len(flags), [1.0] * len(flags)
+    ]
+
+
+def test_grid_warnings_collapse_into_one_stderr_line(capsys):
+    # delta_0/a exceeds 0.1 at the two smallest of five separations.
+    spec = RunSpec(
+        command="figure1", material="Al", grid=(1e-7, 3e-7, 5, True), rel_tol=1e-6
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, text = _run(spec)
+    assert status == 0 and len(_rows(text)) == 5
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: figure1: delta_0/a = ")
+    assert line.endswith("(2 warnings like this)")
+    _, again = _run(spec)
+    assert again == text
 
 
 def test_main_reports_spec_errors(capsys):

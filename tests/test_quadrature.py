@@ -15,7 +15,13 @@ from casimir_impedance import (
     riemann_zeta,
     sum_matsubara_primed,
 )
-from casimir_impedance.quadrature import DEFAULT_CONFIG, _batch_adaptive, _initial_panels
+from casimir_impedance import quadrature
+from casimir_impedance.quadrature import (
+    DEFAULT_CONFIG,
+    _batch_adaptive,
+    _initial_panels,
+    _integrate_y_batch,
+)
 
 
 def test_integrate_y_from_zero():
@@ -239,8 +245,10 @@ def test_matsubara_terms_must_return_one_value_per_index():
         sum_matsubara_primed(lambda ls: 1.0)
 
 
-def _engine(f, lowers, rel_tol=1e-9):
-    return _batch_adaptive(f, np.asarray(lowers, dtype=float), 45.0, rel_tol, 10_000)
+def _engine(f, lowers, rel_tol=1e-9, owners=None):
+    return _batch_adaptive(
+        f, np.asarray(lowers, dtype=float), 45.0, rel_tol, 10_000, owners
+    )
 
 
 def test_batch_adaptive_groups_are_independent():
@@ -263,6 +271,32 @@ def test_batch_adaptive_groups_are_independent():
     assert np.all(peak > 5 * evals[0]) and np.all(conv[1::3])
     # Stalled groups stop far below the panel budget and report it.
     assert not np.any(conv[2::3]) and np.all(noise < 15 * 2 * 10_000)
+    # Naming each group its own problem takes the rule's matrix products
+    # per group, which reproduces the one-group calls bit for bit.
+    owned = _engine(f, lowers, rel_tol=1e-12, owners=np.arange(len(lowers)))
+    for g, lower in enumerate(lowers):
+        one = _engine(lambda _groups, y: f(np.full(y.shape, g), y), [lower], rel_tol=1e-12)
+        assert [column[g] for column in owned] == [column[0] for column in one]
+
+
+def test_panel_evaluation_is_sliced_above_the_point_cap(monkeypatch):
+    # 300 groups of 7 initial panels: 31,500 points in the first sweep.
+    sizes = []
+
+    def f(groups, y):
+        sizes.append(y.size)
+        return (1.0 + 0.01 * groups) * y**2 * np.exp(-y)
+
+    lowers = np.linspace(0.0, 3.0, 300)
+    cap = quadrature._EVAL_MAX
+    sliced = _integrate_y_batch(f, lowers, DEFAULT_CONFIG)
+    assert max(sizes) <= cap
+    monkeypatch.setattr(quadrature, "_EVAL_MAX", 10**9)
+    sizes.clear()
+    whole = _integrate_y_batch(f, lowers, DEFAULT_CONFIG)
+    assert sizes[0] > cap
+    for a, b in zip(sliced, whole):
+        np.testing.assert_array_equal(a, b)
 
 
 def _edges_of_one_range(lo, hi):
