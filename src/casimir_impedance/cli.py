@@ -14,10 +14,8 @@ thermal-ratio  real-to-ideal energy and force ratios at temperature T
 Output is CSV: ``#``-prefixed provenance header (constants, material, model,
 tolerances, tool version, column names), then purely numeric rows in
 scientific notation with 17 significant digits.  Rows derived from quadrature
-carry the error estimate and a converged flag.  A zero-temperature grid
-command integrates each of its observables over the whole grid in one batched
-engine call, each separation an independent group, and writes the rows in
-grid order; scans at T > 0 compute one separation after another.  Identical
+carry the error estimate and a converged flag.  Grid commands compute one
+separation after another and write the rows in grid order.  Identical
 configurations produce byte-identical files.  Warnings raised while a grid
 is computed are collapsed into one stderr line per source with a count.
 

@@ -1,41 +1,36 @@
-"""Adaptive quadrature and series summation tuned to exponentially damped modes.
+"""Quadrature and series summation tuned to exponentially damped modes.
 
-Every integrand in this package decays like exp(-y) in the "radial" variable
-and like exp(-xi) after the inner integration, so semi-infinite ranges are cut
-at ``lower + y_cutoff_margin``: the neglected tail is bounded by the envelope
-at exp(-margin) ~ 3e-20 of the retained part for the default margin of 45.
-Panels are laid out geometrically from the lower bound (widths 0.5, 1, 2,
-4, ...) and refined adaptively with a 15-point Kronrod extension of 7-point
-Gauss quadrature; the Gauss/Kronrod difference serves as the per-panel error
-bound.  All evaluation is vectorized and deterministic, and final sums are
-rounded once through math.fsum, so identical inputs give identical results.
+Every integrand in this package decays like exp(-y) in the "radial" variable,
+so semi-infinite ranges are cut at ``lower + y_cutoff_margin``: the neglected
+tail is bounded by the envelope at exp(-margin) ~ 3e-20 of the retained part
+for the default margin of 45.  All evaluation is vectorized and
+deterministic, so identical inputs give identical results.
 
-One engine, ``_batch_adaptive``, integrates a batch of independent 1-D
-integrals (groups) at once.  Its per-group bookkeeping is array arithmetic
-over the panels of all groups (bincount sums per sweep, one sort by group for
-the final sums), with no Python loop over groups and panels, and a group
-takes the refinement decisions it would take alone.  The y-integrals from an
-array of lower bounds go through it in one call: the inner integrals of each
-outer sweep of a wedge, and one block of Matsubara terms at a time in the
-finite-temperature sums, whose ``terms(ls)`` callables take an array of
-indices.  ``sum_matsubara_primed`` asks for blocks of 16, 32 and then 64
-indices and applies its stopping rule term by term, as if the terms came one
-at a time.
+The y integrals from a lower bound run on one adaptive engine,
+``_batch_adaptive``, which integrates a batch of independent 1-D integrals
+(groups) at once.  Panels are laid out geometrically from each lower bound
+(widths 0.5, 1, 2, 4, ...) and refined with a 15-point Kronrod extension of
+7-point Gauss quadrature; the Gauss/Kronrod difference serves as the
+per-panel error bound.  The per-group bookkeeping is array arithmetic over
+the panels of all groups (bincount sums per sweep, one sort by group and
+math.fsum for the final sums), and a group takes the refinement decisions it
+would take alone.  The finite-temperature sums integrate one block of
+Matsubara terms per engine call: ``sum_matsubara_primed`` asks its
+``terms(ls)`` callable for blocks of 16, 32 and then 64 indices and applies
+its stopping rule term by term, as if the terms came one at a time.
 
-``_integrate_xi_y_batch`` runs many wedge integrals (one per separation of a
-grid) as the groups of one outer engine call; each outer sweep integrates the
-inner y-integrals of all groups' new nodes in one batch, and
-``integrate_xi_y`` is its one-group case.  The rule's sums are BLAS matrix
-products, whose rounding of a row depends on its position in the matrix, so
-the engine takes them per separation: a wedge in a batch gets exactly the
-bits of the same wedge computed alone.  Panel batches above ``_EVAL_MAX``
-points are evaluated in chunks of whole separations.
+The T = 0 wedge 0 <= xi <= y < infinity is taken by ``integrate_xi_y`` with
+one fixed double-exponential product rule (Takahasi and Mori, Publ. RIMS 9,
+721 (1974)) instead: the integrands are smooth and decay exponentially, so
+halving one trapezoid step reaches double precision in a few levels and
+needs no adaptive bookkeeping.  Both rules evaluate at most ``_EVAL_MAX``
+points per integrand call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -72,11 +67,18 @@ _MAX_STALLS = 30
 _BLOCK_FIRST = 16
 _BLOCK_MAX = 64
 
-# Most integrand points evaluated in one call.  Larger panel batches (the
-# inner integrals of a whole separation grid) are evaluated in chunks, which
-# bounds the integrand's temporaries; the sweeps of a single wedge stay below
-# it (at most 11,025 points on the benchmark's inputs).
+# Most integrand points evaluated in one call.  Larger batches (a block of
+# Matsubara terms, a level of the wedge rule) are evaluated in chunks, which
+# bounds the integrand's temporaries.
 _EVAL_MAX = 16_384
+
+# The wedge's double-exponential product rule: the first trapezoid step, the
+# number of times it may halve, the smallest y, and the range of s, where the
+# u weight at |s| = 3.15 has fallen below 1e-14.
+_DE_H0 = 0.2
+_DE_LEVELS = 5
+_DE_Y_MIN = 1e-30
+_DE_S_MAX = 3.15
 
 
 class IntegrandError(RuntimeError):
@@ -90,7 +92,11 @@ class IntegrandError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Shared accuracy knobs for integrals and Matsubara sums."""
+    """Shared accuracy knobs for integrals and Matsubara sums.
+
+    ``max_subdivisions`` bounds the panels of each adaptive y integral; the
+    T = 0 wedge rule has a fixed level cap instead.
+    """
 
     rel_tol: float = 1e-9
     y_cutoff_margin: float = 45.0
@@ -180,42 +186,35 @@ def _initial_panels(
     return np.repeat(np.arange(lowers.size), n), edges[:, :-1][panel], edges[:, 1:][panel]
 
 
-def _kronrod(
-    vals: np.ndarray, halfw: np.ndarray, carried: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kronrod(vals: np.ndarray, halfw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Gauss-Kronrod rule applied to the node values of each panel."""
     kron = halfw * (vals @ _WK15)
     gauss = halfw * (vals @ _WG7)
     resabs = halfw * (np.abs(vals) @ _WK15)
-    err = np.abs(kron - gauss)
-    if carried is not None:
-        err = err + halfw * (carried @ _WK15)
-    return kron, err, resabs
+    return kron, np.abs(kron - gauss), resabs
 
 
-def _node_values(
+def _eval_panels(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     gidx: np.ndarray,
-    center: np.ndarray,
-    halfw: np.ndarray,
-    per_slice: int,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """f at the 15 nodes of every panel, at most per_slice panels per call.
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kronrod value, Gauss-difference error, and |f| integral per panel.
 
-    Returns the values and, when ``f`` returns ``(values, carried_errors)``,
-    the carried errors, both shaped (panels, nodes).
+    ``f`` is called on at most ``_EVAL_MAX`` points at a time, which bounds
+    the integrand's temporaries; the rule is applied to the whole batch.
     """
-    vals, carried = [], []
+    per_slice = _EVAL_MAX // _NODES.size
+    center = 0.5 * (lo + hi)
+    halfw = 0.5 * (hi - lo)
+    vals = []
     for start in range(0, gidx.size, per_slice):
         part = slice(start, start + per_slice)
         x = center[part, None] + halfw[part, None] * _NODES[None, :]
         groups = np.broadcast_to(gidx[part, None], x.shape)
         with np.errstate(all="ignore"):
-            out = f(groups.ravel(), x.ravel())
-        if isinstance(out, tuple):
-            out, carry = out
-            carried.append(np.reshape(carry, x.shape))
-        v = np.asarray(out, dtype=float).reshape(x.shape)
+            v = np.asarray(f(groups.ravel(), x.ravel()), dtype=float).reshape(x.shape)
         bad = ~np.isfinite(v)
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -225,64 +224,13 @@ def _node_values(
                 x=float(x[i, j]),
             )
         vals.append(v)
-    if len(vals) == 1:
-        return vals[0], carried[0] if carried else None
-    return np.concatenate(vals), np.concatenate(carried) if carried else None
+    return _kronrod(vals[0] if len(vals) == 1 else np.concatenate(vals), halfw)
 
 
-def _eval_panels(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    gidx: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    owners: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kronrod value, Gauss-difference error, and |f| integral per panel.
-
-    ``f`` may return ``(values, carried_errors)``: the error bounds already
-    attached to each value (for instance by an inner quadrature) are
-    integrated with the Kronrod weights and added to the panel error.
-
-    The rule's sums are BLAS matrix products, which round a row according to
-    its position in the matrix.  ``owners[g]`` names the independent problem
-    group g belongs to; each problem's sums are taken over its own panels
-    alone, in order, so its results do not depend on the batch it shares.
-    Whole problems are evaluated together in chunks of at most ``_EVAL_MAX``
-    points, which bounds the memory of large batches; a problem above that
-    is evaluated alone, in slices.
-    """
-    per_slice = _EVAL_MAX // _NODES.size
-    owner = None if owners is None else owners[gidx]
-    if owner is None or (owner == owner[0]).all():
-        # One problem: its sums span the whole batch, as in a lone call.
-        halfw = 0.5 * (hi - lo)
-        vals, carried = _node_values(f, gidx, 0.5 * (lo + hi), halfw, per_slice)
-        return _kronrod(vals, halfw, carried)
-    order = np.argsort(owner, kind="stable")
-    gidx, lo, hi = gidx[order], lo[order], hi[order]
-    edges = [0, *(np.flatnonzero(np.diff(owner[order])) + 1).tolist(), gidx.size]
-    center = 0.5 * (lo + hi)
-    halfw = 0.5 * (hi - lo)
-    out = np.empty((3, gidx.size))
-    first = 0
-    while first < len(edges) - 1:
-        # Problems first .. last - 1 form the chunk of panels begin .. end.
-        last = first + 1
-        while last < len(edges) - 1 and edges[last + 1] - edges[first] <= per_slice:
-            last += 1
-        begin, end = edges[first], edges[last]
-        vals, carried = _node_values(
-            f, gidx[begin:end], center[begin:end], halfw[begin:end], per_slice
-        )
-        for p in range(first, last):
-            rows = slice(edges[p], edges[p + 1])
-            part = slice(edges[p] - begin, edges[p + 1] - begin)
-            out[:, rows] = _kronrod(
-                vals[part], halfw[rows], None if carried is None else carried[part]
-            )
-        first = last
-    out[:, order] = out.copy()
-    return out[0], out[1], out[2]
+def _target(value, resabs, rel_tol: float):
+    """Error an integral must get under: rel_tol of its value, but never less
+    than the roundoff of its absolute integral (or the absolute floor)."""
+    return np.maximum(np.maximum(rel_tol * np.abs(value), _ROUNDOFF * resabs), _ABS_FLOOR)
 
 
 def _batch_adaptive(
@@ -291,7 +239,6 @@ def _batch_adaptive(
     width: float,
     rel_tol: float,
     max_panels: int,
-    owners: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive Gauss-Kronrod over a batch of 1-D integrals.
 
@@ -300,32 +247,23 @@ def _batch_adaptive(
     evaluations, converged flags).  Every decision about a group reads only
     that group's panels, in an order the other groups do not affect, so a
     group refines as it would alone.  Only the last bits of the rule's matrix
-    products follow the layout of the batch, unless ``owners`` (one per
-    group) names independent problems: each problem then gets exactly the
-    results of a call for that problem alone.
+    products follow the layout of the batch.
     """
     n_groups = len(lowers)
     gidx, lo, hi = _initial_panels(lowers, width)
     n_initial = np.bincount(gidx, minlength=n_groups)
-    vals, errs, resabs = _eval_panels(f, gidx, lo, hi, owners)
+    vals, errs, resabs = _eval_panels(f, gidx, lo, hi)
     # Groups whose splits repeatedly fail to shrink the error are noise
     # limited (integrand roundoff); they are closed rather than refined to
     # the panel budget.  Mirrors the QUADPACK iroff counters.
     stalls = np.zeros(n_groups, dtype=np.intp)
-
-    def targets(g_val, g_resabs):
-        # Demanding less than the roundoff of the absolute integral is futile.
-        return np.maximum.reduce([
-            rel_tol * np.abs(g_val), _ROUNDOFF * g_resabs,
-            np.full_like(g_val, _ABS_FLOOR),
-        ])
 
     for _ in range(_MAX_ROUNDS):
         g_val = np.bincount(gidx, weights=vals, minlength=n_groups)
         g_err = np.bincount(gidx, weights=errs, minlength=n_groups)
         g_abs = np.bincount(gidx, weights=resabs, minlength=n_groups)
         g_n = np.bincount(gidx, minlength=n_groups)
-        target = targets(g_val, g_abs)
+        target = _target(g_val, g_abs, rel_tol)
         open_groups = (g_err > target) & (g_n < max_panels) & (stalls < _MAX_STALLS)
         if not open_groups.any():
             break
@@ -339,7 +277,7 @@ def _batch_adaptive(
         new_g = np.concatenate([gidx[split], gidx[split]])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs, new_resabs = _eval_panels(f, new_g, new_lo, new_hi, owners)
+        new_vals, new_errs, new_resabs = _eval_panels(f, new_g, new_lo, new_hi)
         n_split = int(split.sum())
         child_err = new_errs[:n_split] + new_errs[n_split:]
         futile = child_err >= 0.99 * errs[split]
@@ -364,7 +302,7 @@ def _batch_adaptive(
         return np.array([math.fsum(col[s:e]) for s, e in zip(starts, ends)])
 
     g_val, g_err, g_abs = fsums(vals), fsums(errs), fsums(resabs)
-    converged = g_err <= targets(g_val, g_abs)
+    converged = g_err <= _target(g_val, g_abs, rel_tol)
     # Every split evaluates two children in place of one parent.
     evaluations = _NODES.size * (2 * g_n - n_initial)
     return g_val, g_err, evaluations, converged
@@ -374,11 +312,10 @@ def _integrate_y_batch(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lowers: np.ndarray,
     config: QuadratureConfig,
-    owners: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate f(group, y) over [lowers[group], infinity) for every group.
 
-    One engine call for the whole batch (``owners`` as in ``_batch_adaptive``).
+    One engine call for the whole batch.
     Returns per-group (values, error bounds including the truncated tail,
     evaluations, converged flags).
     """
@@ -388,7 +325,7 @@ def _integrate_y_batch(
     margin = config.y_cutoff_margin
     try:
         vals, errs, evals, conv = _batch_adaptive(
-            f, lowers, margin, config.rel_tol, config.max_subdivisions, owners
+            f, lowers, margin, config.rel_tol, config.max_subdivisions
         )
     except IntegrandError as exc:
         raise IntegrandError(f"integrand returned non-finite value at y={exc.x!r}",
@@ -416,55 +353,54 @@ def integrate_y_from(
     )
 
 
-def _integrate_xi_y_batch(
-    sweep: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]],
-    n_groups: int,
-    config: QuadratureConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate over the wedge 0 <= xi <= y < infinity for every group.
+def _exp_sinh(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y = exp(pi/2 sinh t) and the wedge weight y * dy/dt = y^2 pi/2 cosh t."""
+    y = np.exp(0.5 * math.pi * np.sinh(t))
+    return y, 0.5 * math.pi * np.cosh(t) * y * y
 
-    One outer engine call runs the xi integrals of all groups.  Each outer
-    sweep calls ``sweep(groups, xi)`` once with its new nodes, so work that
-    depends only on (group, xi) is done once per node; it returns
-    ``inner(k, y)``, the integrand at points y of node k.  The inner y
-    integrals of all nodes of the sweep run in one batch at a tenth of the
-    outer tolerance, and their error bounds are carried through the outer
-    quadrature weights.  Returns per-group (values, error bounds,
-    evaluations, converged flags); ``evaluations`` counts integrand points.
-    """
-    margin = config.y_cutoff_margin
-    inner_config = replace(config, rel_tol=0.1 * config.rel_tol)
-    inner_evals = np.zeros(n_groups, dtype=np.int64)
-    # Every group owns its outer panels and its nodes' inner panels, so each
-    # gets the bits of a one-group call; a lone group needs no owners.
-    owners = np.arange(n_groups) if n_groups > 1 else None
 
-    def outer(groups: np.ndarray, xi_nodes: np.ndarray):
-        nonlocal inner_evals
-        try:
-            vals, errs, evals, _ = _integrate_y_batch(
-                sweep(groups, xi_nodes),
-                xi_nodes,
-                inner_config,
-                None if owners is None else groups,
-            )
-        except IntegrandError as exc:
+def _tanh_sinh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = (1 + tanh(pi/2 sinh s)) / 2 on (0, 1) and du/ds = pi cosh s u (1 - u)."""
+    v = math.pi * np.sinh(s)
+    u = special.expit(v)
+    return u, math.pi * np.cosh(s) * u * special.expit(-v)
+
+
+def _trapezoid_nodes(h: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes k h in [lo, hi] and a mask of the odd k (new when h halves)."""
+    k = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+    return k * h, k % 2 == 1
+
+
+def _product_sums(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    y: np.ndarray,
+    wy: np.ndarray,
+    u: np.ndarray,
+    wu: np.ndarray,
+) -> tuple[float, float]:
+    """Sums of w f and w |f| over the product grid (y, xi = u y), with weights
+    w = wy wu; ``f`` sees at most ``_EVAL_MAX`` points per call."""
+    rows = max(1, _EVAL_MAX // u.size)
+    total = total_abs = 0.0
+    for start in range(0, y.size, rows):
+        yy = y[start:start + rows, None]
+        xi = u[None, :] * yy
+        with np.errstate(all="ignore"):
+            v = np.asarray(f(xi.ravel(), np.broadcast_to(yy, xi.shape).ravel()), dtype=float)
+        v = v.reshape(xi.shape)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
             raise IntegrandError(
                 "integrand returned non-finite value at "
-                f"(xi={xi_nodes[exc.group]!r}, y={exc.x!r})",
-                group=int(groups[exc.group]),
-                x=exc.x,
-            ) from None
-        inner_evals += np.bincount(groups, weights=evals, minlength=n_groups).astype(
-            np.int64
-        )
-        return vals, errs
-
-    vals, errs, _, conv = _batch_adaptive(
-        outer, np.zeros(n_groups), margin, config.rel_tol, config.max_subdivisions, owners
-    )
-    # Outer tail beyond xi = margin is bounded by the same envelope argument.
-    return vals, errs + np.abs(vals) * math.exp(-margin), inner_evals, conv
+                f"(xi={xi[i, j]!r}, y={yy[i, 0]!r})",
+                x=float(yy[i, 0]),
+            )
+        wv = (wy[start:start + rows, None] * wu[None, :]) * v
+        total += float(wv.sum())
+        total_abs += float(np.abs(wv).sum())
+    return total, total_abs
 
 
 def integrate_xi_y(
@@ -473,23 +409,51 @@ def integrate_xi_y(
 ) -> QuadratureResult:
     """Integrate f(xi, y) over the wedge 0 <= xi <= y < infinity.
 
-    The outer xi integral on [0, y_cutoff_margin] and the inner y integrals
-    run on the same adaptive engine.  Each outer node needs the inner y
-    integral from that xi; all inner integrals of an outer refinement sweep
-    are evaluated in one vectorized batch at a tenth of the outer tolerance,
-    and their error bounds are carried through the outer quadrature weights
-    into the reported estimate.  ``evaluations`` counts integrand points.
+    With xi = u y the wedge is int_0^inf dy y int_0^1 du f(u y, y), taken by
+    a double-exponential (Takahasi-Mori) product rule: trapezoid sums in t
+    with y = exp(pi/2 sinh t), from y = 1e-30 up to twice y_cutoff_margin,
+    and in s with u = (1 + tanh(pi/2 sinh s)) / 2.  The step starts at
+    ``_DE_H0`` and halves, each level evaluating only its new odd nodes,
+    until two levels differ by no more than rel_tol of the value (or the
+    roundoff of its absolute integral).  That difference plus the
+    exp(-y_cutoff_margin) tail bound is the reported error.  After
+    ``_DE_LEVELS`` halvings the last level is returned unconverged.
+    ``evaluations`` counts integrand points.
     """
-
-    def sweep(_groups: np.ndarray, xi_nodes: np.ndarray):
-        return lambda k, y: np.asarray(f(xi_nodes[k], y), dtype=float)
-
-    vals, errs, evals, conv = _integrate_xi_y_batch(sweep, 1, config)
+    t_lo = math.asinh(2.0 / math.pi * math.log(_DE_Y_MIN))
+    t_hi = math.asinh(2.0 / math.pi * math.log(2.0 * config.y_cutoff_margin))
+    total = total_abs = 0.0
+    evaluations = 0
+    previous = math.inf
+    for level in range(_DE_LEVELS + 1):
+        h = _DE_H0 / 2**level
+        t, t_new = _trapezoid_nodes(h, t_lo, t_hi)
+        s, s_new = _trapezoid_nodes(h, -_DE_S_MAX, _DE_S_MAX)
+        (y, wy), (u, wu) = _exp_sinh(t), _tanh_sinh(s)
+        if level == 0:
+            blocks = [(y, wy, u, wu)]
+        else:
+            # The new nodes: odd t against every s, even t against odd s.
+            blocks = [
+                (y[t_new], wy[t_new], u, wu),
+                (y[~t_new], wy[~t_new], u[s_new], wu[s_new]),
+            ]
+        for block in blocks:
+            part, part_abs = _product_sums(f, *block)
+            total += part
+            total_abs += part_abs
+            evaluations += block[0].size * block[2].size
+        value = h * h * total
+        error = abs(value - previous)
+        converged = bool(error <= _target(value, h * h * total_abs, config.rel_tol))
+        if converged:
+            break
+        previous = value
     return QuadratureResult(
-        value=float(vals[0]),
-        abs_error_estimate=float(errs[0]),
-        evaluations=int(evals[0]),
-        converged=bool(conv[0]),
+        value=value,
+        abs_error_estimate=error + abs(value) * math.exp(-config.y_cutoff_margin),
+        evaluations=evaluations,
+        converged=converged,
     )
 
 

@@ -30,7 +30,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
-    _integrate_xi_y_batch,
+    integrate_xi_y,
     log1mexp,
     riemann_zeta,
 )
@@ -131,36 +131,24 @@ def _plates0(
 ) -> list[Observable]:
     """Plate energies or pressures at T = 0 for every separation, in order.
 
-    One wedge-engine call covers all separations, one group each.  The
-    impedance depends only on (a, xi), so it is computed once per outer node
-    and gathered for that node's inner points.
+    Each separation is its own wedge integral, so a grid point is exactly the
+    result of its own ``energy_pp0``/``force_pp0`` call.
     """
     geometries = [Geometry(separation=a) for a in a_values]
-    a_arr = np.asarray(a_values, dtype=float)
     energy = kind is ObservableKind.ENERGY_PER_AREA
+    hc = constants.hbar * constants.c
+    observables = []
+    for geometry in geometries:
+        a = geometry.separation
 
-    def sweep(groups: np.ndarray, xi: np.ndarray):
-        Z = impedance(model.kind, xi, a_arr[groups], material, constants)
-
-        def integrand(k: np.ndarray, y: np.ndarray) -> np.ndarray:
-            x_par, x_perp = reflection_factors(Z[k], y, xi[k], model.formalism)
+        def integrand(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
+            Z = impedance(model.kind, xi, a, material, constants)
+            x_par, x_perp = reflection_factors(Z, y, xi, model.formalism)
             if energy:
                 return y * energy_bracket(x_par, x_perp, y)
             return y * y * force_bracket(x_par, x_perp, y)
 
-        return integrand
-
-    vals, errs, evals, conv = _integrate_xi_y_batch(sweep, a_arr.size, config)
-    hc = constants.hbar * constants.c
-    observables = []
-    for geometry, value, err, n, ok in zip(geometries, vals, errs, evals, conv):
-        raw = QuadratureResult(
-            value=float(value),
-            abs_error_estimate=float(err),
-            evaluations=int(n),
-            converged=bool(ok),
-        )
-        a = geometry.separation
+        raw = integrate_xi_y(integrand, config)
         if energy:
             scale = hc / (32.0 * math.pi**2 * a**3)
         else:

@@ -372,7 +372,7 @@ def _dense_wedge(integrand, n):
 
 
 def test_c9_adaptive_engine_vs_dense_oracle(record_acceptance):
-    # the adaptive engine against a 10^7-node fixed-grid rule with
+    # the wedge rule of integrate_xi_y against a 10^7-node fixed-grid rule with
     # Richardson extrapolation, on randomized materials and separations
     rng = np.random.default_rng(20250819)
     cases = [
@@ -396,12 +396,12 @@ def test_c9_adaptive_engine_vs_dense_oracle(record_acceptance):
                 return y * energy_bracket(x_par, x_perp, y)
             return y * y * force_bracket(x_par, x_perp, y)
 
-        adaptive = integrate_xi_y(integrand)
-        assert adaptive.converged
+        wedge = integrate_xi_y(integrand)
+        assert wedge.converged
         fine = _dense_wedge(integrand, 3162)
         coarse = _dense_wedge(integrand, 1581)
         dense = fine + (fine - coarse) / 3.0
-        worst = max(worst, abs(dense / adaptive.value - 1.0))
+        worst = max(worst, abs(dense / wedge.value - 1.0))
     ok = worst < 1e-6
     record_acceptance(
         9, "dense-grid oracle equivalence", ok, f"worst rel {worst:.2e} < 1e-6"

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from casimir_impedance import cli, zero_temperature
+from casimir_impedance import cli
 from casimir_impedance import ideal_closed_forms, ideal_energy_T
 from casimir_impedance.cli import (
     RunSpec,
@@ -260,26 +260,6 @@ def test_nonconverged_rows_exit_2(monkeypatch):
     assert status == 2
     rows = _rows(text)
     assert rows[1][5] == 0.0
-
-
-@pytest.mark.parametrize("command, calls", [("figure1", 2), ("figure2", 4), ("scan", 2)])
-def test_grid_commands_make_one_engine_call_per_curve(monkeypatch, command, calls):
-    wedge = zero_temperature._integrate_xi_y_batch
-    seen = []
-
-    def counted(sweep, n_groups, config):
-        seen.append(n_groups)
-        return wedge(sweep, n_groups, config)
-
-    monkeypatch.setattr(zero_temperature, "_integrate_xi_y_batch", counted)
-    for count in (2, 5):
-        seen.clear()
-        spec = RunSpec(
-            command=command, material="Al", grid=(3e-7, 2e-6, count, True), rel_tol=1e-6
-        )
-        status, text = _run(spec)
-        assert status == 0 and len(_rows(text)) == count
-        assert seen == [count] * calls
 
 
 @pytest.mark.parametrize("command", ["figure1", "figure2", "scan"])

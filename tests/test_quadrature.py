@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from casimir_impedance import (
+    ALUMINUM,
+    ImpedanceKind,
     IntegrandError,
     QuadratureConfig,
     dilog,
+    impedance,
     integrate_xi_y,
     integrate_y_from,
     log1mexp,
+    reflection_factors,
     riemann_zeta,
     sum_matsubara_primed,
 )
@@ -22,6 +26,7 @@ from casimir_impedance.quadrature import (
     _initial_panels,
     _integrate_y_batch,
 )
+from casimir_impedance.zero_temperature import force_bracket
 
 
 def test_integrate_y_from_zero():
@@ -88,13 +93,42 @@ def test_wedge_integral_exponential():
     assert res.value == pytest.approx(1.0, rel=1e-10)
 
 
-def test_error_estimate_bounds_tolerance_refinement():
-    # halving the tolerance moves a converged value by less than the
+def _plate_integrand(kind, a):
+    """The impedance-formalism force integrand of aluminum plates at a."""
+    def f(xi, y):
+        Z = impedance(kind, xi, a, ALUMINUM)
+        return y * y * force_bracket(*reflection_factors(Z, y, xi), y)
+    return f
+
+
+@pytest.mark.parametrize("f", [
+    lambda xi, y: 2.0 * y * log1mexp(y),
+    _plate_integrand(ImpedanceKind.PLASMA_EXACT, 1e-6),
+    _plate_integrand(ImpedanceKind.NORMAL_SKIN, 1e-3),
+], ids=["ideal-energy", "plasma-exact", "normal-skin"])
+def test_error_estimate_bounds_tolerance_refinement(f):
+    # tightening the tolerance moves a converged value by less than the
     # previously reported estimate
-    f = lambda xi, y: 2.0 * y * log1mexp(y)
     coarse = integrate_xi_y(f, QuadratureConfig(rel_tol=1e-6))
-    fine = integrate_xi_y(f, QuadratureConfig(rel_tol=1e-9))
+    fine = integrate_xi_y(f, QuadratureConfig(rel_tol=1e-12))
+    assert coarse.converged and fine.converged
     assert abs(coarse.value - fine.value) <= coarse.abs_error_estimate
+
+
+def test_wedge_rule_stops_unconverged_at_its_level_cap():
+    # A jump along y = 1 defeats the double-exponential rule, which converges
+    # only like h there; the last level is returned, flagged unconverged.
+    sizes = []
+
+    def step(xi, y):
+        sizes.append(y.size)
+        return np.where(y < 1.0, 1.0, 0.0)
+
+    res = integrate_xi_y(step)
+    assert not res.converged
+    assert res.value == pytest.approx(0.5, rel=2e-2)
+    assert res.evaluations == sum(sizes) > 10**6
+    assert max(sizes) <= quadrature._EVAL_MAX
 
 
 def test_matsubara_prime_weight():
@@ -245,10 +279,8 @@ def test_matsubara_terms_must_return_one_value_per_index():
         sum_matsubara_primed(lambda ls: 1.0)
 
 
-def _engine(f, lowers, rel_tol=1e-9, owners=None):
-    return _batch_adaptive(
-        f, np.asarray(lowers, dtype=float), 45.0, rel_tol, 10_000, owners
-    )
+def _engine(f, lowers, rel_tol=1e-9):
+    return _batch_adaptive(f, np.asarray(lowers, dtype=float), 45.0, rel_tol, 10_000)
 
 
 def test_batch_adaptive_groups_are_independent():
@@ -271,12 +303,6 @@ def test_batch_adaptive_groups_are_independent():
     assert np.all(peak > 5 * evals[0]) and np.all(conv[1::3])
     # Stalled groups stop far below the panel budget and report it.
     assert not np.any(conv[2::3]) and np.all(noise < 15 * 2 * 10_000)
-    # Naming each group its own problem takes the rule's matrix products
-    # per group, which reproduces the one-group calls bit for bit.
-    owned = _engine(f, lowers, rel_tol=1e-12, owners=np.arange(len(lowers)))
-    for g, lower in enumerate(lowers):
-        one = _engine(lambda _groups, y: f(np.full(y.shape, g), y), [lower], rel_tol=1e-12)
-        assert [column[g] for column in owned] == [column[0] for column in one]
 
 
 def test_panel_evaluation_is_sliced_above_the_point_cap(monkeypatch):

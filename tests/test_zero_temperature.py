@@ -12,11 +12,14 @@ from casimir_impedance import (
     ImpedanceKind,
     ImpedanceModel,
     ObservableKind,
+    QuadratureConfig,
     energy_pp0,
     force_pp0,
     force_sphere0,
     ideal_closed_forms,
+    impedance,
     normal_skin_pert0,
+    reflection_factors,
     relative_deviation,
 )
 from casimir_impedance.quadrature import DEFAULT_CONFIG
@@ -69,9 +72,7 @@ def test_lifshitz_ideal_matches_closed_form():
 @pytest.mark.parametrize("kind", list(ImpedanceKind))
 @pytest.mark.parametrize("formalism", list(Formalism))
 def test_grid_batch_matches_single_separation_calls(kind, formalism):
-    # One engine call over a 6-point grid gives each separation exactly the
-    # result of its own call; the grid's panel evaluations exceed the slice
-    # cap, so slicing is covered too.
+    # A 6-point grid gives each separation exactly the result of its own call.
     model = ImpedanceModel(kind, formalism)
     material = None if kind is ImpedanceKind.IDEAL_METAL else ALUMINUM
     grid = list(np.geomspace(1e-3, 5e-3, 6) if kind is ImpedanceKind.NORMAL_SKIN
@@ -187,3 +188,75 @@ def test_normal_skin_corrections(aluminum):
 def test_normal_skin_domain(aluminum):
     with pytest.raises(ValueError, match="out of range"):
         normal_skin_pert0(1e-7, aluminum)
+
+
+def _graded_edges(top):
+    """Panel edges 0, 2^-40, 2^-39, ..., 1, then doubling up to top."""
+    edges = [0.0] + [2.0**k for k in range(-40, 1)]
+    while 2.0 * edges[-1] < top:
+        edges.append(2.0 * edges[-1])
+    return np.array(edges + [top])
+
+
+def _gauss_legendre(edges, n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def _normal_skin_oracle(energy, a, n):
+    """Plate energy or pressure from the ideal closed form plus the real-metal
+    correction (bracket minus ideal bracket) on a graded Gauss-Legendre
+    product with xi = s^2 and y = xi + v, which makes Z ~ sqrt(xi) smooth."""
+    s, ws = _gauss_legendre(_graded_edges(math.sqrt(90.0)), n)
+    v, wv = _gauss_legendre(_graded_edges(90.0), n)
+    total = 0.0
+    for rows in np.array_split(np.arange(s.size), s.size // 32):
+        xi = s[rows, None] ** 2
+        y = xi + v[None, :]
+        Z = impedance(ImpedanceKind.NORMAL_SKIN, xi, a, ALUMINUM)
+        x_par, x_perp = reflection_factors(Z, y, xi)
+        em1 = np.expm1(y)
+        if energy:
+            corr = y * (np.log1p(x_par / em1) + np.log1p(x_perp / em1))
+        else:
+            # (1 - x)/(em1 + x) - 1/em1 = -x e^y / ((em1 + x) em1)
+            corr = y * y * (x_par / (em1 + x_par) + x_perp / (em1 + x_perp)) / np.expm1(-y)
+        total += float(((2.0 * s[rows] * ws[rows])[:, None] * corr * wv[None, :]).sum())
+    e_ideal, f_ideal = ideal_closed_forms(a)
+    hc = CODATA.hbar * CODATA.c
+    if energy:
+        return e_ideal + hc / (32.0 * math.pi**2 * a**3) * total
+    return f_ideal - hc / (32.0 * math.pi**2 * a**4) * total
+
+
+@pytest.mark.parametrize("a", [1e-3, 3e-3])
+@pytest.mark.parametrize("energy", [True, False], ids=["energy", "force"])
+def test_normal_skin_matches_graded_oracle(aluminum, a, energy):
+    oracle = _normal_skin_oracle(energy, a, 24)
+    assert _normal_skin_oracle(energy, a, 16) == pytest.approx(oracle, rel=1e-15)
+    op = energy_pp0 if energy else force_pp0
+    ob = op(a, ImpedanceModel(ImpedanceKind.NORMAL_SKIN), aluminum)
+    assert ob.quadrature.converged
+    assert abs(ob.value - oracle) <= ob.quadrature.abs_error_estimate
+
+
+@pytest.mark.parametrize("kind", list(ImpedanceKind))
+@pytest.mark.parametrize("formalism", list(Formalism))
+def test_wedge_cost_is_bounded(kind, formalism):
+    # The fixed wedge rule converges within three halvings of its step
+    # (62,750 points) on the separations the figures use, and at the ends
+    # of the sweep at a tight tolerance.
+    model = ImpedanceModel(kind, formalism)
+    material = None if kind is ImpedanceKind.IDEAL_METAL else ALUMINUM
+    tight = QuadratureConfig(rel_tol=1e-12)
+    if kind is ImpedanceKind.NORMAL_SKIN:
+        cases = [(1e-3, DEFAULT_CONFIG), (1e-5, tight), (1e-1, tight)]
+    else:
+        cases = [(1e-7, DEFAULT_CONFIG), (1e-6, DEFAULT_CONFIG), (1e-9, tight), (1e-4, tight)]
+    for a, config in cases:
+        for op in (energy_pp0, force_pp0):
+            ob = op(a, model, material, config)
+            assert ob.quadrature.converged
+            assert ob.quadrature.evaluations <= 65_000
