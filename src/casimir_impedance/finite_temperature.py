@@ -14,6 +14,14 @@ The ideal-metal energy E_ideal has an equivalent closed series in coth and
 sinh^-2 (``ideal_energy_T``); the sum-of-integrals form is kept alongside as
 an independent cross-check (``ideal_energy_T_integral``).
 
+The integrand of I_E and I_F is the plate integrand of the T = 0 wedge, and
+the sum takes one of two reductions, chosen by the step xi_1 = 2 pi T / T_eff
+(see ``_matsubara_correction``).  From ``_TAIL_STEP_MAX`` up the terms are
+summed one by one until their geometric tail is negligible.  Below it, where
+that would take about 30 / xi_1 terms, the first ``_HEAD`` terms are summed
+exactly and the rest is an Euler-Maclaurin tail whose integral is the T = 0
+wedge shifted to xi_L, so the cost no longer grows as T falls.
+
 The thermal correction Delta_T = Q(a, T) - Q(a, 0) also has closed expansions
 to second order in delta_0 / a, the penetration-depth-to-gap ratio
 (``delta_T_energy_pert``, ``delta_T_force_pert``).  Their l-sums split into a
@@ -37,23 +45,18 @@ from .quadrature import (
     QuadratureResult,
     _integrate_y_batch,
     dilog,
+    integrate_xi_y,
     log1mexp,
     riemann_zeta,
     sum_matsubara_primed,
 )
-from .reflection import (
-    ImpedanceKind,
-    ImpedanceModel,
-    impedance,
-    reflection_factors,
-    static_reflection_factors,
-)
+from .reflection import ImpedanceKind, ImpedanceModel
 from .zero_temperature import (
     Observable,
     ObservableKind,
+    _integrand,
     _observable,
     energy_pp0,
-    force_bracket,
     force_pp0,
     ideal_closed_forms,
 )
@@ -75,6 +78,19 @@ _CLAMP_Z = 350.0
 
 # The second-order expansion in delta_0 / a loses meaning past this ratio.
 _PERT_RATIO_MAX = 0.1
+
+# Below this Matsubara step xi_1 = 2 pi T / T_eff a primed sum is its first
+# _HEAD terms plus an Euler-Maclaurin tail (see _matsubara_correction).  Up to
+# the threshold the tail matches the term-by-term sum to that sum's own 1e-12
+# truncation; the term-by-term sum needs about 30 / step terms.
+_TAIL_STEP_MAX = 0.19
+_HEAD = 32
+
+# 7-point central differences at the middle of f(L-3 .. L+3), unit spacing:
+# f' and f^(3) to O(h^6) and O(h^4), f^(5) to O(h^2).
+_D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+_D3 = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
+_D5 = np.array([-1.0, 4.0, -5.0, 0.0, 5.0, -4.0, 1.0]) / 2.0
 
 
 def _coth_minus_one(z: float) -> float:
@@ -165,35 +181,63 @@ def _matsubara_correction(
     constants: PhysicalConstants,
     integrand_kind: ObservableKind,
 ) -> QuadratureResult:
-    """Primed Matsubara sum of the per-frequency y-integrals.
+    """Primed Matsubara sum S'_l f(l) of the y-integrals f(l) = I(xi_l).
 
     For the energy the integrand is the material-dependent part of the mode
     sum alone (the ideal-metal piece is carried by the closed series); for the
     force it is the complete bracket.
+
+    With the step xi_1 = 2 pi T / T_eff at or above ``_TAIL_STEP_MAX`` the
+    terms are summed one by one by :func:`sum_matsubara_primed`, in blocks of
+    l.  Below it the term count would grow like 1/T, so the sum is taken as
+    an exact head of ``_HEAD`` = L terms plus the Euler-Maclaurin tail
+
+        S_{l >= L} f(l) = (1/step) int_{xi_L}^inf I(xi) dxi + f(L)/2
+                          - f'(L)/12 + f^(3)(L)/720 - f^(5)(L)/30240,
+
+    whose derivatives are 7-point central differences of f(L-3 .. L+3) and
+    whose integral is the T = 0 wedge rule shifted by xi_L.  All L + 4 terms
+    come from one engine call.  The error of that path adds the last
+    Euler-Maclaurin term, the wedge error over the step and the y-errors of
+    the terms.  ``evaluations`` counts the terms evaluated plus every
+    integrand point of their y-integrals and of the tail wedge.
     """
     state = _thermal_state(a, T, constants)
-    tau = 1.0 / state.t
-    energy = integrand_kind is ObservableKind.ENERGY_PER_AREA
+    step = 2.0 * math.pi * (1.0 / state.t)
+    g = _integrand(integrand_kind, a, model, material, constants, ideal=False)
+
+    def y_terms(ls: np.ndarray):
+        lowers = step * ls
+        return _integrate_y_batch(lambda groups, y: g(lowers[groups], y), lowers, config)
+
+    if step < _TAIL_STEP_MAX:
+        f, errs, evals, conv = y_terms(np.arange(_HEAD + 4))
+        xi_L = step * _HEAD
+        wedge = integrate_xi_y(lambda xi, y: g(xi + xi_L, y + xi_L), config)
+        around = f[_HEAD - 3:]
+        last = float(_D5 @ around) / 30240.0
+        parts = [
+            0.5 * f[0],
+            *f[1:_HEAD].tolist(),
+            wedge.value / step,
+            0.5 * f[_HEAD],
+            -float(_D1 @ around) / 12.0,
+            float(_D3 @ around) / 720.0,
+            -last,
+        ]
+        return QuadratureResult(
+            value=math.fsum(parts),
+            abs_error_estimate=abs(last)
+            + wedge.abs_error_estimate / step
+            + math.fsum(errs.tolist()),
+            evaluations=f.size + int(evals.sum()) + wedge.evaluations,
+            converged=bool(wedge.converged and conv.all()),
+        )
+
     blocks = []  # per-term (errors, evaluations, converged) of each block
 
     def terms(ls: np.ndarray) -> np.ndarray:
-        lowers = 2.0 * math.pi * tau * ls
-        Z = impedance(model.kind, lowers, a, material, constants)
-
-        def integrand(groups: np.ndarray, y: np.ndarray) -> np.ndarray:
-            xi = lowers[groups]
-            x_par, x_perp = reflection_factors(Z[groups], y, xi, model.formalism)
-            static = ls[groups] == 0
-            if static.any():
-                x_par[static], x_perp[static] = static_reflection_factors(
-                    model, y[static], a, material, constants
-                )
-            if energy:
-                em1 = np.expm1(y)
-                return y * (np.log1p(x_par / em1) + np.log1p(x_perp / em1))
-            return y * y * force_bracket(x_par, x_perp, y)
-
-        vals, *side = _integrate_y_batch(integrand, lowers, config)
+        vals, *side = y_terms(ls)
         blocks.append(side)
         return vals
 
@@ -223,8 +267,11 @@ def energy_ppT(
 
     The ideal-metal part is evaluated from its closed series; the impedance
     correction is the primed Matsubara sum of y-integrals over the
-    material-dependent logarithms.  With ``decompose=True`` the result also
-    carries the (zero-T value, thermal correction) split.
+    material-dependent logarithms, summed term by term or, below the step
+    threshold, as an exact head plus an Euler-Maclaurin tail (see the module
+    docstring).  ``evaluations`` counts the Matsubara terms evaluated plus
+    every integrand point (0 for the ideal metal).  With ``decompose=True``
+    the result also carries the (zero-T value, thermal correction) split.
     """
     geometry = Geometry(separation=a)
     ideal = ideal_energy_T(a, T, config, constants)
@@ -257,9 +304,12 @@ def force_ppT(
 ) -> Observable:
     """Casimir pressure between parallel plates at temperature T, in Pa.
 
-    The complete bracket is summed over Matsubara frequencies; the ideal
-    metal goes through the same path with both reflection factors zero, so
-    the real-to-ideal comparison shares one code path.
+    The complete bracket is summed over Matsubara frequencies, term by term
+    or, below the step threshold, as an exact head plus an Euler-Maclaurin
+    tail (see the module docstring); ``evaluations`` counts the terms
+    evaluated plus every integrand point.  The ideal metal goes through the
+    same path with both reflection factors zero, so the real-to-ideal
+    comparison shares one code path.
     """
     geometry = Geometry(separation=a)
     corr = _matsubara_correction(

@@ -95,7 +95,9 @@ class QuadratureConfig:
     """Shared accuracy knobs for integrals and Matsubara sums.
 
     ``max_subdivisions`` bounds the panels of each adaptive y integral; the
-    T = 0 wedge rule has a fixed level cap instead.
+    T = 0 wedge rule has a fixed level cap instead.  ``max_matsubara_terms``
+    is a guard on a term-by-term sum: the finite-temperature observables
+    switch to an Euler-Maclaurin tail long before a sum could reach it.
     """
 
     rel_tol: float = 1e-9
@@ -187,10 +189,15 @@ def _initial_panels(
 
 
 def _kronrod(vals: np.ndarray, halfw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gauss-Kronrod rule applied to the node values of each panel."""
-    kron = halfw * (vals @ _WK15)
-    gauss = halfw * (vals @ _WG7)
-    resabs = halfw * (np.abs(vals) @ _WK15)
+    """The Gauss-Kronrod rule applied to the node values of each panel.
+
+    Each row is reduced on its own by an elementwise product and a row sum,
+    so a panel's sums do not depend on the batch it sits in; a BLAS
+    matrix-vector product rounds a row according to its position.
+    """
+    kron = halfw * (vals * _WK15).sum(axis=1)
+    gauss = halfw * (vals * _WG7).sum(axis=1)
+    resabs = halfw * (np.abs(vals) * _WK15).sum(axis=1)
     return kron, np.abs(kron - gauss), resabs
 
 
@@ -245,9 +252,9 @@ def _batch_adaptive(
     Group g integrates over [lowers[g], lowers[g] + width]; ``f(group_index,
     x)`` must be vectorized.  Returns per-group (values, error bounds,
     evaluations, converged flags).  Every decision about a group reads only
-    that group's panels, in an order the other groups do not affect, so a
-    group refines as it would alone.  Only the last bits of the rule's matrix
-    products follow the layout of the batch.
+    that group's panels, in an order the other groups do not affect, and the
+    rule sums each panel on its own, so a group's results are bit for bit
+    those it would get alone.
     """
     n_groups = len(lowers)
     gidx, lo, hi = _initial_panels(lowers, width)

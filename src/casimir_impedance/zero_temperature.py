@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +35,14 @@ from .quadrature import (
     log1mexp,
     riemann_zeta,
 )
-from .reflection import Formalism, ImpedanceKind, ImpedanceModel, impedance, reflection_factors
+from .reflection import (
+    Formalism,
+    ImpedanceKind,
+    ImpedanceModel,
+    impedance,
+    reflection_factors,
+    static_reflection_factors,
+)
 
 __all__ = [
     "ObservableKind",
@@ -108,17 +116,57 @@ def ideal_closed_forms(
     )
 
 
-def energy_bracket(x_par, x_perp, y):
-    """Mode-sum bracket of the energy integrand (both polarizations)."""
+def energy_bracket(x_par, x_perp, y, ideal: bool = True):
+    """Mode-sum bracket of the energy integrand (both polarizations).
+
+    With ``ideal=False`` the ideal-metal part 2 ln(1 - e^-y) is left out,
+    leaving the material-dependent logarithms alone.
+    """
     em1 = np.expm1(y)
-    ideal = 2.0 * log1mexp(y)
-    return ideal + np.log1p(x_par / em1) + np.log1p(x_perp / em1)
+    logs = np.log1p(x_par / em1)
+    if ideal:
+        logs = 2.0 * log1mexp(y) + logs
+    return logs + np.log1p(x_perp / em1)
 
 
 def force_bracket(x_par, x_perp, y):
     """Mode-sum bracket of the force integrand (both polarizations)."""
     em1 = np.expm1(y)
     return (1.0 - x_par) / (em1 + x_par) + (1.0 - x_perp) / (em1 + x_perp)
+
+
+def _integrand(
+    kind: ObservableKind,
+    a: float,
+    model: ImpedanceModel,
+    material: Material | None,
+    constants: PhysicalConstants,
+    ideal: bool = True,
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The plate integrand g(xi, y) at separation a: y times the energy
+    bracket or y^2 times the force bracket.
+
+    Every reduction of the plates shares it: the T = 0 wedge, the Matsubara
+    y-integrals and their shifted-wedge tail.  Points at xi = 0 take the
+    model's static reflection factors (the l = 0 Matsubara term); the wedge
+    never evaluates there.  ``ideal=False`` drops the ideal-metal part of the
+    energy bracket, which the finite-temperature closed series carries.
+    """
+    energy = kind is ObservableKind.ENERGY_PER_AREA
+
+    def g(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
+        Z = impedance(model.kind, xi, a, material, constants)
+        x_par, x_perp = reflection_factors(Z, y, xi, model.formalism)
+        static = xi == 0.0
+        if static.any():
+            x_par[static], x_perp[static] = static_reflection_factors(
+                model, y[static], a, material, constants
+            )
+        if energy:
+            return y * energy_bracket(x_par, x_perp, y, ideal)
+        return y * y * force_bracket(x_par, x_perp, y)
+
+    return g
 
 
 def _plates0(
@@ -140,15 +188,7 @@ def _plates0(
     observables = []
     for geometry in geometries:
         a = geometry.separation
-
-        def integrand(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
-            Z = impedance(model.kind, xi, a, material, constants)
-            x_par, x_perp = reflection_factors(Z, y, xi, model.formalism)
-            if energy:
-                return y * energy_bracket(x_par, x_perp, y)
-            return y * y * force_bracket(x_par, x_perp, y)
-
-        raw = integrate_xi_y(integrand, config)
+        raw = integrate_xi_y(_integrand(kind, a, model, material, constants), config)
         if energy:
             scale = hc / (32.0 * math.pi**2 * a**3)
         else:

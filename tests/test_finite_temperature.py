@@ -238,65 +238,184 @@ def test_ratios_approach_unity_with_temperature(aluminum):
     assert abs(1.0 - f2) < abs(1.0 - f1)
 
 
+def _mode_integrand(model, material, a, energy):
+    """The Matsubara y-integrand written out: material part of the energy
+    bracket or the whole force bracket, static factors at xi = 0."""
+
+    def integrand(xi, y):
+        xi = np.broadcast_to(xi, y.shape)
+        Z = impedance(model, xi, a, material)
+        x_par, x_perp = reflection_factors(Z, y, xi, model.formalism)
+        static = xi == 0.0
+        if static.any():
+            x_par[static], x_perp[static] = static_reflection_factors(
+                model, y[static], a, material
+            )
+        if energy:
+            em1 = np.expm1(y)
+            return y * (np.log1p(x_par / em1) + np.log1p(x_perp / em1))
+        return y * y * force_bracket(x_par, x_perp, y)
+
+    return integrand
+
+
+def _from_sum(observable, a, T, total):
+    """The plate observable whose Matsubara sum is ``total``."""
+    if observable is energy_ppT:
+        return ideal_energy_T(a, T) + CODATA.k_B * T / (8.0 * math.pi * a**2) * total
+    return -CODATA.k_B * T / (8.0 * math.pi * a**3) * total
+
+
+def _step(a, T):
+    """The Matsubara step xi_1 = 2 pi T / T_eff."""
+    return 2.0 * math.pi * T / effective_temperature(a)
+
+
 @pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
-def test_batched_matsubara_sum_matches_per_term_integrals(observable, aluminum, plasma_lifshitz):
+def test_batched_matsubara_sum_matches_per_term_integrals(
+    observable, monkeypatch, aluminum, plasma_lifshitz
+):
     # Oracle: one integrate_y_from per Matsubara index, the integrand written
-    # out.  The Lifshitz formalism makes the static l = 0 term non-zero.
-    a, T = 1e-6, 30.0
-    tau = T / effective_temperature(a)
-    energy = observable is energy_ppT
+    # out.  The Lifshitz formalism makes the static l = 0 term non-zero.  The
+    # step lies just above the tail threshold, so the sum runs term by term,
+    # in blocks of l with one engine call per block.
+    a, T = 1e-6, 36.0
+    step = _step(a, T)
+    assert step >= finite_temperature._TAIL_STEP_MAX
+    integrand = _mode_integrand(plasma_lifshitz, aluminum, a, observable is energy_ppT)
     results = []
 
     def term(l):
-        xi = 2.0 * math.pi * tau * l
-
-        def integrand(y):
-            if l == 0:
-                x_par, x_perp = static_reflection_factors(plasma_lifshitz, y, a, aluminum)
-            else:
-                Z = impedance(plasma_lifshitz, xi, a, aluminum)
-                x_par, x_perp = reflection_factors(Z, y, xi, plasma_lifshitz.formalism)
-            if energy:
-                em1 = np.expm1(y)
-                return y * (np.log1p(x_par / em1) + np.log1p(x_perp / em1))
-            return y * y * force_bracket(x_par, x_perp, y)
-
-        results.append(integrate_y_from(integrand, xi))
+        xi = step * l
+        results.append(integrate_y_from(lambda y: integrand(xi, y), xi))
         return results[-1].value
 
     total = sum_matsubara_primed(lambda ls: [term(l) for l in ls])
     n = total.evaluations
     assert n > 128 and results[0].value != 0.0
-    if energy:
-        expected = ideal_energy_T(a, T) + CODATA.k_B * T / (8.0 * math.pi * a**2) * total.value
-    else:
-        expected = -CODATA.k_B * T / (8.0 * math.pi * a**3) * total.value
-    obs = observable(a, T, plasma_lifshitz, aluminum)
-    assert obs.value == pytest.approx(expected, rel=1e-13)
-    assert obs.quadrature.evaluations == n + sum(r.evaluations for r in results[:n])
-    assert obs.quadrature.converged == all(r.converged for r in results[:n])
-
-
-def test_matsubara_sum_runs_one_engine_call_per_block(monkeypatch, aluminum, plasma_impedance):
-    # Hardware-independent guard: per-term engine calls (one per Matsubara
-    # index, 5,807 here) would fail this bound.
     calls = []
-    terms = []
     engine = quadrature._batch_adaptive
-    primed = finite_temperature.sum_matsubara_primed
 
     def counted_engine(*args, **kwargs):
         calls.append(1)
         return engine(*args, **kwargs)
 
-    def counted_sum(*args, **kwargs):
-        res = primed(*args, **kwargs)
-        terms.append(res.evaluations)
-        return res
+    monkeypatch.setattr(quadrature, "_batch_adaptive", counted_engine)
+    obs = observable(a, T, plasma_lifshitz, aluminum)
+    assert obs.value == pytest.approx(_from_sum(observable, a, T, total.value), rel=1e-13)
+    assert obs.quadrature.evaluations == n + sum(r.evaluations for r in results[:n])
+    assert obs.quadrature.converged == all(r.converged for r in results[:n])
+    assert len(calls) <= math.ceil(n / 64) + 2
+
+
+@pytest.mark.parametrize("energy", [False, True], ids=["force", "energy"])
+def test_engine_batch_equals_terms_integrated_one_at_a_time(energy, aluminum, plasma_lifshitz):
+    # The Gauss-Kronrod sums reduce each panel on its own, so a term's value,
+    # error, evaluations and convergence do not depend on its batch.
+    a, step = 1e-6, 0.05
+    integrand = _mode_integrand(plasma_lifshitz, aluminum, a, energy)
+    lowers = step * np.arange(finite_temperature._HEAD + 4)
+    batch = quadrature._integrate_y_batch(
+        lambda groups, y: integrand(lowers[groups], y), lowers, quadrature.DEFAULT_CONFIG
+    )
+    for l, xi in enumerate(lowers):
+        one = quadrature._integrate_y_batch(
+            lambda _groups, y: integrand(xi, y), [xi], quadrature.DEFAULT_CONFIG
+        )
+        assert [col[l] for col in batch] == [col[0] for col in one]
+
+
+def _T_at_step(a, step):
+    return step * effective_temperature(a) / (2.0 * math.pi)
+
+
+# (kind, formalism) pairs with a defined static term, and for each kind the
+# (a, T) points: at step 0.18, just below the tail threshold, and at a*T =
+# 1e-5 m K, the top of the benchmark's low-temperature range.  At 100 nm the
+# plasma-approx terms dip near xi = w_p = 12.7, where Z = 1.  The bottom of
+# the range, a*T = 1e-6 m K, is checked for plasma-exact alone.
+_TAIL_PAIRS = [
+    (ImpedanceKind.IDEAL_METAL, Formalism.IMPEDANCE),
+    (ImpedanceKind.IDEAL_METAL, Formalism.LIFSHITZ),
+    (ImpedanceKind.PLASMA_EXACT, Formalism.IMPEDANCE),
+    (ImpedanceKind.PLASMA_EXACT, Formalism.LIFSHITZ),
+    (ImpedanceKind.PLASMA_APPROX, Formalism.IMPEDANCE),
+    (ImpedanceKind.PLASMA_APPROX, Formalism.LIFSHITZ),
+    (ImpedanceKind.NORMAL_SKIN, Formalism.IMPEDANCE),
+]
+_TAIL_POINTS = {
+    ImpedanceKind.PLASMA_EXACT: ((1e-6, _T_at_step(1e-6, 0.18)), (1e-7, 100.0), (1e-6, 1.0)),
+    ImpedanceKind.NORMAL_SKIN: ((1e-3, _T_at_step(1e-3, 0.18)), (1e-3, 1e-2)),
+}
+
+
+def _tail_cases():
+    for kind, formalism in _TAIL_PAIRS:
+        points = _TAIL_POINTS.get(kind, ((1e-6, _T_at_step(1e-6, 0.18)), (1e-7, 100.0)))
+        for observable in (force_ppT, energy_ppT):
+            if kind is ImpedanceKind.IDEAL_METAL and observable is energy_ppT:
+                continue  # the closed series, no Matsubara sum
+            yield pytest.param(
+                observable, ImpedanceModel(kind, formalism), points,
+                id=f"{observable.__name__}-{kind.value}-{formalism.value}",
+            )
+
+
+@pytest.mark.parametrize("observable, model, points", _tail_cases())
+def test_tail_matches_exact_primed_sum(observable, model, points):
+    # Oracle: every primed term up to xi = 40, where the terms have fallen
+    # below 1e-14 of the sum, in one batched y-integral with the integrand
+    # written out.  A stop rule on the terms' decay would end at a dip.
+    material = None if model.kind is ImpedanceKind.IDEAL_METAL else ALUMINUM
+    for a, T in points:
+        step = _step(a, T)
+        assert step < finite_temperature._TAIL_STEP_MAX
+        integrand = _mode_integrand(model, material, a, observable is energy_ppT)
+        lowers = step * np.arange(math.ceil(40.0 / step) + 1)
+        terms = quadrature._integrate_y_batch(
+            lambda groups, y: integrand(lowers[groups], y), lowers, quadrature.DEFAULT_CONFIG
+        )[0]
+        exact = _from_sum(observable, a, T, math.fsum([0.5 * terms[0], *terms[1:]]))
+        obs = observable(a, T, model, material)
+        assert obs.quadrature.converged
+        assert obs.value == pytest.approx(exact, rel=1e-11)
+        assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
+
+
+@pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
+def test_millikelvin_sum_has_bounded_cost(observable, monkeypatch, aluminum, plasma_impedance):
+    # Hardware-independent guard: the term-by-term sum would need about 5.8
+    # million terms at (1 um, 1 mK), past the max_matsubara_terms budget.
+    # The tail path makes one engine call for its head and one wedge.
+    engine_calls, wedge_calls = [], []
+    engine = quadrature._batch_adaptive
+    wedge = finite_temperature.integrate_xi_y
+
+    def counted_engine(*args, **kwargs):
+        engine_calls.append(1)
+        return engine(*args, **kwargs)
+
+    def counted_wedge(*args, **kwargs):
+        wedge_calls.append(1)
+        return wedge(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_batch_adaptive", counted_engine)
-    monkeypatch.setattr(finite_temperature, "sum_matsubara_primed", counted_sum)
-    force_ppT(1e-6, 1.0, plasma_impedance, aluminum)
-    (n,) = terms
-    assert n > 5000
-    assert len(calls) <= math.ceil(n / 64) + 2
+    monkeypatch.setattr(finite_temperature, "integrate_xi_y", counted_wedge)
+    obs = observable(1e-6, 1e-3, plasma_impedance, aluminum)
+    assert obs.quadrature.converged
+    assert len(engine_calls) == 1 and len(wedge_calls) == 1
+    assert obs.quadrature.evaluations <= 100_000
+
+
+def test_plates_approach_zero_temperature_continuously(aluminum, plasma_impedance, ideal_model):
+    a = 1e-6
+    for thermal, zero in ((force_ppT, force_pp0), (energy_ppT, energy_pp0)):
+        q0 = zero(a, plasma_impedance, aluminum).value
+        gaps = [
+            abs(thermal(a, T, plasma_impedance, aluminum).value / q0 - 1.0)
+            for T in (1.0, 0.1, 0.01, 1e-3)
+        ]
+        assert all(b < c for b, c in zip(gaps[1:], gaps))
+        assert gaps[-1] < 1e-7
+    ideal = ideal_closed_forms(a)[1] + delta_T_force_pert(a, 1e-3)
+    assert force_ppT(a, 1e-3, ideal_model).value == pytest.approx(ideal, rel=1e-9)
