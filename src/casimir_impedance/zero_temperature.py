@@ -142,26 +142,29 @@ def _integrand(
     material: Material | None,
     constants: PhysicalConstants,
     ideal: bool = True,
+    static: bool = False,
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The plate integrand g(xi, y) at separation a: y times the energy
     bracket or y^2 times the force bracket.
 
     Every reduction of the plates shares it: the T = 0 wedge, the Matsubara
-    y-integrals and their shifted-wedge tail.  Points at xi = 0 take the
-    model's static reflection factors (the l = 0 Matsubara term); the wedge
-    never evaluates there.  ``ideal=False`` drops the ideal-metal part of the
-    energy bracket, which the finite-temperature closed series carries.
+    y-integrals and their shifted-wedge tail.  ``ideal=False`` drops the
+    ideal-metal part of the energy bracket, which the finite-temperature
+    closed series carries.  With ``static=True`` points at xi = 0 take the
+    model's static reflection factors: the Matsubara terms ask for it for
+    their l = 0 term, the wedges never evaluate there.
     """
     energy = kind is ObservableKind.ENERGY_PER_AREA
 
     def g(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
         Z = impedance(model.kind, xi, a, material, constants)
         x_par, x_perp = reflection_factors(Z, y, xi, model.formalism)
-        static = xi == 0.0
-        if static.any():
-            x_par[static], x_perp[static] = static_reflection_factors(
-                model, y[static], a, material, constants
-            )
+        if static:
+            zero = xi == 0.0
+            if zero.any():
+                x_par[zero], x_perp[zero] = static_reflection_factors(
+                    model, y[zero], a, material, constants
+                )
         if energy:
             return y * energy_bracket(x_par, x_perp, y, ideal)
         return y * y * force_bracket(x_par, x_perp, y)

@@ -1,6 +1,7 @@
 """Finite-temperature observables and the thermal perturbation expansions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from casimir_impedance import (
     Formalism,
     ImpedanceKind,
     ImpedanceModel,
+    IntegrandError,
     Material,
     Observable,
     ObservableKind,
@@ -361,25 +363,82 @@ def _tail_cases():
             )
 
 
+def _exact_primed(observable, model, material, a, T, config=quadrature.DEFAULT_CONFIG):
+    """Oracle: the observable from every primed term up to xi = 40, where the
+    terms have fallen below 1e-14 of the sum, in one batched y-integral with
+    the integrand written out.  A stop rule on the terms' decay would end at
+    a dip."""
+    step = _step(a, T)
+    integrand = _mode_integrand(model, material, a, observable is energy_ppT)
+    lowers = step * np.arange(math.ceil(40.0 / step) + 1)
+    terms = quadrature._integrate_y_batch(
+        lambda groups, y: integrand(lowers[groups], y), lowers, config
+    )[0]
+    return _from_sum(observable, a, T, math.fsum([0.5 * terms[0], *terms[1:]]))
+
+
 @pytest.mark.parametrize("observable, model, points", _tail_cases())
 def test_tail_matches_exact_primed_sum(observable, model, points):
-    # Oracle: every primed term up to xi = 40, where the terms have fallen
-    # below 1e-14 of the sum, in one batched y-integral with the integrand
-    # written out.  A stop rule on the terms' decay would end at a dip.
     material = None if model.kind is ImpedanceKind.IDEAL_METAL else ALUMINUM
     for a, T in points:
-        step = _step(a, T)
-        assert step < finite_temperature._TAIL_STEP_MAX
-        integrand = _mode_integrand(model, material, a, observable is energy_ppT)
-        lowers = step * np.arange(math.ceil(40.0 / step) + 1)
-        terms = quadrature._integrate_y_batch(
-            lambda groups, y: integrand(lowers[groups], y), lowers, quadrature.DEFAULT_CONFIG
-        )[0]
-        exact = _from_sum(observable, a, T, math.fsum([0.5 * terms[0], *terms[1:]]))
+        assert _step(a, T) < finite_temperature._TAIL_STEP_MAX
+        exact = _exact_primed(observable, model, material, a, T)
         obs = observable(a, T, model, material)
         assert obs.quadrature.converged
         assert obs.value == pytest.approx(exact, rel=1e-11)
         assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
+
+
+@pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
+def test_tail_error_estimate_holds_at_tight_tolerance(observable, aluminum, plasma_impedance):
+    # At rel_tol 1e-13 the integrals are accurate far below the tail's
+    # truncation (about 2e-12 of the sum at step 0.18), so the estimate must
+    # cover the truncation itself, and the sum cannot claim to meet rel_tol.
+    config = QuadratureConfig(rel_tol=1e-13)
+    a = 1e-6
+    T = _T_at_step(a, 0.18)
+    exact = _exact_primed(observable, plasma_impedance, aluminum, a, T, config)
+    obs = observable(a, T, plasma_impedance, aluminum, config)
+    assert obs.value == pytest.approx(exact, rel=1e-11)
+    assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
+    assert not obs.quadrature.converged
+
+
+def test_tail_threshold_sits_at_the_cost_crossover(monkeypatch, aluminum, plasma_impedance):
+    # Hardware-independent reason for the split: the head and tail cost a
+    # fixed number of integrand points, the term-by-term sum about 3,500 /
+    # step.  Below the threshold the tail is cheaper, above it the sum.
+    assert 0.12 < finite_temperature._TAIL_STEP_MAX < 0.25
+    a = 1e-6
+    tail, exact = math.inf, 0.0  # thresholds that force each path
+
+    def points(step, threshold):
+        monkeypatch.setattr(finite_temperature, "_TAIL_STEP_MAX", threshold)
+        return force_ppT(a, _T_at_step(a, step), plasma_impedance, aluminum).quadrature.evaluations
+
+    assert points(0.12, tail) < points(0.12, exact)
+    for step in (0.25, 1.65):
+        assert points(step, exact) < points(step, tail)
+
+
+def test_tail_reports_a_non_finite_integrand_where_it_was_evaluated(
+    monkeypatch, aluminum, plasma_impedance
+):
+    # The head terms evaluate xi <= 35 step = 3.5, the tail wedge from
+    # xi_L = 3.2 up; the error names the unshifted coordinates.
+    def bad_integrand(*args, **kwargs):
+        def g(xi, y):
+            out = np.exp(-y) * np.ones_like(xi)
+            out[xi > 4.0] = np.nan
+            return out
+
+        return g
+
+    monkeypatch.setattr(finite_temperature, "_integrand", bad_integrand)
+    with pytest.raises(IntegrandError) as info:
+        force_ppT(1e-6, _T_at_step(1e-6, 0.1), plasma_impedance, aluminum)
+    xi = float(re.search(r"xi=(?:np\.float64\()?([-+.\deE]+)", str(info.value)).group(1))
+    assert xi > 4.0 and info.value.x >= xi
 
 
 @pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
