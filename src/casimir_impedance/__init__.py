@@ -16,7 +16,6 @@ from .finite_temperature import (
     energy_ppT,
     force_ppT,
     ideal_energy_T,
-    ideal_energy_T_integral,
     sphere_plate_T,
     thermal_ideal_ratios,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "relative_deviation",
     "normal_skin_pert0",
     "ideal_energy_T",
-    "ideal_energy_T_integral",
     "energy_ppT",
     "force_ppT",
     "sphere_plate_T",

@@ -174,8 +174,8 @@ def _validate(spec: RunSpec) -> RunSpec:
         raise SpecError(f"a: required for command {spec.command!r}")
     if spec.command in ("scan", "figure1", "figure2") and spec.grid is None:
         raise SpecError(f"grid: required for command {spec.command!r}")
-    if not (spec.T >= 0.0):
-        raise SpecError(f"T: temperature must be non-negative, got {spec.T!r}")
+    if not (0.0 <= spec.T < math.inf):
+        raise SpecError(f"T: temperature must be non-negative and finite, got {spec.T!r}")
     if spec.command == "thermal-ratio" and spec.T == 0.0:
         raise SpecError("T: thermal-ratio requires T > 0")
     if spec.rel_tol is not None and not (0.0 < spec.rel_tol < 1.0):

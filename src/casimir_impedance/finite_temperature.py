@@ -10,9 +10,8 @@ l = 0 term at half weight (the prime on the sum):
     I_E = int_{xi_l} dy y   [ln(1 + x_par/(e^y - 1)) + ln(1 + x_perp/(e^y - 1))]
     I_F = int_{xi_l} dy y^2 [(1 - x_par)/(e^y - 1 + x_par) + (x_par -> x_perp)]
 
-The ideal-metal energy E_ideal has an equivalent closed series in coth and
-sinh^-2 (``ideal_energy_T``); the sum-of-integrals form is kept alongside as
-an independent cross-check (``ideal_energy_T_integral``).
+The ideal-metal energy E_ideal is evaluated from its equivalent closed series
+in coth and sinh^-2 (``ideal_energy_T``).
 
 The integrand of I_E and I_F is the plate integrand of the T = 0 wedge, and
 the sum takes one of two reductions, chosen by the step xi_1 = 2 pi T / T_eff
@@ -64,7 +63,6 @@ from .zero_temperature import (
 
 __all__ = [
     "ideal_energy_T",
-    "ideal_energy_T_integral",
     "energy_ppT",
     "force_ppT",
     "sphere_plate_T",
@@ -82,10 +80,10 @@ _PERT_RATIO_MAX = 0.1
 
 # Below this Matsubara step xi_1 = 2 pi T / T_eff a primed sum is its first
 # _HEAD terms plus an Euler-Maclaurin tail (see _matsubara_correction), at a
-# fixed ~19,400 integrand points and 1.5-2.3 ms whatever the step (1 um,
-# plasma model, 2-vCPU host).  The term-by-term sum costs about 3,500 / step
-# points: it takes fewer points from step 0.17 up and less time from about
-# 0.35 up, and from step 1 (1 um, 180 K) up it is 2-3 times faster.
+# fixed ~20,200 integrand points and about 2.1 ms whatever the step (1 um,
+# plasma model, 2-vCPU Xeon host).  The term-by-term sum costs about
+# 4,000 / step points: it takes fewer points and about as much time from
+# step 0.2 up, and from step 1 (1 um, 180 K) up it is 2.5 times faster.
 _TAIL_STEP_MAX = 0.19
 _HEAD = 32
 
@@ -118,8 +116,8 @@ def _csch2(z: float) -> float:
 def _thermal_state(a: float, T: float, constants: PhysicalConstants) -> ThermalState:
     if not (a > 0.0):
         raise ValueError(f"separation must be positive, got {a!r}")
-    if not (T > 0.0):
-        raise ValueError(f"temperature must be positive, got {T!r}")
+    if not (0.0 < T < math.inf):
+        raise ValueError(f"temperature must be positive and finite, got {T!r}")
     return ThermalState.for_gap(a, T, constants)
 
 
@@ -155,29 +153,6 @@ def ideal_energy_T(
             break
     total += math.fsum(terms)
     return e0 * (1.0 + 45.0 / math.pi**3 * total - tau**4)
-
-
-def ideal_energy_T_integral(
-    a: float,
-    T: float,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
-) -> float:
-    """Ideal-metal energy at T from the primed sum of mode integrals.
-
-    E = k_B T / (4 pi a^2) * S'_l int_{xi_l} dy y ln(1 - e^-y).  Slower than
-    the closed series of :func:`ideal_energy_T` but independent of it; the
-    two agree to quadrature accuracy.
-    """
-    state = _thermal_state(a, T, constants)
-    tau = 1.0 / state.t
-
-    def terms(ls: np.ndarray) -> np.ndarray:
-        lowers = 2.0 * math.pi * tau * ls
-        return _integrate_y_batch(lambda _groups, y: y * log1mexp(y), lowers, config)[0]
-
-    total = sum_matsubara_primed(terms, config)
-    return constants.k_B * T / (4.0 * math.pi * a**2) * total.value
 
 
 def _shifted(g, shift: float):

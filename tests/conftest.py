@@ -1,14 +1,22 @@
-"""Shared fixtures: the aluminum preset and commonly used model choices."""
+"""Shared fixtures: the aluminum preset, commonly used model choices and the
+integral form of the ideal-metal energy at T."""
+
+import math
 
 import pytest
 
 from casimir_impedance import (
     ALUMINUM,
+    CODATA,
     Formalism,
     ImpedanceKind,
     ImpedanceModel,
     QuadratureConfig,
+    effective_temperature,
+    log1mexp,
+    sum_matsubara_primed,
 )
+from casimir_impedance.quadrature import DEFAULT_CONFIG, _integrate_y_batch
 
 # One summary line per acceptance check, echoed after the run so the
 # verdicts are visible regardless of output capturing.
@@ -55,3 +63,24 @@ def plasma_lifshitz():
 def fast_config():
     """Looser tolerance for property-style tests where speed matters."""
     return QuadratureConfig(rel_tol=1e-7)
+
+
+@pytest.fixture
+def ideal_energy_T_integral():
+    """Ideal-metal energy at T from the primed sum of mode integrals,
+
+        E = k_B T / (4 pi a^2) * S'_l int_{xi_l} dy y ln(1 - e^-y),
+
+    an oracle independent of the closed series of ``ideal_energy_T``."""
+
+    def energy(a: float, T: float, config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+        tau = T / effective_temperature(a)
+
+        def terms(ls):
+            lowers = 2.0 * math.pi * tau * ls
+            return _integrate_y_batch(lambda _groups, y: y * log1mexp(y), lowers, config)[0]
+
+        total = sum_matsubara_primed(terms, config)
+        return CODATA.k_B * T / (4.0 * math.pi * a**2) * total.value
+
+    return energy

@@ -31,7 +31,6 @@ from casimir_impedance import (
     force_ppT,
     ideal_closed_forms,
     ideal_energy_T,
-    ideal_energy_T_integral,
     impedance,
     integrate_xi_y,
     normal_skin_pert0,
@@ -272,7 +271,7 @@ def test_c7_normal_skin_finite_T(record_acceptance):
     assert t_eff == pytest.approx(1.145, rel=5e-3)
 
 
-def test_c8_structural_properties(record_acceptance):
+def test_c8_structural_properties(record_acceptance, ideal_energy_T_integral):
     t0 = time.perf_counter()
     a = 1e-6
     rng = np.random.default_rng(5)

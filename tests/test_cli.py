@@ -307,6 +307,13 @@ def test_main_reports_spec_errors(capsys):
     assert "error: a:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["point", "thermal-ratio"])
+def test_main_rejects_an_infinite_temperature(command, capsys):
+    status = cli.main([command, "--material", "Al", "--a", "1um", "--T", "inf"])
+    assert status == 1
+    assert "error: T: temperature must be non-negative and finite" in capsys.readouterr().err
+
+
 def test_main_writes_output_file(tmp_path):
     out = tmp_path / "point.csv"
     status = cli.main(

@@ -27,7 +27,6 @@ from casimir_impedance import (
     force_sphere0,
     ideal_closed_forms,
     ideal_energy_T,
-    ideal_energy_T_integral,
     impedance,
     integrate_y_from,
     log1mexp,
@@ -42,7 +41,7 @@ from casimir_impedance import finite_temperature, quadrature
 from casimir_impedance.zero_temperature import force_bracket
 
 
-def test_closed_series_matches_integral_route():
+def test_closed_series_matches_integral_route(ideal_energy_T_integral):
     for a, T in ((1e-6, 300.0), (1e-3, 1.0), (5e-7, 70.0)):
         closed = ideal_energy_T(a, T)
         integral = ideal_energy_T_integral(a, T)
@@ -55,7 +54,7 @@ def test_zero_temperature_limit():
     assert ideal_energy_T(a, 1e-3) == pytest.approx(e0, rel=1e-8)
 
 
-def test_classical_high_temperature_limit():
+def test_classical_high_temperature_limit(ideal_energy_T_integral):
     # far above T_eff only the l = 0 mode survives:
     # E -> -zeta(3) k_B T / (8 pi a^2)
     a = 1e-6
@@ -75,7 +74,7 @@ def test_thermal_energy_grows_with_temperature():
         prev = e
 
 
-def test_primed_sum_convention():
+def test_primed_sum_convention(ideal_energy_T_integral):
     # explicit half-weight l = 0 reimplementation of the mode sum
     a, T = 1e-6, 300.0
     tau = T / effective_temperature(a)
@@ -156,6 +155,14 @@ def test_temperature_validation(plasma_impedance, aluminum):
         energy_ppT(1e-6, 0.0, plasma_impedance, aluminum)
     with pytest.raises(ValueError, match="separation"):
         energy_ppT(-1e-6, 300.0, plasma_impedance, aluminum)
+    for call in (
+        lambda T: energy_ppT(1e-6, T, plasma_impedance, aluminum),
+        lambda T: force_ppT(1e-6, T, plasma_impedance, aluminum),
+        lambda T: ideal_energy_T(1e-6, T),
+    ):
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="temperature must be positive and finite"):
+                call(T)
 
 
 def test_normal_skin_zero_frequency_is_safe(aluminum):
@@ -296,13 +303,13 @@ def test_batched_matsubara_sum_matches_per_term_integrals(
     n = total.evaluations
     assert n > 128 and results[0].value != 0.0
     calls = []
-    engine = quadrature._batch_adaptive
+    engine = finite_temperature._integrate_y_batch
 
     def counted_engine(*args, **kwargs):
         calls.append(1)
         return engine(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_batch_adaptive", counted_engine)
+    monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
     obs = observable(a, T, plasma_lifshitz, aluminum)
     assert obs.value == pytest.approx(_from_sum(observable, a, T, total.value), rel=1e-13)
     assert obs.quadrature.evaluations == n + sum(r.evaluations for r in results[:n])
@@ -312,8 +319,9 @@ def test_batched_matsubara_sum_matches_per_term_integrals(
 
 @pytest.mark.parametrize("energy", [False, True], ids=["force", "energy"])
 def test_engine_batch_equals_terms_integrated_one_at_a_time(energy, aluminum, plasma_lifshitz):
-    # The Gauss-Kronrod sums reduce each panel on its own, so a term's value,
-    # error, evaluations and convergence do not depend on its batch.
+    # The y rule reduces each term by a row sum over its own nodes, so a
+    # term's value, error, evaluations and convergence do not depend on its
+    # batch.
     a, step = 1e-6, 0.05
     integrand = _mode_integrand(plasma_lifshitz, aluminum, a, energy)
     lowers = step * np.arange(finite_temperature._HEAD + 4)
@@ -406,7 +414,7 @@ def test_tail_error_estimate_holds_at_tight_tolerance(observable, aluminum, plas
 
 def test_tail_threshold_sits_at_the_cost_crossover(monkeypatch, aluminum, plasma_impedance):
     # Hardware-independent reason for the split: the head and tail cost a
-    # fixed number of integrand points, the term-by-term sum about 3,500 /
+    # fixed ~20,200 integrand points, the term-by-term sum about 4,000 /
     # step.  Below the threshold the tail is cheaper, above it the sum.
     assert 0.12 < finite_temperature._TAIL_STEP_MAX < 0.25
     a = 1e-6
@@ -419,6 +427,29 @@ def test_tail_threshold_sits_at_the_cost_crossover(monkeypatch, aluminum, plasma
     assert points(0.12, tail) < points(0.12, exact)
     for step in (0.25, 1.65):
         assert points(step, exact) < points(step, tail)
+
+
+def test_term_blocks_take_one_integrand_call_each(monkeypatch, aluminum, plasma_impedance):
+    # Hardware-independent cost guard for the term-by-term side: the y rule's
+    # first pass evaluates every node of a block of terms in one integrand
+    # call, and at the default tolerance no term needs a later level.
+    integrand_calls = []
+    engine = finite_temperature._integrate_y_batch
+
+    def counted_engine(f, lowers, config):
+        integrand_calls.append(0)
+
+        def counted(*args):
+            integrand_calls[-1] += 1
+            return f(*args)
+
+        return engine(counted, lowers, config)
+
+    monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
+    a = 1e-6
+    obs = force_ppT(a, _T_at_step(a, 1.0), plasma_impedance, aluminum)
+    assert obs.quadrature.converged
+    assert len(integrand_calls) >= 2 and integrand_calls == [1] * len(integrand_calls)
 
 
 def test_tail_reports_a_non_finite_integrand_where_it_was_evaluated(
@@ -447,7 +478,7 @@ def test_millikelvin_sum_has_bounded_cost(observable, monkeypatch, aluminum, pla
     # million terms at (1 um, 1 mK), past the max_matsubara_terms budget.
     # The tail path makes one engine call for its head and one wedge.
     engine_calls, wedge_calls = [], []
-    engine = quadrature._batch_adaptive
+    engine = finite_temperature._integrate_y_batch
     wedge = finite_temperature.integrate_xi_y
 
     def counted_engine(*args, **kwargs):
@@ -458,7 +489,7 @@ def test_millikelvin_sum_has_bounded_cost(observable, monkeypatch, aluminum, pla
         wedge_calls.append(1)
         return wedge(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_batch_adaptive", counted_engine)
+    monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
     monkeypatch.setattr(finite_temperature, "integrate_xi_y", counted_wedge)
     obs = observable(1e-6, 1e-3, plasma_impedance, aluminum)
     assert obs.quadrature.converged

@@ -22,9 +22,9 @@ from casimir_impedance import (
 from casimir_impedance import quadrature
 from casimir_impedance.quadrature import (
     DEFAULT_CONFIG,
-    _batch_adaptive,
-    _initial_panels,
     _integrate_y_batch,
+    _t_range,
+    _trapezoid_nodes,
 )
 from casimir_impedance.zero_temperature import force_bracket
 
@@ -165,8 +165,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=1.5)
     with pytest.raises(ValueError, match="y_cutoff_margin"):
         QuadratureConfig(y_cutoff_margin=5.0)
-    with pytest.raises(ValueError, match="max_subdivisions"):
-        QuadratureConfig(max_subdivisions=4)
     with pytest.raises(ValueError, match="max_matsubara_terms"):
         QuadratureConfig(max_matsubara_terms=1)
     with pytest.raises(ValueError, match="series_tail_tol"):
@@ -279,34 +277,41 @@ def test_matsubara_terms_must_return_one_value_per_index():
         sum_matsubara_primed(lambda ls: 1.0)
 
 
-def _engine(f, lowers, rel_tol=1e-9):
-    return _batch_adaptive(f, np.asarray(lowers, dtype=float), 45.0, rel_tol, 10_000)
+def _nodes(h):
+    """Number of exp-sinh nodes at trapezoid step h."""
+    return _trapezoid_nodes(h, *_t_range(DEFAULT_CONFIG))[0].size
 
 
-def test_batch_adaptive_groups_are_independent():
-    # A smooth decay, a narrow peak that needs many refinement rounds, and a
-    # noise-limited integrand that is closed by the stall counter.
+def test_integrate_y_batch_groups_are_independent():
+    # A smooth decay that converges in the first pass, a peak that needs one
+    # or two more levels depending on its lower bound, and a noise-limited
+    # integrand that never converges.
     def f(groups, y):
         smooth = y**2 * np.exp(-y)
-        peak = np.exp(-y) / ((y - 3.7) ** 2 + 1e-6)
+        peak = np.exp(-y) / ((y - 3.7) ** 2 + 0.3)
         noise = np.exp(-y) + 1e-9 * np.sin(1e12 * y)
         return np.choose(groups % 3, [smooth, peak, noise])
 
-    lowers = [0.0, 0.5, 0.0, 2.0, 1.0, 0.25, 3.0]
-    vals, errs, evals, conv = _engine(f, lowers, rel_tol=1e-12)
+    lowers = np.array([0.0, 0.5, 0.0, 2.0, 2.0, 0.25, 3.0])
+    vals, errs, evals, conv = _integrate_y_batch(f, lowers, DEFAULT_CONFIG)
     for g, lower in enumerate(lowers):
-        one = _engine(lambda _groups, y: f(np.full(y.shape, g), y), [lower], rel_tol=1e-12)
+        one = _integrate_y_batch(
+            lambda _groups, y: f(np.full(y.shape, g), y), [lower], DEFAULT_CONFIG
+        )
         assert vals[g] == one[0][0] and errs[g] == one[1][0]
         assert evals[g] == one[2][0]
         assert conv[g] == one[3][0]
-    peak, noise = evals[1::3], evals[2::3]
-    assert np.all(peak > 5 * evals[0]) and np.all(conv[1::3])
-    # Stalled groups stop far below the panel budget and report it.
-    assert not np.any(conv[2::3]) and np.all(noise < 15 * 2 * 10_000)
+    first_pass = _nodes(quadrature._DE_H0 / 4)
+    cap = _nodes(quadrature._DE_H0 / 2**quadrature._DE_LEVELS)
+    assert np.all(evals[0::3] == first_pass) and np.all(conv[0::3])
+    # The two peaks stop at different levels, both before the cap.
+    assert first_pass < evals[4] < evals[1] < cap and np.all(conv[1::3])
+    # The noise-limited groups run to the level cap and report it.
+    assert np.all(evals[2::3] == cap) and not np.any(conv[2::3])
 
 
 def test_panel_evaluation_is_sliced_above_the_point_cap(monkeypatch):
-    # 300 groups of 7 initial panels: 31,500 points in the first sweep.
+    # 300 groups of 125 first-pass nodes: 37,500 points in the first pass.
     sizes = []
 
     def f(groups, y):
@@ -323,26 +328,3 @@ def test_panel_evaluation_is_sliced_above_the_point_cap(monkeypatch):
     assert sizes[0] > cap
     for a, b in zip(sliced, whole):
         np.testing.assert_array_equal(a, b)
-
-
-def _edges_of_one_range(lo, hi):
-    """Reference: the geometric edges of one range, built one at a time."""
-    width = hi - lo
-    offsets = [0.0]
-    step = 0.5
-    while offsets[-1] + step < width:
-        offsets.append(offsets[-1] + step)
-        step *= 2.0
-    offsets.append(width)
-    return lo + np.asarray(offsets)
-
-
-@pytest.mark.parametrize("width", [45.0, 31.5, 11.0])
-def test_initial_panels_match_per_range_construction(width):
-    # Large lower bounds round lower + width, so the ranges differ in width.
-    lowers = np.array([0.0, 0.1, 2.5, 64.0, 3e4, 1e16, 1e20])
-    edges = [_edges_of_one_range(x, x + width) for x in lowers]
-    gidx, lo, hi = _initial_panels(lowers, width)
-    assert gidx.tolist() == [g for g, e in enumerate(edges) for _ in e[1:]]
-    assert lo.tolist() == np.concatenate([e[:-1] for e in edges]).tolist()
-    assert hi.tolist() == np.concatenate([e[1:] for e in edges]).tolist()
