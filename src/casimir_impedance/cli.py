@@ -45,7 +45,7 @@ from .geometry import effective_temperature
 from .materials import PRESETS, Material, load_material
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .reflection import Formalism, ImpedanceKind, ImpedanceModel
-from .series import CoefficientVariant, coefficients, series_force
+from .series import _SERIES_RATIO_MAX, CoefficientVariant, coefficients, series_force
 from .zero_temperature import (
     ObservableKind,
     _plates0,
@@ -164,6 +164,8 @@ def _validate(spec: RunSpec) -> RunSpec:
         Formalism(spec.formalism)
     except ValueError:
         raise SpecError(f"formalism: unknown formalism {spec.formalism!r}") from None
+    if spec.material is None and spec.command in ("figure1", "figure2"):
+        raise SpecError(f"material: required for command {spec.command!r}")
     if (
         spec.command != "coefficients"
         and kind is not ImpedanceKind.IDEAL_METAL
@@ -180,6 +182,15 @@ def _validate(spec: RunSpec) -> RunSpec:
         raise SpecError("T: thermal-ratio requires T > 0")
     if spec.rel_tol is not None and not (0.0 < spec.rel_tol < 1.0):
         raise SpecError(f"rel_tol: must lie in (0, 1), got {spec.rel_tol!r}")
+    if spec.command == "figure1":
+        # The series curve is defined only for delta_0/a below the domain bound.
+        delta_0, lo = _resolve_material(spec).delta_0, spec.grid[0]
+        if delta_0 / lo >= _SERIES_RATIO_MAX:
+            raise SpecError(
+                f"grid: figure1's series curve needs delta_0/a < {_SERIES_RATIO_MAX}, "
+                f"got {delta_0 / lo:.3g} at a = {lo:.3g} m; start the grid above "
+                f"{delta_0 / _SERIES_RATIO_MAX:.3g} m"
+            )
     return spec
 
 

@@ -16,10 +16,11 @@ in coth and sinh^-2 (``ideal_energy_T``).
 The integrand of I_E and I_F is the plate integrand of the T = 0 wedge, and
 the sum takes one of two reductions, chosen by the step xi_1 = 2 pi T / T_eff
 (see ``_matsubara_correction``).  From ``_TAIL_STEP_MAX`` up the terms are
-summed one by one until their geometric tail is negligible.  Below it, where
-that would take about 30 / xi_1 terms, the first ``_HEAD`` terms are summed
-exactly and the rest is an Euler-Maclaurin tail whose integral is the T = 0
-wedge shifted to xi_L, so the cost no longer grows as T falls.
+summed one by one until their geometric tail is negligible past xi = 36.
+Below it, where that would take about 36 / xi_1 terms, the first ``_HEAD``
+terms are summed exactly and the rest is an Euler-Maclaurin tail whose
+integral is the T = 0 wedge shifted to xi_L, so the cost no longer grows as
+T falls.
 
 The thermal correction Delta_T = Q(a, T) - Q(a, 0) also has closed expansions
 to second order in delta_0 / a, the penetration-depth-to-gap ratio
@@ -80,12 +81,19 @@ _PERT_RATIO_MAX = 0.1
 
 # Below this Matsubara step xi_1 = 2 pi T / T_eff a primed sum is its first
 # _HEAD terms plus an Euler-Maclaurin tail (see _matsubara_correction), at a
-# fixed ~20,200 integrand points and about 2.1 ms whatever the step (1 um,
-# plasma model, 2-vCPU Xeon host).  The term-by-term sum costs about
-# 4,000 / step points: it takes fewer points and about as much time from
-# step 0.2 up, and from step 1 (1 um, 180 K) up it is 2.5 times faster.
+# fixed ~20,200 integrand points whatever the step (1 um, plasma model).
+# The term-by-term sum costs about 4,600 / step points: it takes fewer
+# points from step 0.23 up, and from step 1 (1 um, 180 K) up it is about
+# 2.5 times faster.
 _TAIL_STEP_MAX = 0.19
 _HEAD = 32
+
+# A term-by-term sum may stop only from xi_l >= _STOP_XI on.  The
+# plasma-approx terms dip almost to zero at xi = w_p, where Z = 1, and rise
+# again, and a geometric stop test would end the sum in the dip.  Sums
+# without a dip stop on their own at xi = 33 to 35 (every model, default
+# series_tail_tol), so a dip past xi = 36 is too deep in the tail to matter.
+_STOP_XI = 36.0
 
 # 7-point central differences at the middle of f(L-3 .. L+3), unit spacing:
 # f' and f^(3) to O(h^6) and O(h^4), f^(5) to O(h^2).
@@ -193,8 +201,9 @@ def _matsubara_correction(
 
     With the step xi_1 = 2 pi T / T_eff at or above ``_TAIL_STEP_MAX`` the
     terms are summed one by one by :func:`sum_matsubara_primed`, in blocks of
-    l.  Below it the term count would grow like 1/T, so the sum is taken as
-    an exact head of ``_HEAD`` = L terms plus the Euler-Maclaurin tail
+    l, and the sum may not stop before xi_l reaches ``_STOP_XI``.  Below it
+    the term count would grow like 1/T, so the sum is taken as an exact head
+    of ``_HEAD`` = L terms plus the Euler-Maclaurin tail
 
         S_{l >= L} f(l) = (1/step) int_{xi_L}^inf I(xi) dxi + f(L)/2
                           - f'(L)/12 + f^(3)(L)/720 - f^(5)(L)/30240,
@@ -261,7 +270,7 @@ def _matsubara_correction(
         blocks.append(side)
         return vals
 
-    total = sum_matsubara_primed(terms, config)
+    total = sum_matsubara_primed(terms, config, l_min=math.ceil(_STOP_XI / step))
     # Only the terms the sum consumed count; the rest of the last block is
     # discarded with its accounting.
     n = total.evaluations

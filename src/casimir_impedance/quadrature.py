@@ -9,10 +9,11 @@ identical inputs give identical results.
 Both reductions use double-exponential rules (Takahasi and Mori, Publ. RIMS
 9, 721 (1974)): the integrands are smooth and decay exponentially, so halving
 one trapezoid step reaches double precision in a few levels and needs no
-adaptive bookkeeping.  A rule stops when two levels differ by no more than
-rel_tol of the value, and after ``_DE_LEVELS`` halvings of ``_DE_H0`` it
-returns its last level unconverged.  Each rule evaluates at most
-``_EVAL_MAX`` points per integrand call.
+adaptive bookkeeping.  The y rule stops when two levels differ by no more
+than rel_tol of the value; the wedge rule, once its level differences
+shrink, when their geometric tail does.  After ``_DE_LEVELS`` halvings of
+``_DE_H0`` a rule returns its last level unconverged.  Each rule evaluates
+at most ``_EVAL_MAX`` points per integrand call.
 
 The y integrals from a lower bound, int_lower^inf dy f(y), take an exp-sinh
 rule on y = lower + exp(pi/2 sinh t) for a batch of independent integrals
@@ -119,10 +120,13 @@ DEFAULT_CONFIG = QuadratureConfig()
 class QuadratureResult:
     """Value of a quadrature together with its accounting.
 
-    ``abs_error_estimate`` is an upper-bound style estimate; halving rel_tol
-    never moves a converged value by more than the previously reported
-    estimate.  ``converged`` is False when the level cap or term budget ran out,
-    in which case the best available value is still reported.
+    ``abs_error_estimate`` is an upper-bound style estimate: the last level
+    difference of a rule, or for the wedge the geometric tail of its
+    shrinking differences, or the tail bound of a sum, plus the truncated
+    range.  Tightening rel_tol never moves a converged value by more than the
+    previously reported estimate.  ``converged`` is False when the level cap
+    or term budget ran out, in which case the best available value is still
+    reported.
     """
 
     value: float
@@ -305,17 +309,22 @@ def integrate_xi_y(
     a double-exponential (Takahasi-Mori) product rule: trapezoid sums in t
     with y = exp(pi/2 sinh t), from y = 1e-30 up to twice y_cutoff_margin,
     and in s with u = (1 + tanh(pi/2 sinh s)) / 2.  The step starts at
-    ``_DE_H0`` and halves, each level evaluating only its new odd nodes,
-    until two levels differ by no more than rel_tol of the value (or the
-    roundoff of its absolute integral).  That difference plus the
-    exp(-y_cutoff_margin) tail bound is the reported error.  After
-    ``_DE_LEVELS`` halvings the last level is returned unconverged.
-    ``evaluations`` counts integrand points.
+    ``_DE_H0`` and halves, each level evaluating only its new odd nodes.
+    The error of level k is estimated from the differences
+    d_k = |T_k - T_(k-1)|: once they shrink, r = d_k / d_(k-1) < 1, by
+    their geometric tail d_k r / (1 - r), which is conservative for a
+    doubly exponential rule, but never below the roundoff of the absolute
+    integral; otherwise by d_k.  The rule stops when the estimate is at most
+    rel_tol of the value (or that roundoff) and reports it plus the
+    exp(-y_cutoff_margin) tail bound.  So a plasma force that is exact at
+    15,625 points stops there, though that level still differs from the one
+    before by about rel_tol.  After ``_DE_LEVELS`` halvings the last level
+    is returned unconverged.  ``evaluations`` counts integrand points.
     """
     t_lo, t_hi = _t_range(config)
     total = total_abs = 0.0
     evaluations = 0
-    previous = math.inf
+    previous = diff = math.inf
     for level in range(_DE_LEVELS + 1):
         h = _DE_H0 / 2**level
         t, t_new = _trapezoid_nodes(h, t_lo, t_hi)
@@ -335,9 +344,17 @@ def integrate_xi_y(
             total += part
             total_abs += part_abs
             evaluations += block[0].size * block[2].size
-        value = h * h * total
-        error = abs(value - previous)
-        converged = bool(error <= _target(value, h * h * total_abs, config.rel_tol))
+        value, resabs = h * h * total, h * h * total_abs
+        d = abs(value - previous)
+        error = d
+        if d < diff < math.inf:
+            # Differences shrinking by r bound the rest of the sequence by a
+            # geometric tail, as in sum_matsubara_primed; no tail is smaller
+            # than the roundoff of the sum.
+            r = d / diff
+            error = max(d * r / (1.0 - r), _ROUNDOFF * resabs)
+        diff = d
+        converged = bool(error <= _target(value, resabs, config.rel_tol))
         if converged:
             break
         previous = value
@@ -370,6 +387,7 @@ def _blocks(
 def sum_matsubara_primed(
     terms: Callable[[np.ndarray], np.ndarray],
     config: QuadratureConfig = DEFAULT_CONFIG,
+    l_min: int = 0,
 ) -> QuadratureResult:
     """Sum the terms t_l for l = 0, 1, 2, ... with t_0 at half weight.
 
@@ -379,7 +397,9 @@ def sum_matsubara_primed(
     relies on the geometric decay of Matsubara terms and reads the terms one
     by one in order: once the running ratio of consecutive magnitudes is
     below 1, the remaining tail is estimated as t_l * r / (1 - r) and the sum
-    stops when that falls under series_tail_tol of the accumulated value.
+    stops when that falls under series_tail_tol of the accumulated value, at
+    l >= 3 and l >= ``l_min`` (a caller whose terms can dip and rise again
+    sets ``l_min`` past the dips).
     Terms of the last block past the stopping index are discarded, and
     ``evaluations`` counts the terms summed.
     """
@@ -392,6 +412,7 @@ def sum_matsubara_primed(
     tail = math.inf
     converged = False
     zeros_in_row = 0
+    first_stop = max(3, l_min)
     for l, t_l in seq:
         summed.append(t_l)
         mag = abs(t_l)
@@ -405,7 +426,7 @@ def sum_matsubara_primed(
             prev = 0.0
             continue
         zeros_in_row = 0
-        if l >= 3 and prev > 0.0:
+        if l >= first_stop and prev > 0.0:
             r = mag / prev
             if r < 1.0:
                 tail = mag * r / (1.0 - r)

@@ -307,6 +307,23 @@ def test_main_reports_spec_errors(capsys):
     assert "error: a:" in capsys.readouterr().err
 
 
+def test_main_rejects_a_figure1_grid_outside_the_series_domain(capsys):
+    # Aluminum's delta_0 = 15.8 nm puts 30 nm at delta_0/a = 0.526, past the
+    # series domain bound 0.3; from 53 nm on the grid is accepted.
+    status = cli.main(["figure1", "--material", "Al", "--grid", "30nm:5um:25"])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "error: grid:" in err and "0.526" in err and "Traceback" not in err
+    assert parse_config(None, {"command": "figure1", "material": "Al", "grid": "53nm:5um:3"})
+
+
+@pytest.mark.parametrize("command", ["figure1", "figure2"])
+def test_figures_require_a_material(command):
+    # Both figures compare plasma models, whatever --model says.
+    with pytest.raises(SpecError, match=f"material: required for command '{command}'"):
+        parse_config(None, {"command": command, "model": "ideal", "grid": "100nm:1um:3"})
+
+
 @pytest.mark.parametrize("command", ["point", "thermal-ratio"])
 def test_main_rejects_an_infinite_temperature(command, capsys):
     status = cli.main([command, "--material", "Al", "--a", "1um", "--T", "inf"])

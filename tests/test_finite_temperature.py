@@ -285,9 +285,10 @@ def test_batched_matsubara_sum_matches_per_term_integrals(
     observable, monkeypatch, aluminum, plasma_lifshitz
 ):
     # Oracle: one integrate_y_from per Matsubara index, the integrand written
-    # out.  The Lifshitz formalism makes the static l = 0 term non-zero.  The
-    # step lies just above the tail threshold, so the sum runs term by term,
-    # in blocks of l with one engine call per block.
+    # out, summed with the observable's stop rule.  The Lifshitz formalism
+    # makes the static l = 0 term non-zero.  The step lies just above the
+    # tail threshold, so the sum runs term by term, in blocks of l with one
+    # engine call per block.
     a, T = 1e-6, 36.0
     step = _step(a, T)
     assert step >= finite_temperature._TAIL_STEP_MAX
@@ -299,7 +300,8 @@ def test_batched_matsubara_sum_matches_per_term_integrals(
         results.append(integrate_y_from(lambda y: integrand(xi, y), xi))
         return results[-1].value
 
-    total = sum_matsubara_primed(lambda ls: [term(l) for l in ls])
+    l_min = math.ceil(finite_temperature._STOP_XI / step)
+    total = sum_matsubara_primed(lambda ls: [term(l) for l in ls], l_min=l_min)
     n = total.evaluations
     assert n > 128 and results[0].value != 0.0
     calls = []
@@ -412,10 +414,39 @@ def test_tail_error_estimate_holds_at_tight_tolerance(observable, aluminum, plas
     assert not obs.quadrature.converged
 
 
+@pytest.mark.parametrize("aT", [3.0e-5, 3.2e-5, 3.4e-5])
+def test_tail_wedge_below_the_dip_stops_at_its_second_halving(aT, aluminum):
+    # Hardware-independent cost guard: at 100 nm the tail wedge of the
+    # plasma-approx impedance force starts at xi_L >= 5.3, below the dip at
+    # xi = w_p = 12.7, and still converges at 15,625 points; with the 36 head
+    # terms the sum costs 20,161 points (67,286 with a fourth level).
+    a = 1e-7
+    assert _step(a, aT / a) < finite_temperature._TAIL_STEP_MAX
+    model = ImpedanceModel(ImpedanceKind.PLASMA_APPROX, Formalism.IMPEDANCE)
+    obs = force_ppT(a, aT / a, model, aluminum)
+    assert obs.quadrature.converged
+    assert obs.quadrature.evaluations <= 20_161
+
+
+@pytest.mark.parametrize("T", [243.0, 729.0, 1215.0])
+def test_term_by_term_sum_does_not_stop_at_the_plasma_dip(T, aluminum):
+    # The plasma-approx Lifshitz terms at 150 nm dip almost to zero at
+    # xi = w_p = 19 and rise again.  A sum that stopped in the dip was off by
+    # 8.7e-10 relative, 2.6 to 3.6 times its error estimate.
+    a = 1.5e-7
+    assert _step(a, T) >= finite_temperature._TAIL_STEP_MAX
+    model = ImpedanceModel(ImpedanceKind.PLASMA_APPROX, Formalism.LIFSHITZ)
+    exact = _exact_primed(force_ppT, model, aluminum, a, T)
+    obs = force_ppT(a, T, model, aluminum)
+    assert obs.quadrature.converged
+    assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
+
+
 def test_tail_threshold_sits_at_the_cost_crossover(monkeypatch, aluminum, plasma_impedance):
     # Hardware-independent reason for the split: the head and tail cost a
-    # fixed ~20,200 integrand points, the term-by-term sum about 4,000 /
-    # step.  Below the threshold the tail is cheaper, above it the sum.
+    # fixed ~20,200 integrand points, the term-by-term sum, which runs at
+    # least to xi = 36, about 4,600 / step.  Below the threshold the tail is
+    # cheaper, from step 0.23 up the sum.
     assert 0.12 < finite_temperature._TAIL_STEP_MAX < 0.25
     a = 1e-6
     tail, exact = math.inf, 0.0  # thresholds that force each path
