@@ -43,16 +43,10 @@ from .finite_temperature import (
 )
 from .geometry import effective_temperature
 from .materials import PRESETS, Material, load_material
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import _SERIES_TAIL_TOL, DEFAULT_CONFIG, QuadratureConfig
 from .reflection import Formalism, ImpedanceKind, ImpedanceModel
 from .series import _SERIES_RATIO_MAX, CoefficientVariant, coefficients, series_force
-from .zero_temperature import (
-    ObservableKind,
-    _plates0,
-    energy_pp0,
-    force_pp0,
-    force_sphere0,
-)
+from .zero_temperature import energy_pp0, force_pp0, force_sphere0
 
 __all__ = [
     "RunSpec",
@@ -303,7 +297,7 @@ class _Csv:
             f"# formalism = {spec.formalism}",
             f"# T_K = {spec.T!r}",
             f"# rel_tol = {config.rel_tol!r}",
-            f"# series_tail_tol = {config.series_tail_tol!r}",
+            f"# series_tail_tol = {_SERIES_TAIL_TOL!r}",
         ]
         if spec.command == "point":
             self.header.append("# kind = 0 energy, 1 force, 2 sphere")
@@ -349,10 +343,8 @@ def _point_rows(spec: RunSpec, material, model, config):
 
 def _scan_rows(grid: list[float], spec: RunSpec, material, model, config):
     if spec.T == 0.0:
-        es, fs = (
-            _plates0(kind, grid, model, material, config, CODATA)
-            for kind in (ObservableKind.ENERGY_PER_AREA, ObservableKind.FORCE_PER_AREA)
-        )
+        es = [energy_pp0(a, model, material, config) for a in grid]
+        fs = [force_pp0(a, model, material, config) for a in grid]
     else:
         es = [energy_ppT(a, spec.T, model, material, config) for a in grid]
         fs = [force_ppT(a, spec.T, model, material, config) for a in grid]
@@ -370,13 +362,12 @@ def _scan_rows(grid: list[float], spec: RunSpec, material, model, config):
     ]
 
 
-def _deviation_curve(kind: ObservableKind, impedance_kind, grid, material, config):
-    """(Lifshitz value, impedance-route deviation, error, converged) per a."""
+def _deviation_curve(observable, impedance_kind, grid, material, config):
+    """(Lifshitz value, impedance-route deviation, error, converged) per a,
+    with ``observable`` ``energy_pp0`` or ``force_pp0``."""
     references, directs = (
-        _plates0(
-            kind, grid, ImpedanceModel(impedance_kind, formalism), material, config, CODATA
-        )
-        for formalism in (Formalism.LIFSHITZ, Formalism.IMPEDANCE)
+        [observable(a, ImpedanceModel(impedance_kind, f), material, config) for a in grid]
+        for f in (Formalism.LIFSHITZ, Formalism.IMPEDANCE)
     )
     return [
         (
@@ -391,9 +382,7 @@ def _deviation_curve(kind: ObservableKind, impedance_kind, grid, material, confi
 
 
 def _figure1_rows(grid: list[float], spec: RunSpec, material, model, config):
-    curve = _deviation_curve(
-        ObservableKind.FORCE_PER_AREA, ImpedanceKind.PLASMA_EXACT, grid, material, config
-    )
+    curve = _deviation_curve(force_pp0, ImpedanceKind.PLASMA_EXACT, grid, material, config)
     rows = []
     for a, (reference, d_exact, err, conv) in zip(grid, curve):
         approx = series_force(a, material, CoefficientVariant.IMPEDANCE_APPROX, 4)
@@ -403,7 +392,7 @@ def _figure1_rows(grid: list[float], spec: RunSpec, material, model, config):
 
 def _figure2_rows(grid: list[float], spec: RunSpec, material, model, config):
     exact, approx = (
-        _deviation_curve(ObservableKind.ENERGY_PER_AREA, kind, grid, material, config)
+        _deviation_curve(energy_pp0, kind, grid, material, config)
         for kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX)
     )
     return [
@@ -416,7 +405,7 @@ def _figure2_rows(grid: list[float], spec: RunSpec, material, model, config):
 def _thermal_ratio_row(spec: RunSpec, material, model, config):
     ideal = ImpedanceModel(ImpedanceKind.IDEAL_METAL)
     e_real = energy_ppT(spec.a, spec.T, model, material, config)
-    e_ideal = ideal_energy_T(spec.a, spec.T, config)
+    e_ideal = ideal_energy_T(spec.a, spec.T)
     f_real = force_ppT(spec.a, spec.T, model, material, config)
     f_ideal = force_ppT(spec.a, spec.T, ideal, None, config)
     e_ratio = e_real.value / e_ideal

@@ -11,9 +11,9 @@ __all__ = ["PhysicalConstants", "CODATA"]
 class PhysicalConstants:
     """Fundamental constants, fixed at construction.
 
-    A single constant set is threaded through every computation of a run so
-    that derived quantities (skin depth, effective temperature, reduced
-    frequencies) stay mutually consistent.
+    Every computation reads the one instance, ``CODATA``, so that derived
+    quantities (skin depth, effective temperature, reduced frequencies) stay
+    mutually consistent.
     """
 
     hbar: float = 1.054571817e-34  # reduced Planck constant, J s

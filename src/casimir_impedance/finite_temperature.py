@@ -36,12 +36,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 from .geometry import Geometry, ThermalState
 from .materials import Material
 from .quadrature import (
+    _MAX_TERMS,
+    _SERIES_TAIL_TOL,
     DEFAULT_CONFIG,
-    IntegrandError,
     QuadratureConfig,
     QuadratureResult,
     _integrate_y_batch,
@@ -91,8 +92,8 @@ _HEAD = 32
 # A term-by-term sum may stop only from xi_l >= _STOP_XI on.  The
 # plasma-approx terms dip almost to zero at xi = w_p, where Z = 1, and rise
 # again, and a geometric stop test would end the sum in the dip.  Sums
-# without a dip stop on their own at xi = 33 to 35 (every model, default
-# series_tail_tol), so a dip past xi = 36 is too deep in the tail to matter.
+# without a dip stop on their own at xi = 33 to 35 (every model), so a dip
+# past xi = 36 is too deep in the tail to matter.
 _STOP_XI = 36.0
 
 # 7-point central differences at the middle of f(L-3 .. L+3), unit spacing:
@@ -121,20 +122,15 @@ def _csch2(z: float) -> float:
     return 4.0 * math.exp(-2.0 * z) / math.expm1(-2.0 * z) ** 2
 
 
-def _thermal_state(a: float, T: float, constants: PhysicalConstants) -> ThermalState:
+def _thermal_state(a: float, T: float) -> ThermalState:
     if not (a > 0.0):
         raise ValueError(f"separation must be positive, got {a!r}")
     if not (0.0 < T < math.inf):
         raise ValueError(f"temperature must be positive and finite, got {T!r}")
-    return ThermalState.for_gap(a, T, constants)
+    return ThermalState.for_gap(a, T)
 
 
-def ideal_energy_T(
-    a: float,
-    T: float,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
-) -> float:
+def ideal_energy_T(a: float, T: float) -> float:
     """Ideal-metal energy per unit area at temperature T, in J/m^2.
 
     Closed series relative to the zero-T value E0:
@@ -145,43 +141,22 @@ def ideal_energy_T(
 
     The coth is split as 1 + (coth - 1): the power-law part sums to
     tau^3 zeta(3) exactly and the remainder decays like e^(-2 pi n / tau),
-    so truncation on series_tail_tol is geometric.
+    so truncation on the series tail tolerance is geometric.
     """
-    state = _thermal_state(a, T, constants)
+    state = _thermal_state(a, T)
     tau = 1.0 / state.t
-    e0 = ideal_closed_forms(a, constants)[0]
+    e0 = ideal_closed_forms(a)[0]
 
     total = riemann_zeta(3.0) * tau**3
     terms = []
-    for n in range(1, config.max_matsubara_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         z = math.pi * n / tau
         term = tau**3 / n**3 * _coth_minus_one(z) + math.pi * tau**2 / n**2 * _csch2(z)
         terms.append(term)
-        if abs(term) <= config.series_tail_tol * total:
+        if abs(term) <= _SERIES_TAIL_TOL * total:
             break
     total += math.fsum(terms)
     return e0 * (1.0 + 45.0 / math.pi**3 * total - tau**4)
-
-
-def _shifted(g, shift: float):
-    """g(xi + shift, y + shift): the standard wedge 0 <= xi <= y becomes
-    shift <= xi <= y.  A non-finite value is reported at the coordinates g
-    saw, not at the shifted ones."""
-
-    def h(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
-        xi, y = xi + shift, y + shift
-        v = g(xi, y)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise IntegrandError(
-                "integrand returned non-finite value at "
-                f"(xi={float(xi[i])!r}, y={float(y[i])!r})",
-                x=float(y[i]),
-            )
-        return v
-
-    return h
 
 
 def _matsubara_correction(
@@ -190,7 +165,6 @@ def _matsubara_correction(
     model: ImpedanceModel,
     material: Material | None,
     config: QuadratureConfig,
-    constants: PhysicalConstants,
     integrand_kind: ObservableKind,
 ) -> QuadratureResult:
     """Primed Matsubara sum S'_l f(l) of the y-integrals f(l) = I(xi_l).
@@ -217,22 +191,16 @@ def _matsubara_correction(
     rel_tol of the sum.  ``evaluations`` counts the terms evaluated plus
     every integrand point of their y-integrals and of the tail wedge.
     """
-    state = _thermal_state(a, T, constants)
+    state = _thermal_state(a, T)
     step = 2.0 * math.pi * (1.0 / state.t)
-    g = _integrand(integrand_kind, a, model, material, constants, ideal=False)
-    g_terms = _integrand(
-        integrand_kind, a, model, material, constants, ideal=False, static=True
-    )
-
-    def y_terms(ls: np.ndarray):
-        lowers = step * ls
-        return _integrate_y_batch(
-            lambda groups, y: g_terms(lowers[groups], y), lowers, config
-        )
+    g = _integrand(integrand_kind, a, model, material, ideal=False)
+    g_terms = _integrand(integrand_kind, a, model, material, ideal=False, static=True)
 
     if step < _TAIL_STEP_MAX:
-        f, errs, evals, conv = y_terms(np.arange(_HEAD + 4))
-        wedge = integrate_xi_y(_shifted(g, step * _HEAD), config)
+        f, errs, evals, conv = _integrate_y_batch(
+            g_terms, step * np.arange(_HEAD + 4), config
+        )
+        wedge = integrate_xi_y(g, config, lower=step * _HEAD)
         around = f[_HEAD - 3:]
         last = float(_D5 @ around) / 30240.0
         truncation = (
@@ -266,11 +234,11 @@ def _matsubara_correction(
     blocks = []  # per-term (errors, evaluations, converged) of each block
 
     def terms(ls: np.ndarray) -> np.ndarray:
-        vals, *side = y_terms(ls)
+        vals, *side = _integrate_y_batch(g_terms, step * ls, config)
         blocks.append(side)
         return vals
 
-    total = sum_matsubara_primed(terms, config, l_min=math.ceil(_STOP_XI / step))
+    total = sum_matsubara_primed(terms, l_min=math.ceil(_STOP_XI / step))
     # Only the terms the sum consumed count; the rest of the last block is
     # discarded with its accounting.
     n = total.evaluations
@@ -289,7 +257,6 @@ def energy_ppT(
     model: ImpedanceModel,
     material: Material | None = None,
     config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
     decompose: bool = False,
 ) -> Observable:
     """Casimir energy per unit area of parallel plates at temperature T.
@@ -303,21 +270,21 @@ def energy_ppT(
     the result also carries the (zero-T value, thermal correction) split.
     """
     geometry = Geometry(separation=a)
-    ideal = ideal_energy_T(a, T, config, constants)
+    ideal = ideal_energy_T(a, T)
     if model.kind is ImpedanceKind.IDEAL_METAL:
         corr = QuadratureResult(
             value=0.0, abs_error_estimate=0.0, evaluations=0, converged=True
         )
     else:
         corr = _matsubara_correction(
-            a, T, model, material, config, constants, ObservableKind.ENERGY_PER_AREA
+            a, T, model, material, config, ObservableKind.ENERGY_PER_AREA
         )
-    pref = constants.k_B * T / (8.0 * math.pi * a**2)
+    pref = CODATA.k_B * T / (8.0 * math.pi * a**2)
     obs = _observable(
         ObservableKind.ENERGY_PER_AREA, pref, corr, geometry, model, T, offset=ideal
     )
     if decompose:
-        zero = energy_pp0(a, model, material, config, constants).value
+        zero = energy_pp0(a, model, material, config).value
         obs = replace(obs, decomposition=(zero, obs.value - zero))
     return obs
 
@@ -328,7 +295,6 @@ def force_ppT(
     model: ImpedanceModel,
     material: Material | None = None,
     config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
     decompose: bool = False,
 ) -> Observable:
     """Casimir pressure between parallel plates at temperature T, in Pa.
@@ -342,12 +308,12 @@ def force_ppT(
     """
     geometry = Geometry(separation=a)
     corr = _matsubara_correction(
-        a, T, model, material, config, constants, ObservableKind.FORCE_PER_AREA
+        a, T, model, material, config, ObservableKind.FORCE_PER_AREA
     )
-    pref = -constants.k_B * T / (8.0 * math.pi * a**3)
+    pref = -CODATA.k_B * T / (8.0 * math.pi * a**3)
     obs = _observable(ObservableKind.FORCE_PER_AREA, pref, corr, geometry, model, T)
     if decompose:
-        zero = force_pp0(a, model, material, config, constants).value
+        zero = force_pp0(a, model, material, config).value
         obs = replace(obs, decomposition=(zero, obs.value - zero))
     return obs
 
@@ -359,11 +325,10 @@ def sphere_plate_T(
     model: ImpedanceModel,
     material: Material | None = None,
     config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
 ) -> Observable:
     """Force on a sphere above a plate at temperature T: F = 2 pi R E(a, T)."""
     geometry = Geometry(separation=a, sphere_radius=R)
-    energy = energy_ppT(a, T, model, material, config, constants)
+    energy = energy_ppT(a, T, model, material, config)
     return _observable(
         ObservableKind.SPHERE_PLATE_FORCE,
         2.0 * math.pi * R,
@@ -386,25 +351,19 @@ def _pert_ratio(a: float, material: Material | None) -> float:
     return d
 
 
-def _pert_sum(term, config: QuadratureConfig) -> float:
+def _pert_sum(term) -> float:
     """Sum the scalar term(l) for l >= 1; terms decay like e^(-2 pi l t)."""
 
     def terms(ls: np.ndarray) -> list[float]:
         return [0.0 if l == 0 else term(l) for l in ls.tolist()]
 
-    res = sum_matsubara_primed(terms, config)
+    res = sum_matsubara_primed(terms)
     if not res.converged:
         raise RuntimeError("thermal expansion l-sum did not converge")
     return res.value
 
 
-def delta_T_energy_pert(
-    a: float,
-    T: float,
-    material: Material | None = None,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
-) -> float:
+def delta_T_energy_pert(a: float, T: float, material: Material | None = None) -> float:
     """Thermal correction to the plate energy, second order in delta_0/a.
 
     Evaluates the closed l-sum expansion of Delta_T E in J/m^2.  The
@@ -418,7 +377,7 @@ def delta_T_energy_pert(
     the skin-depth corrections vanish and the ideal-metal correction is
     returned, which equals ideal_energy_T(a, T) - E0.
     """
-    state = _thermal_state(a, T, constants)
+    state = _thermal_state(a, T)
     t = state.t
     d = _pert_ratio(a, material)
     z3, z4, z5 = riemann_zeta(3.0), riemann_zeta(4.0), riemann_zeta(5.0)
@@ -451,23 +410,17 @@ def delta_T_energy_pert(
         order2 = 2.0 * math.pi**4 * c2 * poly + 6.0 / (math.pi * u**5) * logs
         return order0 + d * order1 - d**2 * order2
 
-    total = algebraic + _pert_sum(remainder, config)
-    return -constants.hbar * constants.c / (8.0 * math.pi**2 * a**3) * total
+    total = algebraic + _pert_sum(remainder)
+    return -CODATA.hbar * CODATA.c / (8.0 * math.pi**2 * a**3) * total
 
 
-def delta_T_force_pert(
-    a: float,
-    T: float,
-    material: Material | None = None,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
-) -> float:
+def delta_T_force_pert(a: float, T: float, material: Material | None = None) -> float:
     """Thermal correction to the plate pressure, second order in delta_0/a.
 
     Same structure as :func:`delta_T_energy_pert`; the exact power-law part
     is zeta(4)/t^4 + d pi zeta(3)/t^3 and the remainder is sinh^-2 damped.
     """
-    state = _thermal_state(a, T, constants)
+    state = _thermal_state(a, T)
     t = state.t
     d = _pert_ratio(a, material)
     z3, z4 = riemann_zeta(3.0), riemann_zeta(4.0)
@@ -504,8 +457,8 @@ def delta_T_force_pert(
         )
         return order0 + d * order1 + d**2 * order2
 
-    total = algebraic + _pert_sum(remainder, config)
-    return -constants.hbar * constants.c / (8.0 * math.pi**2 * a**4) * total
+    total = algebraic + _pert_sum(remainder)
+    return -CODATA.hbar * CODATA.c / (8.0 * math.pi**2 * a**4) * total
 
 
 def thermal_ideal_ratios(
@@ -514,7 +467,6 @@ def thermal_ideal_ratios(
     model: ImpedanceModel,
     material: Material | None = None,
     config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
 ) -> tuple[float, float]:
     """(energy ratio, force ratio) of a real metal to the ideal metal at T.
 
@@ -522,12 +474,9 @@ def thermal_ideal_ratios(
     denominator runs the full Matsubara path with zero reflection factors.
     """
     ideal = ImpedanceModel(ImpedanceKind.IDEAL_METAL)
-    e_ratio = (
-        energy_ppT(a, T, model, material, config, constants).value
-        / ideal_energy_T(a, T, config, constants)
-    )
+    e_ratio = energy_ppT(a, T, model, material, config).value / ideal_energy_T(a, T)
     f_ratio = (
-        force_ppT(a, T, model, material, config, constants).value
-        / force_ppT(a, T, ideal, None, config, constants).value
+        force_ppT(a, T, model, material, config).value
+        / force_ppT(a, T, ideal, None, config).value
     )
     return e_ratio, f_ratio

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 
 __all__ = ["Geometry", "ThermalState", "effective_temperature"]
 
@@ -63,16 +63,14 @@ class ThermalState:
             raise ValueError(f"temperature must be >= 0, got {self.T!r}")
 
     @classmethod
-    def for_gap(
-        cls, a: float, T: float, constants: PhysicalConstants = CODATA
-    ) -> "ThermalState":
-        T_eff = effective_temperature(a, constants)
+    def for_gap(cls, a: float, T: float) -> "ThermalState":
+        T_eff = effective_temperature(a)
         t = T_eff / T if T > 0.0 else math.inf
         return cls(T=T, T_eff=T_eff, t=t)
 
 
-def effective_temperature(a: float, constants: PhysicalConstants = CODATA) -> float:
+def effective_temperature(a: float) -> float:
     """Effective temperature of a gap of width a: k_B T_eff = hbar c / (2 a)."""
     if not (a > 0.0):
         raise ValueError(f"separation must be positive, got {a!r}")
-    return constants.hbar * constants.c / (2.0 * a * constants.k_B)
+    return CODATA.hbar * CODATA.c / (2.0 * a * CODATA.k_B)

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 
 __all__ = ["Material", "ALUMINUM", "PRESETS", "load_material"]
 
@@ -26,11 +26,8 @@ class Material:
     name: str = ""
     sigma: float = field(init=False)
     delta_0: float = field(init=False)
-    constants: InitVar[PhysicalConstants | None] = None
 
-    def __post_init__(self, constants: PhysicalConstants | None) -> None:
-        if constants is None:
-            constants = CODATA
+    def __post_init__(self) -> None:
         if not (self.omega_p > 0.0):
             raise ValueError(f"omega_p must be positive, got {self.omega_p!r}")
         if not (self.gamma > 0.0):
@@ -41,7 +38,7 @@ class Material:
                 f"gamma={self.gamma!r}, omega_p={self.omega_p!r}"
             )
         object.__setattr__(self, "sigma", self.omega_p**2 / (4.0 * math.pi * self.gamma))
-        object.__setattr__(self, "delta_0", constants.c / self.omega_p)
+        object.__setattr__(self, "delta_0", CODATA.c / self.omega_p)
 
 
 # Aluminum preset used throughout the validation suite.
@@ -53,7 +50,7 @@ PRESETS: dict[str, Material] = {"Al": ALUMINUM}
 _FILE_KEYS = {"omega_p_rad_s", "gamma_rad_s", "name"}
 
 
-def load_material(path: str | Path, constants: PhysicalConstants = CODATA) -> Material:
+def load_material(path: str | Path) -> Material:
     """Read a material from a plain-text ``key=value`` file.
 
     Required keys: ``omega_p_rad_s`` and ``gamma_rad_s``.  An optional
@@ -82,5 +79,4 @@ def load_material(path: str | Path, constants: PhysicalConstants = CODATA) -> Ma
         omega_p=float(values["omega_p_rad_s"]),
         gamma=float(values["gamma_rad_s"]),
         name=values.get("name", path.stem),
-        constants=constants,
     )

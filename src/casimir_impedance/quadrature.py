@@ -1,10 +1,12 @@
 """Quadrature and series summation tuned to exponentially damped modes.
 
 Every integrand in this package decays like exp(-y) in the "radial" variable,
-so semi-infinite ranges end at ``lower + 2 y_cutoff_margin`` and every error
-estimate adds exp(-margin) ~ 3e-20 of the value (default margin 45), a bound
-on the neglected tail.  All evaluation is vectorized and deterministic, so
-identical inputs give identical results.
+so semi-infinite ranges end at ``lower + 2 _Y_MARGIN`` (= 90) and every error
+estimate adds exp(-_Y_MARGIN) ~ 3e-20 of the value, a bound on the neglected
+tail.  ``QuadratureConfig.rel_tol`` is the one accuracy setting; the margin,
+the Matsubara term budget and the series tail tolerance are fixed.  All
+evaluation is vectorized and deterministic, so identical inputs give
+identical results.
 
 Both reductions use double-exponential rules (Takahasi and Mori, Publ. RIMS
 9, 721 (1974)): the integrands are smooth and decay exponentially, so halving
@@ -15,17 +17,22 @@ shrink, when their geometric tail does.  After ``_DE_LEVELS`` halvings of
 ``_DE_H0`` a rule returns its last level unconverged.  Each rule evaluates
 at most ``_EVAL_MAX`` points per integrand call.
 
-The y integrals from a lower bound, int_lower^inf dy f(y), take an exp-sinh
-rule on y = lower + exp(pi/2 sinh t) for a batch of independent integrals
-(groups) at once.  A group stops being evaluated once it has converged, and
-its sums are row sums over its own nodes, so it gets bit for bit the results
-it would get alone.  The finite-temperature sums integrate one block of
-Matsubara terms per call: ``sum_matsubara_primed`` asks its ``terms(ls)``
-callable for blocks of 16, 32 and then 64 indices and applies its stopping
-rule term by term, as if the terms came one at a time.
+Both rules call their integrand as f(xi, y) on flat arrays and reject a
+non-finite value at its (xi, y).  The y integrals from a lower bound,
+int_lower^inf dy f(lower, y), take an exp-sinh rule on
+y = lower + exp(pi/2 sinh t) for a batch of lower bounds at once, with xi
+equal to each integral's lower bound.  An integral stops being evaluated
+once it has converged, and its sums are row sums over its own nodes, so it
+gets bit for bit the results it would get alone.  The finite-temperature
+sums integrate one block of Matsubara terms per call:
+``sum_matsubara_primed`` asks its ``terms(ls)`` callable for a first block
+that ends where the sum may first stop, then for blocks that double up to
+64, and applies its stopping rule term by term, as if the terms came one at
+a time.
 
-The T = 0 wedge 0 <= xi <= y < infinity is taken by ``integrate_xi_y`` with
-the product of the same exp-sinh rule in y and a tanh-sinh rule in u = xi/y.
+The wedge lower <= xi <= y < infinity is taken by ``integrate_xi_y`` with
+the product of the same exp-sinh rule in y and a tanh-sinh rule in
+u = (xi - lower) / (y - lower).
 """
 
 from __future__ import annotations
@@ -53,13 +60,26 @@ __all__ = [
 _ABS_FLOOR = 1e-300
 
 # Roundoff floor: no refinement can push the difference of two levels below
-# this multiple of eps times the absolute integral.
-_ROUNDOFF = 50.0 * np.finfo(float).eps
+# this multiple of eps times the absolute integral.  A Python float, so the
+# results it bounds stay Python floats.
+_ROUNDOFF = 50.0 * float(np.finfo(float).eps)
+
+# Semi-infinite y ranges end at lower + 2 _Y_MARGIN; for integrands bounded by
+# the exp(-y) envelope the dropped tail is below exp(-_Y_MARGIN) of the result.
+_Y_MARGIN = 45.0
+
+# A primed sum stops when its geometric tail falls below _SERIES_TAIL_TOL of
+# the sum, and is returned unconverged after _MAX_TERMS terms.  The
+# finite-temperature observables switch to an Euler-Maclaurin tail long
+# before a sum could reach the budget.
+_SERIES_TAIL_TOL = 1e-12
+_MAX_TERMS = 1_000_000
 
 # Matsubara terms are evaluated in blocks of l, one engine call per block.
-# Blocks double from the first size up to the cap; the cap bounds the memory
-# of a block and the terms computed past the index where the sum stops.
-_BLOCK_FIRST = 16
+# The first block ends at the first index where the sum may stop, so a sum
+# that stops there integrates no term in vain; later blocks double up to the
+# cap, which bounds the memory of a block and the terms computed past the
+# index where the sum stops.
 _BLOCK_MAX = 64
 
 # Most integrand points evaluated in one call.  Larger batches (a block of
@@ -68,49 +88,34 @@ _BLOCK_MAX = 64
 _EVAL_MAX = 16_384
 
 # The double-exponential rules: the first trapezoid step, the number of times
-# it may halve, the smallest y (above the lower bound), and the wedge's range
-# of s, where the u weight at |s| = 3.15 has fallen below 1e-14.
+# it may halve, the wedge's range of s, where the u weight at |s| = 3.15 has
+# fallen below 1e-14, and the exp-sinh range of t, where x = exp(pi/2 sinh t)
+# runs from 1e-30 above the lower bound to 2 _Y_MARGIN.
 _DE_H0 = 0.2
 _DE_LEVELS = 5
-_DE_Y_MIN = 1e-30
 _DE_S_MAX = 3.15
+_DE_T_LO, _DE_T_HI = (
+    math.asinh(2.0 / math.pi * math.log(x)) for x in (1e-30, 2.0 * _Y_MARGIN)
+)
 
 
 class IntegrandError(RuntimeError):
-    """An integrand returned a non-finite value; coordinates are attached."""
+    """An integrand returned a non-finite value at (xi, y); ``x`` is that y."""
 
-    def __init__(self, message: str, group: int = 0, x: float = 0.0):
+    def __init__(self, message: str, x: float = 0.0):
         super().__init__(message)
-        self.group = group
         self.x = x
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Shared accuracy knobs for integrals and Matsubara sums.
-
-    The integrals stop at a fixed level cap, so rel_tol is their only knob.
-    ``max_matsubara_terms`` is a guard on a term-by-term sum: the
-    finite-temperature observables switch to an Euler-Maclaurin tail long
-    before a sum could reach it.
-    """
+    """The accuracy setting of every integral: relative tolerance rel_tol."""
 
     rel_tol: float = 1e-9
-    y_cutoff_margin: float = 45.0
-    max_matsubara_terms: int = 1_000_000
-    series_tail_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        if not (self.y_cutoff_margin > 10.0):
-            raise ValueError(
-                f"y_cutoff_margin must exceed 10, got {self.y_cutoff_margin!r}"
-            )
-        if self.max_matsubara_terms < 10:
-            raise ValueError("max_matsubara_terms must be at least 10")
-        if not (0.0 < self.series_tail_tol < 1.0):
-            raise ValueError("series_tail_tol must lie in (0, 1)")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -160,40 +165,38 @@ def _trapezoid_nodes(h: float, lo: float, hi: float) -> tuple[np.ndarray, np.nda
     return k * h, k % 2 == 1
 
 
-def _t_range(config: QuadratureConfig) -> tuple[float, float]:
-    """The t range of the exp-sinh rule: x from 1e-30 to 2 y_cutoff_margin."""
-    return tuple(
-        math.asinh(2.0 / math.pi * math.log(x))
-        for x in (_DE_Y_MIN, 2.0 * config.y_cutoff_margin)
-    )
+def _evaluate(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], xi: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """f(xi, y) on the flattened points, shaped like y; a non-finite value
+    raises an IntegrandError that names its (xi, y)."""
+    with np.errstate(all="ignore"):
+        v = np.asarray(f(xi.ravel(), y.ravel()), dtype=float).reshape(y.shape)
+    bad = ~np.isfinite(v)
+    if bad.any():
+        k = int(np.argmax(bad))
+        at_xi, at_y = float(xi.flat[k]), float(y.flat[k])
+        raise IntegrandError(
+            f"integrand returned non-finite value at (xi={at_xi!r}, y={at_y!r})", x=at_y
+        )
+    return v
 
 
 def _y_weighted_values(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lowers: np.ndarray,
-    groups: np.ndarray,
     t: np.ndarray,
 ) -> np.ndarray:
-    """w f(group, y) at y = lower + x(t), one row per group, with the exp-sinh
-    weights w = dx/dt; ``f`` sees at most ``_EVAL_MAX`` points per call."""
+    """w f(lower, y) at y = lower + x(t), one row per lower bound, with the
+    exp-sinh weights w = dx/dt; ``f`` sees at most ``_EVAL_MAX`` points per
+    call."""
     x, w = _exp_sinh(t)
     rows = max(1, _EVAL_MAX // t.size)
     parts = []
-    for start in range(0, groups.size, rows):
-        g = groups[start:start + rows, None]
-        y = lowers[g] + x
-        with np.errstate(all="ignore"):
-            v = np.asarray(f(np.broadcast_to(g, y.shape).ravel(), y.ravel()), dtype=float)
-        v = v.reshape(y.shape)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise IntegrandError(
-                f"integrand returned non-finite value at y={float(y[i, j])!r}",
-                group=int(g[i, 0]),
-                x=float(y[i, j]),
-            )
-        parts.append(w * v)
+    for start in range(0, lowers.size, rows):
+        lower = lowers[start:start + rows, None]
+        y = lower + x
+        parts.append(w * _evaluate(f, np.broadcast_to(lower, y.shape), y))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -202,26 +205,27 @@ def _integrate_y_batch(
     lowers: np.ndarray,
     config: QuadratureConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate f(group, y) over [lowers[group], infinity) for every group.
+    """Integrate f(lower, y) over [lower, infinity) for every lower bound.
 
-    An exp-sinh rule, y = lower + exp(pi/2 sinh t), with the wedge rule's t
-    range, stop test and level cap.  The first pass evaluates every node at
-    step ``_DE_H0`` / 4 in one integrand call and compares that sum with the
-    sum over its own even nodes (step ``_DE_H0`` / 2); each later level adds
-    the odd nodes of the halved step for the groups still open.  A group's
-    sums are row sums over its own nodes, so its results are bit for bit
-    those it would get alone.  Returns per-group (values, error bounds
-    including the truncated tail, evaluations, converged flags).
+    ``f(xi, y)`` is called with xi equal to the lower bound of the integral
+    each point belongs to.  An exp-sinh rule, y = lower + exp(pi/2 sinh t),
+    with the wedge rule's t range, stop test and level cap.  The first pass
+    evaluates every node at step ``_DE_H0`` / 4 in one integrand call and
+    compares that sum with the sum over its own even nodes (step
+    ``_DE_H0`` / 2); each later level adds the odd nodes of the halved step
+    for the integrals still open.  An integral's sums are row sums over its
+    own nodes, so its results are bit for bit those it would get alone.
+    Returns per-integral (values, error bounds including the truncated tail,
+    evaluations, converged flags).
     """
     lowers = np.asarray(lowers, dtype=float)
     if np.any(lowers < 0.0):
         raise ValueError(f"lower bound must be >= 0, got {float(lowers.min())!r}")
-    t_lo, t_hi = _t_range(config)
-    groups = np.arange(lowers.size)
-    t, odd = _trapezoid_nodes(_DE_H0 / 4, t_lo, t_hi)
+    active = np.arange(lowers.size)
+    t, odd = _trapezoid_nodes(_DE_H0 / 4, _DE_T_LO, _DE_T_HI)
     # Even nodes first, so each sum runs over a contiguous slice of a row.
     n_even = t.size - int(odd.sum())
-    wv = _y_weighted_values(f, lowers, groups, np.concatenate([t[~odd], t[odd]]))
+    wv = _y_weighted_values(f, lowers, np.concatenate([t[~odd], t[odd]]))
     even, new = wv[:, :n_even], wv[:, n_even:]
     total, total_abs = even.sum(axis=1), np.abs(even).sum(axis=1)
     previous = _DE_H0 / 2 * total
@@ -231,21 +235,21 @@ def _integrate_y_batch(
     for level in range(2, _DE_LEVELS + 1):
         h = _DE_H0 / 2**level
         if level > 2:
-            t, odd = _trapezoid_nodes(h, t_lo, t_hi)
-            new = _y_weighted_values(f, lowers, groups, t[odd])
-            evaluations[groups] += new.shape[1]
-        total[groups] += new.sum(axis=1)
-        total_abs[groups] += np.abs(new).sum(axis=1)
-        v = h * total[groups]
-        value[groups] = v
-        error[groups] = np.abs(v - previous[groups])
-        done = error[groups] <= _target(v, h * total_abs[groups], config.rel_tol)
-        converged[groups] = done
-        previous[groups] = v
-        groups = groups[~done]
-        if groups.size == 0:
+            t, odd = _trapezoid_nodes(h, _DE_T_LO, _DE_T_HI)
+            new = _y_weighted_values(f, lowers[active], t[odd])
+            evaluations[active] += new.shape[1]
+        total[active] += new.sum(axis=1)
+        total_abs[active] += np.abs(new).sum(axis=1)
+        v = h * total[active]
+        value[active] = v
+        error[active] = np.abs(v - previous[active])
+        done = error[active] <= _target(v, h * total_abs[active], config.rel_tol)
+        converged[active] = done
+        previous[active] = v
+        active = active[~done]
+        if active.size == 0:
             break
-    return value, error + np.abs(value) * math.exp(-config.y_cutoff_margin), evaluations, converged
+    return value, error + np.abs(value) * math.exp(-_Y_MARGIN), evaluations, converged
 
 
 def integrate_y_from(
@@ -255,11 +259,11 @@ def integrate_y_from(
 ) -> QuadratureResult:
     """Integrate an exponentially damped f over [lower, infinity).
 
-    The range is truncated at lower + 2 y_cutoff_margin; for integrands
-    bounded by the exp(-y) envelope the dropped tail is below exp(-margin) of
-    the result, which is added to the error estimate.
+    The range is truncated at lower + 2 ``_Y_MARGIN``; for integrands bounded
+    by the exp(-y) envelope the dropped tail is below exp(-_Y_MARGIN) of the
+    result, which is added to the error estimate.
     """
-    vals, errs, evals, conv = _integrate_y_batch(lambda _groups, y: f(y), [lower], config)
+    vals, errs, evals, conv = _integrate_y_batch(lambda _xi, y: f(y), [lower], config)
     return QuadratureResult(
         value=float(vals[0]),
         abs_error_estimate=float(errs[0]),
@@ -274,26 +278,20 @@ def _product_sums(
     wy: np.ndarray,
     u: np.ndarray,
     wu: np.ndarray,
+    lower: float,
 ) -> tuple[float, float]:
-    """Sums of w f and w |f| over the product grid (y, xi = u y), with weights
-    w = wy wu; ``f`` sees at most ``_EVAL_MAX`` points per call."""
+    """Sums of w f and w |f| over the product grid (lower + y, lower + u y),
+    with weights w = wy wu; ``f`` sees at most ``_EVAL_MAX`` points per call."""
     rows = max(1, _EVAL_MAX // u.size)
     total = total_abs = 0.0
     for start in range(0, y.size, rows):
         yy = y[start:start + rows, None]
         xi = u[None, :] * yy
-        with np.errstate(all="ignore"):
-            v = np.asarray(f(xi.ravel(), np.broadcast_to(yy, xi.shape).ravel()), dtype=float)
-        v = v.reshape(xi.shape)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise IntegrandError(
-                "integrand returned non-finite value at "
-                f"(xi={xi[i, j]!r}, y={yy[i, 0]!r})",
-                x=float(yy[i, 0]),
-            )
-        wv = (wy[start:start + rows, None] * wu[None, :]) * v
+        yy = np.broadcast_to(yy, xi.shape)
+        if lower != 0.0:
+            # Only when shifted: an unconditional add slows the T = 0 wedge.
+            xi, yy = xi + lower, yy + lower
+        wv = (wy[start:start + rows, None] * wu[None, :]) * _evaluate(f, xi, yy)
         total += float(wv.sum())
         total_abs += float(np.abs(wv).sum())
     return total, total_abs
@@ -302,32 +300,33 @@ def _product_sums(
 def integrate_xi_y(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     config: QuadratureConfig = DEFAULT_CONFIG,
+    lower: float = 0.0,
 ) -> QuadratureResult:
-    """Integrate f(xi, y) over the wedge 0 <= xi <= y < infinity.
+    """Integrate f(xi, y) over the wedge lower <= xi <= y < infinity.
 
-    With xi = u y the wedge is int_0^inf dy y int_0^1 du f(u y, y), taken by
-    a double-exponential (Takahasi-Mori) product rule: trapezoid sums in t
-    with y = exp(pi/2 sinh t), from y = 1e-30 up to twice y_cutoff_margin,
-    and in s with u = (1 + tanh(pi/2 sinh s)) / 2.  The step starts at
-    ``_DE_H0`` and halves, each level evaluating only its new odd nodes.
+    With xi = lower + u x and y = lower + x the wedge is
+    int_0^inf dx x int_0^1 du f(lower + u x, lower + x), taken by a
+    double-exponential (Takahasi-Mori) product rule: trapezoid sums in t
+    with x = exp(pi/2 sinh t), from x = 1e-30 up to 2 ``_Y_MARGIN``, and in s
+    with u = (1 + tanh(pi/2 sinh s)) / 2.  The step starts at ``_DE_H0`` and
+    halves, each level evaluating only its new odd nodes.
     The error of level k is estimated from the differences
     d_k = |T_k - T_(k-1)|: once they shrink, r = d_k / d_(k-1) < 1, by
     their geometric tail d_k r / (1 - r), which is conservative for a
     doubly exponential rule, but never below the roundoff of the absolute
     integral; otherwise by d_k.  The rule stops when the estimate is at most
     rel_tol of the value (or that roundoff) and reports it plus the
-    exp(-y_cutoff_margin) tail bound.  So a plasma force that is exact at
+    exp(-_Y_MARGIN) tail bound.  So a plasma force that is exact at
     15,625 points stops there, though that level still differs from the one
     before by about rel_tol.  After ``_DE_LEVELS`` halvings the last level
     is returned unconverged.  ``evaluations`` counts integrand points.
     """
-    t_lo, t_hi = _t_range(config)
     total = total_abs = 0.0
     evaluations = 0
     previous = diff = math.inf
     for level in range(_DE_LEVELS + 1):
         h = _DE_H0 / 2**level
-        t, t_new = _trapezoid_nodes(h, t_lo, t_hi)
+        t, t_new = _trapezoid_nodes(h, _DE_T_LO, _DE_T_HI)
         s, s_new = _trapezoid_nodes(h, -_DE_S_MAX, _DE_S_MAX)
         (y, dy), (u, wu) = _exp_sinh(t), _tanh_sinh(s)
         wy = y * dy
@@ -340,7 +339,7 @@ def integrate_xi_y(
                 (y[~t_new], wy[~t_new], u[s_new], wu[s_new]),
             ]
         for block in blocks:
-            part, part_abs = _product_sums(f, *block)
+            part, part_abs = _product_sums(f, *block, lower)
             total += part
             total_abs += part_abs
             evaluations += block[0].size * block[2].size
@@ -360,17 +359,18 @@ def integrate_xi_y(
         previous = value
     return QuadratureResult(
         value=value,
-        abs_error_estimate=error + abs(value) * math.exp(-config.y_cutoff_margin),
+        abs_error_estimate=error + abs(value) * math.exp(-_Y_MARGIN),
         evaluations=evaluations,
         converged=converged,
     )
 
 
 def _blocks(
-    terms: Callable[[np.ndarray], np.ndarray], n: int
+    terms: Callable[[np.ndarray], np.ndarray], n: int, first: int
 ) -> Iterator[tuple[int, float]]:
-    """(l, terms(l)) for l = 0 .. n - 1, evaluated in doubling blocks of l."""
-    start, size = 0, _BLOCK_FIRST
+    """(l, terms(l)) for l = 0 .. n - 1, evaluated in blocks of l that double
+    from ``first`` indices up to ``_BLOCK_MAX``."""
+    start, size = 0, first
     while start < n:
         ls = np.arange(start, min(start + size, n))
         values = np.asarray(terms(ls), dtype=float)
@@ -385,25 +385,26 @@ def _blocks(
 
 
 def sum_matsubara_primed(
-    terms: Callable[[np.ndarray], np.ndarray],
-    config: QuadratureConfig = DEFAULT_CONFIG,
-    l_min: int = 0,
+    terms: Callable[[np.ndarray], np.ndarray], l_min: int = 0
 ) -> QuadratureResult:
     """Sum the terms t_l for l = 0, 1, 2, ... with t_0 at half weight.
 
     ``terms(ls)`` returns t_l for an integer array of indices; it is called
-    on consecutive blocks of l that double in size up to a fixed cap, so an
-    integral per term becomes one batched engine call per block.  Truncation
-    relies on the geometric decay of Matsubara terms and reads the terms one
-    by one in order: once the running ratio of consecutive magnitudes is
-    below 1, the remaining tail is estimated as t_l * r / (1 - r) and the sum
-    stops when that falls under series_tail_tol of the accumulated value, at
-    l >= 3 and l >= ``l_min`` (a caller whose terms can dip and rise again
-    sets ``l_min`` past the dips).
+    on consecutive blocks of l, so an integral per term becomes one batched
+    engine call per block.  The first block runs through the first index at
+    which the sum may stop, max(3, ``l_min``); later blocks double up to a
+    fixed cap.  Truncation relies on the geometric decay of Matsubara terms
+    and reads the terms one by one in order: once the running ratio of
+    consecutive magnitudes is below 1, the remaining tail is estimated as
+    t_l * r / (1 - r) and the sum stops when that falls under
+    ``_SERIES_TAIL_TOL`` of the accumulated value, at l >= 3 and l >= ``l_min``
+    (a caller whose terms can dip and rise again sets ``l_min`` past the
+    dips).  After ``_MAX_TERMS`` terms the sum is returned unconverged.
     Terms of the last block past the stopping index are discarded, and
     ``evaluations`` counts the terms summed.
     """
-    seq = _blocks(terms, config.max_matsubara_terms + 1)
+    first_stop = max(3, l_min)
+    seq = _blocks(terms, _MAX_TERMS + 1, first_stop + 1)
     summed = [0.5 * next(seq)[1]]
     # Upper bound on |sum|, so the exact sum is taken only where the stop
     # test could pass; the factor covers the rounding of the running total.
@@ -412,7 +413,6 @@ def sum_matsubara_primed(
     tail = math.inf
     converged = False
     zeros_in_row = 0
-    first_stop = max(3, l_min)
     for l, t_l in seq:
         summed.append(t_l)
         mag = abs(t_l)
@@ -430,9 +430,9 @@ def sum_matsubara_primed(
             r = mag / prev
             if r < 1.0:
                 tail = mag * r / (1.0 - r)
-                bound = config.series_tail_tol * abs_sum * (1.0 + 1e-9)
+                bound = _SERIES_TAIL_TOL * abs_sum * (1.0 + 1e-9)
                 if tail <= max(bound, _ABS_FLOOR) and tail <= max(
-                    config.series_tail_tol * abs(math.fsum(summed)), _ABS_FLOOR
+                    _SERIES_TAIL_TOL * abs(math.fsum(summed)), _ABS_FLOOR
                 ):
                     converged = True
                     break

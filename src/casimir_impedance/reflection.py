@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 from .materials import Material
 
 __all__ = [
@@ -68,7 +68,6 @@ def impedance(
     xi,
     a,
     material: Material | None = None,
-    constants: PhysicalConstants = CODATA,
 ):
     """Surface impedance Z at reduced imaginary frequency xi for gap width a.
 
@@ -99,15 +98,15 @@ def impedance(
         out = np.zeros(np.broadcast(xi, a).shape)
     elif kind is ImpedanceKind.PLASMA_EXACT:
         m = _require_material(kind, material)
-        w_p = 2.0 * a * m.omega_p / constants.c
+        w_p = 2.0 * a * m.omega_p / CODATA.c
         out = xi / np.hypot(w_p, xi)
     elif kind is ImpedanceKind.PLASMA_APPROX:
         m = _require_material(kind, material)
-        w_p = 2.0 * a * m.omega_p / constants.c
+        w_p = 2.0 * a * m.omega_p / CODATA.c
         out = xi / w_p
     elif kind is ImpedanceKind.NORMAL_SKIN:
         m = _require_material(kind, material)
-        sigma_r = 2.0 * a * m.sigma / constants.c
+        sigma_r = 2.0 * a * m.sigma / CODATA.c
         out = np.sqrt(xi / (4.0 * np.pi * sigma_r))
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown impedance kind {kind!r}")
@@ -166,7 +165,6 @@ def static_reflection_factors(
     y,
     a: float,
     material: Material | None = None,
-    constants: PhysicalConstants = CODATA,
 ):
     """Zero-frequency (xi -> 0) limit of the reflection factors.
 
@@ -193,7 +191,7 @@ def static_reflection_factors(
         x_par, x_perp = zeros, zeros.copy()
     elif model.kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX):
         m = _require_material(model.kind, material)
-        w_p = 2.0 * a * m.omega_p / constants.c
+        w_p = 2.0 * a * m.omega_p / CODATA.c
         q = np.hypot(y, w_p)
         x_par = zeros
         x_perp = _guarded_ratio(4.0 * y * q, np.square(y + q))

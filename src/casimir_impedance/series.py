@@ -41,7 +41,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import CODATA, PhysicalConstants
 from .materials import Material
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, riemann_zeta
 from .reflection import Formalism, ImpedanceKind, ImpedanceModel
@@ -135,12 +134,11 @@ def series_force(
     material: Material,
     variant: CoefficientVariant,
     order: int = 4,
-    constants: PhysicalConstants = CODATA,
 ) -> float:
     """Series approximation to the zero-T plate pressure, in Pa."""
     if not (a > 0.0):
         raise ValueError(f"separation must be positive, got {a!r}")
-    f0 = ideal_closed_forms(a, constants)[1]
+    f0 = ideal_closed_forms(a)[1]
     return f0 * series_factor(material.delta_0 / a, variant, order)
 
 
@@ -150,7 +148,6 @@ def series_force_deviation(
     variant: CoefficientVariant = CoefficientVariant.IMPEDANCE_APPROX,
     order: int = 4,
     config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
 ) -> float:
     """Relative deviation (F_L - F_series)/F_L of a series from the reference.
 
@@ -159,13 +156,9 @@ def series_force_deviation(
     baseline against which the direct quadratures are compared.
     """
     reference = force_pp0(
-        a,
-        ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.LIFSHITZ),
-        material,
-        config,
-        constants,
+        a, ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.LIFSHITZ), material, config
     ).value
-    approx = series_force(a, material, variant, order, constants)
+    approx = series_force(a, material, variant, order)
     return (reference - approx) / reference
 
 

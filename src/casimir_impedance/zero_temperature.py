@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 from .geometry import Geometry
 from .materials import Material
 from .quadrature import (
@@ -103,13 +103,11 @@ def _observable(
     )
 
 
-def ideal_closed_forms(
-    a: float, constants: PhysicalConstants = CODATA
-) -> tuple[float, float]:
+def ideal_closed_forms(a: float) -> tuple[float, float]:
     """Ideal-metal (E, F) at separation a: -pi^2 hbar c/(720 a^3), /(240 a^4)."""
     if not (a > 0.0):
         raise ValueError(f"separation must be positive, got {a!r}")
-    hc = constants.hbar * constants.c
+    hc = CODATA.hbar * CODATA.c
     return (
         -math.pi**2 * hc / (720.0 * a**3),
         -math.pi**2 * hc / (240.0 * a**4),
@@ -140,7 +138,6 @@ def _integrand(
     a: float,
     model: ImpedanceModel,
     material: Material | None,
-    constants: PhysicalConstants,
     ideal: bool = True,
     static: bool = False,
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -157,13 +154,13 @@ def _integrand(
     energy = kind is ObservableKind.ENERGY_PER_AREA
 
     def g(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
-        Z = impedance(model.kind, xi, a, material, constants)
+        Z = impedance(model.kind, xi, a, material)
         x_par, x_perp = reflection_factors(Z, y, xi, model.formalism)
         if static:
             zero = xi == 0.0
             if zero.any():
                 x_par[zero], x_perp[zero] = static_reflection_factors(
-                    model, y[zero], a, material, constants
+                    model, y[zero], a, material
                 )
         if energy:
             return y * energy_bracket(x_par, x_perp, y, ideal)
@@ -174,30 +171,20 @@ def _integrand(
 
 def _plates0(
     kind: ObservableKind,
-    a_values,
+    a: float,
     model: ImpedanceModel,
     material: Material | None,
     config: QuadratureConfig,
-    constants: PhysicalConstants,
-) -> list[Observable]:
-    """Plate energies or pressures at T = 0 for every separation, in order.
-
-    Each separation is its own wedge integral, so a grid point is exactly the
-    result of its own ``energy_pp0``/``force_pp0`` call.
-    """
-    geometries = [Geometry(separation=a) for a in a_values]
-    energy = kind is ObservableKind.ENERGY_PER_AREA
-    hc = constants.hbar * constants.c
-    observables = []
-    for geometry in geometries:
-        a = geometry.separation
-        raw = integrate_xi_y(_integrand(kind, a, model, material, constants), config)
-        if energy:
-            scale = hc / (32.0 * math.pi**2 * a**3)
-        else:
-            scale = -hc / (32.0 * math.pi**2 * a**4)
-        observables.append(_observable(kind, scale, raw, geometry, model, 0.0))
-    return observables
+) -> Observable:
+    """Plate energy or pressure at T = 0: one wedge integral."""
+    geometry = Geometry(separation=a)
+    raw = integrate_xi_y(_integrand(kind, a, model, material), config)
+    hc = CODATA.hbar * CODATA.c
+    if kind is ObservableKind.ENERGY_PER_AREA:
+        scale = hc / (32.0 * math.pi**2 * a**3)
+    else:
+        scale = -hc / (32.0 * math.pi**2 * a**4)
+    return _observable(kind, scale, raw, geometry, model, 0.0)
 
 
 def energy_pp0(
@@ -205,10 +192,9 @@ def energy_pp0(
     model: ImpedanceModel,
     material: Material | None = None,
     config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
 ) -> Observable:
     """Casimir energy per unit area of parallel plates at T = 0, in J/m^2."""
-    return _plates0(ObservableKind.ENERGY_PER_AREA, [a], model, material, config, constants)[0]
+    return _plates0(ObservableKind.ENERGY_PER_AREA, a, model, material, config)
 
 
 def force_pp0(
@@ -216,10 +202,9 @@ def force_pp0(
     model: ImpedanceModel,
     material: Material | None = None,
     config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
 ) -> Observable:
     """Casimir pressure between parallel plates at T = 0, in Pa (negative)."""
-    return _plates0(ObservableKind.FORCE_PER_AREA, [a], model, material, config, constants)[0]
+    return _plates0(ObservableKind.FORCE_PER_AREA, a, model, material, config)
 
 
 def force_sphere0(
@@ -228,7 +213,6 @@ def force_sphere0(
     model: ImpedanceModel,
     material: Material | None = None,
     config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
 ) -> Observable:
     """Force on a sphere of radius R above a plate, F = 2 pi R E(a), in N.
 
@@ -236,7 +220,7 @@ def force_sphere0(
     ratio exceeds the trusted range.
     """
     geometry = Geometry(separation=a, sphere_radius=R)
-    energy = energy_pp0(a, model, material, config, constants)
+    energy = energy_pp0(a, model, material, config)
     return _observable(
         ObservableKind.SPHERE_PLATE_FORCE,
         2.0 * math.pi * R,
@@ -253,7 +237,6 @@ def relative_deviation(
     material: Material,
     impedance_kind: ImpedanceKind,
     config: QuadratureConfig = DEFAULT_CONFIG,
-    constants: PhysicalConstants = CODATA,
 ) -> float:
     """Relative difference (Q_L - Q_imp) / Q_L between the two formalisms.
 
@@ -267,8 +250,8 @@ def relative_deviation(
         op = force_pp0
     else:
         raise ValueError(f"relative deviation is defined for plate observables, not {kind}")
-    q_l = op(a, ImpedanceModel(impedance_kind, Formalism.LIFSHITZ), material, config, constants)
-    q_i = op(a, ImpedanceModel(impedance_kind, Formalism.IMPEDANCE), material, config, constants)
+    q_l = op(a, ImpedanceModel(impedance_kind, Formalism.LIFSHITZ), material, config)
+    q_i = op(a, ImpedanceModel(impedance_kind, Formalism.IMPEDANCE), material, config)
     return (q_l.value - q_i.value) / q_l.value
 
 
@@ -277,11 +260,7 @@ def relative_deviation(
 _NORMAL_SKIN_PARAM_MAX = 0.01
 
 
-def normal_skin_pert0(
-    a: float,
-    material: Material,
-    constants: PhysicalConstants = CODATA,
-) -> tuple[float, float]:
+def normal_skin_pert0(a: float, material: Material) -> tuple[float, float]:
     """First-order normal-skin (E, F) at T = 0 from the analytic expansion.
 
     The expansion parameter is sqrt(c / (sigma a)); both observables shrink
@@ -292,7 +271,7 @@ def normal_skin_pert0(
     """
     if not (a > 0.0):
         raise ValueError(f"separation must be positive, got {a!r}")
-    root = math.sqrt(constants.c / (material.sigma * a))
+    root = math.sqrt(CODATA.c / (material.sigma * a))
     small = root / math.sqrt(8.0 * math.pi)
     if small >= _NORMAL_SKIN_PARAM_MAX:
         raise ValueError(
@@ -300,7 +279,7 @@ def normal_skin_pert0(
             f"(requires < {_NORMAL_SKIN_PARAM_MAX}); use the numerical route"
         )
     z72 = riemann_zeta(3.5)
-    e_ideal, f_ideal = ideal_closed_forms(a, constants)
+    e_ideal, f_ideal = ideal_closed_forms(a)
     e_coeff = 405.0 * math.sqrt(2.0) / (4.0 * math.pi**4) * z72
     f_coeff = 945.0 * math.sqrt(2.0) / (8.0 * math.pi**4) * z72
     return e_ideal * (1.0 - e_coeff * root), f_ideal * (1.0 - f_coeff * root)

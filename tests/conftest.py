@@ -78,9 +78,9 @@ def ideal_energy_T_integral():
 
         def terms(ls):
             lowers = 2.0 * math.pi * tau * ls
-            return _integrate_y_batch(lambda _groups, y: y * log1mexp(y), lowers, config)[0]
+            return _integrate_y_batch(lambda _xi, y: y * log1mexp(y), lowers, config)[0]
 
-        total = sum_matsubara_primed(terms, config)
+        total = sum_matsubara_primed(terms)
         return CODATA.k_B * T / (4.0 * math.pi * a**2) * total.value
 
     return energy

@@ -264,17 +264,18 @@ def test_nonconverged_rows_exit_2(monkeypatch):
 
 @pytest.mark.parametrize("command", ["figure1", "figure2", "scan"])
 def test_nonconverged_grid_rows_exit_2(monkeypatch, command):
-    def stub(kind, a_values, *args):
-        return [
-            SimpleNamespace(
-                value=-1.0,
-                quadrature=SimpleNamespace(abs_error_estimate=1e-12, converged=i != 1),
-            )
-            for i in range(len(a_values))
-        ]
+    grid = (1e-6, 2e-6, 3, True)
+    middle = cli._grid_points(grid)[1]
 
-    monkeypatch.setattr(cli, "_plates0", stub)
-    spec = RunSpec(command=command, material="Al", grid=(1e-6, 2e-6, 3, True))
+    def stub(a, *args):
+        return SimpleNamespace(
+            value=-1.0,
+            quadrature=SimpleNamespace(abs_error_estimate=1e-12, converged=a != middle),
+        )
+
+    monkeypatch.setattr(cli, "energy_pp0", stub)
+    monkeypatch.setattr(cli, "force_pp0", stub)
+    spec = RunSpec(command=command, material="Al", grid=grid)
     status, text = _run(spec)
     assert status == 2
     columns = cli._COLUMNS[command]

@@ -150,6 +150,24 @@ def test_decomposition_identity(aluminum, plasma_impedance, fast_config):
     )
 
 
+_APPROX = ImpedanceModel(ImpedanceKind.PLASMA_APPROX)
+
+
+@pytest.mark.parametrize("observable, args", [
+    (energy_pp0, (1e-7, _APPROX, ALUMINUM)),
+    (force_ppT, (3e-6, 1.0, _APPROX, ALUMINUM)),
+    (force_ppT, (1e-6, 300.0, _APPROX, ALUMINUM)),
+], ids=["wedge", "tail", "term-by-term"])
+def test_results_hold_python_scalars(observable, args):
+    # The plasma-approx energy at 100 nm and the tail wedge of the force at
+    # 3 um, 1 K stop on the wedge's roundoff floor, which once made their
+    # error estimates numpy scalars; the term-by-term sum takes its terms
+    # from the y rule's arrays.
+    q = observable(*args).quadrature
+    fields = (q.value, q.abs_error_estimate, q.evaluations, q.converged)
+    assert [type(v) for v in fields] == [float, float, int, bool]
+
+
 def test_temperature_validation(plasma_impedance, aluminum):
     with pytest.raises(ValueError, match="temperature"):
         energy_ppT(1e-6, 0.0, plasma_impedance, aluminum)
@@ -327,13 +345,9 @@ def test_engine_batch_equals_terms_integrated_one_at_a_time(energy, aluminum, pl
     a, step = 1e-6, 0.05
     integrand = _mode_integrand(plasma_lifshitz, aluminum, a, energy)
     lowers = step * np.arange(finite_temperature._HEAD + 4)
-    batch = quadrature._integrate_y_batch(
-        lambda groups, y: integrand(lowers[groups], y), lowers, quadrature.DEFAULT_CONFIG
-    )
+    batch = quadrature._integrate_y_batch(integrand, lowers, quadrature.DEFAULT_CONFIG)
     for l, xi in enumerate(lowers):
-        one = quadrature._integrate_y_batch(
-            lambda _groups, y: integrand(xi, y), [xi], quadrature.DEFAULT_CONFIG
-        )
+        one = quadrature._integrate_y_batch(integrand, [xi], quadrature.DEFAULT_CONFIG)
         assert [col[l] for col in batch] == [col[0] for col in one]
 
 
@@ -344,8 +358,9 @@ def _T_at_step(a, step):
 # (kind, formalism) pairs with a defined static term, and for each kind the
 # (a, T) points: at step 0.18, just below the tail threshold, and at a*T =
 # 1e-5 m K, the top of the benchmark's low-temperature range.  At 100 nm the
-# plasma-approx terms dip near xi = w_p = 12.7, where Z = 1.  The bottom of
-# the range, a*T = 1e-6 m K, is checked for plasma-exact alone.
+# plasma-approx terms dip near xi = w_p = 12.7, where Z = 1, and at 50 nm
+# (step 0.18) near xi = 6.3.  The bottom of the range, a*T = 1e-6 m K, is
+# checked for plasma-exact alone.
 _TAIL_PAIRS = [
     (ImpedanceKind.IDEAL_METAL, Formalism.IMPEDANCE),
     (ImpedanceKind.IDEAL_METAL, Formalism.LIFSHITZ),
@@ -357,6 +372,9 @@ _TAIL_PAIRS = [
 ]
 _TAIL_POINTS = {
     ImpedanceKind.PLASMA_EXACT: ((1e-6, _T_at_step(1e-6, 0.18)), (1e-7, 100.0), (1e-6, 1.0)),
+    ImpedanceKind.PLASMA_APPROX: (
+        (1e-6, _T_at_step(1e-6, 0.18)), (1e-7, 100.0), (5e-8, _T_at_step(5e-8, 0.18))
+    ),
     ImpedanceKind.NORMAL_SKIN: ((1e-3, _T_at_step(1e-3, 0.18)), (1e-3, 1e-2)),
 }
 
@@ -381,9 +399,7 @@ def _exact_primed(observable, model, material, a, T, config=quadrature.DEFAULT_C
     step = _step(a, T)
     integrand = _mode_integrand(model, material, a, observable is energy_ppT)
     lowers = step * np.arange(math.ceil(40.0 / step) + 1)
-    terms = quadrature._integrate_y_batch(
-        lambda groups, y: integrand(lowers[groups], y), lowers, config
-    )[0]
+    terms = quadrature._integrate_y_batch(integrand, lowers, config)[0]
     return _from_sum(observable, a, T, math.fsum([0.5 * terms[0], *terms[1:]]))
 
 
@@ -397,6 +413,21 @@ def test_tail_matches_exact_primed_sum(observable, model, points):
         assert obs.quadrature.converged
         assert obs.value == pytest.approx(exact, rel=1e-11)
         assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
+
+
+@pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
+@pytest.mark.parametrize("formalism", list(Formalism))
+def test_tail_error_estimate_holds_at_30_nm(observable, formalism):
+    # At 30 nm (step 0.18) the plasma-approx terms dip near xi = w_p = 3.8,
+    # inside the head.  The Lifshitz force is off by 1.25e-11 relative, past
+    # the 1e-11 of the cases above but 0.011 of its error estimate.
+    model = ImpedanceModel(ImpedanceKind.PLASMA_APPROX, formalism)
+    a = 3e-8
+    T = _T_at_step(a, 0.18)
+    exact = _exact_primed(observable, model, ALUMINUM, a, T)
+    obs = observable(a, T, model, ALUMINUM)
+    assert obs.quadrature.converged
+    assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
 
 
 @pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
@@ -460,14 +491,21 @@ def test_tail_threshold_sits_at_the_cost_crossover(monkeypatch, aluminum, plasma
         assert points(step, exact) < points(step, tail)
 
 
-def test_term_blocks_take_one_integrand_call_each(monkeypatch, aluminum, plasma_impedance):
-    # Hardware-independent cost guard for the term-by-term side: the y rule's
-    # first pass evaluates every node of a block of terms in one integrand
-    # call, and at the default tolerance no term needs a later level.
-    integrand_calls = []
+@pytest.mark.parametrize("step", [0.3, 1.0, 1.65, 5.5])
+def test_term_blocks_take_one_integrand_call_each(step, monkeypatch, aluminum, plasma_impedance):
+    # Hardware-independent cost guard for the term-by-term side.  The sum may
+    # not stop before xi = 36, and every measured sum stops there, so its
+    # first block runs exactly that far, also when that is fewer than 16
+    # terms: every term handed to the y rule is summed, none is integrated
+    # and thrown away.  The y rule's first pass evaluates every node of the
+    # block in one integrand call, and at the default tolerance no term
+    # needs a later level.
+    handed, integrand_calls, consumed = [], [], []
     engine = finite_temperature._integrate_y_batch
+    summer = finite_temperature.sum_matsubara_primed
 
     def counted_engine(f, lowers, config):
+        handed.append(len(lowers))
         integrand_calls.append(0)
 
         def counted(*args):
@@ -476,11 +514,18 @@ def test_term_blocks_take_one_integrand_call_each(monkeypatch, aluminum, plasma_
 
         return engine(counted, lowers, config)
 
+    def counted_sum(*args, **kwargs):
+        result = summer(*args, **kwargs)
+        consumed.append(result.evaluations)
+        return result
+
     monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
+    monkeypatch.setattr(finite_temperature, "sum_matsubara_primed", counted_sum)
     a = 1e-6
-    obs = force_ppT(a, _T_at_step(a, 1.0), plasma_impedance, aluminum)
+    obs = force_ppT(a, _T_at_step(a, step), plasma_impedance, aluminum)
     assert obs.quadrature.converged
-    assert len(integrand_calls) >= 2 and integrand_calls == [1] * len(integrand_calls)
+    assert sum(handed) == consumed[0] == math.ceil(finite_temperature._STOP_XI / step) + 1
+    assert integrand_calls == [1]
 
 
 def test_tail_reports_a_non_finite_integrand_where_it_was_evaluated(

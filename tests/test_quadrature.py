@@ -23,7 +23,6 @@ from casimir_impedance import quadrature
 from casimir_impedance.quadrature import (
     DEFAULT_CONFIG,
     _integrate_y_batch,
-    _t_range,
     _trapezoid_nodes,
 )
 from casimir_impedance.zero_temperature import force_bracket
@@ -88,9 +87,11 @@ def test_wedge_integral_ideal_mode_density():
 
 
 def test_wedge_integral_exponential():
-    # inner integral e^-xi, outer gives exactly 1
-    res = integrate_xi_y(lambda xi, y: np.exp(-y) * np.ones_like(xi))
-    assert res.value == pytest.approx(1.0, rel=1e-10)
+    # inner integral e^-xi, outer gives exactly 1; from a lower corner
+    # xi_0 it gives e^-xi_0
+    for lower in (0.0, 2.5):
+        res = integrate_xi_y(lambda xi, y: np.exp(-y) * np.ones_like(xi), lower=lower)
+        assert res.value == pytest.approx(math.exp(-lower), rel=1e-10)
 
 
 def _plate_integrand(kind, a):
@@ -151,10 +152,9 @@ def test_matsubara_stops_on_exact_zeros():
     assert res.evaluations <= 5
 
 
-def test_matsubara_budget_exhaustion():
-    res = sum_matsubara_primed(
-        lambda l: 1.0 / (l + 1.0), QuadratureConfig(max_matsubara_terms=10)
-    )
+def test_matsubara_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_TERMS", 10)
+    res = sum_matsubara_primed(lambda l: 1.0 / (l + 1.0))
     assert not res.converged
 
 
@@ -163,17 +163,11 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError, match="rel_tol"):
         QuadratureConfig(rel_tol=1.5)
-    with pytest.raises(ValueError, match="y_cutoff_margin"):
-        QuadratureConfig(y_cutoff_margin=5.0)
-    with pytest.raises(ValueError, match="max_matsubara_terms"):
-        QuadratureConfig(max_matsubara_terms=1)
-    with pytest.raises(ValueError, match="series_tail_tol"):
-        QuadratureConfig(series_tail_tol=0.0)
 
 
 def test_default_config_values():
     assert DEFAULT_CONFIG.rel_tol == 1e-9
-    assert DEFAULT_CONFIG.y_cutoff_margin == 45.0
+    assert quadrature._Y_MARGIN == 45.0
 
 
 def test_log1mexp_branches():
@@ -213,14 +207,14 @@ def test_dilog_values():
         dilog(1.5)
 
 
-def _sequential_primed_sum(term, config=DEFAULT_CONFIG):
+def _sequential_primed_sum(term):
     """Reference: one scalar term at a time, exact sum at every ratio test."""
     terms = [0.5 * float(term(0))]
     prev = 0.0
     tail = math.inf
     converged = False
     zeros_in_row = 0
-    for l in range(1, config.max_matsubara_terms + 1):
+    for l in range(1, quadrature._MAX_TERMS + 1):
         t_l = float(term(l))
         terms.append(t_l)
         mag = abs(t_l)
@@ -238,7 +232,7 @@ def _sequential_primed_sum(term, config=DEFAULT_CONFIG):
             if r < 1.0:
                 tail = mag * r / (1.0 - r)
                 partial = abs(math.fsum(terms))
-                if tail <= max(config.series_tail_tol * partial, 1e-300):
+                if tail <= max(quadrature._SERIES_TAIL_TOL * partial, 1e-300):
                     converged = True
                     break
         prev = mag
@@ -247,27 +241,29 @@ def _sequential_primed_sum(term, config=DEFAULT_CONFIG):
             len(terms), converged)
 
 
-@pytest.mark.parametrize("series, config", [
-    (lambda l: 0.5**l, DEFAULT_CONFIG),
-    (lambda l: math.exp(-3.0 * l), DEFAULT_CONFIG),
-    (lambda l: 1.0 if l == 1 else 0.0, DEFAULT_CONFIG),
-    (lambda l: 1.0 / (l + 1.0), QuadratureConfig(max_matsubara_terms=10)),
-    (lambda l: 0.99**l, DEFAULT_CONFIG),
-    (lambda l: (-0.5) ** l, DEFAULT_CONFIG),
+@pytest.mark.parametrize("series, max_terms", [
+    (lambda l: 0.5**l, None),
+    (lambda l: math.exp(-3.0 * l), None),
+    (lambda l: 1.0 if l == 1 else 0.0, None),
+    (lambda l: 1.0 / (l + 1.0), 10),
+    (lambda l: 0.99**l, None),
+    (lambda l: (-0.5) ** l, None),
 ], ids=["half", "exp3", "exact-zeros", "budget", "slow", "alternating"])
-def test_blocked_stop_rule_matches_sequential_rule(series, config):
+def test_blocked_stop_rule_matches_sequential_rule(series, max_terms, monkeypatch):
+    if max_terms is not None:
+        monkeypatch.setattr(quadrature, "_MAX_TERMS", max_terms)
     blocks = []
 
     def terms(ls):
         blocks.append(ls.tolist())
         return [series(l) for l in ls.tolist()]
 
-    res = sum_matsubara_primed(terms, config)
-    value, tail, n, converged = _sequential_primed_sum(series, config)
+    res = sum_matsubara_primed(terms)
+    value, tail, n, converged = _sequential_primed_sum(series)
     assert (res.value, res.abs_error_estimate, res.evaluations, res.converged) == (
         value, tail, n, converged)
     # Consecutive capped blocks from l = 0, none begun past the stopping
-    # index (the slow series stops near l = 2,750, after 45 blocks).
+    # index (the slow series stops near l = 2,750, after 47 blocks).
     assert sum(blocks, []) == list(range(len(sum(blocks, []))))
     assert blocks[-1][0] < n and max(map(len, blocks)) <= 64
 
@@ -279,25 +275,26 @@ def test_matsubara_terms_must_return_one_value_per_index():
 
 def _nodes(h):
     """Number of exp-sinh nodes at trapezoid step h."""
-    return _trapezoid_nodes(h, *_t_range(DEFAULT_CONFIG))[0].size
+    return _trapezoid_nodes(h, quadrature._DE_T_LO, quadrature._DE_T_HI)[0].size
 
 
 def test_integrate_y_batch_groups_are_independent():
     # A smooth decay that converges in the first pass, a peak that needs one
     # or two more levels depending on its lower bound, and a noise-limited
-    # integrand that never converges.
-    def f(groups, y):
+    # integrand that never converges, each integral's picked by its lower
+    # bound, which the rule passes as xi.
+    lowers = np.array([0.0, 0.5, 0.1, 1.0, 2.0, 0.25, 3.0])
+    kind = dict(zip(lowers.tolist(), [0, 1, 2] * 3))
+
+    def f(xi, y):
         smooth = y**2 * np.exp(-y)
         peak = np.exp(-y) / ((y - 3.7) ** 2 + 0.3)
         noise = np.exp(-y) + 1e-9 * np.sin(1e12 * y)
-        return np.choose(groups % 3, [smooth, peak, noise])
+        return np.choose([kind[x] for x in xi.tolist()], [smooth, peak, noise])
 
-    lowers = np.array([0.0, 0.5, 0.0, 2.0, 2.0, 0.25, 3.0])
     vals, errs, evals, conv = _integrate_y_batch(f, lowers, DEFAULT_CONFIG)
     for g, lower in enumerate(lowers):
-        one = _integrate_y_batch(
-            lambda _groups, y: f(np.full(y.shape, g), y), [lower], DEFAULT_CONFIG
-        )
+        one = _integrate_y_batch(f, [lower], DEFAULT_CONFIG)
         assert vals[g] == one[0][0] and errs[g] == one[1][0]
         assert evals[g] == one[2][0]
         assert conv[g] == one[3][0]
@@ -314,9 +311,9 @@ def test_panel_evaluation_is_sliced_above_the_point_cap(monkeypatch):
     # 300 groups of 125 first-pass nodes: 37,500 points in the first pass.
     sizes = []
 
-    def f(groups, y):
+    def f(xi, y):
         sizes.append(y.size)
-        return (1.0 + 0.01 * groups) * y**2 * np.exp(-y)
+        return (1.0 + xi) * y**2 * np.exp(-y)
 
     lowers = np.linspace(0.0, 3.0, 300)
     cap = quadrature._EVAL_MAX

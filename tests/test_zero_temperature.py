@@ -24,7 +24,7 @@ from casimir_impedance import (
 )
 from casimir_impedance import quadrature
 from casimir_impedance.quadrature import DEFAULT_CONFIG
-from casimir_impedance.zero_temperature import _plates0, energy_bracket, force_bracket
+from casimir_impedance.zero_temperature import energy_bracket, force_bracket
 
 
 def test_ideal_closed_forms():
@@ -68,24 +68,6 @@ def test_lifshitz_ideal_matches_closed_form():
     model = ImpedanceModel(ImpedanceKind.IDEAL_METAL, Formalism.LIFSHITZ)
     e = energy_pp0(a, model)
     assert e.value == pytest.approx(ideal_closed_forms(a)[0], rel=1e-9)
-
-
-@pytest.mark.parametrize("kind", list(ImpedanceKind))
-@pytest.mark.parametrize("formalism", list(Formalism))
-def test_grid_batch_matches_single_separation_calls(kind, formalism):
-    # A 6-point grid gives each separation exactly the result of its own call.
-    model = ImpedanceModel(kind, formalism)
-    material = None if kind is ImpedanceKind.IDEAL_METAL else ALUMINUM
-    grid = list(np.geomspace(1e-3, 5e-3, 6) if kind is ImpedanceKind.NORMAL_SKIN
-                else np.geomspace(1e-7, 2e-6, 6))
-    for observable, single in (
-        (ObservableKind.ENERGY_PER_AREA, energy_pp0),
-        (ObservableKind.FORCE_PER_AREA, force_pp0),
-    ):
-        batch = _plates0(observable, grid, model, material, DEFAULT_CONFIG, CODATA)
-        assert [ob.geometry.separation for ob in batch] == grid
-        for a, ob in zip(grid, batch):
-            assert ob == single(a, model, material)
 
 
 def test_observable_metadata(aluminum, plasma_impedance, fast_config):
