@@ -271,8 +271,8 @@ def _grid_points(grid: tuple[float, float, int, bool]) -> list[float]:
 
     lo, hi, count, log = grid
     if log:
-        return list(np.geomspace(lo, hi, count))
-    return list(np.linspace(lo, hi, count))
+        return np.geomspace(lo, hi, count).tolist()
+    return np.linspace(lo, hi, count).tolist()
 
 
 def _fmt(value: float) -> str:

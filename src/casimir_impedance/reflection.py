@@ -99,7 +99,7 @@ def impedance(
     elif kind is ImpedanceKind.PLASMA_EXACT:
         m = _require_material(kind, material)
         w_p = 2.0 * a * m.omega_p / CODATA.c
-        out = xi / np.hypot(w_p, xi)
+        out = xi / np.sqrt(w_p * w_p + xi * xi)
     elif kind is ImpedanceKind.PLASMA_APPROX:
         m = _require_material(kind, material)
         w_p = 2.0 * a * m.omega_p / CODATA.c

@@ -145,11 +145,15 @@ def _integrand(
     bracket or y^2 times the force bracket.
 
     Every reduction of the plates shares it: the T = 0 wedge, the Matsubara
-    y-integrals and their shifted-wedge tail.  ``ideal=False`` drops the
-    ideal-metal part of the energy bracket, which the finite-temperature
-    closed series carries.  With ``static=True`` points at xi = 0 take the
-    model's static reflection factors: the Matsubara terms ask for it for
-    their l = 0 term, the wedges never evaluate there.
+    y-integrals and their shifted-wedge tail.  xi and y need only broadcast
+    to the points, so a factor of y alone (expm1, log1mexp, y^2) is computed
+    once per value of y, and the impedance once per value of xi: the wedge
+    passes y as a column, the y rule xi.  Every point gets the same bits as
+    from flat arrays.  ``ideal=False`` drops the ideal-metal part of the
+    energy bracket, which the finite-temperature closed series carries.
+    With ``static=True`` points at xi = 0 take the model's static reflection
+    factors: the Matsubara terms ask for it for their l = 0 term, the wedges
+    never evaluate there.
     """
     energy = kind is ObservableKind.ENERGY_PER_AREA
 
@@ -159,8 +163,9 @@ def _integrand(
         if static:
             zero = xi == 0.0
             if zero.any():
+                zero = np.broadcast_to(zero, x_par.shape)
                 x_par[zero], x_perp[zero] = static_reflection_factors(
-                    model, y[zero], a, material
+                    model, np.broadcast_to(y, zero.shape)[zero], a, material
                 )
         if energy:
             return y * energy_bracket(x_par, x_perp, y, ideal)

@@ -286,6 +286,34 @@ def test_nonconverged_grid_rows_exit_2(monkeypatch, command):
     ]
 
 
+@pytest.mark.parametrize("command", ["figure1", "figure2", "scan"])
+def test_grid_observables_carry_python_floats(monkeypatch, command):
+    # The grid's separations are Python floats, so every Observable of a
+    # grid command carries Python floats, not numpy scalars.
+    seen = []
+
+    def recorded(op):
+        def wrapped(*args, **kwargs):
+            seen.append(op(*args, **kwargs))
+            return seen[-1]
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "energy_pp0", recorded(cli.energy_pp0))
+    monkeypatch.setattr(cli, "force_pp0", recorded(cli.force_pp0))
+    spec = RunSpec(command=command, material="Al", grid=(1e-6, 2e-6, 2, True), rel_tol=1e-6)
+    status, _ = _run(spec)
+    assert status == 0 and seen
+    for ob in seen:
+        fields = (
+            ob.geometry.separation,
+            ob.value,
+            ob.quadrature.value,
+            ob.quadrature.abs_error_estimate,
+        )
+        assert [type(v) for v in fields] == [float] * 4
+
+
 def test_grid_warnings_collapse_into_one_stderr_line(capsys):
     # delta_0/a exceeds 0.1 at the two smallest of five separations.
     spec = RunSpec(

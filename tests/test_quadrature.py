@@ -61,11 +61,13 @@ def test_integrate_y_from_nonfinite_integrand():
         integrate_y_from(bad, 0.0)
 
 
-def test_integrate_xi_y_nonfinite_integrand_names_both_coordinates():
+@pytest.mark.parametrize("points", [True, False], ids=["per-point", "per-row"])
+def test_integrate_xi_y_nonfinite_integrand_names_both_coordinates(points):
+    # A value of y alone may come back once per row; the check still names
+    # a point where it is non-finite.
     def bad(xi, y):
-        out = np.exp(-y) * np.ones_like(xi)
-        out[y > 1.0] = np.nan
-        return out
+        out = np.where(y > 1.0, np.nan, np.exp(-y))
+        return out * np.ones_like(xi) if points else out
 
     with pytest.raises(IntegrandError, match=r"xi=.*y=") as info:
         integrate_xi_y(bad)
@@ -122,14 +124,58 @@ def test_wedge_rule_stops_unconverged_at_its_level_cap():
     sizes = []
 
     def step(xi, y):
-        sizes.append(y.size)
+        sizes.append(np.broadcast(xi, y).size)
         return np.where(y < 1.0, 1.0, 0.0)
 
     res = integrate_xi_y(step)
     assert not res.converged
     assert res.value == pytest.approx(0.5, rel=2e-2)
-    assert res.evaluations == sum(sizes) > 10**6
+    assert res.evaluations == sum(sizes) == 794_523
     assert max(sizes) <= quadrature._EVAL_MAX
+
+
+def _counted(f, sizes):
+    """f, recording the number of points of every call."""
+    def counted(xi, y):
+        sizes.append(np.broadcast(xi, y).size)
+        return f(xi, y)
+    return counted
+
+
+@pytest.mark.parametrize("lower", [0.0, 2.5])
+def test_wedge_evaluations_count_the_points_handed_to_the_integrand(lower):
+    # The wedge passes xi as rows of nodes and y as a column; evaluations
+    # counts the points they broadcast to.
+    sizes = []
+    f = _plate_integrand(ImpedanceKind.PLASMA_EXACT, 1e-6)
+    res = integrate_xi_y(_counted(f, sizes), lower=lower)
+    assert res.converged and res.evaluations == sum(sizes)
+
+
+def test_y_rule_evaluations_count_the_points_handed_to_the_integrand(monkeypatch):
+    # The y rule passes xi as a column of lower bounds and y in full.  A
+    # small point cap splits its first pass into chunks, and at rel_tol
+    # 1e-14 later levels run.
+    monkeypatch.setattr(quadrature, "_EVAL_MAX", 1_000)
+    sizes = []
+    f = _plate_integrand(ImpedanceKind.PLASMA_EXACT, 1e-6)
+    lowers = np.linspace(0.0, 3.0, 20)
+    evals = _integrate_y_batch(_counted(f, sizes), lowers, QuadratureConfig(rel_tol=1e-14))[2]
+    assert len(sizes) > 3 and int(evals.sum()) == sum(sizes)
+
+
+@pytest.mark.parametrize("lower", [0.0, 2.5])
+def test_wedge_trim_below_x_1e_8_is_negligible(lower, monkeypatch):
+    # The wedge's nodes start at x = 1e-8; the corner below moves the value
+    # by far less than its estimate.
+    f = lambda xi, y: np.exp(-y) * np.ones_like(xi)
+    trimmed = integrate_xi_y(f, lower=lower)
+    monkeypatch.setattr(quadrature, "_WEDGE_T_LO", quadrature._DE_T_LO)
+    full = integrate_xi_y(f, lower=lower)
+    assert trimmed.converged and full.converged
+    assert full.evaluations > trimmed.evaluations
+    diff = abs(trimmed.value - full.value)
+    assert diff <= 1e-14 * abs(full.value) and diff <= trimmed.abs_error_estimate
 
 
 def test_matsubara_prime_weight():
@@ -290,7 +336,8 @@ def test_integrate_y_batch_groups_are_independent():
         smooth = y**2 * np.exp(-y)
         peak = np.exp(-y) / ((y - 3.7) ** 2 + 0.3)
         noise = np.exp(-y) + 1e-9 * np.sin(1e12 * y)
-        return np.choose([kind[x] for x in xi.tolist()], [smooth, peak, noise])
+        which = np.array([[kind[x]] for x in xi[:, 0].tolist()])
+        return np.choose(which, [smooth, peak, noise])
 
     vals, errs, evals, conv = _integrate_y_batch(f, lowers, DEFAULT_CONFIG)
     for g, lower in enumerate(lowers):

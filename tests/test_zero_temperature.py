@@ -24,7 +24,7 @@ from casimir_impedance import (
 )
 from casimir_impedance import quadrature
 from casimir_impedance.quadrature import DEFAULT_CONFIG
-from casimir_impedance.zero_temperature import energy_bracket, force_bracket
+from casimir_impedance.zero_temperature import _integrand, energy_bracket, force_bracket
 
 
 def test_ideal_closed_forms():
@@ -228,10 +228,10 @@ def test_normal_skin_matches_graded_oracle(aluminum, a, energy):
 @pytest.mark.parametrize("kind", list(ImpedanceKind))
 @pytest.mark.parametrize("formalism", list(Formalism))
 def test_wedge_cost_is_bounded(kind, formalism):
-    # The fixed wedge rule converges within two halvings of its step (15,625
+    # The fixed wedge rule converges within two halvings of its step (12,375
     # points) on the separations the figures use at the default tolerance,
-    # and within three (62,750) at the ends of the sweep at a tight one.  A
-    # plasma force at 1 um is exact at 15,625 points, though that level
+    # and within three (49,447) at the ends of the sweep at a tight one.  A
+    # plasma force at 1 um is exact at 12,375 points, though that level
     # still differs from the one before by 1.9e-9 relative: the geometric
     # tail of the shrinking differences sees the convergence, a plain
     # difference test spent a third halving on it.
@@ -246,14 +246,14 @@ def test_wedge_cost_is_bounded(kind, formalism):
         for op in (energy_pp0, force_pp0):
             ob = op(a, model, material, config)
             assert ob.quadrature.converged
-            assert ob.quadrature.evaluations <= (15_625 if config is DEFAULT_CONFIG else 65_000)
+            assert ob.quadrature.evaluations <= (12_375 if config is DEFAULT_CONFIG else 49_447)
 
 
 @pytest.mark.parametrize("kind", list(ImpedanceKind))
 @pytest.mark.parametrize("formalism", list(Formalism))
 def test_wedge_error_estimate_covers_a_deeper_level(kind, formalism, monkeypatch):
     # The geometric-tail estimate never under-reports: every converged wedge
-    # lies within its abs_error_estimate of the rule's third halving (62,750
+    # lies within its abs_error_estimate of the rule's third halving (49,447
     # points), taken with the stop test off.  Most values stop at the second
     # halving, where the ideal-metal and the normal-skin forces from 0.1 mm
     # up are exact to roundoff: only the estimate's roundoff floor covers
@@ -270,8 +270,71 @@ def test_wedge_error_estimate_covers_a_deeper_level(kind, formalism, monkeypatch
                 m.setattr(quadrature, "_DE_LEVELS", 3)
                 m.setattr(quadrature, "_target", lambda *args: -1.0)
                 deeper = op(a, model, material).quadrature
-            assert deeper.evaluations == 62_750
+            assert deeper.evaluations == 49_447
             for rel_tol in (1e-6, 1e-9, 1e-12):
                 q = op(a, model, material, QuadratureConfig(rel_tol=rel_tol)).quadrature
                 assert q.converged
                 assert abs(q.value - deeper.value) <= q.abs_error_estimate, (a, op.__name__, rel_tol)
+
+
+def _model_material(kind, formalism):
+    model = ImpedanceModel(kind, formalism)
+    return model, None if kind is ImpedanceKind.IDEAL_METAL else ALUMINUM
+
+
+@pytest.mark.parametrize("kind", list(ImpedanceKind))
+@pytest.mark.parametrize("formalism", list(Formalism))
+def test_wedge_trim_below_x_1e_8_is_negligible(kind, formalism, monkeypatch):
+    # The wedge's nodes start at x = 1e-8, where its measure x dx bounds the
+    # dropped corner by 5e-17 max|g|: the nodes down to 1e-30 move no value
+    # by more than 1e-14 of it, nor by more than its estimate.
+    model, material = _model_material(kind, formalism)
+    if kind is ImpedanceKind.NORMAL_SKIN:
+        separations = [1e-3, 3e-3, 1e-2]
+    else:
+        separations = [3e-8, 3e-7, 3e-6, 1e-5]
+    for a in separations:
+        for op in (energy_pp0, force_pp0):
+            trimmed = op(a, model, material).quadrature
+            with monkeypatch.context() as m:
+                m.setattr(quadrature, "_WEDGE_T_LO", quadrature._DE_T_LO)
+                full = op(a, model, material).quadrature
+            assert trimmed.converged and full.evaluations > trimmed.evaluations
+            diff = abs(trimmed.value - full.value)
+            assert diff <= 1e-14 * abs(full.value), (a, op.__name__)
+            assert diff <= trimmed.abs_error_estimate, (a, op.__name__)
+
+
+# Every (kind, formalism) pair with a static term: all but normal skin under
+# the Lifshitz formalism.
+_STATIC_PAIRS = [
+    (kind, formalism)
+    for kind in ImpedanceKind
+    for formalism in Formalism
+    if (kind, formalism) != (ImpedanceKind.NORMAL_SKIN, Formalism.LIFSHITZ)
+]
+
+
+@pytest.mark.parametrize("kind, formalism", _STATIC_PAIRS)
+@pytest.mark.parametrize(
+    "kind_of",
+    [ObservableKind.ENERGY_PER_AREA, ObservableKind.FORCE_PER_AREA],
+    ids=["energy", "force"],
+)
+@pytest.mark.parametrize("static", [False, True], ids=["wedge", "terms"])
+def test_integrand_on_factored_points_equals_its_flat_call(kind, formalism, kind_of, static):
+    # The wedge hands the plate integrand y as a column against rows of xi,
+    # the y rule xi as a column of lower bounds against rows of y.  Each
+    # point gets the bits it gets from flat arrays, at xi = 0 too.
+    model, material = _model_material(kind, formalism)
+    a = 1e-3 if kind is ImpedanceKind.NORMAL_SKIN else 1e-6
+    g = _integrand(kind_of, a, model, material, ideal=not static, static=static)
+    y = np.geomspace(1e-8, 90.0, 40)[:, None]
+    u = np.linspace(0.0, 1.0, 17)
+    lowers = np.array([0.0, 0.3, 2.5, 40.0])[:, None]
+    for xi, yy in ((u * y, y), (lowers, lowers + np.geomspace(1e-30, 90.0, 40))):
+        shape = np.broadcast(xi, yy).shape
+        flat = g(np.broadcast_to(xi, shape).ravel(), np.broadcast_to(yy, shape).ravel())
+        factored = np.broadcast_to(g(xi, yy), shape)
+        assert np.isfinite(flat).all()
+        assert factored.tobytes() == flat.reshape(shape).tobytes()
