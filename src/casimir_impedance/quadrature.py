@@ -13,9 +13,10 @@ Both reductions use double-exponential rules (Takahasi and Mori, Publ. RIMS
 one trapezoid step reaches double precision in a few levels and needs no
 adaptive bookkeeping.  The y rule stops when two levels differ by no more
 than rel_tol of the value; the wedge rule, once its level differences
-shrink, when their geometric tail does.  After ``_DE_LEVELS`` halvings of
-``_DE_H0`` a rule returns its last level unconverged.  Each rule evaluates
-at most ``_EVAL_MAX`` points per integrand call.
+shrink, when their geometric tail does, and that of its last halvings in u.
+After ``_DE_LEVELS`` halvings of ``_DE_H0`` a rule returns its last level
+unconverged.  Each rule evaluates at most ``_EVAL_MAX`` points per
+integrand call.
 
 Both rules call their integrand as f(xi, y) on arrays that broadcast to
 the points they evaluate, so a factor that depends on xi or on y alone is
@@ -36,9 +37,11 @@ a time.
 
 The wedge lower <= xi <= y < infinity is taken by ``integrate_xi_y`` with
 the product of the same exp-sinh rule in y, from x = y - lower = 1e-8 up,
-and a tanh-sinh rule in u = (xi - lower) / (y - lower); it passes y as a
-column, one value per row of xi.  The node tables of both rules are built
-once per level and shared, read-only, by every call.
+and a tanh-sinh rule in u = (xi - lower) / (y - lower) at twice the step;
+it passes y as a column, one value per row of xi.  Its first pass is one
+integrand call on 6,237 points.  The node tables of both rules are built
+once per level and shared, read-only, by every call.  The special
+functions need numpy alone.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "QuadratureConfig",
@@ -100,12 +102,21 @@ _EVAL_MAX = 16_384
 # runs from 1e-30 above the lower bound to 2 _Y_MARGIN.  The wedge starts
 # its t range at x = 1e-8 instead: its measure x dx bounds the corner
 # x < 1e-8 by 5e-17 max|f|, and the nodes there were a fifth of its points.
+# Its s step is twice its t step: the u sum converges a level ahead of the
+# y sum.
 _DE_H0 = 0.2
 _DE_LEVELS = 5
 _DE_S_MAX = 3.15
 _DE_T_LO, _WEDGE_T_LO, _DE_T_HI = (
     math.asinh(2.0 / math.pi * math.log(x)) for x in (1e-30, 1e-8, 2.0 * _Y_MARGIN)
 )
+
+# riemann_zeta sums n^-s up to _ZETA_N and corrects the rest with the
+# Bernoulli numbers B_2 .. B_16; dilog sums its power series to _DILOG_TERMS
+# terms, where at x = 1/2 the next term is below 4e-19 of the sum.
+_ZETA_N = 10
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_DILOG_TERMS = 50
 
 
 class IntegrandError(RuntimeError):
@@ -164,14 +175,20 @@ def _exp_sinh(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _tanh_sinh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """u = (1 + tanh(pi/2 sinh s)) / 2 on (0, 1) and du/ds = pi cosh s u (1 - u)."""
     v = math.pi * np.sinh(s)
-    u = special.expit(v)
-    return u, math.pi * np.cosh(s) * u * special.expit(-v)
+    u = 1.0 / (1.0 + np.exp(-v))
+    return u, math.pi * np.cosh(s) * u / (1.0 + np.exp(v))
 
 
-def _trapezoid_nodes(h: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes k h in [lo, hi] and a mask of the odd k (new when h halves)."""
+def _level_ordered(
+    h: float, lo: float, hi: float, level: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes k h in [lo, hi], those of the steps h 2**level, ..., 2 h, h
+    in turn, and how many there are at each of these steps."""
     k = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
-    return k * h, k % 2 == 1
+    first = np.full(k.size, level)
+    for j in range(1, level + 1):
+        first[k % 2**j == 0] = level - j
+    return k[np.argsort(first, kind="stable")] * h, np.cumsum(np.bincount(first))
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -204,13 +221,13 @@ def _evaluate(
 def _y_nodes(level: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The exp-sinh nodes the y rule evaluates at step ``_DE_H0`` / 2**level:
     x, the weights dx/dt (both read-only) and how many lead that belong to
-    the step before.  Level 2 is the first pass, every node with the even
-    ones first; a later level holds its new odd nodes."""
-    t, odd = _trapezoid_nodes(_DE_H0 / 2**level, _DE_T_LO, _DE_T_HI)
+    the step before.  Level 2 is the first pass, every node with those of
+    the step before first; a later level holds its new nodes."""
+    t, counts = _level_ordered(_DE_H0 / 2**level, _DE_T_LO, _DE_T_HI, 1)
     if level > 2:
-        return (*_frozen(*_exp_sinh(t[odd])), 0)
-    x, w = _frozen(*_exp_sinh(np.concatenate([t[~odd], t[odd]])))
-    return x, w, t.size - int(odd.sum())
+        return (*_frozen(*_exp_sinh(t[counts[0]:])), 0)
+    x, w = _frozen(*_exp_sinh(t))
+    return x, w, int(counts[0])
 
 
 def _y_weighted_values(
@@ -302,50 +319,54 @@ def integrate_y_from(
     )
 
 
-def _product_sums(
+@functools.cache
+def _wedge_table(
+    level: int, t_lo: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The wedge rule's nodes at level ``level``, read-only: t at step
+    h = ``_DE_H0`` / 2**level from ``t_lo`` up and s at step 2 h, each
+    ordered by the level at which a node first appears.  Returns the rows y,
+    the columns u, the weights W = (y dy/dt) (du/ds) and, for each level
+    0 .. ``level``, how many rows and columns it has: every coarser level is
+    a leading block of the table."""
+    h = _DE_H0 / 2**level
+    (t, rows), (s, cols) = (
+        _level_ordered(step, lo, hi, level)
+        for step, lo, hi in ((h, t_lo, _DE_T_HI), (2.0 * h, -_DE_S_MAX, _DE_S_MAX))
+    )
+    (y, dy), (u, du) = _exp_sinh(t), _tanh_sinh(s)
+    return _frozen(y, u, (y * dy)[:, None] * du, rows, cols)
+
+
+def _wedge_values(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     y: np.ndarray,
-    wy: np.ndarray,
     u: np.ndarray,
-    wu: np.ndarray,
+    w: np.ndarray,
     lower: float,
-) -> tuple[float, float]:
-    """Sums of w f and w |f| over the product grid (lower + u y, lower + y),
-    with weights w = wy wu; ``f`` gets y as a column, one value per row of
-    xi, and sees at most ``_EVAL_MAX`` points per call."""
+) -> np.ndarray:
+    """w f(lower + u y, lower + y) on the rows y and the columns u; ``f``
+    gets y as a column, one value per row of xi, and sees at most
+    ``_EVAL_MAX`` points per call."""
     rows = max(1, _EVAL_MAX // u.size)
-    total = total_abs = 0.0
+    parts = []
     for start in range(0, y.size, rows):
         yy = y[start:start + rows, None]
-        xi = u[None, :] * yy
+        xi = u * yy
         if lower != 0.0:
             # Only when shifted: an unconditional add slows the T = 0 wedge.
             xi, yy = xi + lower, yy + lower
-        wv = (wy[start:start + rows, None] * wu[None, :]) * _evaluate(f, xi, yy)
-        total += float(wv.sum())
-        total_abs += float(np.abs(wv).sum())
-    return total, total_abs
+        parts.append(w[start:start + rows] * _evaluate(f, xi, yy))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-@functools.cache
-def _wedge_blocks(
-    level: int, t_lo: float
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The product blocks (y, y dy/dt, u, du/ds) the wedge rule evaluates at
-    step ``_DE_H0`` / 2**level with t from ``t_lo`` up, read-only: every node
-    at level 0, later the new ones, odd t against every s and even t
-    against odd s."""
-    h = _DE_H0 / 2**level
-    t, t_new = _trapezoid_nodes(h, t_lo, _DE_T_HI)
-    s, s_new = _trapezoid_nodes(h, -_DE_S_MAX, _DE_S_MAX)
-    (y, dy), (u, wu) = _exp_sinh(t), _tanh_sinh(s)
-    wy = y * dy
-    if level == 0:
-        return (_frozen(y, wy, u, wu),)
-    return (
-        _frozen(y[t_new], wy[t_new], u, wu),
-        _frozen(y[~t_new], wy[~t_new], u[s_new], wu[s_new]),
-    )
+def _geometric_tail(d: float, d_before: float) -> float:
+    """The rest of a sequence whose last differences were d_before and d:
+    d r / (1 - r) while they shrink by r = d / d_before < 1, else d."""
+    if d < d_before:
+        r = d / d_before
+        return d * r / (1.0 - r)
+    return d
 
 
 def integrate_xi_y(
@@ -361,43 +382,56 @@ def integrate_xi_y(
     with x = exp(pi/2 sinh t), from x = 1e-8 up to 2 ``_Y_MARGIN``, and in s
     with u = (1 + tanh(pi/2 sinh s)) / 2.  The measure x dx bounds the
     corner x < 1e-8 by 5e-17 max|f|.  ``f`` gets xi as rows of nodes and y as
-    a column, one value per row.  The step starts at ``_DE_H0`` and halves,
-    each level evaluating only its new odd nodes.
-    The error of level k is estimated from the differences
-    d_k = |T_k - T_(k-1)|: once they shrink, r = d_k / d_(k-1) < 1, by
-    their geometric tail d_k r / (1 - r), which is conservative for a
-    doubly exponential rule, but never below the roundoff of the absolute
-    integral; otherwise by d_k.  The rule stops when the estimate is at most
-    rel_tol of the value (or that roundoff) and reports it plus the
+    a column, one value per row.  Level k takes t at step
+    h = ``_DE_H0`` / 2**k and s at step 2 h: the u sum converges a level
+    ahead of the y sum.  The first pass evaluates level 2, 6,237 points, in
+    one integrand call and takes T_0, T_1 and T_2 as sums over leading
+    blocks of its node table; a later level evaluates only its new nodes,
+    the new rows against every column and the old rows against the new
+    columns.
+    The error of level k is the largest of three terms: the geometric tail
+    of the differences d_k = |T_k - T_(k-1)|, d_k r / (1 - r) with
+    r = d_k / d_(k-1) once they shrink, otherwise d_k; the same tail of the
+    last two halvings of the s step, 8 h to 4 h to 2 h, at the finest t
+    step, which sees a boundary layer in u that the T_k hide; and the
+    roundoff of the absolute integral.  The rule stops when the estimate is
+    at most rel_tol of the value (or that roundoff) and reports it plus the
     exp(-_Y_MARGIN) tail bound.  So a plasma force that is exact at
-    12,375 points stops there, though that level still differs from the one
+    6,237 points stops there, though that level still differs from the one
     before by about rel_tol.  After ``_DE_LEVELS`` halvings the last level
     is returned unconverged.  ``evaluations`` counts integrand points.
     """
-    total = total_abs = 0.0
-    evaluations = 0
-    previous = diff = math.inf
-    for level in range(_DE_LEVELS + 1):
+    y, u, w, rows, cols = _wedge_table(2, _WEDGE_T_LO)
+    wf = _wedge_values(f, y, u, w, lower)
+    col_sums, total_abs = wf.sum(axis=0), float(np.abs(wf).sum())
+    evaluations = wf.size
+    levels = [
+        2.0 * (_DE_H0 / 2**k) ** 2 * float(wf[:rows[k], :cols[k]].sum()) for k in (0, 1)
+    ]
+    for level in range(2, _DE_LEVELS + 1):
+        if level > 2:
+            y, u, w, rows, cols = _wedge_table(level, _WEDGE_T_LO)
+            r, c = rows[-2], cols[-2]
+            new_rows = _wedge_values(f, y[r:], u, w[r:], lower)
+            new_cols = _wedge_values(f, y[:r], u[c:], w[:r, c:], lower)
+            col_sums = np.concatenate([col_sums, new_cols.sum(axis=0)]) + new_rows.sum(axis=0)
+            total_abs += float(np.abs(new_rows).sum()) + float(np.abs(new_cols).sum())
+            evaluations += new_rows.size + new_cols.size
         h = _DE_H0 / 2**level
-        for block in _wedge_blocks(level, _WEDGE_T_LO):
-            part, part_abs = _product_sums(f, *block, lower)
-            total += part
-            total_abs += part_abs
-            evaluations += block[0].size * block[2].size
-        value, resabs = h * h * total, h * h * total_abs
-        d = abs(value - previous)
-        error = d
-        if d < diff < math.inf:
-            # Differences shrinking by r bound the rest of the sequence by a
-            # geometric tail, as in sum_matsubara_primed; no tail is smaller
-            # than the roundoff of the sum.
-            r = d / diff
-            error = max(d * r / (1.0 - r), _ROUNDOFF * resabs)
-        diff = d
+        # The sums at the finest t step and s steps 8 h, 4 h and 2 h.
+        u_8h, u_4h, value = (
+            m * h * h * float(col_sums[:n].sum()) for m, n in zip((8.0, 4.0, 2.0), cols[-3:])
+        )
+        levels.append(value)
+        resabs = 2.0 * h * h * total_abs
+        error = max(
+            _geometric_tail(abs(value - levels[-2]), abs(levels[-2] - levels[-3])),
+            _geometric_tail(abs(value - u_4h), abs(u_4h - u_8h)),
+            _ROUNDOFF * resabs,
+        )
         converged = bool(error <= _target(value, resabs, config.rel_tol))
         if converged:
             break
-        previous = value
     return QuadratureResult(
         value=value,
         abs_error_estimate=error + abs(value) * math.exp(-_Y_MARGIN),
@@ -508,16 +542,44 @@ def log1mexp(y):
 
 
 def riemann_zeta(s: float) -> float:
-    """Riemann zeta for real s > 1 (the only range the physics needs)."""
+    """Riemann zeta for real s > 1 (the only range the physics needs).
+
+    Euler-Maclaurin summation: the terms n^-s for n < 10, then
+    10^(1-s) / (s - 1) + 10^-s / 2 and the corrections with B_2 .. B_16;
+    within 2.2e-16 of the exact value for 1.1 <= s <= 20.
+    """
     if not (s > 1.0):
         raise ValueError(f"riemann_zeta requires s > 1, got {s!r}")
-    return float(special.zeta(s))
+    n = _ZETA_N
+    terms = [k ** -s for k in range(1, n)]
+    terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
+    # B_2k / (2k)! times s (s + 1) ... (s + 2k - 2) n^(1 - s - 2k).
+    rising, factorial = s, 2.0
+    for k, b in enumerate(_BERNOULLI, start=1):
+        terms.append(b / factorial * rising * n ** (1.0 - s - 2 * k))
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+        factorial *= (2 * k + 1) * (2 * k + 2)
+    return math.fsum(terms)
 
 
 def dilog(x):
-    """Dilogarithm Li_2(x) = -int_0^x ln(1-u)/u du on the interval [0, 1]."""
+    """Dilogarithm Li_2(x) = -int_0^x ln(1-u)/u du on the interval [0, 1].
+
+    The power series sum_k x^k / k^2 up to x = 1/2, above it the reflection
+    Li_2(x) = pi^2/6 - ln(x) ln(1 - x) - Li_2(1 - x); within 8.5e-16 of the
+    exact value on [0, 1].
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("dilog is restricted to 0 <= x <= 1")
-    out = special.spence(1.0 - x)
+    reflect = x > 0.5
+    z = np.where(reflect, 1.0 - x, x)
+    # Horner's rule, on a Python float when x is a scalar.
+    zk = z.item() if z.ndim == 0 else z
+    series = 0.0
+    for k in range(_DILOG_TERMS, 0, -1):
+        series = zk * (1.0 / (k * k) + series)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(x) * np.log(np.where(z > 0.0, z, 1.0))
+    out = np.where(reflect, math.pi**2 / 6.0 - logs - series, series)
     return float(out) if out.ndim == 0 else out

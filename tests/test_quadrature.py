@@ -1,10 +1,15 @@
 """Quadrature engine, Matsubara summation, and the special-function helpers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import casimir_impedance
 from casimir_impedance import (
     ALUMINUM,
     ImpedanceKind,
@@ -23,7 +28,7 @@ from casimir_impedance import quadrature
 from casimir_impedance.quadrature import (
     DEFAULT_CONFIG,
     _integrate_y_batch,
-    _trapezoid_nodes,
+    _level_ordered,
 )
 from casimir_impedance.zero_temperature import force_bracket
 
@@ -130,7 +135,7 @@ def test_wedge_rule_stops_unconverged_at_its_level_cap():
     res = integrate_xi_y(step)
     assert not res.converged
     assert res.value == pytest.approx(0.5, rel=2e-2)
-    assert res.evaluations == sum(sizes) == 794_523
+    assert res.evaluations == sum(sizes) == 396_867
     assert max(sizes) <= quadrature._EVAL_MAX
 
 
@@ -145,11 +150,40 @@ def _counted(f, sizes):
 @pytest.mark.parametrize("lower", [0.0, 2.5])
 def test_wedge_evaluations_count_the_points_handed_to_the_integrand(lower):
     # The wedge passes xi as rows of nodes and y as a column; evaluations
-    # counts the points they broadcast to.
+    # counts the points they broadcast to.  A wedge that converges in the
+    # first pass makes one integrand call on every node of the second
+    # halving, 99 nodes of t against 63 of s.
     sizes = []
     f = _plate_integrand(ImpedanceKind.PLASMA_EXACT, 1e-6)
     res = integrate_xi_y(_counted(f, sizes), lower=lower)
     assert res.converged and res.evaluations == sum(sizes)
+    assert sizes == [6_237]
+
+
+def test_wedge_error_estimate_sees_a_boundary_layer_in_u(monkeypatch):
+    # sqrt(u / (u + 1e-7)) rises from 0 to 1 within u ~ 1e-7 of the edge.
+    # The wedge of e^-y times it is exactly
+    # sqrt(1 + eps) - eps ln((1 + sqrt(1 + eps)) / sqrt(eps)).  The first
+    # pass is off by about 2e-12; the differences of its three levels shrink
+    # too fast to show that, and only the tail of the s halvings at the
+    # finest t step covers it.
+    eps = 1e-7
+    root = math.sqrt(1.0 + eps)
+    exact = root - eps * math.log((1.0 + root) / math.sqrt(eps))
+    tails = []
+    geometric_tail = quadrature._geometric_tail
+
+    def recorded(d, d_before):
+        tails.append(geometric_tail(d, d_before))
+        return tails[-1]
+
+    monkeypatch.setattr(quadrature, "_geometric_tail", recorded)
+    res = integrate_xi_y(lambda xi, y: np.exp(-y) * np.sqrt(xi / (xi + eps * y)))
+    assert res.converged and res.evaluations == 6_237
+    error = abs(res.value - exact)
+    level_tail, u_tail = tails
+    assert error <= res.abs_error_estimate and error <= u_tail
+    assert error > 10.0 * max(level_tail, quadrature._ROUNDOFF * res.value)
 
 
 def test_y_rule_evaluations_count_the_points_handed_to_the_integrand(monkeypatch):
@@ -234,6 +268,47 @@ def test_log1mexp_vectorized():
     out = log1mexp(y)
     assert out.shape == y.shape
     np.testing.assert_allclose(out, [log1mexp(v) for v in y], rtol=1e-15)
+
+
+def test_riemann_zeta_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for s in np.linspace(1.1, 20.0, 400).tolist() + [3.5]:
+        exact = mpmath.zeta(s)
+        assert abs(riemann_zeta(s) - exact) <= 2.2e-16 * exact, s
+
+
+def test_dilog_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    x = np.concatenate([
+        np.linspace(0.0, 1.0, 1001),
+        np.logspace(-300, 0, 301),
+        1.0 - np.logspace(-16, -0.31, 100),
+        [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 5e-324],
+    ])
+    values = dilog(x)
+    for xk, value in zip(x.tolist(), values.tolist()):
+        exact = mpmath.polylog(2, xk)
+        assert abs(value - exact) <= 8.5e-16 * exact, xk
+        assert dilog(xk) == value
+
+
+def test_package_runs_without_scipy():
+    # numpy is the one runtime dependency: a fresh interpreter that imports
+    # the package and computes a force loads no scipy module.
+    src = str(Path(casimir_impedance.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from casimir_impedance import ALUMINUM, ImpedanceKind, ImpedanceModel, force_pp0\n"
+        "ob = force_pp0(1e-6, ImpedanceModel(ImpedanceKind.PLASMA_EXACT), ALUMINUM)\n"
+        "assert ob.quadrature.converged\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.strip() == "[]"
 
 
 def test_riemann_zeta_values():
@@ -321,7 +396,7 @@ def test_matsubara_terms_must_return_one_value_per_index():
 
 def _nodes(h):
     """Number of exp-sinh nodes at trapezoid step h."""
-    return _trapezoid_nodes(h, quadrature._DE_T_LO, quadrature._DE_T_HI)[0].size
+    return _level_ordered(h, quadrature._DE_T_LO, quadrature._DE_T_HI, 0)[0].size
 
 
 def test_integrate_y_batch_groups_are_independent():
