@@ -82,11 +82,11 @@ _PERT_RATIO_MAX = 0.1
 
 # Below this Matsubara step xi_1 = 2 pi T / T_eff a primed sum is its first
 # _HEAD terms plus an Euler-Maclaurin tail (see _matsubara_correction), at a
-# fixed 10,773 integrand points whatever the step (1 um, plasma model).
+# fixed 16,911 integrand points whatever the step (1 um, plasma model).
 # The term-by-term sum costs about 4,600 / step points: it takes fewer
-# points from step 0.43 up, and from step 1 (1 um, 180 K) up it is about
-# 1.9 times faster.  The threshold stays below that crossover until the
-# tail's accuracy is measured at steps 0.19 to 0.43.
+# points from step 0.27 up, and from step 1 (1 um, 180 K) up it is about
+# 3 times faster.  The threshold stays below that crossover until the
+# tail's accuracy is measured at steps 0.19 to 0.27.
 _TAIL_STEP_MAX = 0.19
 _HEAD = 32
 

@@ -13,10 +13,9 @@ Both reductions use double-exponential rules (Takahasi and Mori, Publ. RIMS
 one trapezoid step reaches double precision in a few levels and needs no
 adaptive bookkeeping.  The y rule stops when two levels differ by no more
 than rel_tol of the value; the wedge rule, once its level differences
-shrink, when their geometric tail does, and that of its last halvings in u.
-After ``_DE_LEVELS`` halvings of ``_DE_H0`` a rule returns its last level
-unconverged.  Each rule evaluates at most ``_EVAL_MAX`` points per
-integrand call.
+shrink, when their geometric tail does.  After ``_DE_LEVELS`` halvings of
+``_DE_H0`` a rule returns its last level unconverged.  Each rule evaluates
+at most ``_EVAL_MAX`` points per integrand call.
 
 Both rules call their integrand as f(xi, y) on arrays that broadcast to
 the points they evaluate, so a factor that depends on xi or on y alone is
@@ -37,11 +36,11 @@ a time.
 
 The wedge lower <= xi <= y < infinity is taken by ``integrate_xi_y`` with
 the product of the same exp-sinh rule in y, from x = y - lower = 1e-8 up,
-and a tanh-sinh rule in u = (xi - lower) / (y - lower) at twice the step;
-it passes y as a column, one value per row of xi.  Its first pass is one
-integrand call on 6,237 points.  The node tables of both rules are built
-once per level and shared, read-only, by every call.  The special
-functions need numpy alone.
+and a tanh-sinh rule in u = (xi - lower) / (y - lower); it passes y as a
+column, one value per row of xi.  Its first pass is one integrand call on
+12,375 points.  The node tables of both rules are built once per level and
+shared, read-only, by every call.  The special functions need numpy
+alone.
 """
 
 from __future__ import annotations
@@ -102,8 +101,6 @@ _EVAL_MAX = 16_384
 # runs from 1e-30 above the lower bound to 2 _Y_MARGIN.  The wedge starts
 # its t range at x = 1e-8 instead: its measure x dx bounds the corner
 # x < 1e-8 by 5e-17 max|f|, and the nodes there were a fifth of its points.
-# Its s step is twice its t step: the u sum converges a level ahead of the
-# y sum.
 _DE_H0 = 0.2
 _DE_LEVELS = 5
 _DE_S_MAX = 3.15
@@ -323,16 +320,16 @@ def integrate_y_from(
 def _wedge_table(
     level: int, t_lo: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The wedge rule's nodes at level ``level``, read-only: t at step
-    h = ``_DE_H0`` / 2**level from ``t_lo`` up and s at step 2 h, each
-    ordered by the level at which a node first appears.  Returns the rows y,
-    the columns u, the weights W = (y dy/dt) (du/ds) and, for each level
-    0 .. ``level``, how many rows and columns it has: every coarser level is
-    a leading block of the table."""
+    """The wedge rule's nodes at step h = ``_DE_H0`` / 2**level, read-only:
+    t from ``t_lo`` up and s, each ordered by the level at which a node
+    first appears.  Returns the rows y, the columns u, the weights
+    W = (y dy/dt) (du/ds) and, for each level 0 .. ``level``, how many rows
+    and columns it has: every coarser level is a leading block of the
+    table."""
     h = _DE_H0 / 2**level
     (t, rows), (s, cols) = (
-        _level_ordered(step, lo, hi, level)
-        for step, lo, hi in ((h, t_lo, _DE_T_HI), (2.0 * h, -_DE_S_MAX, _DE_S_MAX))
+        _level_ordered(h, lo, hi, level)
+        for lo, hi in ((t_lo, _DE_T_HI), (-_DE_S_MAX, _DE_S_MAX))
     )
     (y, dy), (u, du) = _exp_sinh(t), _tanh_sinh(s)
     return _frozen(y, u, (y * dy)[:, None] * du, rows, cols)
@@ -360,15 +357,6 @@ def _wedge_values(
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _geometric_tail(d: float, d_before: float) -> float:
-    """The rest of a sequence whose last differences were d_before and d:
-    d r / (1 - r) while they shrink by r = d / d_before < 1, else d."""
-    if d < d_before:
-        r = d / d_before
-        return d * r / (1.0 - r)
-    return d
-
-
 def integrate_xi_y(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     config: QuadratureConfig = DEFAULT_CONFIG,
@@ -380,55 +368,55 @@ def integrate_xi_y(
     int_0^inf dx x int_0^1 du f(lower + u x, lower + x), taken by a
     double-exponential (Takahasi-Mori) product rule: trapezoid sums in t
     with x = exp(pi/2 sinh t), from x = 1e-8 up to 2 ``_Y_MARGIN``, and in s
-    with u = (1 + tanh(pi/2 sinh s)) / 2.  The measure x dx bounds the
-    corner x < 1e-8 by 5e-17 max|f|.  ``f`` gets xi as rows of nodes and y as
-    a column, one value per row.  Level k takes t at step
-    h = ``_DE_H0`` / 2**k and s at step 2 h: the u sum converges a level
-    ahead of the y sum.  The first pass evaluates level 2, 6,237 points, in
-    one integrand call and takes T_0, T_1 and T_2 as sums over leading
-    blocks of its node table; a later level evaluates only its new nodes,
-    the new rows against every column and the old rows against the new
-    columns.
-    The error of level k is the largest of three terms: the geometric tail
-    of the differences d_k = |T_k - T_(k-1)|, d_k r / (1 - r) with
-    r = d_k / d_(k-1) once they shrink, otherwise d_k; the same tail of the
-    last two halvings of the s step, 8 h to 4 h to 2 h, at the finest t
-    step, which sees a boundary layer in u that the T_k hide; and the
-    roundoff of the absolute integral.  The rule stops when the estimate is
-    at most rel_tol of the value (or that roundoff) and reports it plus the
-    exp(-_Y_MARGIN) tail bound.  So a plasma force that is exact at
-    6,237 points stops there, though that level still differs from the one
-    before by about rel_tol.  After ``_DE_LEVELS`` halvings the last level
-    is returned unconverged.  ``evaluations`` counts integrand points.
+    with u = (1 + tanh(pi/2 sinh s)) / 2, both at step
+    h = ``_DE_H0`` / 2**k at level k.  The measure x dx bounds the corner
+    x < 1e-8 by 5e-17 max|f|.  ``f`` gets xi as rows of nodes and y as a
+    column, one value per row.  The first pass evaluates level 2, 12,375
+    points, in one integrand call and takes T_0, T_1 and T_2 as sums over
+    leading blocks of its node table; a later level evaluates only its new
+    nodes, the new rows against every column and the old rows against the
+    new columns.
+    The error of level k is estimated from the differences
+    d_k = |T_k - T_(k-1)|: once they shrink, r = d_k / d_(k-1) < 1, by
+    their geometric tail d_k r / (1 - r), which is conservative for a
+    doubly exponential rule, otherwise by d_k; never below the roundoff of
+    the absolute integral.  Both steps halve together, so the T_k see a
+    boundary layer in u as well as one in y.  The rule stops when the
+    estimate is at most rel_tol of the value (or that roundoff) and reports
+    it plus the exp(-_Y_MARGIN) tail bound.  So a plasma force that is
+    exact at 12,375 points stops there, though that level still differs
+    from the one before by about rel_tol.  After ``_DE_LEVELS`` halvings
+    the last level is returned unconverged.  ``evaluations`` counts
+    integrand points.
     """
     y, u, w, rows, cols = _wedge_table(2, _WEDGE_T_LO)
     wf = _wedge_values(f, y, u, w, lower)
-    col_sums, total_abs = wf.sum(axis=0), float(np.abs(wf).sum())
+    total, total_abs = float(wf.sum()), float(np.abs(wf).sum())
     evaluations = wf.size
-    levels = [
-        2.0 * (_DE_H0 / 2**k) ** 2 * float(wf[:rows[k], :cols[k]].sum()) for k in (0, 1)
-    ]
+    levels = [(_DE_H0 / 2**k) ** 2 * float(wf[:rows[k], :cols[k]].sum()) for k in (0, 1)]
     for level in range(2, _DE_LEVELS + 1):
         if level > 2:
             y, u, w, rows, cols = _wedge_table(level, _WEDGE_T_LO)
-            r, c = rows[-2], cols[-2]
-            new_rows = _wedge_values(f, y[r:], u, w[r:], lower)
-            new_cols = _wedge_values(f, y[:r], u[c:], w[:r, c:], lower)
-            col_sums = np.concatenate([col_sums, new_cols.sum(axis=0)]) + new_rows.sum(axis=0)
-            total_abs += float(np.abs(new_rows).sum()) + float(np.abs(new_cols).sum())
-            evaluations += new_rows.size + new_cols.size
+            old, old_cols = rows[-2], cols[-2]
+            for new in (
+                _wedge_values(f, y[old:], u, w[old:], lower),
+                _wedge_values(f, y[:old], u[old_cols:], w[:old, old_cols:], lower),
+            ):
+                total += float(new.sum())
+                total_abs += float(np.abs(new).sum())
+                evaluations += new.size
         h = _DE_H0 / 2**level
-        # The sums at the finest t step and s steps 8 h, 4 h and 2 h.
-        u_8h, u_4h, value = (
-            m * h * h * float(col_sums[:n].sum()) for m, n in zip((8.0, 4.0, 2.0), cols[-3:])
-        )
+        value, resabs = h * h * total, h * h * total_abs
         levels.append(value)
-        resabs = 2.0 * h * h * total_abs
-        error = max(
-            _geometric_tail(abs(value - levels[-2]), abs(levels[-2] - levels[-3])),
-            _geometric_tail(abs(value - u_4h), abs(u_4h - u_8h)),
-            _ROUNDOFF * resabs,
-        )
+        error = d = abs(value - levels[-2])
+        diff = abs(levels[-2] - levels[-3])
+        if d < diff:
+            # Differences shrinking by r bound the rest of the sequence by a
+            # geometric tail, as in sum_matsubara_primed.
+            r = d / diff
+            error = d * r / (1.0 - r)
+        # No estimate is smaller than the roundoff of the sum.
+        error = max(error, _ROUNDOFF * resabs)
         converged = bool(error <= _target(value, resabs, config.rel_tol))
         if converged:
             break

@@ -449,14 +449,14 @@ def test_tail_error_estimate_holds_at_tight_tolerance(observable, aluminum, plas
 def test_tail_wedge_below_the_dip_stops_at_its_second_halving(aT, aluminum):
     # Hardware-independent cost guard: at 100 nm the tail wedge of the
     # plasma-approx impedance force starts at xi_L >= 5.3, below the dip at
-    # xi = w_p = 12.7, and still converges at 6,237 points; with the 36 head
-    # terms the sum costs 10,773 points (29,161 with a third halving).
+    # xi = w_p = 12.7, and still converges at 12,375 points; with the 36 head
+    # terms the sum costs 16,911 points (53,983 with a fourth level).
     a = 1e-7
     assert _step(a, aT / a) < finite_temperature._TAIL_STEP_MAX
     model = ImpedanceModel(ImpedanceKind.PLASMA_APPROX, Formalism.IMPEDANCE)
     obs = force_ppT(a, aT / a, model, aluminum)
     assert obs.quadrature.converged
-    assert obs.quadrature.evaluations <= 10_773
+    assert obs.quadrature.evaluations <= 16_911
 
 
 @pytest.mark.parametrize("T", [243.0, 729.0, 1215.0])
@@ -475,10 +475,10 @@ def test_term_by_term_sum_does_not_stop_at_the_plasma_dip(T, aluminum):
 
 def test_tail_threshold_sits_at_the_cost_crossover(monkeypatch, aluminum, plasma_impedance):
     # Hardware-independent reason for the split: the head and tail cost a
-    # fixed 10,773 integrand points, the term-by-term sum, which runs at
+    # fixed 16,911 integrand points, the term-by-term sum, which runs at
     # least to xi = 36, about 4,600 / step.  Below the threshold the tail is
-    # cheaper, from step 0.43 up the sum (11,592 points at 0.4, 10,710 at
-    # 0.43, 9,198 at 0.5).
+    # cheaper, from step 0.27 up the sum (17,010 points at 0.27, 15,246 at
+    # 0.3).
     assert 0.12 < finite_temperature._TAIL_STEP_MAX < 0.25
     a = 1e-6
     tail, exact = math.inf, 0.0  # thresholds that force each path
@@ -488,7 +488,7 @@ def test_tail_threshold_sits_at_the_cost_crossover(monkeypatch, aluminum, plasma
         return force_ppT(a, _T_at_step(a, step), plasma_impedance, aluminum).quadrature.evaluations
 
     assert points(0.12, tail) < points(0.12, exact)
-    for step in (0.5, 1.65):
+    for step in (0.3, 1.65):
         assert points(step, exact) < points(step, tail)
 
 

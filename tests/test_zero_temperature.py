@@ -228,13 +228,13 @@ def test_normal_skin_matches_graded_oracle(aluminum, a, energy):
 @pytest.mark.parametrize("kind", list(ImpedanceKind))
 @pytest.mark.parametrize("formalism", list(Formalism))
 def test_wedge_cost_is_bounded(kind, formalism):
-    # The fixed wedge rule converges within two halvings of its step (6,237
+    # The fixed wedge rule converges within two halvings of its step (12,375
     # points) on the separations the figures use at the default tolerance,
-    # and within three (24,625) at the ends of the sweep at a tight one.  A
-    # plasma force at 1 um is exact at 6,237 points, though that level
-    # still differs from the one before by about 1e-9 relative: the
-    # geometric tail of the shrinking differences sees the convergence, a
-    # plain difference test spent a third halving on it.
+    # and within three (49,447) at the ends of the sweep at a tight one.  A
+    # plasma force at 1 um is exact at 12,375 points, though that level
+    # still differs from the one before by 1.9e-9 relative: the geometric
+    # tail of the shrinking differences sees the convergence, a plain
+    # difference test spent a third halving on it.
     model = ImpedanceModel(kind, formalism)
     material = None if kind is ImpedanceKind.IDEAL_METAL else ALUMINUM
     tight = QuadratureConfig(rel_tol=1e-12)
@@ -246,20 +246,18 @@ def test_wedge_cost_is_bounded(kind, formalism):
         for op in (energy_pp0, force_pp0):
             ob = op(a, model, material, config)
             assert ob.quadrature.converged
-            assert ob.quadrature.evaluations <= (6_237 if config is DEFAULT_CONFIG else 24_625)
+            assert ob.quadrature.evaluations <= (12_375 if config is DEFAULT_CONFIG else 49_447)
 
 
 @pytest.mark.parametrize("kind", list(ImpedanceKind))
 @pytest.mark.parametrize("formalism", list(Formalism))
 def test_wedge_error_estimate_covers_a_deeper_level(kind, formalism, monkeypatch):
     # The geometric-tail estimate never under-reports: every converged wedge
-    # lies within its abs_error_estimate of the rule's third halving (24,625
+    # lies within its abs_error_estimate of the rule's third halving (49,447
     # points), taken with the stop test off.  Most values stop at the second
     # halving, where the ideal-metal and the normal-skin forces from 0.1 mm
     # up are exact to roundoff: only the estimate's roundoff floor covers
-    # the difference there.  The normal-skin Lifshitz force at 0.3 mm has a
-    # boundary layer near u = 0 and is off by 1e-13 there, 9 times that
-    # floor: only the estimate's u term covers it.
+    # the difference there.
     model = ImpedanceModel(kind, formalism)
     material = None if kind is ImpedanceKind.IDEAL_METAL else ALUMINUM
     if kind is ImpedanceKind.NORMAL_SKIN:
@@ -272,11 +270,32 @@ def test_wedge_error_estimate_covers_a_deeper_level(kind, formalism, monkeypatch
                 m.setattr(quadrature, "_DE_LEVELS", 3)
                 m.setattr(quadrature, "_target", lambda *args: -1.0)
                 deeper = op(a, model, material).quadrature
-            assert deeper.evaluations == 24_625
+            assert deeper.evaluations == 49_447
             for rel_tol in (1e-6, 1e-9, 1e-12):
                 q = op(a, model, material, QuadratureConfig(rel_tol=rel_tol)).quadrature
                 assert q.converged
                 assert abs(q.value - deeper.value) <= q.abs_error_estimate, (a, op.__name__, rel_tol)
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+def test_normal_skin_wedge_estimate_covers_a_rule_dense_in_u(formalism, monkeypatch):
+    # The normal-skin Lifshitz integrand has a boundary layer near u = 0.
+    # At 3.16 cm every converged wedge lies within its abs_error_estimate of
+    # the rule's fourth halving (both steps 0.0125, 198,182 points), taken
+    # with the stop test off.  A rule that took u at twice the y step was
+    # off by 1.14 times its estimate on the Lifshitz force here.
+    model = ImpedanceModel(ImpedanceKind.NORMAL_SKIN, formalism)
+    a = 10.0**-1.5
+    for op in (energy_pp0, force_pp0):
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_DE_LEVELS", 4)
+            m.setattr(quadrature, "_target", lambda *args: -1.0)
+            dense = op(a, model, ALUMINUM).quadrature
+        assert dense.evaluations == 198_182
+        for rel_tol in (1e-6, 1e-9, 1e-12):
+            q = op(a, model, ALUMINUM, QuadratureConfig(rel_tol=rel_tol)).quadrature
+            assert q.converged
+            assert abs(q.value - dense.value) <= q.abs_error_estimate, (op.__name__, rel_tol)
 
 
 def _model_material(kind, formalism):
