@@ -19,7 +19,7 @@ from .finite_temperature import (
     sphere_plate_T,
     thermal_ideal_ratios,
 )
-from .geometry import Geometry, ThermalState, effective_temperature
+from .geometry import Geometry, effective_temperature
 from .materials import ALUMINUM, PRESETS, Material, load_material
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -73,7 +73,6 @@ __all__ = [
     "PRESETS",
     "load_material",
     "Geometry",
-    "ThermalState",
     "effective_temperature",
     "QuadratureConfig",
     "QuadratureResult",

@@ -30,29 +30,23 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .constants import CODATA
-from .finite_temperature import (
-    energy_ppT,
-    force_ppT,
-    ideal_energy_T,
-    sphere_plate_T,
-)
+from .finite_temperature import _thermal_ratios, energy_ppT, force_ppT, sphere_plate_T
 from .geometry import effective_temperature
 from .materials import PRESETS, Material, load_material
 from .quadrature import _SERIES_TAIL_TOL, DEFAULT_CONFIG, QuadratureConfig
 from .reflection import Formalism, ImpedanceKind, ImpedanceModel
 from .series import _SERIES_RATIO_MAX, CoefficientVariant, coefficients, series_force
-from .zero_temperature import energy_pp0, force_pp0, force_sphere0
+from .zero_temperature import _deviation, energy_pp0, force_pp0, force_sphere0
 
 __all__ = [
     "RunSpec",
     "SpecError",
     "parse_config",
-    "serialize_config",
     "parse_length",
     "parse_grid",
     "run",
@@ -230,22 +224,6 @@ def parse_config(path: str | Path | None, flags: dict | None = None) -> RunSpec:
     return _validate(RunSpec(**merged))
 
 
-def serialize_config(spec: RunSpec) -> str:
-    """Render a RunSpec as key=value lines that parse_config reads back."""
-    lines = []
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if value is None:
-            continue
-        if f.name == "grid":
-            lo, hi, count, log = value
-            value = f"{lo!r}:{hi!r}:{count}:{'log' if log else 'lin'}"
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{f.name}={value}")
-    return "\n".join(lines) + "\n"
-
-
 def _resolve_material(spec: RunSpec) -> Material | None:
     if spec.material is None:
         return None
@@ -362,72 +340,31 @@ def _scan_rows(grid: list[float], spec: RunSpec, material, model, config):
     ]
 
 
-def _deviation_curve(observable, impedance_kind, grid, material, config):
-    """(Lifshitz value, impedance-route deviation, error, converged) per a,
-    with ``observable`` ``energy_pp0`` or ``force_pp0``."""
-    references, directs = (
-        [observable(a, ImpedanceModel(impedance_kind, f), material, config) for a in grid]
-        for f in (Formalism.LIFSHITZ, Formalism.IMPEDANCE)
-    )
-    return [
-        (
-            ref.value,
-            (ref.value - direct.value) / ref.value,
-            (ref.quadrature.abs_error_estimate + direct.quadrature.abs_error_estimate)
-            / abs(ref.value),
-            ref.quadrature.converged and direct.quadrature.converged,
-        )
-        for ref, direct in zip(references, directs)
-    ]
-
-
 def _figure1_rows(grid: list[float], spec: RunSpec, material, model, config):
-    curve = _deviation_curve(force_pp0, ImpedanceKind.PLASMA_EXACT, grid, material, config)
     rows = []
-    for a, (reference, d_exact, err, conv) in zip(grid, curve):
+    for a in grid:
+        reference, d_exact, err, conv = _deviation(
+            force_pp0, ImpedanceKind.PLASMA_EXACT, a, material, config
+        )
         approx = series_force(a, material, CoefficientVariant.IMPEDANCE_APPROX, 4)
         rows.append((a, d_exact, (reference - approx) / reference, err, float(conv)))
     return rows
 
 
 def _figure2_rows(grid: list[float], spec: RunSpec, material, model, config):
-    exact, approx = (
-        _deviation_curve(energy_pp0, kind, grid, material, config)
-        for kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX)
-    )
-    return [
-        (a, d_exact, d_approx, err_exact + err_approx, float(ok_exact and ok_approx))
-        for a, (_, d_exact, err_exact, ok_exact), (_, d_approx, err_approx, ok_approx)
-        in zip(grid, exact, approx)
-    ]
+    rows = []
+    for a in grid:
+        (_, d_exact, err_exact, ok_exact), (_, d_approx, err_approx, ok_approx) = (
+            _deviation(energy_pp0, kind, a, material, config)
+            for kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX)
+        )
+        rows.append((a, d_exact, d_approx, err_exact + err_approx, float(ok_exact and ok_approx)))
+    return rows
 
 
 def _thermal_ratio_row(spec: RunSpec, material, model, config):
-    ideal = ImpedanceModel(ImpedanceKind.IDEAL_METAL)
-    e_real = energy_ppT(spec.a, spec.T, model, material, config)
-    e_ideal = ideal_energy_T(spec.a, spec.T)
-    f_real = force_ppT(spec.a, spec.T, model, material, config)
-    f_ideal = force_ppT(spec.a, spec.T, ideal, None, config)
-    e_ratio = e_real.value / e_ideal
-    f_ratio = f_real.value / f_ideal.value
-    err = e_real.quadrature.abs_error_estimate / abs(e_ideal) + (
-        f_real.quadrature.abs_error_estimate
-        + abs(f_ratio) * f_ideal.quadrature.abs_error_estimate
-    ) / abs(f_ideal.value)
-    conv = (
-        e_real.quadrature.converged
-        and f_real.quadrature.converged
-        and f_ideal.quadrature.converged
-    )
-    return (
-        spec.a,
-        spec.T,
-        effective_temperature(spec.a),
-        e_ratio,
-        f_ratio,
-        err,
-        float(conv),
-    )
+    e_ratio, f_ratio, err, conv = _thermal_ratios(spec.a, spec.T, model, material, config)
+    return (spec.a, spec.T, effective_temperature(spec.a), e_ratio, f_ratio, err, float(conv))
 
 
 _COLUMNS = {
@@ -544,21 +481,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    flags = {
-        "command": args.command,
-        "material": args.material,
-        "model": args.model,
-        "formalism": args.formalism,
-        "a": args.a,
-        "grid": args.grid,
-        "T": args.T,
-        "R": args.R,
-        "rel_tol": args.rel_tol,
-        "out": args.out,
-    }
+    flags = vars(_build_parser().parse_args(argv))
     try:
-        spec = parse_config(args.config, flags)
+        spec = parse_config(flags.pop("config"), flags)
         return run(spec)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

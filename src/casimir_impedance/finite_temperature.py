@@ -37,7 +37,7 @@ from dataclasses import replace
 import numpy as np
 
 from .constants import CODATA
-from .geometry import Geometry, ThermalState
+from .geometry import Geometry, effective_temperature
 from .materials import Material
 from .quadrature import (
     _MAX_TERMS,
@@ -123,12 +123,13 @@ def _csch2(z: float) -> float:
     return 4.0 * math.exp(-2.0 * z) / math.expm1(-2.0 * z) ** 2
 
 
-def _thermal_state(a: float, T: float) -> ThermalState:
+def _t(a: float, T: float) -> float:
+    """The reduced inverse temperature t = T_eff / T of a gap of width a."""
     if not (a > 0.0):
         raise ValueError(f"separation must be positive, got {a!r}")
     if not (0.0 < T < math.inf):
         raise ValueError(f"temperature must be positive and finite, got {T!r}")
-    return ThermalState.for_gap(a, T)
+    return effective_temperature(a) / T
 
 
 def ideal_energy_T(a: float, T: float) -> float:
@@ -144,8 +145,7 @@ def ideal_energy_T(a: float, T: float) -> float:
     tau^3 zeta(3) exactly and the remainder decays like e^(-2 pi n / tau),
     so truncation on the series tail tolerance is geometric.
     """
-    state = _thermal_state(a, T)
-    tau = 1.0 / state.t
+    tau = 1.0 / _t(a, T)
     e0 = ideal_closed_forms(a)[0]
 
     total = riemann_zeta(3.0) * tau**3
@@ -192,8 +192,7 @@ def _matsubara_correction(
     rel_tol of the sum.  ``evaluations`` counts the terms evaluated plus
     every integrand point of their y-integrals and of the tail wedge.
     """
-    state = _thermal_state(a, T)
-    step = 2.0 * math.pi * (1.0 / state.t)
+    step = 2.0 * math.pi * (1.0 / _t(a, T))
     g = _integrand(integrand_kind, a, model, material, ideal=False)
     g_terms = _integrand(integrand_kind, a, model, material, ideal=False, static=True)
 
@@ -378,8 +377,7 @@ def delta_T_energy_pert(a: float, T: float, material: Material | None = None) ->
     the skin-depth corrections vanish and the ideal-metal correction is
     returned, which equals ideal_energy_T(a, T) - E0.
     """
-    state = _thermal_state(a, T)
-    t = state.t
+    t = _t(a, T)
     d = _pert_ratio(a, material)
     z3, z4, z5 = riemann_zeta(3.0), riemann_zeta(4.0), riemann_zeta(5.0)
 
@@ -421,8 +419,7 @@ def delta_T_force_pert(a: float, T: float, material: Material | None = None) -> 
     Same structure as :func:`delta_T_energy_pert`; the exact power-law part
     is zeta(4)/t^4 + d pi zeta(3)/t^3 and the remainder is sinh^-2 damped.
     """
-    state = _thermal_state(a, T)
-    t = state.t
+    t = _t(a, T)
     d = _pert_ratio(a, material)
     z3, z4 = riemann_zeta(3.0), riemann_zeta(4.0)
 
@@ -474,10 +471,22 @@ def thermal_ideal_ratios(
     The energy denominator is the ideal-metal closed series; the force
     denominator runs the full Matsubara path with zero reflection factors.
     """
-    ideal = ImpedanceModel(ImpedanceKind.IDEAL_METAL)
-    e_ratio = energy_ppT(a, T, model, material, config).value / ideal_energy_T(a, T)
-    f_ratio = (
-        force_ppT(a, T, model, material, config).value
-        / force_ppT(a, T, ideal, None, config).value
-    )
-    return e_ratio, f_ratio
+    return _thermal_ratios(a, T, model, material, config)[:2]
+
+
+def _thermal_ratios(
+    a: float, T: float, model: ImpedanceModel, material: Material | None, config
+) -> tuple[float, float, float, bool]:
+    """(energy ratio, force ratio, error, converged) of a real metal to the
+    ideal metal at T; the error adds the relative errors of both ratios."""
+    e_real = energy_ppT(a, T, model, material, config)
+    e_ideal = ideal_energy_T(a, T)
+    f_real = force_ppT(a, T, model, material, config)
+    f_ideal = force_ppT(a, T, ImpedanceModel(ImpedanceKind.IDEAL_METAL), None, config)
+    f_ratio = f_real.value / f_ideal.value
+    err = e_real.quadrature.abs_error_estimate / abs(e_ideal) + (
+        f_real.quadrature.abs_error_estimate
+        + abs(f_ratio) * f_ideal.quadrature.abs_error_estimate
+    ) / abs(f_ideal.value)
+    conv = all(ob.quadrature.converged for ob in (e_real, f_real, f_ideal))
+    return e_real.value / e_ideal, f_ratio, err, conv

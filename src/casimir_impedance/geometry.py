@@ -1,20 +1,19 @@
-"""Geometry, thermal state, and the dimensionless variables of the problem.
+"""Geometry, the effective temperature of a gap, and the reduced variables.
 
 All integrals are evaluated in reduced variables: frequencies are scaled as
 xi = 2 a zeta / c and transverse quantities as y = 2 R a, where a is the gap.
 Temperature enters through the effective temperature k_B T_eff = hbar c / (2a)
-of the gap.
+of the gap, as the ratio t = T_eff / T.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 from .constants import CODATA
 
-__all__ = ["Geometry", "ThermalState", "effective_temperature"]
+__all__ = ["Geometry", "effective_temperature"]
 
 # Proximity treatment of the sphere is good to relative order a/R; past this
 # ratio the leading-order mapping is no longer quantitatively trustworthy.
@@ -44,29 +43,6 @@ class Geometry:
                     "error of this order",
                     stacklevel=2,
                 )
-
-
-@dataclass(frozen=True)
-class ThermalState:
-    """Temperature of a gap together with its derived reduced quantities.
-
-    ``t = T_eff / T`` is finite only for T > 0; the zero-temperature state
-    carries t = inf.
-    """
-
-    T: float
-    T_eff: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.T < 0.0:
-            raise ValueError(f"temperature must be >= 0, got {self.T!r}")
-
-    @classmethod
-    def for_gap(cls, a: float, T: float) -> "ThermalState":
-        T_eff = effective_temperature(a)
-        t = T_eff / T if T > 0.0 else math.inf
-        return cls(T=T, T_eff=T_eff, t=t)
 
 
 def effective_temperature(a: float) -> float:

@@ -255,9 +255,26 @@ def relative_deviation(
         op = force_pp0
     else:
         raise ValueError(f"relative deviation is defined for plate observables, not {kind}")
-    q_l = op(a, ImpedanceModel(impedance_kind, Formalism.LIFSHITZ), material, config)
-    q_i = op(a, ImpedanceModel(impedance_kind, Formalism.IMPEDANCE), material, config)
-    return (q_l.value - q_i.value) / q_l.value
+    return _deviation(op, impedance_kind, a, material, config)[1]
+
+
+def _deviation(
+    observable: Callable[..., Observable], impedance_kind: ImpedanceKind, a, material, config
+) -> tuple[float, float, float, bool]:
+    """(Q_L, (Q_L - Q_imp) / Q_L, error, converged) of ``observable``
+    (``energy_pp0`` or ``force_pp0``) at separation a.  The error is the sum
+    of both quadrature errors relative to |Q_L|."""
+    ref, direct = (
+        observable(a, ImpedanceModel(impedance_kind, f), material, config)
+        for f in (Formalism.LIFSHITZ, Formalism.IMPEDANCE)
+    )
+    return (
+        ref.value,
+        (ref.value - direct.value) / ref.value,
+        (ref.quadrature.abs_error_estimate + direct.quadrature.abs_error_estimate)
+        / abs(ref.value),
+        ref.quadrature.converged and direct.quadrature.converged,
+    )
 
 
 # Largest normal-skin expansion parameter for which the first-order forms are

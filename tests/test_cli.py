@@ -1,4 +1,4 @@
-"""Command-line frontend: parsing, serialization, CSV output, exit codes."""
+"""Command-line frontend: parsing, CSV output, exit codes."""
 
 import io
 import math
@@ -8,15 +8,17 @@ from types import SimpleNamespace
 import pytest
 
 from casimir_impedance import cli
-from casimir_impedance import ideal_closed_forms, ideal_energy_T
-from casimir_impedance.cli import (
-    RunSpec,
-    SpecError,
-    parse_config,
-    parse_grid,
-    parse_length,
-    serialize_config,
+from casimir_impedance import (
+    ALUMINUM,
+    ImpedanceKind,
+    ImpedanceModel,
+    ObservableKind,
+    ideal_closed_forms,
+    ideal_energy_T,
+    relative_deviation,
+    thermal_ideal_ratios,
 )
+from casimir_impedance.cli import RunSpec, SpecError, parse_config, parse_grid, parse_length
 
 
 def _rows(text):
@@ -152,24 +154,39 @@ def test_coefficients_needs_no_material():
     assert spec.material is None
 
 
-def test_serialize_round_trip(tmp_path):
-    specs = [
-        RunSpec(command="point", model="ideal", a=1e-7, T=300.0, R=1e-4),
-        RunSpec(
-            command="scan",
-            material="Al",
-            model="plasma-exact",
-            formalism="lifshitz",
-            grid=(1e-7, 1e-5, 17, True),
-            rel_tol=1e-7,
+@pytest.mark.parametrize(
+    "text, spec",
+    [
+        (
+            "command=point\nmodel=ideal\na=1e-07\nT=300.0\nR=0.0001\n",
+            RunSpec(command="point", model="ideal", a=1e-7, T=300.0, R=1e-4),
         ),
-        RunSpec(command="figure1", material="Al", grid=(1.5e-7, 5e-6, 60, False)),
-        RunSpec(command="thermal-ratio", material="Al", a=1e-3, T=1.0),
-    ]
-    for i, spec in enumerate(specs):
-        path = tmp_path / f"s{i}.cfg"
-        path.write_text(serialize_config(spec))
-        assert parse_config(path) == spec
+        (
+            "command=scan\nmaterial=Al\nmodel=plasma-exact\nformalism=lifshitz\n"
+            "grid=1e-07:1e-05:17:log\nrel_tol=1e-07\n",
+            RunSpec(
+                command="scan",
+                material="Al",
+                model="plasma-exact",
+                formalism="lifshitz",
+                grid=(1e-7, 1e-5, 17, True),
+                rel_tol=1e-7,
+            ),
+        ),
+        (
+            "command=figure1\nmaterial=Al\ngrid=1.5e-07:5e-06:60:lin\n",
+            RunSpec(command="figure1", material="Al", grid=(1.5e-7, 5e-6, 60, False)),
+        ),
+        (
+            "command=thermal-ratio\nmaterial=Al\na=0.001\nT=1.0\n",
+            RunSpec(command="thermal-ratio", material="Al", a=1e-3, T=1.0),
+        ),
+    ],
+)
+def test_parse_config_key_value_specs(tmp_path, text, spec):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert parse_config(path) == spec
 
 
 def test_point_ideal_values():
@@ -207,6 +224,26 @@ def test_thermal_ratio_output():
     assert T_eff == pytest.approx(1.1449, rel=1e-3)
     assert e_ratio == pytest.approx(0.9999169, abs=2e-6)
     assert f_ratio == pytest.approx(0.9997448, abs=2e-6)
+
+
+def test_cli_deviations_and_ratios_equal_the_library():
+    # The CLI writes the library's numbers: .16e round-trips a double.
+    grid = (5e-7, 2e-6, 2, True)
+    exact, approx = ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX
+    force, energy = ObservableKind.FORCE_PER_AREA, ObservableKind.ENERGY_PER_AREA
+    _, text = _run(RunSpec(command="figure1", material="Al", grid=grid))
+    for a, d_exact, *_ in _rows(text):
+        assert d_exact == relative_deviation(force, a, ALUMINUM, exact)
+    _, text = _run(RunSpec(command="figure2", material="Al", grid=grid))
+    for a, d_exact, d_approx, *_ in _rows(text):
+        assert d_exact == relative_deviation(energy, a, ALUMINUM, exact)
+        assert d_approx == relative_deviation(energy, a, ALUMINUM, approx)
+    for model, a, T in (("plasma-exact", 1e-6, 300.0), ("normal-skin", 1e-3, 1.0)):
+        spec = RunSpec(command="thermal-ratio", material="Al", model=model, a=a, T=T)
+        _, text = _run(spec)
+        ((_, _, _, e_ratio, f_ratio, _, _),) = _rows(text)
+        model = ImpedanceModel(ImpedanceKind(model))
+        assert (e_ratio, f_ratio) == thermal_ideal_ratios(a, T, model, ALUMINUM)
 
 
 def test_coefficients_table():

@@ -1,4 +1,4 @@
-"""Constants, material parameters, geometry and the thermal state of a gap."""
+"""Constants, material parameters, geometry and the effective temperature of a gap."""
 
 import math
 
@@ -10,7 +10,6 @@ from casimir_impedance import (
     Geometry,
     Material,
     PhysicalConstants,
-    ThermalState,
     effective_temperature,
     load_material,
 )
@@ -63,14 +62,6 @@ def test_effective_temperature_definition():
 def test_effective_temperature_millimeter():
     # the 1 mm gap sits near 1.145 K
     assert effective_temperature(1e-3) == pytest.approx(1.145, rel=5e-3)
-
-
-def test_thermal_state_for_gap():
-    state = ThermalState.for_gap(1e-6, 300.0)
-    assert state.T == 300.0
-    assert state.t == pytest.approx(state.T_eff / 300.0, rel=1e-14)
-    cold = ThermalState.for_gap(1e-6, 0.0)
-    assert math.isinf(cold.t)
 
 
 def test_geometry_validation():
