@@ -168,33 +168,31 @@ def static_reflection_factors(
 ):
     """Zero-frequency (xi -> 0) limit of the reflection factors.
 
-    Under the impedance formalism both factors vanish in the limit for every
-    kind, because Z itself vanishes faster than xi opens up phase space.  Under
-    the permittivity formalism the limit is controlled by the slope
-    Z'(0) = lim Z/xi: both plasma forms share Z'(0) = 1/w_p, which leaves
-    x_par = 0 but a finite perpendicular factor
+    The ideal metal has both factors zero.  Both plasma forms share the slope
+    Z'(0) = lim Z/xi = 1/w_p, which leaves x_par = 0 but a finite
+    perpendicular factor
 
-        x_perp(y, 0) = 4 y q / (y + q)^2,   q = sqrt(y^2 + w_p^2).
+        x_perp(y, 0) = 4 y q / (y + q)^2,
 
-    The normal-skin impedance has Z/xi -> inf at zero frequency, where the
-    permittivity formalism admits no unambiguous limit; that combination is
-    rejected here.
+    with q = w_p under the impedance formalism and q = sqrt(y^2 + w_p^2)
+    under the permittivity formalism.  The normal-skin impedance has
+    Z/xi -> inf at zero frequency.  Under the impedance formalism both its
+    factors then vanish, x_perp like sqrt(xi); the permittivity formalism
+    admits no unambiguous limit, and that combination is rejected here.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise ValueError("reduced variable y must be >= 0")
     zeros = np.zeros_like(y)
 
-    if model.formalism is Formalism.IMPEDANCE:
-        x_par, x_perp = zeros, zeros.copy()
-    elif model.kind is ImpedanceKind.IDEAL_METAL:
-        x_par, x_perp = zeros, zeros.copy()
-    elif model.kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX):
+    if model.kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX):
         m = _require_material(model.kind, material)
         w_p = 2.0 * a * m.omega_p / CODATA.c
-        q = np.hypot(y, w_p)
+        q = w_p if model.formalism is Formalism.IMPEDANCE else np.hypot(y, w_p)
         x_par = zeros
         x_perp = _guarded_ratio(4.0 * y * q, np.square(y + q))
+    elif model.kind is ImpedanceKind.IDEAL_METAL or model.formalism is Formalism.IMPEDANCE:
+        x_par, x_perp = zeros, zeros.copy()
     else:
         raise ValueError(
             "the zero-frequency reflection of a dissipative (normal-skin) metal "

@@ -406,3 +406,24 @@ def test_c9_adaptive_engine_vs_dense_oracle(record_acceptance):
         9, "dense-grid oracle equivalence", ok, f"worst rel {worst:.2e} < 1e-6"
     )
     assert worst < 1e-6
+
+
+def test_c10_impedance_thermal_correction_matches_lifshitz(record_acceptance):
+    # The paper: the impedance approach's thermal correction coincides with
+    # the Lifshitz one to four significant figures.  Delta_T = Q(T) - Q(0)
+    # at 300 K for both plasma kinds, energy and force.
+    worst = 0.0
+    for kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX):
+        imp, lif = (ImpedanceModel(kind, f) for f in (Formalism.IMPEDANCE, Formalism.LIFSHITZ))
+        for a in (0.5e-6, 1e-6, 2e-6, 3e-6, 5e-6):
+            for observable in (energy_ppT, force_ppT):
+                d_imp, d_lif = (
+                    observable(a, 300.0, m, AL, decompose=True).decomposition[1]
+                    for m in (imp, lif)
+                )
+                worst = max(worst, abs(d_imp / d_lif - 1.0))
+    ok = worst < 1e-4
+    record_acceptance(
+        10, "impedance thermal correction to 4 digits", ok, f"worst rel {worst:.2e} < 1e-4"
+    )
+    assert worst < 1e-4

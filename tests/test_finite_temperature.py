@@ -572,15 +572,24 @@ def test_millikelvin_sum_has_bounded_cost(observable, monkeypatch, aluminum, pla
     assert obs.quadrature.evaluations <= 100_000
 
 
-def test_plates_approach_zero_temperature_continuously(aluminum, plasma_impedance, ideal_model):
+def test_plates_approach_zero_temperature_continuously(
+    aluminum, plasma_impedance, plasma_lifshitz, ideal_model
+):
+    # The gap Q(T)/Q(0) - 1 shrinks like T^3: a jump in the l = 0 term of the
+    # primed sum would leave a part linear in T, a ratio of 0.1 per decade.
+    # The Lifshitz force gap is one ulp from 10 mK on, so only the impedance
+    # gaps are compared down to 1 mK.
     a = 1e-6
-    for thermal, zero in ((force_ppT, force_pp0), (energy_ppT, energy_pp0)):
-        q0 = zero(a, plasma_impedance, aluminum).value
-        gaps = [
-            abs(thermal(a, T, plasma_impedance, aluminum).value / q0 - 1.0)
-            for T in (1.0, 0.1, 0.01, 1e-3)
-        ]
-        assert all(b < c for b, c in zip(gaps[1:], gaps))
-        assert gaps[-1] < 1e-7
+    for model in (plasma_impedance, plasma_lifshitz):
+        for thermal, zero in ((force_ppT, force_pp0), (energy_ppT, energy_pp0)):
+            q0 = zero(a, model, aluminum).value
+            gaps = [
+                abs(thermal(a, T, model, aluminum).value / q0 - 1.0)
+                for T in (1.0, 0.1, 0.01, 1e-3)
+            ]
+            if model is plasma_impedance:
+                assert all(b < c for b, c in zip(gaps[1:], gaps))
+            assert gaps[-1] < 1e-7
+            assert gaps[1] < 1e-2 * gaps[0]
     ideal = ideal_closed_forms(a)[1] + delta_T_force_pert(a, 1e-3)
     assert force_ppT(a, 1e-3, ideal_model).value == pytest.approx(ideal, rel=1e-9)

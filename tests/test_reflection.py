@@ -114,12 +114,22 @@ def test_lifshitz_matches_permittivity_route():
     np.testing.assert_allclose(x_perp, 1.0 - r_te**2, rtol=1e-10)
 
 
-def test_static_factors_impedance_formalism_vanish():
+def test_static_factors_impedance_formalism():
+    # Both plasma forms have Z = xi / w_p near xi = 0, so x_perp keeps a
+    # finite limit; the ideal metal and normal skin (x_perp ~ sqrt(xi)) vanish.
     y = np.linspace(0.0, 40.0, 17)
-    for kind in ImpedanceKind:
+    for kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX):
+        model = ImpedanceModel(kind, Formalism.IMPEDANCE)
+        x_par, x_perp = static_reflection_factors(model, y, A, ALUMINUM)
+        np.testing.assert_allclose(x_perp, 4 * y * W_P / (y + W_P) ** 2, rtol=1e-13)
+        assert np.all(x_par == 0.0)
+    for kind in (ImpedanceKind.IDEAL_METAL, ImpedanceKind.NORMAL_SKIN):
         model = ImpedanceModel(kind, Formalism.IMPEDANCE)
         x_par, x_perp = static_reflection_factors(model, y, A, ALUMINUM)
         assert np.all(x_par == 0.0) and np.all(x_perp == 0.0)
+    xi = np.array([1e-12, 1e-14])
+    x_perp = reflection_factors(impedance(ImpedanceKind.NORMAL_SKIN, xi, A, ALUMINUM), 2.0, xi)[1]
+    assert x_perp[0] / x_perp[1] == pytest.approx(10.0, rel=1e-3)
 
 
 def test_static_factors_lifshitz_plasma():
@@ -138,11 +148,14 @@ def test_static_factors_normal_skin_lifshitz_rejected():
 
 
 def test_factors_continuous_at_small_xi():
-    # the xi -> 0 limit of the running factors matches the static values
-    model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.LIFSHITZ)
+    # The xi -> 0 limit of the running factors matches the static values for
+    # every pair whose factors approach it linearly in xi; normal skin's
+    # sqrt(xi) approach is checked in test_static_factors_impedance_formalism.
     y = np.linspace(0.5, 10.0, 5)
-    xs_par, xs_perp = static_reflection_factors(model, y, A, ALUMINUM)
-    Z = impedance(ImpedanceKind.PLASMA_EXACT, 1e-8, A, ALUMINUM)
-    xr_par, xr_perp = reflection_factors(Z, y, 1e-8, Formalism.LIFSHITZ)
-    np.testing.assert_allclose(xr_perp, xs_perp, atol=1e-6)
-    np.testing.assert_allclose(xr_par, xs_par, atol=1e-6)
+    for kind in (ImpedanceKind.IDEAL_METAL, ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX):
+        for formalism in Formalism:
+            model = ImpedanceModel(kind, formalism)
+            static = static_reflection_factors(model, y, A, ALUMINUM)
+            Z = impedance(kind, 1e-9, A, ALUMINUM)
+            running = reflection_factors(Z, y, 1e-9, formalism)
+            np.testing.assert_allclose(running, static, rtol=1e-8, atol=1e-15)
