@@ -358,7 +358,8 @@ def _figure2_rows(grid: list[float], spec: RunSpec, material, model, config):
             _deviation(energy_pp0, kind, a, material, config)
             for kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX)
         )
-        rows.append((a, d_exact, d_approx, err_exact + err_approx, float(ok_exact and ok_approx)))
+        ok = float(ok_exact and ok_approx)
+        rows.append((a, d_exact, d_approx, err_exact + err_approx, ok))
     return rows
 
 

@@ -475,7 +475,11 @@ def thermal_ideal_ratios(
 
 
 def _thermal_ratios(
-    a: float, T: float, model: ImpedanceModel, material: Material | None, config
+    a: float,
+    T: float,
+    model: ImpedanceModel,
+    material: Material | None,
+    config: QuadratureConfig,
 ) -> tuple[float, float, float, bool]:
     """(energy ratio, force ratio, error, converged) of a real metal to the
     ideal metal at T; the error adds the relative errors of both ratios."""

@@ -259,7 +259,11 @@ def relative_deviation(
 
 
 def _deviation(
-    observable: Callable[..., Observable], impedance_kind: ImpedanceKind, a, material, config
+    observable: Callable[..., Observable],
+    impedance_kind: ImpedanceKind,
+    a: float,
+    material: Material,
+    config: QuadratureConfig,
 ) -> tuple[float, float, float, bool]:
     """(Q_L, (Q_L - Q_imp) / Q_L, error, converged) of ``observable``
     (``energy_pp0`` or ``force_pp0``) at separation a.  The error is the sum

@@ -414,12 +414,12 @@ def test_c10_impedance_thermal_correction_matches_lifshitz(record_acceptance):
     # at 300 K for both plasma kinds, energy and force.
     worst = 0.0
     for kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX):
-        imp, lif = (ImpedanceModel(kind, f) for f in (Formalism.IMPEDANCE, Formalism.LIFSHITZ))
         for a in (0.5e-6, 1e-6, 2e-6, 3e-6, 5e-6):
             for observable in (energy_ppT, force_ppT):
                 d_imp, d_lif = (
-                    observable(a, 300.0, m, AL, decompose=True).decomposition[1]
-                    for m in (imp, lif)
+                    observable(a, 300.0, ImpedanceModel(kind, f), AL, decompose=True)
+                    .decomposition[1]
+                    for f in (Formalism.IMPEDANCE, Formalism.LIFSHITZ)
                 )
                 worst = max(worst, abs(d_imp / d_lif - 1.0))
     ok = worst < 1e-4

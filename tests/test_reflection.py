@@ -128,7 +128,8 @@ def test_static_factors_impedance_formalism():
         x_par, x_perp = static_reflection_factors(model, y, A, ALUMINUM)
         assert np.all(x_par == 0.0) and np.all(x_perp == 0.0)
     xi = np.array([1e-12, 1e-14])
-    x_perp = reflection_factors(impedance(ImpedanceKind.NORMAL_SKIN, xi, A, ALUMINUM), 2.0, xi)[1]
+    Z = impedance(ImpedanceKind.NORMAL_SKIN, xi, A, ALUMINUM)
+    x_perp = reflection_factors(Z, 2.0, xi)[1]
     assert x_perp[0] / x_perp[1] == pytest.approx(10.0, rel=1e-3)
 
 
@@ -152,7 +153,8 @@ def test_factors_continuous_at_small_xi():
     # every pair whose factors approach it linearly in xi; normal skin's
     # sqrt(xi) approach is checked in test_static_factors_impedance_formalism.
     y = np.linspace(0.5, 10.0, 5)
-    for kind in (ImpedanceKind.IDEAL_METAL, ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX):
+    linear = (ImpedanceKind.IDEAL_METAL, ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX)
+    for kind in linear:
         for formalism in Formalism:
             model = ImpedanceModel(kind, formalism)
             static = static_reflection_factors(model, y, A, ALUMINUM)
