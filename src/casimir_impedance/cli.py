@@ -35,13 +35,13 @@ from pathlib import Path
 
 from . import __version__
 from .constants import CODATA
-from .finite_temperature import _thermal_ratios, energy_ppT, force_ppT, sphere_plate_T
+from .finite_temperature import _thermal_ratios, energy_ppT, force_ppT
 from .geometry import effective_temperature
 from .materials import PRESETS, Material, load_material
 from .quadrature import _SERIES_TAIL_TOL, DEFAULT_CONFIG, QuadratureConfig
 from .reflection import Formalism, ImpedanceKind, ImpedanceModel
 from .series import _SERIES_RATIO_MAX, CoefficientVariant, coefficients, series_force
-from .zero_temperature import _deviation, energy_pp0, force_pp0, force_sphere0
+from .zero_temperature import _deviation, _sphere_plate, energy_pp0, force_pp0
 
 __all__ = [
     "RunSpec",
@@ -292,31 +292,26 @@ class _Csv:
 
 def _point_rows(spec: RunSpec, material, model, config):
     """One row per observable: kind index, value, error, converged."""
-    rows = []
     if spec.T == 0.0:
         e = energy_pp0(spec.a, model, material, config)
         f = force_pp0(spec.a, model, material, config)
-        obs = [e, f]
-        if spec.R is not None:
-            obs.append(force_sphere0(spec.a, spec.R, model, material, config))
     else:
         e = energy_ppT(spec.a, spec.T, model, material, config)
         f = force_ppT(spec.a, spec.T, model, material, config)
-        obs = [e, f]
-        if spec.R is not None:
-            obs.append(sphere_plate_T(spec.a, spec.R, spec.T, model, material, config))
-    for index, ob in enumerate(obs):
-        rows.append(
-            (
-                spec.a,
-                spec.T,
-                float(index),
-                ob.value,
-                ob.quadrature.abs_error_estimate,
-                float(ob.quadrature.converged),
-            )
+    obs = [e, f]
+    if spec.R is not None:
+        obs.append(_sphere_plate(e, spec.R))
+    return [
+        (
+            spec.a,
+            spec.T,
+            float(index),
+            ob.value,
+            ob.quadrature.abs_error_estimate,
+            float(ob.quadrature.converged),
         )
-    return rows
+        for index, ob in enumerate(obs)
+    ]
 
 
 def _scan_rows(grid: list[float], spec: RunSpec, material, model, config):

@@ -13,14 +13,16 @@ l = 0 term at half weight (the prime on the sum):
 The ideal-metal energy E_ideal is evaluated from its equivalent closed series
 in coth and sinh^-2 (``ideal_energy_T``).
 
-The integrand of I_E and I_F is the plate integrand of the T = 0 wedge, and
-the sum takes one of two reductions, chosen by the step xi_1 = 2 pi T / T_eff
-(see ``_matsubara_correction``).  From ``_TAIL_STEP_MAX`` up the terms are
-summed one by one until their geometric tail is negligible past xi = 36.
-Below it, where that would take about 36 / xi_1 terms, the first ``_HEAD``
-terms are summed exactly and the rest is an Euler-Maclaurin tail whose
-integral is the T = 0 wedge shifted to xi_L, so the cost no longer grows as
-T falls.
+The integrand of I_E and I_F is the plate integrand of the T = 0 wedge.
+Energy and pressure share one core, ``_platesT``, as their T = 0
+counterparts share ``zero_temperature._plates0``, and each sum takes all
+its terms from one call of the y rule, in one of two reductions chosen by
+the step xi_1 = 2 pi T / T_eff (see ``_matsubara_correction``).  From
+``_TAIL_STEP_MAX`` up the terms run to the first xi_l >= 36, where their
+geometric tail must be negligible.  Below it, where that would take about
+36 / xi_1 terms, the first ``_HEAD`` terms are summed exactly and the rest
+is an Euler-Maclaurin tail whose integral is the T = 0 wedge shifted to
+xi_L, so the cost no longer grows as T falls.
 
 The thermal correction Delta_T = Q(a, T) - Q(a, 0) also has closed expansions
 to second order in delta_0 / a, the penetration-depth-to-gap ratio
@@ -40,6 +42,7 @@ from .constants import CODATA
 from .geometry import Geometry, effective_temperature
 from .materials import Material
 from .quadrature import (
+    _ABS_FLOOR,
     _MAX_TERMS,
     _SERIES_TAIL_TOL,
     DEFAULT_CONFIG,
@@ -58,8 +61,8 @@ from .zero_temperature import (
     ObservableKind,
     _integrand,
     _observable,
-    energy_pp0,
-    force_pp0,
+    _plates0,
+    _sphere_plate,
     ideal_closed_forms,
 )
 
@@ -90,11 +93,12 @@ _PERT_RATIO_MAX = 0.1
 _TAIL_STEP_MAX = 0.19
 _HEAD = 32
 
-# A term-by-term sum may stop only from xi_l >= _STOP_XI on.  The
-# plasma-approx terms dip almost to zero at xi = w_p, where Z = 1, and rise
-# again, and a geometric stop test would end the sum in the dip.  Sums
-# without a dip stop on their own at xi = 33 to 35 (every model), so a dip
-# past xi = 36 is too deep in the tail to matter.
+# A term-by-term sum runs to the first xi_l >= _STOP_XI and reads its
+# geometric tail there.  The plasma-approx terms dip almost to zero at
+# xi = w_p, where Z = 1, and rise again, so a tail read in the dip would
+# end the sum too early.  Sums without a dip pass the tail test from
+# xi = 33 to 35 on (every model), so a dip past xi = 36 is too deep in the
+# tail to matter.
 _STOP_XI = 36.0
 
 # 7-point central differences at the middle of f(L-3 .. L+3), unit spacing:
@@ -107,6 +111,10 @@ _D5 = np.array([-1.0, 4.0, -5.0, 0.0, 5.0, -4.0, 1.0]) / 2.0
 # on the smaller 7-point error.
 _D1_GAP = _D1 - np.array([0.0, 1.0, -8.0, 0.0, 8.0, -1.0, 0.0]) / 12.0
 _D3_GAP = _D3 - np.array([0.0, -1.0, 2.0, 0.0, -2.0, 1.0, 0.0]) / 2.0
+
+# The sum of no terms: the Matsubara part of the ideal-metal energy, and the
+# wedge of a sum taken term by term.
+_NOTHING = QuadratureResult(value=0.0, abs_error_estimate=0.0, evaluations=0, converged=True)
 
 
 def _coth_minus_one(z: float) -> float:
@@ -172,34 +180,39 @@ def _matsubara_correction(
 
     For the energy the integrand is the material-dependent part of the mode
     sum alone (the ideal-metal piece is carried by the closed series); for the
-    force it is the complete bracket.
+    force it is the complete bracket.  All terms come from one
+    ``_integrate_y_batch`` call.
 
-    With the step xi_1 = 2 pi T / T_eff at or above ``_TAIL_STEP_MAX`` the
-    terms are summed one by one by :func:`sum_matsubara_primed`, in blocks of
-    l, and the sum may not stop before xi_l reaches ``_STOP_XI``.  Below it
-    the term count would grow like 1/T, so the sum is taken as an exact head
-    of ``_HEAD`` = L terms plus the Euler-Maclaurin tail
+    With the step xi_1 = 2 pi T / T_eff at or above ``_TAIL_STEP_MAX`` the sum
+    is f(0)/2 + f(1) + ... + f(L) with L = max(3, ceil(``_STOP_XI`` / step)),
+    the first index at which it may stop, and its truncation is the
+    geometric tail f(L) r / (1 - r), r = f(L) / f(L-1) (0 once the terms
+    underflow).  It is converged only if that tail is within
+    ``_SERIES_TAIL_TOL`` of the sum; a sum that fails the test is returned
+    unconverged, not extended.  Below the threshold the term count would
+    grow like 1/T, so the sum is taken as an exact head of ``_HEAD`` = L
+    terms plus the Euler-Maclaurin tail
 
         S_{l >= L} f(l) = (1/step) int_{xi_L}^inf I(xi) dxi + f(L)/2
                           - f'(L)/12 + f^(3)(L)/720 - f^(5)(L)/30240,
 
     whose derivatives are 7-point central differences of f(L-3 .. L+3) and
-    whose integral is the T = 0 wedge rule shifted by xi_L.  All L + 4 terms
-    come from one engine call.  The error of that path adds the truncation
-    (the last Euler-Maclaurin term plus the stencils' error, bounded by their
-    difference from 5-point stencils), the wedge error over the step and the
-    y-errors of the terms; it is converged only if the truncation is within
-    rel_tol of the sum.  ``evaluations`` counts the terms evaluated plus
-    every integrand point of their y-integrals and of the tail wedge.
+    whose integral is the T = 0 wedge rule shifted by xi_L.  Its truncation
+    is the last Euler-Maclaurin term plus the stencils' error, bounded by
+    their difference from 5-point stencils; it is converged only if that is
+    within rel_tol of the sum.  On either side the error adds the
+    truncation, the wedge error over the step and the y-errors of the
+    terms, and ``evaluations`` counts the terms plus every integrand point
+    of their y-integrals and of the tail wedge.
     """
     step = 2.0 * math.pi * (1.0 / _t(a, T))
-    g = _integrand(integrand_kind, a, model, material, ideal=False)
     g_terms = _integrand(integrand_kind, a, model, material, ideal=False, static=True)
+    tail = step < _TAIL_STEP_MAX
+    last_l = _HEAD + 3 if tail else max(3, math.ceil(_STOP_XI / step))
+    f, errs, evals, conv = _integrate_y_batch(g_terms, step * np.arange(last_l + 1), config)
 
-    if step < _TAIL_STEP_MAX:
-        f, errs, evals, conv = _integrate_y_batch(
-            g_terms, step * np.arange(_HEAD + 4), config
-        )
+    if tail:
+        g = _integrand(integrand_kind, a, model, material, ideal=False)
         wedge = integrate_xi_y(g, config, lower=step * _HEAD)
         around = f[_HEAD - 3:]
         last = float(_D5 @ around) / 30240.0
@@ -208,47 +221,71 @@ def _matsubara_correction(
             + abs(float(_D1_GAP @ around)) / 12.0
             + abs(float(_D3_GAP @ around)) / 720.0
         )
-        parts = [
-            0.5 * f[0],
-            *f[1:_HEAD].tolist(),
-            wedge.value / step,
-            0.5 * f[_HEAD],
-            -float(_D1 @ around) / 12.0,
-            float(_D3 @ around) / 720.0,
-            -last,
-        ]
-        value = math.fsum(parts)
-        return QuadratureResult(
-            value=value,
-            abs_error_estimate=truncation
-            + wedge.abs_error_estimate / step
-            + math.fsum(errs.tolist()),
-            evaluations=f.size + int(evals.sum()) + wedge.evaluations,
-            converged=bool(
-                wedge.converged
-                and conv.all()
-                and truncation <= config.rel_tol * abs(value)
-            ),
+        value = math.fsum(
+            [
+                0.5 * f[0],
+                *f[1:_HEAD].tolist(),
+                wedge.value / step,
+                0.5 * f[_HEAD],
+                -float(_D1 @ around) / 12.0,
+                float(_D3 @ around) / 720.0,
+                -last,
+            ]
         )
+        settled = truncation <= config.rel_tol * abs(value)
+    else:
+        wedge = _NOTHING
+        value = math.fsum([0.5 * f[0], *f[1:].tolist()])
+        prev, mag = (abs(t) for t in f[-2:].tolist())
+        # Terms that underflow to zero leave no tail.
+        r = mag / prev if prev > 0.0 else (0.0 if mag == 0.0 else math.inf)
+        if r < 1.0:
+            truncation = mag * r / (1.0 - r)
+            settled = truncation <= max(_SERIES_TAIL_TOL * abs(value), _ABS_FLOOR)
+        else:
+            truncation, settled = abs(value), False
 
-    blocks = []  # per-term (errors, evaluations, converged) of each block
-
-    def terms(ls: np.ndarray) -> np.ndarray:
-        vals, *side = _integrate_y_batch(g_terms, step * ls, config)
-        blocks.append(side)
-        return vals
-
-    total = sum_matsubara_primed(terms, l_min=math.ceil(_STOP_XI / step))
-    # Only the terms the sum consumed count; the rest of the last block is
-    # discarded with its accounting.
-    n = total.evaluations
-    errs, evals, conv = (np.concatenate(col)[:n] for col in zip(*blocks))
     return QuadratureResult(
-        value=total.value,
-        abs_error_estimate=total.abs_error_estimate + math.fsum(errs.tolist()),
-        evaluations=n + int(evals.sum()),
-        converged=bool(total.converged and conv.all()),
+        value=value,
+        abs_error_estimate=truncation
+        + wedge.abs_error_estimate / step
+        + math.fsum(errs.tolist()),
+        evaluations=f.size + int(evals.sum()) + wedge.evaluations,
+        converged=bool(wedge.converged and conv.all() and settled),
     )
+
+
+def _platesT(
+    kind: ObservableKind,
+    a: float,
+    T: float,
+    model: ImpedanceModel,
+    material: Material | None,
+    config: QuadratureConfig,
+    decompose: bool,
+) -> Observable:
+    """Plate energy or pressure at temperature T: one Matsubara sum.
+
+    The energy is the ideal-metal closed series plus the sum of the
+    material-dependent logarithms, which vanishes for the ideal metal; the
+    pressure sums the complete bracket, for the ideal metal with both
+    reflection factors zero.
+    """
+    geometry = Geometry(separation=a)
+    energy = kind is ObservableKind.ENERGY_PER_AREA
+    if energy:
+        offset, pref = ideal_energy_T(a, T), CODATA.k_B * T / (8.0 * math.pi * a**2)
+    else:
+        offset, pref = 0.0, -CODATA.k_B * T / (8.0 * math.pi * a**3)
+    if energy and model.kind is ImpedanceKind.IDEAL_METAL:
+        corr = _NOTHING
+    else:
+        corr = _matsubara_correction(a, T, model, material, config, kind)
+    obs = _observable(kind, pref, corr, geometry, model, T, offset=offset)
+    if decompose:
+        zero = _plates0(kind, a, model, material, config).value
+        obs = replace(obs, decomposition=(zero, obs.value - zero))
+    return obs
 
 
 def energy_ppT(
@@ -259,34 +296,14 @@ def energy_ppT(
     config: QuadratureConfig = DEFAULT_CONFIG,
     decompose: bool = False,
 ) -> Observable:
-    """Casimir energy per unit area of parallel plates at temperature T.
-
-    The ideal-metal part is evaluated from its closed series; the impedance
-    correction is the primed Matsubara sum of y-integrals over the
-    material-dependent logarithms, summed term by term or, below the step
-    threshold, as an exact head plus an Euler-Maclaurin tail (see the module
-    docstring).  ``evaluations`` counts the Matsubara terms evaluated plus
-    every integrand point (0 for the ideal metal).  With ``decompose=True``
-    the result also carries the (zero-T value, thermal correction) split.
+    """Casimir energy per unit area of parallel plates at temperature T, in
+    J/m^2: the ideal-metal closed series plus the primed Matsubara sum of
+    the material-dependent logarithms (see ``_matsubara_correction``).
+    ``evaluations`` counts the Matsubara terms plus every integrand point
+    (0 for the ideal metal).  With ``decompose=True`` the result also
+    carries the (zero-T value, thermal correction) split.
     """
-    geometry = Geometry(separation=a)
-    ideal = ideal_energy_T(a, T)
-    if model.kind is ImpedanceKind.IDEAL_METAL:
-        corr = QuadratureResult(
-            value=0.0, abs_error_estimate=0.0, evaluations=0, converged=True
-        )
-    else:
-        corr = _matsubara_correction(
-            a, T, model, material, config, ObservableKind.ENERGY_PER_AREA
-        )
-    pref = CODATA.k_B * T / (8.0 * math.pi * a**2)
-    obs = _observable(
-        ObservableKind.ENERGY_PER_AREA, pref, corr, geometry, model, T, offset=ideal
-    )
-    if decompose:
-        zero = energy_pp0(a, model, material, config).value
-        obs = replace(obs, decomposition=(zero, obs.value - zero))
-    return obs
+    return _platesT(ObservableKind.ENERGY_PER_AREA, a, T, model, material, config, decompose)
 
 
 def force_ppT(
@@ -297,25 +314,12 @@ def force_ppT(
     config: QuadratureConfig = DEFAULT_CONFIG,
     decompose: bool = False,
 ) -> Observable:
-    """Casimir pressure between parallel plates at temperature T, in Pa.
-
-    The complete bracket is summed over Matsubara frequencies, term by term
-    or, below the step threshold, as an exact head plus an Euler-Maclaurin
-    tail (see the module docstring); ``evaluations`` counts the terms
-    evaluated plus every integrand point.  The ideal metal goes through the
-    same path with both reflection factors zero, so the real-to-ideal
-    comparison shares one code path.
+    """Casimir pressure between parallel plates at temperature T, in Pa: the
+    primed Matsubara sum of the complete bracket, for the ideal metal with
+    both reflection factors zero, so the real-to-ideal comparison shares one
+    code path.  ``evaluations`` and ``decompose`` as for :func:`energy_ppT`.
     """
-    geometry = Geometry(separation=a)
-    corr = _matsubara_correction(
-        a, T, model, material, config, ObservableKind.FORCE_PER_AREA
-    )
-    pref = -CODATA.k_B * T / (8.0 * math.pi * a**3)
-    obs = _observable(ObservableKind.FORCE_PER_AREA, pref, corr, geometry, model, T)
-    if decompose:
-        zero = force_pp0(a, model, material, config).value
-        obs = replace(obs, decomposition=(zero, obs.value - zero))
-    return obs
+    return _platesT(ObservableKind.FORCE_PER_AREA, a, T, model, material, config, decompose)
 
 
 def sphere_plate_T(
@@ -327,16 +331,7 @@ def sphere_plate_T(
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Observable:
     """Force on a sphere above a plate at temperature T: F = 2 pi R E(a, T)."""
-    geometry = Geometry(separation=a, sphere_radius=R)
-    energy = energy_ppT(a, T, model, material, config)
-    return _observable(
-        ObservableKind.SPHERE_PLATE_FORCE,
-        2.0 * math.pi * R,
-        energy.quadrature,
-        geometry,
-        model,
-        T,
-    )
+    return _sphere_plate(energy_ppT(a, T, model, material, config), R)
 
 
 def _pert_ratio(a: float, material: Material | None) -> float:

@@ -27,12 +27,11 @@ y = lower + exp(pi/2 sinh t) for a batch of lower bounds at once, with xi
 a column of each integral's lower bound and y one row of nodes per
 integral.  An integral stops being evaluated once it has converged, and
 its sums are row sums over its own nodes, so it gets bit for bit the
-results it would get alone.  The finite-temperature
-sums integrate one block of Matsubara terms per call:
-``sum_matsubara_primed`` asks its ``terms(ls)`` callable for a first block
-that ends where the sum may first stop, then for blocks that double up to
-64, and applies its stopping rule term by term, as if the terms came one at
-a time.
+results it would get alone.  A finite-temperature sum integrates all of
+its Matsubara terms in one such call.  ``sum_matsubara_primed`` sums
+series whose length is not known in advance: it asks its ``terms(ls)``
+callable for blocks of l that double up to 64 and applies its stopping
+rule term by term, as if the terms came one at a time.
 
 The wedge lower <= xi <= y < infinity is taken by ``integrate_xi_y`` with
 the product of the same exp-sinh rule in y, from x = y - lower = 1e-8 up,
@@ -83,16 +82,15 @@ _Y_MARGIN = 45.0
 _SERIES_TAIL_TOL = 1e-12
 _MAX_TERMS = 1_000_000
 
-# Matsubara terms are evaluated in blocks of l, one engine call per block.
-# The first block ends at the first index where the sum may stop, so a sum
-# that stops there integrates no term in vain; later blocks double up to the
-# cap, which bounds the memory of a block and the terms computed past the
-# index where the sum stops.
+# sum_matsubara_primed asks for its terms in blocks of l.  The first block
+# ends at the first index where the sum may stop; later blocks double up to
+# the cap, which bounds the memory of a block and the terms computed past
+# the index where the sum stops.
 _BLOCK_MAX = 64
 
-# Most integrand points evaluated in one call.  Larger batches (a block of
-# Matsubara terms, a level of a rule) are evaluated in chunks, which
-# bounds the integrand's temporaries.
+# Most integrand points evaluated in one call.  Larger batches (the
+# Matsubara terms of a sum, a level of a rule) are evaluated in chunks,
+# which bounds the integrand's temporaries.
 _EVAL_MAX = 16_384
 
 # The double-exponential rules: the first trapezoid step, the number of times
@@ -429,11 +427,11 @@ def integrate_xi_y(
 
 
 def _blocks(
-    terms: Callable[[np.ndarray], np.ndarray], n: int, first: int
+    terms: Callable[[np.ndarray], np.ndarray], n: int
 ) -> Iterator[tuple[int, float]]:
     """(l, terms(l)) for l = 0 .. n - 1, evaluated in blocks of l that double
-    from ``first`` indices up to ``_BLOCK_MAX``."""
-    start, size = 0, first
+    from 4 indices, the first stop, up to ``_BLOCK_MAX``."""
+    start, size = 0, 4
     while start < n:
         ls = np.arange(start, min(start + size, n))
         values = np.asarray(terms(ls), dtype=float)
@@ -447,27 +445,23 @@ def _blocks(
         size = min(2 * size, _BLOCK_MAX)
 
 
-def sum_matsubara_primed(
-    terms: Callable[[np.ndarray], np.ndarray], l_min: int = 0
-) -> QuadratureResult:
+def sum_matsubara_primed(terms: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
     """Sum the terms t_l for l = 0, 1, 2, ... with t_0 at half weight.
 
     ``terms(ls)`` returns t_l for an integer array of indices; it is called
-    on consecutive blocks of l, so an integral per term becomes one batched
-    engine call per block.  The first block runs through the first index at
-    which the sum may stop, max(3, ``l_min``); later blocks double up to a
-    fixed cap.  Truncation relies on the geometric decay of Matsubara terms
-    and reads the terms one by one in order: once the running ratio of
+    on consecutive blocks of l, the first l = 0 .. 3, later ones doubling up
+    to a fixed cap.  Truncation relies on the geometric decay of the terms
+    and reads them one by one in order: once the running ratio of
     consecutive magnitudes is below 1, the remaining tail is estimated as
-    t_l * r / (1 - r) and the sum stops when that falls under
-    ``_SERIES_TAIL_TOL`` of the accumulated value, at l >= 3 and l >= ``l_min``
-    (a caller whose terms can dip and rise again sets ``l_min`` past the
-    dips).  After ``_MAX_TERMS`` terms the sum is returned unconverged.
-    Terms of the last block past the stopping index are discarded, and
-    ``evaluations`` counts the terms summed.
+    t_l * r / (1 - r) and the sum stops, from l = 3 on, when that falls
+    under ``_SERIES_TAIL_TOL`` of the accumulated value; two zero terms in
+    a row end it with a tail of 0.  After ``_MAX_TERMS`` terms the sum is
+    returned unconverged.  Terms of the last block past the stopping index
+    are discarded, and ``evaluations`` counts the terms summed.  The
+    thermal expansions sum their l-series here; the finite-temperature
+    observables take all their Matsubara terms from one engine call instead.
     """
-    first_stop = max(3, l_min)
-    seq = _blocks(terms, _MAX_TERMS + 1, first_stop + 1)
+    seq = _blocks(terms, _MAX_TERMS + 1)
     summed = [0.5 * next(seq)[1]]
     # Upper bound on |sum|, so the exact sum is taken only where the stop
     # test could pass; the factor covers the rounding of the running total.
@@ -489,7 +483,7 @@ def sum_matsubara_primed(
             prev = 0.0
             continue
         zeros_in_row = 0
-        if l >= first_stop and prev > 0.0:
+        if l >= 3 and prev > 0.0:
             r = mag / prev
             if r < 1.0:
                 tail = mag * r / (1.0 - r)

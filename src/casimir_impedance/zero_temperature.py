@@ -224,15 +224,20 @@ def force_sphere0(
     Valid to leading order in a/R; constructing the geometry warns when the
     ratio exceeds the trusted range.
     """
-    geometry = Geometry(separation=a, sphere_radius=R)
-    energy = energy_pp0(a, model, material, config)
+    return _sphere_plate(energy_pp0(a, model, material, config), R)
+
+
+def _sphere_plate(energy: Observable, R: float) -> Observable:
+    """The proximity force F = 2 pi R E on a sphere of radius R from the
+    plate energy E, at the energy's separation and temperature."""
+    geometry = Geometry(separation=energy.geometry.separation, sphere_radius=R)
     return _observable(
         ObservableKind.SPHERE_PLATE_FORCE,
         2.0 * math.pi * R,
         energy.quadrature,
         geometry,
-        model,
-        0.0,
+        energy.model,
+        energy.temperature,
     )
 
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from casimir_impedance import cli
+from casimir_impedance import cli, finite_temperature, zero_temperature
 from casimir_impedance import (
     ALUMINUM,
     ImpedanceKind,
@@ -210,6 +210,32 @@ def test_point_thermal_ideal():
     rows = _rows(text)
     assert rows[0][1] == 300.0
     assert rows[0][3] == pytest.approx(ideal_energy_T(1e-6, 300.0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("T", "module", "engine"),
+    [
+        ("0", zero_temperature, "integrate_xi_y"),
+        ("300", finite_temperature, "_matsubara_correction"),
+    ],
+)
+def test_point_sphere_row_maps_the_energy_row(T, module, engine, monkeypatch, capsys):
+    # The sphere row is 2 pi R times the energy row above it, not a third
+    # plate computation: one wedge or Matsubara sum each for energy and force.
+    calls = []
+    original = getattr(module, engine)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, engine, counted)
+    argv = ["point", "--material", "Al", "--a", "1um", "--R", "100um", "--T", T]
+    assert cli.main(argv) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert len(calls) == 2
+    assert [row[2] for row in rows] == [0.0, 1.0, 2.0]
+    assert rows[2][3] == 2.0 * math.pi * parse_length("100um", "R") * rows[0][3]
 
 
 def test_thermal_ratio_output():

@@ -303,10 +303,10 @@ def test_batched_matsubara_sum_matches_per_term_integrals(
     observable, monkeypatch, aluminum, plasma_lifshitz
 ):
     # Oracle: one integrate_y_from per Matsubara index, the integrand written
-    # out, summed with the observable's stop rule.  The Lifshitz formalism
-    # makes the static l = 0 term non-zero.  The step lies just above the
-    # tail threshold, so the sum runs term by term, in blocks of l with one
-    # engine call per block.
+    # out, summed over l = 0 .. ceil(36 / step), where the observable's sum
+    # stops.  The Lifshitz formalism makes the static l = 0 term non-zero.
+    # The step lies just above the tail threshold, so the sum runs term by
+    # term, all of its terms from one engine call.
     a, T = 1e-6, 36.0
     step = _step(a, T)
     assert step >= finite_temperature._TAIL_STEP_MAX
@@ -318,9 +318,9 @@ def test_batched_matsubara_sum_matches_per_term_integrals(
         results.append(integrate_y_from(lambda y: integrand(xi, y), xi))
         return results[-1].value
 
-    l_min = math.ceil(finite_temperature._STOP_XI / step)
-    total = sum_matsubara_primed(lambda ls: [term(l) for l in ls], l_min=l_min)
-    n = total.evaluations
+    n = math.ceil(finite_temperature._STOP_XI / step) + 1
+    values = [term(l) for l in range(n)]
+    total = math.fsum([0.5 * values[0], *values[1:]])
     assert n > 128 and results[0].value != 0.0
     calls = []
     engine = finite_temperature._integrate_y_batch
@@ -331,7 +331,7 @@ def test_batched_matsubara_sum_matches_per_term_integrals(
 
     monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
     obs = observable(a, T, plasma_lifshitz, aluminum)
-    assert obs.value == pytest.approx(_from_sum(observable, a, T, total.value), rel=1e-13)
+    assert obs.value == pytest.approx(_from_sum(observable, a, T, total), rel=1e-13)
     assert obs.quadrature.evaluations == n + sum(r.evaluations for r in results[:n])
     assert obs.quadrature.converged == all(r.converged for r in results[:n])
     assert len(calls) <= math.ceil(n / 64) + 2
@@ -492,41 +492,56 @@ def test_tail_threshold_sits_at_the_cost_crossover(monkeypatch, aluminum, plasma
         assert points(step, exact) < points(step, tail)
 
 
-@pytest.mark.parametrize("step", [0.3, 1.0, 1.65, 5.5])
-def test_term_blocks_take_one_integrand_call_each(step, monkeypatch, aluminum, plasma_impedance):
-    # Hardware-independent cost guard for the term-by-term side.  The sum may
-    # not stop before xi = 36, and every measured sum stops there, so its
-    # first block runs exactly that far, also when that is fewer than 16
-    # terms: every term handed to the y rule is summed, none is integrated
-    # and thrown away.  The y rule's first pass evaluates every node of the
-    # block in one integrand call, and at the default tolerance no term
-    # needs a later level.
-    handed, integrand_calls, consumed = [], [], []
+@pytest.mark.parametrize("step", [0.3, 1.0, 1.65, 5.5, 800.0])
+def test_term_by_term_sum_takes_one_integrand_call(step, monkeypatch, aluminum, plasma_impedance):
+    # Hardware-independent cost guard for the term-by-term side.  The sum
+    # runs to the first index with xi >= 36, where every measured sum passes
+    # its tail test, so one y-rule call gets exactly those terms, also when that is
+    # fewer than 16: every term handed to the y rule is summed and counted,
+    # also at step 800, where all terms but l = 0 underflow to zero.  The y
+    # rule's first pass evaluates every node in one integrand call, and at
+    # the default tolerance no term needs a later level.
+    handed, integrand_calls, points = [], [], []
     engine = finite_temperature._integrate_y_batch
-    summer = finite_temperature.sum_matsubara_primed
 
     def counted_engine(f, lowers, config):
         handed.append(len(lowers))
         integrand_calls.append(0)
 
-        def counted(*args):
+        def counted(xi, y):
             integrand_calls[-1] += 1
-            return f(*args)
+            points.append(np.broadcast(xi, y).size)
+            return f(xi, y)
 
         return engine(counted, lowers, config)
 
-    def counted_sum(*args, **kwargs):
-        result = summer(*args, **kwargs)
-        consumed.append(result.evaluations)
-        return result
-
     monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
-    monkeypatch.setattr(finite_temperature, "sum_matsubara_primed", counted_sum)
     a = 1e-6
     obs = force_ppT(a, _T_at_step(a, step), plasma_impedance, aluminum)
     assert obs.quadrature.converged
-    assert sum(handed) == consumed[0] == math.ceil(finite_temperature._STOP_XI / step) + 1
+    assert handed == [max(3, math.ceil(finite_temperature._STOP_XI / step)) + 1]
     assert integrand_calls == [1]
+    assert obs.quadrature.evaluations == handed[0] + sum(points)
+
+
+def test_term_by_term_sum_reports_a_slow_tail_unconverged(monkeypatch, aluminum, plasma_impedance):
+    # Terms I(xi) = 1/(1 + xi)^2 still decay slowly at xi = 36: the sum fails
+    # its tail test there and is reported unconverged, with that geometric
+    # tail as its error, instead of being extended past l = L.
+    def slow_integrand(*args, **kwargs):
+        return lambda xi, y: np.exp(xi - y) / (1.0 + xi) ** 2
+
+    monkeypatch.setattr(finite_temperature, "_integrand", slow_integrand)
+    a, step = 1e-6, 1.0
+    T = _T_at_step(a, step)
+    obs = force_ppT(a, T, plasma_impedance, aluminum)
+    terms = [1.0 / (1.0 + step * l) ** 2 for l in range(37)]
+    total = _from_sum(force_ppT, a, T, math.fsum([0.5 * terms[0], *terms[1:]]))
+    assert not obs.quadrature.converged
+    assert obs.value == pytest.approx(total, rel=1e-9)
+    r = terms[-1] / terms[-2]
+    tail = _from_sum(force_ppT, a, T, terms[-1] * r / (1.0 - r))
+    assert obs.quadrature.abs_error_estimate == pytest.approx(abs(tail), rel=1e-6)
 
 
 def test_tail_reports_a_non_finite_integrand_where_it_was_evaluated(
