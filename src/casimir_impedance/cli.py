@@ -36,7 +36,7 @@ from pathlib import Path
 from . import __version__
 from .constants import CODATA
 from .finite_temperature import _thermal_ratios, energy_ppT, force_ppT
-from .geometry import effective_temperature
+from .geometry import Geometry, effective_temperature
 from .materials import PRESETS, Material, load_material
 from .quadrature import _SERIES_TAIL_TOL, DEFAULT_CONFIG, QuadratureConfig
 from .reflection import Formalism, ImpedanceKind, ImpedanceModel
@@ -300,7 +300,7 @@ def _point_rows(spec: RunSpec, material, model, config):
         f = force_ppT(spec.a, spec.T, model, material, config)
     obs = [e, f]
     if spec.R is not None:
-        obs.append(_sphere_plate(e, spec.R))
+        obs.append(_sphere_plate(Geometry(separation=spec.a, sphere_radius=spec.R), e))
     return [
         (
             spec.a,

@@ -15,14 +15,15 @@ in coth and sinh^-2 (``ideal_energy_T``).
 
 The integrand of I_E and I_F is the plate integrand of the T = 0 wedge.
 Energy and pressure share one core, ``_platesT``, as their T = 0
-counterparts share ``zero_temperature._plates0``, and each sum takes all
-its terms from one call of the y rule, in one of two reductions chosen by
-the step xi_1 = 2 pi T / T_eff (see ``_matsubara_correction``).  From
-``_TAIL_STEP_MAX`` up the terms run to the first xi_l >= 36, where their
-geometric tail must be negligible.  Below it, where that would take about
-36 / xi_1 terms, the first ``_HEAD`` terms are summed exactly and the rest
-is an Euler-Maclaurin tail whose integral is the T = 0 wedge shifted to
-xi_L, so the cost no longer grows as T falls.
+counterparts share ``zero_temperature._plates0``.  Each sum takes its
+terms from the y rule in one of two reductions chosen by the step
+xi_1 = 2 pi T / T_eff (see ``_matsubara_correction``).  From
+``_TAIL_STEP_MAX`` up the terms are summed one by one and the sum may not
+stop before the first xi_l >= 36, so a sum that stops there takes its
+terms from one call.  Below it, where that would take about 36 / xi_1
+terms, the first ``_HEAD`` terms are summed exactly and the rest is an
+Euler-Maclaurin tail whose integral is the T = 0 wedge shifted to xi_L,
+so the cost no longer grows as T falls.
 
 The thermal correction Delta_T = Q(a, T) - Q(a, 0) also has closed expansions
 to second order in delta_0 / a, the penetration-depth-to-gap ratio
@@ -42,13 +43,13 @@ from .constants import CODATA
 from .geometry import Geometry, effective_temperature
 from .materials import Material
 from .quadrature import (
-    _ABS_FLOOR,
     _MAX_TERMS,
     _SERIES_TAIL_TOL,
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
     _integrate_y_batch,
+    _sum_primed,
     dilog,
     integrate_xi_y,
     log1mexp,
@@ -93,12 +94,13 @@ _PERT_RATIO_MAX = 0.1
 _TAIL_STEP_MAX = 0.19
 _HEAD = 32
 
-# A term-by-term sum runs to the first xi_l >= _STOP_XI and reads its
-# geometric tail there.  The plasma-approx terms dip almost to zero at
-# xi = w_p, where Z = 1, and rise again, so a tail read in the dip would
-# end the sum too early.  Sums without a dip pass the tail test from
-# xi = 33 to 35 on (every model), so a dip past xi = 36 is too deep in the
-# tail to matter.
+# A term-by-term sum may not stop before the first xi_l >= _STOP_XI.  The
+# plasma-approx terms dip almost to zero at xi = w_p, where Z = 1, and rise
+# again, so a tail read in the dip would end the sum too early.  Sums
+# without a dip pass the tail test from xi = 33 to 35 on (every model), so
+# a dip past xi = 36 is too deep in the tail to matter; where the terms
+# still rise out of a dip just below 36 (w_p = 35.5 for Al at 280 nm) the
+# tail test fails there and the sum goes on.
 _STOP_XI = 36.0
 
 # 7-point central differences at the middle of f(L-3 .. L+3), unit spacing:
@@ -112,8 +114,7 @@ _D5 = np.array([-1.0, 4.0, -5.0, 0.0, 5.0, -4.0, 1.0]) / 2.0
 _D1_GAP = _D1 - np.array([0.0, 1.0, -8.0, 0.0, 8.0, -1.0, 0.0]) / 12.0
 _D3_GAP = _D3 - np.array([0.0, -1.0, 2.0, 0.0, -2.0, 1.0, 0.0]) / 2.0
 
-# The sum of no terms: the Matsubara part of the ideal-metal energy, and the
-# wedge of a sum taken term by term.
+# The sum of no terms: the Matsubara part of the ideal-metal energy.
 _NOTHING = QuadratureResult(value=0.0, abs_error_estimate=0.0, evaluations=0, converged=True)
 
 
@@ -180,78 +181,78 @@ def _matsubara_correction(
 
     For the energy the integrand is the material-dependent part of the mode
     sum alone (the ideal-metal piece is carried by the closed series); for the
-    force it is the complete bracket.  All terms come from one
-    ``_integrate_y_batch`` call.
+    force it is the complete bracket.
 
-    With the step xi_1 = 2 pi T / T_eff at or above ``_TAIL_STEP_MAX`` the sum
-    is f(0)/2 + f(1) + ... + f(L) with L = max(3, ceil(``_STOP_XI`` / step)),
-    the first index at which it may stop, and its truncation is the
-    geometric tail f(L) r / (1 - r), r = f(L) / f(L-1) (0 once the terms
-    underflow).  It is converged only if that tail is within
-    ``_SERIES_TAIL_TOL`` of the sum; a sum that fails the test is returned
-    unconverged, not extended.  Below the threshold the term count would
-    grow like 1/T, so the sum is taken as an exact head of ``_HEAD`` = L
-    terms plus the Euler-Maclaurin tail
+    With the step xi_1 = 2 pi T / T_eff at or above ``_TAIL_STEP_MAX`` the
+    terms are summed one by one by ``quadrature._sum_primed``, which may not
+    stop before L = max(3, ceil(``_STOP_XI`` / step)) and takes l = 0 .. L
+    in one ``_integrate_y_batch`` call.  Below it the term count would grow
+    like 1/T, so the sum is an exact head of ``_HEAD`` = L terms plus the
+    Euler-Maclaurin tail
 
         S_{l >= L} f(l) = (1/step) int_{xi_L}^inf I(xi) dxi + f(L)/2
                           - f'(L)/12 + f^(3)(L)/720 - f^(5)(L)/30240,
 
     whose derivatives are 7-point central differences of f(L-3 .. L+3) and
-    whose integral is the T = 0 wedge rule shifted by xi_L.  Its truncation
-    is the last Euler-Maclaurin term plus the stencils' error, bounded by
-    their difference from 5-point stencils; it is converged only if that is
-    within rel_tol of the sum.  On either side the error adds the
-    truncation, the wedge error over the step and the y-errors of the
-    terms, and ``evaluations`` counts the terms plus every integrand point
-    of their y-integrals and of the tail wedge.
+    whose integral is the T = 0 wedge rule shifted by xi_L; all L + 4 terms
+    come from one ``_integrate_y_batch`` call.  Its truncation, the last
+    Euler-Maclaurin term plus the stencils' error bounded by their
+    difference from 5-point stencils, must be within rel_tol of the sum.
+    The error adds the truncation, the wedge error over the step and the
+    y-errors of the terms summed; ``evaluations`` counts every term
+    integrated plus every integrand point of the y-integrals and the wedge.
     """
     step = 2.0 * math.pi * (1.0 / _t(a, T))
     g_terms = _integrand(integrand_kind, a, model, material, ideal=False, static=True)
-    tail = step < _TAIL_STEP_MAX
-    last_l = _HEAD + 3 if tail else max(3, math.ceil(_STOP_XI / step))
-    f, errs, evals, conv = _integrate_y_batch(g_terms, step * np.arange(last_l + 1), config)
 
-    if tail:
-        g = _integrand(integrand_kind, a, model, material, ideal=False)
-        wedge = integrate_xi_y(g, config, lower=step * _HEAD)
-        around = f[_HEAD - 3:]
-        last = float(_D5 @ around) / 30240.0
-        truncation = (
-            abs(last)
-            + abs(float(_D1_GAP @ around)) / 12.0
-            + abs(float(_D3_GAP @ around)) / 720.0
-        )
-        value = math.fsum(
-            [
-                0.5 * f[0],
-                *f[1:_HEAD].tolist(),
-                wedge.value / step,
-                0.5 * f[_HEAD],
-                -float(_D1 @ around) / 12.0,
-                float(_D3 @ around) / 720.0,
-                -last,
-            ]
-        )
-        settled = truncation <= config.rel_tol * abs(value)
-    else:
-        wedge = _NOTHING
-        value = math.fsum([0.5 * f[0], *f[1:].tolist()])
-        prev, mag = (abs(t) for t in f[-2:].tolist())
-        # Terms that underflow to zero leave no tail.
-        r = mag / prev if prev > 0.0 else (0.0 if mag == 0.0 else math.inf)
-        if r < 1.0:
-            truncation = mag * r / (1.0 - r)
-            settled = truncation <= max(_SERIES_TAIL_TOL * abs(value), _ABS_FLOOR)
-        else:
-            truncation, settled = abs(value), False
+    if step >= _TAIL_STEP_MAX:
+        sides = []  # per-term (errors, evaluations, converged) of each block
 
+        def terms(ls: np.ndarray) -> np.ndarray:
+            vals, *side = _integrate_y_batch(g_terms, step * ls, config)
+            sides.append(side)
+            return vals
+
+        total = _sum_primed(terms, max(3, math.ceil(_STOP_XI / step)))
+        n = total.evaluations
+        errs, evals, conv = (np.concatenate(col) for col in zip(*sides))
+        return QuadratureResult(
+            value=total.value,
+            abs_error_estimate=total.abs_error_estimate + math.fsum(errs[:n].tolist()),
+            evaluations=errs.size + int(evals.sum()),
+            converged=bool(total.converged and conv[:n].all()),
+        )
+
+    f, errs, evals, conv = _integrate_y_batch(g_terms, step * np.arange(_HEAD + 4), config)
+    g = _integrand(integrand_kind, a, model, material, ideal=False)
+    wedge = integrate_xi_y(g, config, lower=step * _HEAD)
+    around = f[_HEAD - 3:]
+    last = float(_D5 @ around) / 30240.0
+    truncation = (
+        abs(last)
+        + abs(float(_D1_GAP @ around)) / 12.0
+        + abs(float(_D3_GAP @ around)) / 720.0
+    )
+    value = math.fsum(
+        [
+            0.5 * f[0],
+            *f[1:_HEAD].tolist(),
+            wedge.value / step,
+            0.5 * f[_HEAD],
+            -float(_D1 @ around) / 12.0,
+            float(_D3 @ around) / 720.0,
+            -last,
+        ]
+    )
     return QuadratureResult(
         value=value,
         abs_error_estimate=truncation
         + wedge.abs_error_estimate / step
         + math.fsum(errs.tolist()),
         evaluations=f.size + int(evals.sum()) + wedge.evaluations,
-        converged=bool(wedge.converged and conv.all() and settled),
+        converged=bool(
+            wedge.converged and conv.all() and truncation <= config.rel_tol * abs(value)
+        ),
     )
 
 
@@ -277,10 +278,8 @@ def _platesT(
         offset, pref = ideal_energy_T(a, T), CODATA.k_B * T / (8.0 * math.pi * a**2)
     else:
         offset, pref = 0.0, -CODATA.k_B * T / (8.0 * math.pi * a**3)
-    if energy and model.kind is ImpedanceKind.IDEAL_METAL:
-        corr = _NOTHING
-    else:
-        corr = _matsubara_correction(a, T, model, material, config, kind)
+    ideal = energy and model.kind is ImpedanceKind.IDEAL_METAL
+    corr = _NOTHING if ideal else _matsubara_correction(a, T, model, material, config, kind)
     obs = _observable(kind, pref, corr, geometry, model, T, offset=offset)
     if decompose:
         zero = _plates0(kind, a, model, material, config).value
@@ -331,7 +330,8 @@ def sphere_plate_T(
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Observable:
     """Force on a sphere above a plate at temperature T: F = 2 pi R E(a, T)."""
-    return _sphere_plate(energy_ppT(a, T, model, material, config), R)
+    geometry = Geometry(separation=a, sphere_radius=R)
+    return _sphere_plate(geometry, energy_ppT(a, T, model, material, config))
 
 
 def _pert_ratio(a: float, material: Material | None) -> float:

@@ -27,11 +27,13 @@ y = lower + exp(pi/2 sinh t) for a batch of lower bounds at once, with xi
 a column of each integral's lower bound and y one row of nodes per
 integral.  An integral stops being evaluated once it has converged, and
 its sums are row sums over its own nodes, so it gets bit for bit the
-results it would get alone.  A finite-temperature sum integrates all of
-its Matsubara terms in one such call.  ``sum_matsubara_primed`` sums
-series whose length is not known in advance: it asks its ``terms(ls)``
-callable for blocks of l that double up to 64 and applies its stopping
-rule term by term, as if the terms came one at a time.
+results it would get alone.  A primed sum (``_sum_primed``) asks its
+``terms(ls)`` callable for a first block that ends where the sum may first
+stop, so a finite-temperature sum that stops there integrates all of its
+Matsubara terms in one such call, then for blocks that double from 8 up
+to 64, and applies its stopping rule term by term, as if the terms came
+one at a time.  ``sum_matsubara_primed`` is that sum with its first stop
+at l = 3.
 
 The wedge lower <= xi <= y < infinity is taken by ``integrate_xi_y`` with
 the product of the same exp-sinh rule in y, from x = y - lower = 1e-8 up,
@@ -82,10 +84,10 @@ _Y_MARGIN = 45.0
 _SERIES_TAIL_TOL = 1e-12
 _MAX_TERMS = 1_000_000
 
-# sum_matsubara_primed asks for its terms in blocks of l.  The first block
-# ends at the first index where the sum may stop; later blocks double up to
-# the cap, which bounds the memory of a block and the terms computed past
-# the index where the sum stops.
+# A primed sum asks for its terms in blocks of l.  The first block
+# ends at the first index where the sum may stop; later blocks double from
+# 8 up to the cap, which bounds the memory of a block and the terms
+# computed past the index where the sum stops.
 _BLOCK_MAX = 64
 
 # Most integrand points evaluated in one call.  Larger batches (the
@@ -427,11 +429,11 @@ def integrate_xi_y(
 
 
 def _blocks(
-    terms: Callable[[np.ndarray], np.ndarray], n: int
+    terms: Callable[[np.ndarray], np.ndarray], n: int, first: int
 ) -> Iterator[tuple[int, float]]:
-    """(l, terms(l)) for l = 0 .. n - 1, evaluated in blocks of l that double
-    from 4 indices, the first stop, up to ``_BLOCK_MAX``."""
-    start, size = 0, 4
+    """(l, terms(l)) for l = 0 .. n - 1, evaluated in blocks of l: the first
+    of ``first`` indices, later ones doubling from 8 up to ``_BLOCK_MAX``."""
+    start, size = 0, first
     while start < n:
         ls = np.arange(start, min(start + size, n))
         values = np.asarray(terms(ls), dtype=float)
@@ -442,26 +444,32 @@ def _blocks(
             )
         yield from zip(ls.tolist(), values.tolist())
         start += ls.size
-        size = min(2 * size, _BLOCK_MAX)
+        size = 8 if start == first else min(2 * size, _BLOCK_MAX)
 
 
 def sum_matsubara_primed(terms: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
+    """The primed sum t_0/2 + t_1 + t_2 + ... of ``_sum_primed`` from l = 3."""
+    return _sum_primed(terms, 3)
+
+
+def _sum_primed(terms: Callable[[np.ndarray], np.ndarray], first_stop: int) -> QuadratureResult:
     """Sum the terms t_l for l = 0, 1, 2, ... with t_0 at half weight.
 
     ``terms(ls)`` returns t_l for an integer array of indices; it is called
-    on consecutive blocks of l, the first l = 0 .. 3, later ones doubling up
-    to a fixed cap.  Truncation relies on the geometric decay of the terms
-    and reads them one by one in order: once the running ratio of
-    consecutive magnitudes is below 1, the remaining tail is estimated as
-    t_l * r / (1 - r) and the sum stops, from l = 3 on, when that falls
-    under ``_SERIES_TAIL_TOL`` of the accumulated value; two zero terms in
-    a row end it with a tail of 0.  After ``_MAX_TERMS`` terms the sum is
-    returned unconverged.  Terms of the last block past the stopping index
-    are discarded, and ``evaluations`` counts the terms summed.  The
-    thermal expansions sum their l-series here; the finite-temperature
-    observables take all their Matsubara terms from one engine call instead.
+    on consecutive blocks of l, the first l = 0 .. ``first_stop``, later
+    ones doubling from 8 up to a fixed cap.  Truncation relies on the geometric
+    decay of the terms and reads them one by one in order: once the running
+    ratio of consecutive magnitudes is below 1, the remaining tail is
+    estimated as t_l * r / (1 - r) and the sum stops, from l = ``first_stop``
+    on, when that falls under ``_SERIES_TAIL_TOL`` of the accumulated value
+    (a caller whose terms can dip and rise again sets ``first_stop`` past
+    the dips); two zero terms in a row end it with a tail of 0.  A sum that
+    fails the test at ``first_stop`` goes on term by term; after
+    ``_MAX_TERMS`` terms it is returned unconverged.  Terms of the last
+    block past the stopping index are discarded, and ``evaluations`` counts
+    the terms summed.
     """
-    seq = _blocks(terms, _MAX_TERMS + 1)
+    seq = _blocks(terms, _MAX_TERMS + 1, first_stop + 1)
     summed = [0.5 * next(seq)[1]]
     # Upper bound on |sum|, so the exact sum is taken only where the stop
     # test could pass; the factor covers the rounding of the running total.
@@ -483,7 +491,7 @@ def sum_matsubara_primed(terms: Callable[[np.ndarray], np.ndarray]) -> Quadratur
             prev = 0.0
             continue
         zeros_in_row = 0
-        if l >= 3 and prev > 0.0:
+        if l >= first_stop and prev > 0.0:
             r = mag / prev
             if r < 1.0:
                 tail = mag * r / (1.0 - r)

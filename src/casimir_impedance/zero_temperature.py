@@ -224,16 +224,16 @@ def force_sphere0(
     Valid to leading order in a/R; constructing the geometry warns when the
     ratio exceeds the trusted range.
     """
-    return _sphere_plate(energy_pp0(a, model, material, config), R)
+    geometry = Geometry(separation=a, sphere_radius=R)
+    return _sphere_plate(geometry, energy_pp0(a, model, material, config))
 
 
-def _sphere_plate(energy: Observable, R: float) -> Observable:
-    """The proximity force F = 2 pi R E on a sphere of radius R from the
-    plate energy E, at the energy's separation and temperature."""
-    geometry = Geometry(separation=energy.geometry.separation, sphere_radius=R)
+def _sphere_plate(geometry: Geometry, energy: Observable) -> Observable:
+    """The proximity force F = 2 pi R E on the sphere of ``geometry`` from
+    the plate energy E at its separation, at the energy's temperature."""
     return _observable(
         ObservableKind.SPHERE_PLATE_FORCE,
-        2.0 * math.pi * R,
+        2.0 * math.pi * geometry.sphere_radius,
         energy.quadrature,
         geometry,
         energy.model,

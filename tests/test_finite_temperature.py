@@ -303,10 +303,10 @@ def test_batched_matsubara_sum_matches_per_term_integrals(
     observable, monkeypatch, aluminum, plasma_lifshitz
 ):
     # Oracle: one integrate_y_from per Matsubara index, the integrand written
-    # out, summed over l = 0 .. ceil(36 / step), where the observable's sum
-    # stops.  The Lifshitz formalism makes the static l = 0 term non-zero.
-    # The step lies just above the tail threshold, so the sum runs term by
-    # term, all of its terms from one engine call.
+    # out, summed with the observable's stop rule.  The Lifshitz formalism
+    # makes the static l = 0 term non-zero.  The step lies just above the
+    # tail threshold, so the sum runs term by term, its first block of l
+    # from one engine call.
     a, T = 1e-6, 36.0
     step = _step(a, T)
     assert step >= finite_temperature._TAIL_STEP_MAX
@@ -318,9 +318,9 @@ def test_batched_matsubara_sum_matches_per_term_integrals(
         results.append(integrate_y_from(lambda y: integrand(xi, y), xi))
         return results[-1].value
 
-    n = math.ceil(finite_temperature._STOP_XI / step) + 1
-    values = [term(l) for l in range(n)]
-    total = math.fsum([0.5 * values[0], *values[1:]])
+    first_stop = math.ceil(finite_temperature._STOP_XI / step)
+    total = quadrature._sum_primed(lambda ls: [term(l) for l in ls], first_stop)
+    n = total.evaluations
     assert n > 128 and results[0].value != 0.0
     calls = []
     engine = finite_temperature._integrate_y_batch
@@ -331,7 +331,7 @@ def test_batched_matsubara_sum_matches_per_term_integrals(
 
     monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
     obs = observable(a, T, plasma_lifshitz, aluminum)
-    assert obs.value == pytest.approx(_from_sum(observable, a, T, total), rel=1e-13)
+    assert obs.value == pytest.approx(_from_sum(observable, a, T, total.value), rel=1e-13)
     assert obs.quadrature.evaluations == n + sum(r.evaluations for r in results[:n])
     assert obs.quadrature.converged == all(r.converged for r in results[:n])
     assert len(calls) <= math.ceil(n / 64) + 2
@@ -459,12 +459,19 @@ def test_tail_wedge_below_the_dip_stops_at_its_second_halving(aT, aluminum):
     assert obs.quadrature.evaluations <= 16_911
 
 
-@pytest.mark.parametrize("T", [243.0, 729.0, 1215.0])
-def test_term_by_term_sum_does_not_stop_at_the_plasma_dip(T, aluminum):
+@pytest.mark.parametrize(
+    ("a", "T"),
+    [(1.5e-7, 243.0), (1.5e-7, 729.0), (1.5e-7, 1215.0), (2.8e-7, _T_at_step(2.8e-7, 0.5))],
+    ids=["243.0", "729.0", "1215.0", "280nm-step0.5"],
+)
+def test_term_by_term_sum_does_not_stop_at_the_plasma_dip(a, T, aluminum):
     # The plasma-approx Lifshitz terms at 150 nm dip almost to zero at
     # xi = w_p = 19 and rise again.  A sum that stopped in the dip was off by
-    # 8.7e-10 relative, 2.6 to 3.6 times its error estimate.
-    a = 1.5e-7
+    # 8.7e-10 relative, 2.6 to 3.6 times its error estimate.  At 280 nm and
+    # step 0.5 the dip, w_p = 35.5, lies just below xi = 36 and the terms
+    # still rise at the first stop L = ceil(36 / step) = 73 (rounding puts
+    # 36 / step just above 72), so the tail test fails there and the sum
+    # goes on, 3 terms past L.
     assert _step(a, T) >= finite_temperature._TAIL_STEP_MAX
     model = ImpedanceModel(ImpedanceKind.PLASMA_APPROX, Formalism.LIFSHITZ)
     exact = _exact_primed(force_ppT, model, aluminum, a, T)
@@ -497,8 +504,8 @@ def test_term_by_term_sum_takes_one_integrand_call(step, monkeypatch, aluminum, 
     # Hardware-independent cost guard for the term-by-term side.  The sum
     # runs to the first index with xi >= 36, where every measured sum passes
     # its tail test, so one y-rule call gets exactly those terms, also when that is
-    # fewer than 16: every term handed to the y rule is summed and counted,
-    # also at step 800, where all terms but l = 0 underflow to zero.  The y
+    # fewer than 16: every term handed to the y rule is counted, also at
+    # step 800, where all terms but l = 0 underflow to zero.  The y
     # rule's first pass evaluates every node in one integrand call, and at
     # the default tolerance no term needs a later level.
     handed, integrand_calls, points = [], [], []
@@ -524,24 +531,30 @@ def test_term_by_term_sum_takes_one_integrand_call(step, monkeypatch, aluminum, 
     assert obs.quadrature.evaluations == handed[0] + sum(points)
 
 
-def test_term_by_term_sum_reports_a_slow_tail_unconverged(monkeypatch, aluminum, plasma_impedance):
-    # Terms I(xi) = 1/(1 + xi)^2 still decay slowly at xi = 36: the sum fails
-    # its tail test there and is reported unconverged, with that geometric
-    # tail as its error, instead of being extended past l = L.
+def test_term_by_term_sum_goes_on_past_a_slow_tail(monkeypatch, aluminum, plasma_impedance):
+    # Terms I(xi) = exp(-xi/8) still decay slowly at xi = 36: the sum fails
+    # its tail test at L, where its first engine call ends, and goes on in
+    # further calls until the geometric tail is negligible.
     def slow_integrand(*args, **kwargs):
-        return lambda xi, y: np.exp(xi - y) / (1.0 + xi) ** 2
+        return lambda xi, y: np.exp(xi - y - xi / 8.0)
+
+    handed = []
+    engine = finite_temperature._integrate_y_batch
+
+    def counted_engine(f, lowers, config):
+        handed.append(len(lowers))
+        return engine(f, lowers, config)
 
     monkeypatch.setattr(finite_temperature, "_integrand", slow_integrand)
+    monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
     a, step = 1e-6, 1.0
     T = _T_at_step(a, step)
     obs = force_ppT(a, T, plasma_impedance, aluminum)
-    terms = [1.0 / (1.0 + step * l) ** 2 for l in range(37)]
-    total = _from_sum(force_ppT, a, T, math.fsum([0.5 * terms[0], *terms[1:]]))
-    assert not obs.quadrature.converged
-    assert obs.value == pytest.approx(total, rel=1e-9)
-    r = terms[-1] / terms[-2]
-    tail = _from_sum(force_ppT, a, T, terms[-1] * r / (1.0 - r))
-    assert obs.quadrature.abs_error_estimate == pytest.approx(abs(tail), rel=1e-6)
+    r = math.exp(-step / 8.0)
+    assert obs.quadrature.converged
+    assert obs.value == pytest.approx(_from_sum(force_ppT, a, T, 1.0 / (1.0 - r) - 0.5), rel=1e-9)
+    assert handed[0] == math.ceil(finite_temperature._STOP_XI / step) + 1
+    assert len(handed) > 1
 
 
 def test_tail_reports_a_non_finite_integrand_where_it_was_evaluated(

@@ -114,6 +114,23 @@ def test_sphere_plate_mapping(aluminum, plasma_impedance, fast_config):
     assert f_sp2.value == pytest.approx(2.0 * f_sp.value, rel=1e-14)
 
 
+@pytest.mark.parametrize("T", [0.0, 300.0])
+def test_sphere_radius_is_checked_before_the_plate_sum(T, monkeypatch, aluminum, plasma_impedance):
+    # An invalid R raises before any wedge or Matsubara sum is taken.
+    from casimir_impedance import finite_temperature, zero_temperature
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("plate sum taken before R was checked")
+
+    monkeypatch.setattr(zero_temperature, "integrate_xi_y", no_sum)
+    monkeypatch.setattr(finite_temperature, "_matsubara_correction", no_sum)
+    with pytest.raises(ValueError, match="sphere_radius"):
+        if T == 0.0:
+            force_sphere0(1e-6, -1e-4, plasma_impedance, aluminum)
+        else:
+            finite_temperature.sphere_plate_T(1e-6, -1e-4, T, plasma_impedance, aluminum)
+
+
 def test_deviation_pins_at_100nm(aluminum, fast_config):
     # frozen values for Al at a = 100 nm, both formalisms fully converged
     d_f = relative_deviation(
