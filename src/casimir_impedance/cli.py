@@ -415,15 +415,15 @@ def run(spec: RunSpec, stream=None) -> int:
     config = _config(spec)
     csv = _Csv(spec, material, _COLUMNS[spec.command])
 
-    if spec.command == "point":
-        for row in _point_rows(spec, material, model, config):
-            csv.add(*row)
-    elif spec.command in _GRID_ROWS:
+    if spec.command == "point" or spec.command in _GRID_ROWS:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = _GRID_ROWS[spec.command](
-                _grid_points(spec.grid), spec, material, model, config
-            )
+            if spec.command == "point":
+                rows = _point_rows(spec, material, model, config)
+            else:
+                rows = _GRID_ROWS[spec.command](
+                    _grid_points(spec.grid), spec, material, model, config
+                )
         _warning_summary(spec.command, caught)
         for row in rows:
             csv.add(*row)

@@ -41,7 +41,8 @@ class Geometry:
                     f"separation/sphere_radius = {ratio:.3g} exceeds "
                     f"{_PROXIMITY_RATIO_WARN}; the sphere-plate mapping has an "
                     "error of this order",
-                    stacklevel=2,
+                    # Past the __init__ that dataclasses generates, to its caller.
+                    stacklevel=3,
                 )
 
 

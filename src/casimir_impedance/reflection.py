@@ -13,6 +13,13 @@ be formed in two ways from the same impedance function Z(i zeta):
 
 The two prescriptions coincide on the light cone y = xi, and their difference
 off the cone is exactly the deviation this package quantifies.
+
+Each formula exists once, as a private function of checked arguments: Z of a
+kind from its scale w_p or sigma_r, the running factors and the static
+(xi = 0) factors.  The public ``impedance``, ``reflection_factors`` and
+``static_reflection_factors`` check their arguments and call them;
+``_plate_factors`` resolves a model at one separation once, for the plate
+integrand, and checks only the points of each call.
 """
 
 from __future__ import annotations
@@ -57,10 +64,46 @@ class ImpedanceModel:
     formalism: Formalism = Formalism.IMPEDANCE
 
 
-def _require_material(kind: ImpedanceKind, material: Material | None) -> Material:
+def _scale(kind: ImpedanceKind, a, material: Material | None):
+    """The model's scale at the checked separation a: the reduced plasma
+    frequency w_p = 2 a omega_p / c of both plasma forms, the reduced
+    conductivity sigma_r = 2 a sigma / c of normal skin, None for the ideal
+    metal."""
+    a = np.asarray(a, dtype=float)
+    bad = ~(a > 0.0)
+    if bad.any():
+        raise ValueError(f"separation must be positive, got {float(a[bad][0])!r}")
+    if kind is ImpedanceKind.IDEAL_METAL:
+        return None
     if material is None:
         raise ValueError(f"impedance kind {kind.value!r} requires a material")
-    return material
+    rate = material.sigma if kind is ImpedanceKind.NORMAL_SKIN else material.omega_p
+    return 2.0 * a * rate / CODATA.c
+
+
+def _impedance(kind: ImpedanceKind, xi, scale):
+    """Z at xi >= 0 of a kind other than the ideal metal, from its ``_scale``."""
+    if kind is ImpedanceKind.PLASMA_EXACT:
+        return xi / np.sqrt(scale * scale + xi * xi)
+    if kind is ImpedanceKind.PLASMA_APPROX:
+        return xi / scale
+    if kind is ImpedanceKind.NORMAL_SKIN:
+        return np.sqrt(xi / (4.0 * np.pi * scale))
+    raise ValueError(f"unknown impedance kind {kind!r}")  # pragma: no cover
+
+
+def _check_xi(xi) -> None:
+    if np.any(xi < 0.0):
+        raise ValueError("reduced frequency xi must be >= 0")
+
+
+def _check_points(Z, y, xi) -> None:
+    if np.any(Z < 0.0):
+        raise ValueError("impedance must be >= 0 on the imaginary axis")
+    if np.any(xi < 0.0) or np.any(y < 0.0):
+        raise ValueError("reduced variables must be >= 0")
+    if np.any(y < xi):
+        raise ValueError("domain requires y >= xi")
 
 
 def impedance(
@@ -86,30 +129,13 @@ def impedance(
     """
     if isinstance(kind, ImpedanceModel):
         kind = kind.kind
-    a = np.asarray(a, dtype=float)
-    bad = ~(a > 0.0)
-    if bad.any():
-        raise ValueError(f"separation must be positive, got {float(a[bad][0])!r}")
+    scale = _scale(kind, a, material)
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0.0):
-        raise ValueError("reduced frequency xi must be >= 0")
-
-    if kind is ImpedanceKind.IDEAL_METAL:
+    _check_xi(xi)
+    if scale is None:
         out = np.zeros(np.broadcast(xi, a).shape)
-    elif kind is ImpedanceKind.PLASMA_EXACT:
-        m = _require_material(kind, material)
-        w_p = 2.0 * a * m.omega_p / CODATA.c
-        out = xi / np.sqrt(w_p * w_p + xi * xi)
-    elif kind is ImpedanceKind.PLASMA_APPROX:
-        m = _require_material(kind, material)
-        w_p = 2.0 * a * m.omega_p / CODATA.c
-        out = xi / w_p
-    elif kind is ImpedanceKind.NORMAL_SKIN:
-        m = _require_material(kind, material)
-        sigma_r = 2.0 * a * m.sigma / CODATA.c
-        out = np.sqrt(xi / (4.0 * np.pi * sigma_r))
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown impedance kind {kind!r}")
+    else:
+        out = _impedance(kind, xi, scale)
     return float(out) if out.ndim == 0 else out
 
 
@@ -121,6 +147,24 @@ def _guarded_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return num / den if mask else out
     np.divide(num, den, out=out, where=mask)
     return out
+
+
+def _factors(Z, y, xi, formalism: Formalism):
+    """(x_par, x_perp) at checked points."""
+    if formalism is Formalism.IMPEDANCE:
+        num = 4.0 * xi * y * Z
+        return (
+            _guarded_ratio(num, np.square(y + xi * Z)),
+            _guarded_ratio(num, np.square(xi + y * Z)),
+        )
+    if formalism is Formalism.LIFSHITZ:
+        s = np.sqrt(np.square(xi) + (np.square(y) - np.square(xi)) * np.square(Z))
+        num = 4.0 * y * Z * s
+        return (
+            _guarded_ratio(num, np.square(y + Z * s)),
+            _guarded_ratio(num, np.square(y * Z + s)),
+        )
+    raise ValueError(f"unknown formalism {formalism!r}")  # pragma: no cover
 
 
 def reflection_factors(Z, y, xi, formalism: Formalism = Formalism.IMPEDANCE):
@@ -136,28 +180,25 @@ def reflection_factors(Z, y, xi, formalism: Formalism = Formalism.IMPEDANCE):
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if np.any(Z < 0.0):
-        raise ValueError("impedance must be >= 0 on the imaginary axis")
-    if np.any(xi < 0.0) or np.any(y < 0.0):
-        raise ValueError("reduced variables must be >= 0")
-    if np.any(y < xi):
-        raise ValueError("domain requires y >= xi")
-
-    if formalism is Formalism.IMPEDANCE:
-        num = 4.0 * xi * y * Z
-        x_par = _guarded_ratio(num, np.square(y + xi * Z))
-        x_perp = _guarded_ratio(num, np.square(xi + y * Z))
-    elif formalism is Formalism.LIFSHITZ:
-        s = np.sqrt(np.square(xi) + (np.square(y) - np.square(xi)) * np.square(Z))
-        num = 4.0 * y * Z * s
-        x_par = _guarded_ratio(num, np.square(y + Z * s))
-        x_perp = _guarded_ratio(num, np.square(y * Z + s))
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown formalism {formalism!r}")
-
+    _check_points(Z, y, xi)
+    x_par, x_perp = _factors(Z, y, xi, formalism)
     if x_par.ndim == 0:
         return float(x_par), float(x_perp)
     return x_par, x_perp
+
+
+def _static_factors(model: ImpedanceModel, y: np.ndarray, scale):
+    """(x_par, x_perp) at xi = 0 and y >= 0 with the model's ``_scale``."""
+    zeros = np.zeros_like(y)
+    if model.kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX):
+        q = scale if model.formalism is Formalism.IMPEDANCE else np.hypot(y, scale)
+        return zeros, _guarded_ratio(4.0 * y * q, np.square(y + q))
+    if model.kind is ImpedanceKind.IDEAL_METAL or model.formalism is Formalism.IMPEDANCE:
+        return zeros, zeros.copy()
+    raise ValueError(
+        "the zero-frequency reflection of a dissipative (normal-skin) metal "
+        "is not defined under the permittivity formalism"
+    )
 
 
 def static_reflection_factors(
@@ -179,26 +220,46 @@ def static_reflection_factors(
     Z/xi -> inf at zero frequency.  Under the impedance formalism both its
     factors then vanish, x_perp like sqrt(xi); the permittivity formalism
     admits no unambiguous limit, and that combination is rejected here.
+    The separation and the material are checked as by :func:`impedance`.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise ValueError("reduced variable y must be >= 0")
-    zeros = np.zeros_like(y)
-
-    if model.kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX):
-        m = _require_material(model.kind, material)
-        w_p = 2.0 * a * m.omega_p / CODATA.c
-        q = w_p if model.formalism is Formalism.IMPEDANCE else np.hypot(y, w_p)
-        x_par = zeros
-        x_perp = _guarded_ratio(4.0 * y * q, np.square(y + q))
-    elif model.kind is ImpedanceKind.IDEAL_METAL or model.formalism is Formalism.IMPEDANCE:
-        x_par, x_perp = zeros, zeros.copy()
-    else:
-        raise ValueError(
-            "the zero-frequency reflection of a dissipative (normal-skin) metal "
-            "is not defined under the permittivity formalism"
-        )
-
+    x_par, x_perp = _static_factors(model, y, _scale(model.kind, a, material))
     if x_par.ndim == 0:
         return float(x_par), float(x_perp)
     return x_par, x_perp
+
+
+def _plate_factors(model: ImpedanceModel, a: float, material: Material | None, static: bool):
+    """The model's reflection factors at separation a as a function of the
+    points, f(xi, y) -> (x_par, x_perp), with the kind, the material and
+    the scale resolved here, once.
+
+    Each call checks its points as :func:`impedance` and
+    :func:`reflection_factors` do, with their messages.  The ideal metal's
+    factors are the scalars (0.0, 0.0), so a bracket of them is computed
+    once per value of y.  With ``static=True`` points at xi = 0 take the
+    static factors.
+    """
+    scale = _scale(model.kind, a, material)
+    kind, formalism = model.kind, model.formalism
+
+    def factors(xi: np.ndarray, y: np.ndarray):
+        _check_xi(xi)
+        if scale is None:
+            _check_points(0.0, y, xi)
+            return 0.0, 0.0
+        Z = _impedance(kind, xi, scale)
+        _check_points(Z, y, xi)
+        x_par, x_perp = _factors(Z, y, xi, formalism)
+        if static:
+            zero = xi == 0.0
+            if zero.any():
+                zero = np.broadcast_to(zero, x_par.shape)
+                x_par[zero], x_perp[zero] = _static_factors(
+                    model, np.broadcast_to(y, zero.shape)[zero], scale
+                )
+        return x_par, x_perp
+
+    return factors

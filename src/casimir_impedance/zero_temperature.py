@@ -35,14 +35,7 @@ from .quadrature import (
     log1mexp,
     riemann_zeta,
 )
-from .reflection import (
-    Formalism,
-    ImpedanceKind,
-    ImpedanceModel,
-    impedance,
-    reflection_factors,
-    static_reflection_factors,
-)
+from .reflection import Formalism, ImpedanceKind, ImpedanceModel, _plate_factors
 
 __all__ = [
     "ObservableKind",
@@ -145,28 +138,26 @@ def _integrand(
     bracket or y^2 times the force bracket.
 
     Every reduction of the plates shares it: the T = 0 wedge, the Matsubara
-    y-integrals and their shifted-wedge tail.  xi and y need only broadcast
-    to the points, so a factor of y alone (expm1, log1mexp, y^2) is computed
-    once per value of y, and the impedance once per value of xi: the wedge
-    passes y as a column, the y rule xi.  Every point gets the same bits as
-    from flat arrays.  ``ideal=False`` drops the ideal-metal part of the
-    energy bracket, which the finite-temperature closed series carries.
-    With ``static=True`` points at xi = 0 take the model's static reflection
-    factors: the Matsubara terms ask for it for their l = 0 term, the wedges
-    never evaluate there.
+    y-integrals and their shifted-wedge tail.  The model is resolved here,
+    once per observable: its kind, its material and w_p or sigma_r, and a
+    separation a <= 0 or a missing material raises here; each call checks
+    only its points, as :func:`impedance` and :func:`reflection_factors` do.
+    xi and y need only broadcast to the points, so a factor of y alone
+    (expm1, log1mexp, y^2) is computed once per value of y, and the
+    impedance once per value of xi: the wedge passes y as a column, the y
+    rule xi.  The ideal metal's factors are 0, so its whole integrand is a
+    function of y, one value per row of the wedge.  Every point gets the
+    same bits as from flat arrays.  ``ideal=False`` drops the ideal-metal
+    part of the energy bracket, which the finite-temperature closed series
+    carries.  With ``static=True`` points at xi = 0 take the model's static
+    reflection factors: the Matsubara terms ask for it for their l = 0
+    term, the wedges never evaluate there.
     """
     energy = kind is ObservableKind.ENERGY_PER_AREA
+    factors = _plate_factors(model, a, material, static)
 
     def g(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
-        Z = impedance(model.kind, xi, a, material)
-        x_par, x_perp = reflection_factors(Z, y, xi, model.formalism)
-        if static:
-            zero = xi == 0.0
-            if zero.any():
-                zero = np.broadcast_to(zero, x_par.shape)
-                x_par[zero], x_perp[zero] = static_reflection_factors(
-                    model, np.broadcast_to(y, zero.shape)[zero], a, material
-                )
+        x_par, x_perp = factors(xi, y)
         if energy:
             return y * energy_bracket(x_par, x_perp, y, ideal)
         return y * y * force_bracket(x_par, x_perp, y)

@@ -393,6 +393,19 @@ def test_grid_warnings_collapse_into_one_stderr_line(capsys):
     assert again == text
 
 
+def test_point_warning_is_one_stderr_line(capsys):
+    # The proximity warning names the CLI's own line, so point summarizes
+    # its warnings as the grid commands do.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = cli.main(["point", "--material", "Al", "--a", "1um", "--R", "10um"])
+    assert status == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: point: separation/sphere_radius = 0.1 exceeds 0.01; the "
+        "sphere-plate mapping has an error of this order (1 warning like this)"
+    ]
+
+
 def test_main_reports_spec_errors(capsys):
     status = cli.main(["point", "--model", "ideal"])
     assert status == 1

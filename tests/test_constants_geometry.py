@@ -72,5 +72,7 @@ def test_geometry_validation():
 
 
 def test_geometry_proximity_warning():
-    with pytest.warns(UserWarning, match="sphere-plate mapping"):
+    with pytest.warns(UserWarning, match="sphere-plate mapping") as record:
         Geometry(separation=1e-6, sphere_radius=2e-5)
+    # The warning names the line that built the geometry.
+    assert record[0].filename == __file__

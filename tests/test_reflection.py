@@ -142,6 +142,15 @@ def test_static_factors_lifshitz_plasma():
     assert np.all(x_par == 0.0)
 
 
+@pytest.mark.parametrize("a", [-1e-6, 0.0, math.nan])
+def test_static_factors_reject_a_bad_separation(a):
+    # Checked as by impedance(): a = -1e-6 used to give x_perp = -0.032,
+    # outside [0, 1], a = 0 gave 0 and NaN gave NaN.
+    model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.IMPEDANCE)
+    with pytest.raises(ValueError, match=f"separation must be positive, got {a!r}"):
+        static_reflection_factors(model, np.array([0.5, 2.0]), a, ALUMINUM)
+
+
 def test_static_factors_normal_skin_lifshitz_rejected():
     model = ImpedanceModel(ImpedanceKind.NORMAL_SKIN, Formalism.LIFSHITZ)
     with pytest.raises(ValueError, match="normal-skin"):

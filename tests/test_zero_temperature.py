@@ -21,8 +21,9 @@ from casimir_impedance import (
     normal_skin_pert0,
     reflection_factors,
     relative_deviation,
+    static_reflection_factors,
 )
-from casimir_impedance import quadrature
+from casimir_impedance import quadrature, zero_temperature
 from casimir_impedance.quadrature import DEFAULT_CONFIG
 from casimir_impedance.zero_temperature import _integrand, energy_bracket, force_bracket
 
@@ -376,3 +377,95 @@ def test_integrand_on_factored_points_equals_its_flat_call(kind, formalism, kind
         factored = np.broadcast_to(g(xi, yy), shape)
         assert np.isfinite(flat).all()
         assert factored.tobytes() == flat.reshape(shape).tobytes()
+
+
+def _first_passes():
+    """(xi, y, static) on the first-pass nodes of the wedge, from lower 0 and
+    1.7, and of the y rule, from lower bounds 0 (static) and step l."""
+    y, u, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
+    for lower in (0.0, 1.7):
+        yy = y[:, None]
+        yield u * yy + lower, yy + lower, False
+    x = quadrature._y_nodes(2)[0]
+    for lowers, static in ((np.array([[0.0]]), True), (0.37 * np.arange(1, 6)[:, None], False)):
+        yield lowers, lowers + x, static
+
+
+@pytest.mark.parametrize("kind, formalism", _STATIC_PAIRS)
+@pytest.mark.parametrize(
+    "kind_of, ideal",
+    [
+        (ObservableKind.ENERGY_PER_AREA, True),
+        (ObservableKind.ENERGY_PER_AREA, False),
+        (ObservableKind.FORCE_PER_AREA, True),
+    ],
+    ids=["energy", "energy-material", "force"],
+)
+def test_resolved_integrand_gives_the_public_formulas_bits(kind, formalism, kind_of, ideal):
+    # The integrand resolves its model once; at the nodes the rules
+    # evaluate, it gives y times the bracket of the public impedance and
+    # reflection factors bit for bit, with the static factors at xi = 0.
+    model, material = _model_material(kind, formalism)
+    a = 1e-3 if kind is ImpedanceKind.NORMAL_SKIN else 1e-6
+    for xi, y, static in _first_passes():
+        xi_b, y_b = np.broadcast_arrays(xi, y)
+        Z = impedance(kind, xi_b, a, material)
+        x_par, x_perp = reflection_factors(Z, y_b, xi_b, formalism)
+        zero = xi_b == 0.0
+        if static:
+            assert zero.any()
+            x_par[zero], x_perp[zero] = static_reflection_factors(model, y_b[zero], a, material)
+        if kind_of is ObservableKind.ENERGY_PER_AREA:
+            expected = y_b * energy_bracket(x_par, x_perp, y_b, ideal)
+        else:
+            expected = y_b * y_b * force_bracket(x_par, x_perp, y_b)
+        g = _integrand(kind_of, a, model, material, ideal=ideal, static=static)
+        assert np.array_equal(np.broadcast_to(g(xi, y), y_b.shape), expected)
+
+
+@pytest.mark.parametrize("op", [force_pp0, energy_pp0])
+@pytest.mark.parametrize("kind", [ImpedanceKind.IDEAL_METAL, ImpedanceKind.PLASMA_EXACT])
+def test_ideal_metal_wedge_integrand_is_one_value_per_row(op, kind, monkeypatch):
+    # The ideal metal's integrand depends on y alone, so on the wedge's first
+    # pass it returns one value per row of y; the wedge still counts every
+    # point.  A plasma integrand returns every point.
+    shapes = []
+
+    def recording(*args, **kwargs):
+        g = _integrand(*args, **kwargs)
+
+        def recorded(xi, y):
+            out = g(xi, y)
+            shapes.append(out.shape)
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(zero_temperature, "_integrand", recording)
+    model, material = _model_material(kind, Formalism.IMPEDANCE)
+    res = op(1e-6, model, material).quadrature
+    assert res.converged and res.evaluations == 12_375
+    assert shapes == [(99, 1) if kind is ImpedanceKind.IDEAL_METAL else (99, 125)]
+
+
+@pytest.mark.parametrize("kind", list(ImpedanceKind))
+@pytest.mark.parametrize("kind_of", [ObservableKind.ENERGY_PER_AREA, ObservableKind.FORCE_PER_AREA])
+def test_plate_integrand_checks_its_model_and_its_points(kind, kind_of):
+    # The model is checked once, when the integrand is built; the points of
+    # every call, with the messages of impedance() and reflection_factors().
+    model, material = _model_material(kind, Formalism.IMPEDANCE)
+    for a in (-1e-6, 0.0):
+        with pytest.raises(ValueError, match=f"separation must be positive, got {a!r}"):
+            _integrand(kind_of, a, model, material)
+    if material is not None:
+        with pytest.raises(ValueError, match=f"impedance kind '{kind.value}' requires a material"):
+            _integrand(kind_of, 1e-6, model, None)
+    g = _integrand(kind_of, 1e-6, model, material, static=True)
+    y = np.array([[0.5, 2.0, 3.0]])
+    for xi, yy, message in (
+        (np.array([[-0.1]]), y, "reduced frequency xi must be >= 0"),
+        (np.array([[0.0]]), -y, "reduced variables must be >= 0"),
+        (np.array([[1.0]]), y, "domain requires y >= xi"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            g(xi, yy)
