@@ -28,10 +28,7 @@ from .quadrature import (
     QuadratureResult,
     dilog,
     integrate_xi_y,
-    integrate_y_from,
     log1mexp,
-    riemann_zeta,
-    sum_matsubara_primed,
 )
 from .reflection import (
     Formalism,
@@ -79,10 +76,7 @@ __all__ = [
     "DEFAULT_CONFIG",
     "IntegrandError",
     "integrate_xi_y",
-    "integrate_y_from",
-    "sum_matsubara_primed",
     "log1mexp",
-    "riemann_zeta",
     "dilog",
     "Formalism",
     "ImpedanceKind",

@@ -16,8 +16,8 @@ tolerances, tool version, column names), then purely numeric rows in
 scientific notation with 17 significant digits.  Rows derived from quadrature
 carry the error estimate and a converged flag.  Grid commands compute one
 separation after another and write the rows in grid order.  Identical
-configurations produce byte-identical files.  Warnings raised while a grid
-is computed are collapsed into one stderr line per source with a count.
+configurations produce byte-identical files.  Warnings raised while the
+rows are computed are collapsed into one stderr line per source with a count.
 
 Exit status: 0 on success, 1 on configuration errors (the message names the
 offending field), 2 when any output row failed to converge.
@@ -52,8 +52,6 @@ __all__ = [
     "run",
     "main",
 ]
-
-_COMMANDS = ("point", "scan", "figure1", "figure2", "coefficients", "thermal-ratio")
 
 _LENGTH_SUFFIXES = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3}
 
@@ -100,10 +98,7 @@ def parse_length(text: str | float, key: str = "a") -> float:
 
 def parse_grid(text) -> tuple[float, float, int, bool]:
     """A separation grid MIN:MAX:COUNT[:log|lin], lengths with suffixes."""
-    if isinstance(text, (list, tuple)):
-        parts = [str(p) for p in text]
-    else:
-        parts = str(text).strip().split(":")
+    parts = str(text).strip().split(":")
     if len(parts) not in (3, 4):
         raise SpecError(f"grid: expected MIN:MAX:COUNT[:log|lin], got {text!r}")
     lo = parse_length(parts[0], "grid")
@@ -235,7 +230,10 @@ def _resolve_material(spec: RunSpec) -> Material | None:
             f"material: {spec.material!r} is neither a preset "
             f"({', '.join(sorted(PRESETS))}) nor a file"
         )
-    return load_material(path)
+    try:
+        return load_material(path)
+    except (OSError, ValueError) as exc:
+        raise SpecError(f"material: {exc}") from None
 
 
 def _config(spec: RunSpec) -> QuadratureConfig:
@@ -253,91 +251,65 @@ def _grid_points(grid: tuple[float, float, int, bool]) -> list[float]:
     return np.linspace(lo, hi, count).tolist()
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.16e}"
+def _render(spec: RunSpec, material: Material | None, columns: list[str], rows) -> str:
+    """The CSV text: provenance lines, then one numeric line per row."""
+    lines = [
+        f"# tool = casimir-impedance {__version__}",
+        f"# command = {spec.command}",
+        f"# hbar_Js = {CODATA.hbar!r}",
+        f"# c_m_s = {CODATA.c!r}",
+        f"# k_B_J_K = {CODATA.k_B!r}",
+        f"# material = {material.name if material else 'none'}",
+        f"# omega_p_rad_s = {material.omega_p!r}" if material else "# omega_p_rad_s = nan",
+        f"# gamma_rad_s = {material.gamma!r}" if material else "# gamma_rad_s = nan",
+        f"# model = {spec.model}",
+        f"# formalism = {spec.formalism}",
+        f"# T_K = {spec.T!r}",
+        f"# rel_tol = {_config(spec).rel_tol!r}",
+        f"# series_tail_tol = {_SERIES_TAIL_TOL!r}",
+    ]
+    if spec.command == "point":
+        lines.append("# kind = 0 energy, 1 force, 2 sphere")
+    lines.append(f"# columns = {','.join(columns)}")
+    lines += [",".join(f"{v:.16e}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-class _Csv:
-    """Accumulates provenance lines and numeric rows, then writes them."""
+def _entry(ob) -> tuple[float, float, float]:
+    """An observable's value, error estimate and converged flag."""
+    return ob.value, ob.quadrature.abs_error_estimate, float(ob.quadrature.converged)
 
-    def __init__(self, spec: RunSpec, material: Material | None, columns: list[str]):
-        config = _config(spec)
-        self.header = [
-            f"# tool = casimir-impedance {__version__}",
-            f"# command = {spec.command}",
-            f"# hbar_Js = {CODATA.hbar!r}",
-            f"# c_m_s = {CODATA.c!r}",
-            f"# k_B_J_K = {CODATA.k_B!r}",
-            f"# material = {material.name if material else 'none'}",
-            f"# omega_p_rad_s = {material.omega_p!r}" if material else "# omega_p_rad_s = nan",
-            f"# gamma_rad_s = {material.gamma!r}" if material else "# gamma_rad_s = nan",
-            f"# model = {spec.model}",
-            f"# formalism = {spec.formalism}",
-            f"# T_K = {spec.T!r}",
-            f"# rel_tol = {config.rel_tol!r}",
-            f"# series_tail_tol = {_SERIES_TAIL_TOL!r}",
-        ]
-        if spec.command == "point":
-            self.header.append("# kind = 0 energy, 1 force, 2 sphere")
-        self.header.append(f"# columns = {','.join(columns)}")
-        self.rows: list[list[float]] = []
 
-    def add(self, *values: float) -> None:
-        self.rows.append(list(values))
-
-    def render(self) -> str:
-        lines = self.header + [",".join(_fmt(v) for v in row) for row in self.rows]
-        return "\n".join(lines) + "\n"
+def _plates(a: float, spec: RunSpec, material, model, config):
+    """The plate (energy, force) at separation a and the run's temperature."""
+    if spec.T == 0.0:
+        return energy_pp0(a, model, material, config), force_pp0(a, model, material, config)
+    return (
+        energy_ppT(a, spec.T, model, material, config),
+        force_ppT(a, spec.T, model, material, config),
+    )
 
 
 def _point_rows(spec: RunSpec, material, model, config):
     """One row per observable: kind index, value, error, converged."""
-    if spec.T == 0.0:
-        e = energy_pp0(spec.a, model, material, config)
-        f = force_pp0(spec.a, model, material, config)
-    else:
-        e = energy_ppT(spec.a, spec.T, model, material, config)
-        f = force_ppT(spec.a, spec.T, model, material, config)
+    e, f = _plates(spec.a, spec, material, model, config)
     obs = [e, f]
     if spec.R is not None:
         obs.append(_sphere_plate(Geometry(separation=spec.a, sphere_radius=spec.R), e))
-    return [
-        (
-            spec.a,
-            spec.T,
-            float(index),
-            ob.value,
-            ob.quadrature.abs_error_estimate,
-            float(ob.quadrature.converged),
-        )
-        for index, ob in enumerate(obs)
-    ]
+    return [(spec.a, spec.T, float(index), *_entry(ob)) for index, ob in enumerate(obs)]
 
 
-def _scan_rows(grid: list[float], spec: RunSpec, material, model, config):
-    if spec.T == 0.0:
-        es = [energy_pp0(a, model, material, config) for a in grid]
-        fs = [force_pp0(a, model, material, config) for a in grid]
-    else:
-        es = [energy_ppT(a, spec.T, model, material, config) for a in grid]
-        fs = [force_ppT(a, spec.T, model, material, config) for a in grid]
-    return [
-        (
-            a,
-            e.value,
-            e.quadrature.abs_error_estimate,
-            float(e.quadrature.converged),
-            f.value,
-            f.quadrature.abs_error_estimate,
-            float(f.quadrature.converged),
-        )
-        for a, e, f in zip(grid, es, fs)
-    ]
-
-
-def _figure1_rows(grid: list[float], spec: RunSpec, material, model, config):
+def _scan_rows(spec: RunSpec, material, model, config):
     rows = []
-    for a in grid:
+    for a in _grid_points(spec.grid):
+        e, f = _plates(a, spec, material, model, config)
+        rows.append((a, *_entry(e), *_entry(f)))
+    return rows
+
+
+def _figure1_rows(spec: RunSpec, material, model, config):
+    rows = []
+    for a in _grid_points(spec.grid):
         reference, d_exact, err, conv = _deviation(
             force_pp0, ImpedanceKind.PLASMA_EXACT, a, material, config
         )
@@ -346,9 +318,9 @@ def _figure1_rows(grid: list[float], spec: RunSpec, material, model, config):
     return rows
 
 
-def _figure2_rows(grid: list[float], spec: RunSpec, material, model, config):
+def _figure2_rows(spec: RunSpec, material, model, config):
     rows = []
-    for a in grid:
+    for a in _grid_points(spec.grid):
         (_, d_exact, err_exact, ok_exact), (_, d_approx, err_approx, ok_approx) = (
             _deviation(energy_pp0, kind, a, material, config)
             for kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX)
@@ -358,40 +330,59 @@ def _figure2_rows(grid: list[float], spec: RunSpec, material, model, config):
     return rows
 
 
-def _thermal_ratio_row(spec: RunSpec, material, model, config):
+def _coefficient_rows(spec: RunSpec, material, model, config):
+    """k, then c_k of each family in the order CoefficientVariant lists them."""
+    sets = [coefficients(v).c for v in CoefficientVariant]
+    return [(float(k), *(c[k] for c in sets)) for k in range(5)]
+
+
+def _thermal_ratio_rows(spec: RunSpec, material, model, config):
     e_ratio, f_ratio, err, conv = _thermal_ratios(spec.a, spec.T, model, material, config)
-    return (spec.a, spec.T, effective_temperature(spec.a), e_ratio, f_ratio, err, float(conv))
+    return [(spec.a, spec.T, effective_temperature(spec.a), e_ratio, f_ratio, err, float(conv))]
 
 
-_COLUMNS = {
-    "point": ["a_m", "T_K", "kind", "value", "abs_error", "converged"],
-    "scan": [
-        "a_m",
-        "energy_J_m2",
-        "energy_abs_error",
-        "energy_converged",
-        "force_Pa",
-        "force_abs_error",
-        "force_converged",
-    ],
-    "figure1": ["a_m", "deltaF_exact", "deltaF_approx", "abs_error", "converged"],
-    "figure2": ["a_m", "deltaE_exact", "deltaE_approx", "abs_error", "converged"],
-    "coefficients": ["k", "lifshitz_plasma", "impedance_exact", "impedance_approx"],
-    "thermal-ratio": [
-        "a_m",
-        "T_K",
-        "T_eff_K",
-        "energy_ratio",
-        "force_ratio",
-        "abs_error",
-        "converged",
-    ],
-}
-
-
-# Grid commands: each takes the whole grid and returns one row per separation,
+# Each command's CSV columns and the function that computes its rows from
+# (spec, material, model, config); grid commands give one row per separation,
 # in grid order.
-_GRID_ROWS = {"scan": _scan_rows, "figure1": _figure1_rows, "figure2": _figure2_rows}
+_COMMANDS = {
+    "point": (["a_m", "T_K", "kind", "value", "abs_error", "converged"], _point_rows),
+    "scan": (
+        [
+            "a_m",
+            "energy_J_m2",
+            "energy_abs_error",
+            "energy_converged",
+            "force_Pa",
+            "force_abs_error",
+            "force_converged",
+        ],
+        _scan_rows,
+    ),
+    "figure1": (
+        ["a_m", "deltaF_exact", "deltaF_approx", "abs_error", "converged"],
+        _figure1_rows,
+    ),
+    "figure2": (
+        ["a_m", "deltaE_exact", "deltaE_approx", "abs_error", "converged"],
+        _figure2_rows,
+    ),
+    "coefficients": (
+        ["k", "lifshitz_plasma", "impedance_exact", "impedance_approx"],
+        _coefficient_rows,
+    ),
+    "thermal-ratio": (
+        [
+            "a_m",
+            "T_K",
+            "T_eff_K",
+            "energy_ratio",
+            "force_ratio",
+            "abs_error",
+            "converged",
+        ],
+        _thermal_ratio_rows,
+    ),
+}
 
 
 def _warning_summary(command: str, caught: list[warnings.WarningMessage]) -> None:
@@ -412,34 +403,13 @@ def run(spec: RunSpec, stream=None) -> int:
     spec = _validate(spec)
     material = _resolve_material(spec)
     model = ImpedanceModel(ImpedanceKind(spec.model), Formalism(spec.formalism))
-    config = _config(spec)
-    csv = _Csv(spec, material, _COLUMNS[spec.command])
+    columns, compute_rows = _COMMANDS[spec.command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = compute_rows(spec, material, model, _config(spec))
+    _warning_summary(spec.command, caught)
 
-    if spec.command == "point" or spec.command in _GRID_ROWS:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            if spec.command == "point":
-                rows = _point_rows(spec, material, model, config)
-            else:
-                rows = _GRID_ROWS[spec.command](
-                    _grid_points(spec.grid), spec, material, model, config
-                )
-        _warning_summary(spec.command, caught)
-        for row in rows:
-            csv.add(*row)
-    elif spec.command == "coefficients":
-        sets = {v: coefficients(v).c for v in CoefficientVariant}
-        for k in range(5):
-            csv.add(
-                float(k),
-                sets[CoefficientVariant.LIFSHITZ_PLASMA][k],
-                sets[CoefficientVariant.IMPEDANCE_EXACT][k],
-                sets[CoefficientVariant.IMPEDANCE_APPROX][k],
-            )
-    elif spec.command == "thermal-ratio":
-        csv.add(*_thermal_ratio_row(spec, material, model, config))
-
-    text = csv.render()
+    text = _render(spec, material, columns, rows)
     if spec.out is not None:
         Path(spec.out).write_text(text)
     elif stream is not None:
@@ -447,9 +417,8 @@ def run(spec: RunSpec, stream=None) -> int:
     else:
         sys.stdout.write(text)
 
-    columns = _COLUMNS[spec.command]
     flags = [i for i, name in enumerate(columns) if name.endswith("converged")]
-    if any(row[i] == 0.0 for row in csv.rows for i in flags):
+    if any(row[i] == 0.0 for row in rows for i in flags):
         return 2
     return 0
 

@@ -45,6 +45,9 @@ from .materials import Material
 from .quadrature import (
     _MAX_TERMS,
     _SERIES_TAIL_TOL,
+    _ZETA_3,
+    _ZETA_4,
+    _ZETA_5,
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
@@ -53,8 +56,6 @@ from .quadrature import (
     dilog,
     integrate_xi_y,
     log1mexp,
-    riemann_zeta,
-    sum_matsubara_primed,
 )
 from .reflection import ImpedanceKind, ImpedanceModel
 from .zero_temperature import (
@@ -157,7 +158,7 @@ def ideal_energy_T(a: float, T: float) -> float:
     tau = 1.0 / _t(a, T)
     e0 = ideal_closed_forms(a)[0]
 
-    total = riemann_zeta(3.0) * tau**3
+    total = _ZETA_3 * tau**3
     terms = []
     for n in range(1, _MAX_TERMS + 1):
         z = math.pi * n / tau
@@ -352,7 +353,7 @@ def _pert_sum(term) -> float:
     def terms(ls: np.ndarray) -> list[float]:
         return [0.0 if l == 0 else term(l) for l in ls.tolist()]
 
-    res = sum_matsubara_primed(terms)
+    res = _sum_primed(terms, 3)
     if not res.converged:
         raise RuntimeError("thermal expansion l-sum did not converge")
     return res.value
@@ -374,7 +375,7 @@ def delta_T_energy_pert(a: float, T: float, material: Material | None = None) ->
     """
     t = _t(a, T)
     d = _pert_ratio(a, material)
-    z3, z4, z5 = riemann_zeta(3.0), riemann_zeta(4.0), riemann_zeta(5.0)
+    z3, z4, z5 = _ZETA_3, _ZETA_4, _ZETA_5
 
     algebraic = (
         math.pi * z3 / (2.0 * t**3)
@@ -416,7 +417,7 @@ def delta_T_force_pert(a: float, T: float, material: Material | None = None) -> 
     """
     t = _t(a, T)
     d = _pert_ratio(a, material)
-    z3, z4 = riemann_zeta(3.0), riemann_zeta(4.0)
+    z3, z4 = _ZETA_3, _ZETA_4
 
     algebraic = z4 / t**4 + d * math.pi * z3 / t**3
 

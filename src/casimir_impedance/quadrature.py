@@ -32,8 +32,7 @@ results it would get alone.  A primed sum (``_sum_primed``) asks its
 stop, so a finite-temperature sum that stops there integrates all of its
 Matsubara terms in one such call, then for blocks that double from 8 up
 to 64, and applies its stopping rule term by term, as if the terms came
-one at a time.  ``sum_matsubara_primed`` is that sum with its first stop
-at l = 3.
+one at a time.
 
 The wedge lower <= xi <= y < infinity is taken by ``integrate_xi_y`` with
 the product of the same exp-sinh rule in y, from x = y - lower = 1e-8 up,
@@ -57,11 +56,8 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
     "IntegrandError",
-    "integrate_y_from",
     "integrate_xi_y",
-    "sum_matsubara_primed",
     "log1mexp",
-    "riemann_zeta",
     "dilog",
 ]
 
@@ -108,12 +104,18 @@ _DE_T_LO, _WEDGE_T_LO, _DE_T_HI = (
     math.asinh(2.0 / math.pi * math.log(x)) for x in (1e-30, 1e-8, 2.0 * _Y_MARGIN)
 )
 
-# riemann_zeta sums n^-s up to _ZETA_N and corrects the rest with the
-# Bernoulli numbers B_2 .. B_16; dilog sums its power series to _DILOG_TERMS
-# terms, where at x = 1/2 the next term is below 4e-19 of the sum.
-_ZETA_N = 10
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+# dilog sums its power series to _DILOG_TERMS terms, where at x = 1/2 the
+# next term is below 4e-19 of the sum.
 _DILOG_TERMS = 50
+
+# zeta(s), correctly rounded, at the four arguments the closed forms need:
+# the ideal thermal series (3), the normal-skin coefficient (7/2) and the
+# thermal expansions and series coefficients (3, 4, 5).  pi**4 / 90 is one
+# ulp below zeta(4).
+_ZETA_3 = 1.2020569031595942
+_ZETA_7_2 = 1.1267338673170566
+_ZETA_4 = 1.0823232337111381
+_ZETA_5 = 1.03692775514337
 
 
 class IntegrandError(RuntimeError):
@@ -296,26 +298,6 @@ def _integrate_y_batch(
     return value, error + np.abs(value) * math.exp(-_Y_MARGIN), evaluations, converged
 
 
-def integrate_y_from(
-    f: Callable[[np.ndarray], np.ndarray],
-    lower: float,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-) -> QuadratureResult:
-    """Integrate an exponentially damped f over [lower, infinity).
-
-    The range is truncated at lower + 2 ``_Y_MARGIN``; for integrands bounded
-    by the exp(-y) envelope the dropped tail is below exp(-_Y_MARGIN) of the
-    result, which is added to the error estimate.
-    """
-    vals, errs, evals, conv = _integrate_y_batch(lambda _xi, y: f(y), [lower], config)
-    return QuadratureResult(
-        value=float(vals[0]),
-        abs_error_estimate=float(errs[0]),
-        evaluations=int(evals[0]),
-        converged=bool(conv[0]),
-    )
-
-
 @functools.cache
 def _wedge_table(
     level: int, t_lo: float
@@ -412,7 +394,7 @@ def integrate_xi_y(
         diff = abs(levels[-2] - levels[-3])
         if d < diff:
             # Differences shrinking by r bound the rest of the sequence by a
-            # geometric tail, as in sum_matsubara_primed.
+            # geometric tail, as in _sum_primed.
             r = d / diff
             error = d * r / (1.0 - r)
         # No estimate is smaller than the roundoff of the sum.
@@ -445,11 +427,6 @@ def _blocks(
         yield from zip(ls.tolist(), values.tolist())
         start += ls.size
         size = 8 if start == first else min(2 * size, _BLOCK_MAX)
-
-
-def sum_matsubara_primed(terms: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
-    """The primed sum t_0/2 + t_1 + t_2 + ... of ``_sum_primed`` from l = 3."""
-    return _sum_primed(terms, 3)
 
 
 def _sum_primed(terms: Callable[[np.ndarray], np.ndarray], first_stop: int) -> QuadratureResult:
@@ -529,27 +506,6 @@ def log1mexp(y):
             np.log1p(-np.exp(-np.where(small, 1.0, y))),
         )
     return float(out) if out.ndim == 0 else out
-
-
-def riemann_zeta(s: float) -> float:
-    """Riemann zeta for real s > 1 (the only range the physics needs).
-
-    Euler-Maclaurin summation: the terms n^-s for n < 10, then
-    10^(1-s) / (s - 1) + 10^-s / 2 and the corrections with B_2 .. B_16;
-    within 2.2e-16 of the exact value for 1.1 <= s <= 20.
-    """
-    if not (s > 1.0):
-        raise ValueError(f"riemann_zeta requires s > 1, got {s!r}")
-    n = _ZETA_N
-    terms = [k ** -s for k in range(1, n)]
-    terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
-    # B_2k / (2k)! times s (s + 1) ... (s + 2k - 2) n^(1 - s - 2k).
-    rising, factorial = s, 2.0
-    for k, b in enumerate(_BERNOULLI, start=1):
-        terms.append(b / factorial * rising * n ** (1.0 - s - 2 * k))
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        factorial *= (2 * k + 1) * (2 * k + 2)
-    return math.fsum(terms)
 
 
 def dilog(x):

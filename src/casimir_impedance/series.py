@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .materials import Material
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, riemann_zeta
+from .quadrature import _ZETA_3, _ZETA_5, DEFAULT_CONFIG, QuadratureConfig
 from .reflection import Formalism, ImpedanceKind, ImpedanceModel
 from .zero_temperature import force_pp0, ideal_closed_forms
 
@@ -98,7 +98,7 @@ def coefficients(variant: CoefficientVariant) -> CoefficientSet:
         c3 = -640.0 / 7.0 * (1.0 + pi2 / 280.0)
         c4 = 2800.0 / 9.0 * (1.0 + 5.0 * pi2 / 294.0)
     elif variant is CoefficientVariant.IMPEDANCE_APPROX:
-        z3, z5 = riemann_zeta(3.0), riemann_zeta(5.0)
+        z3, z5 = _ZETA_3, _ZETA_5
         c3 = -11520.0 / (7.0 * math.pi**4) * (z3 + z5 / 8.0)
         c4 = 14000.0 / (3.0 * math.pi**4) * (z3 + z5 / 2.0)
     else:

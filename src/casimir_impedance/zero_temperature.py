@@ -28,12 +28,12 @@ from .constants import CODATA
 from .geometry import Geometry
 from .materials import Material
 from .quadrature import (
+    _ZETA_7_2,
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
     integrate_xi_y,
     log1mexp,
-    riemann_zeta,
 )
 from .reflection import Formalism, ImpedanceKind, ImpedanceModel, _plate_factors
 
@@ -300,7 +300,7 @@ def normal_skin_pert0(a: float, material: Material) -> tuple[float, float]:
             f"normal-skin expansion parameter {small:.3g} is out of range "
             f"(requires < {_NORMAL_SKIN_PARAM_MAX}); use the numerical route"
         )
-    z72 = riemann_zeta(3.5)
+    z72 = _ZETA_7_2
     e_ideal, f_ideal = ideal_closed_forms(a)
     e_coeff = 405.0 * math.sqrt(2.0) / (4.0 * math.pi**4) * z72
     f_coeff = 945.0 * math.sqrt(2.0) / (8.0 * math.pi**4) * z72

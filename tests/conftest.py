@@ -1,5 +1,6 @@
-"""Shared fixtures: the aluminum preset, commonly used model choices and the
-integral form of the ideal-metal energy at T."""
+"""Shared fixtures: the aluminum preset, commonly used model choices, the y
+rule on a single lower bound and the integral form of the ideal-metal energy
+at T."""
 
 import math
 
@@ -12,11 +13,11 @@ from casimir_impedance import (
     ImpedanceKind,
     ImpedanceModel,
     QuadratureConfig,
+    QuadratureResult,
     effective_temperature,
     log1mexp,
-    sum_matsubara_primed,
 )
-from casimir_impedance.quadrature import DEFAULT_CONFIG, _integrate_y_batch
+from casimir_impedance.quadrature import DEFAULT_CONFIG, _integrate_y_batch, _sum_primed
 
 # One summary line per acceptance check, echoed after the run so the
 # verdicts are visible regardless of output capturing.
@@ -66,6 +67,25 @@ def fast_config():
 
 
 @pytest.fixture
+def y_integral():
+    """int_lower^inf f(y) dy from the engine's y rule on one lower bound, as
+    a QuadratureResult; ``f`` takes y alone."""
+
+    def integrate(f, lower: float, config: QuadratureConfig = DEFAULT_CONFIG):
+        values, errors, evaluations, converged = _integrate_y_batch(
+            lambda _xi, y: f(y), [lower], config
+        )
+        return QuadratureResult(
+            value=float(values[0]),
+            abs_error_estimate=float(errors[0]),
+            evaluations=int(evaluations[0]),
+            converged=bool(converged[0]),
+        )
+
+    return integrate
+
+
+@pytest.fixture
 def ideal_energy_T_integral():
     """Ideal-metal energy at T from the primed sum of mode integrals,
 
@@ -80,7 +100,7 @@ def ideal_energy_T_integral():
             lowers = 2.0 * math.pi * tau * ls
             return _integrate_y_batch(lambda _xi, y: y * log1mexp(y), lowers, config)[0]
 
-        total = sum_matsubara_primed(terms)
+        total = _sum_primed(terms, 3)
         return CODATA.k_B * T / (4.0 * math.pi * a**2) * total.value
 
     return energy

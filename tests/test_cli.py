@@ -7,12 +7,16 @@ from types import SimpleNamespace
 
 import pytest
 
+import numpy as np
+
 from casimir_impedance import cli, finite_temperature, zero_temperature
 from casimir_impedance import (
     ALUMINUM,
     ImpedanceKind,
     ImpedanceModel,
     ObservableKind,
+    energy_ppT,
+    force_ppT,
     ideal_closed_forms,
     ideal_energy_T,
     relative_deviation,
@@ -64,7 +68,7 @@ def test_parse_grid():
     assert (lo, hi, count, log) == (1e-7, 1e-6, 5, False)
 
 
-def test_parse_grid_errors():
+def test_parse_grid_errors(tmp_path, capsys):
     with pytest.raises(SpecError, match="MIN:MAX:COUNT"):
         parse_grid("1:2")
     with pytest.raises(SpecError, match="count must be an integer"):
@@ -75,6 +79,11 @@ def test_parse_grid_errors():
         parse_grid("2um:1um:5")
     with pytest.raises(SpecError, match="at least 2"):
         parse_grid("1um:2um:1")
+    # A grid is text only: a JSON list is not a second spelling of it.
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"command": "scan", "model": "ideal", "grid": ["1um", "2um", 3]}')
+    assert cli.main(["scan", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: grid: expected MIN:MAX:COUNT[:log|lin]")
 
 
 def test_parse_config_key_value(tmp_path):
@@ -312,6 +321,54 @@ def test_scan_run_twice_byte_identical():
     assert rows[0][4] == pytest.approx(f0, rel=1e-6)
 
 
+def test_thermal_scan_rows_equal_the_library_on_a_linear_grid(capsys):
+    argv = ["scan", "--material", "Al", "--T", "40", "--grid", "300nm:3um:3:lin"]
+    assert cli.main(argv) == 0
+    rows = _rows(capsys.readouterr().out)
+    model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT)
+    expected = []
+    # "300nm" parses to 300 * 1e-9, one ulp above 3e-7.
+    for a in np.linspace(parse_length("300nm"), parse_length("3um"), 3).tolist():
+        row = [a]
+        for observable in (energy_ppT, force_ppT):
+            ob = observable(a, 40.0, model, ALUMINUM)
+            row += [ob.value, ob.quadrature.abs_error_estimate, float(ob.quadrature.converged)]
+        expected.append(row)
+    assert rows == expected
+
+
+_AL_FILE = "omega_p_rad_s=1.9e16\ngamma_rad_s=9.6e13\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "omega_p_rad_s=1.9e16\ngamma_rad_s=abc\n",
+        _AL_FILE + "colour=grey\n",
+        _AL_FILE + "gamma_rad_s=9.6e13\n",
+        "omega_p_rad_s=1.9e16\n",
+        "omega_p_rad_s=1.9e16\ngamma_rad_s=1.9e16\n",
+    ],
+    ids=["bad-float", "unknown-key", "duplicate-key", "missing-key", "gamma-above-omega_p"],
+)
+def test_main_reports_a_malformed_material_file(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert cli.main(["point", "--material", str(path), "--a", "1um"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: material: ") and "Traceback" not in err
+
+
+def test_material_file_matches_the_preset(tmp_path, capsys):
+    path = tmp_path / "al.txt"
+    path.write_text(_AL_FILE + "name=Al\n")
+    outputs = []
+    for material in (str(path), "Al"):
+        assert cli.main(["point", "--material", material, "--a", "1um"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_nonconverged_rows_exit_2(monkeypatch):
     stub = SimpleNamespace(
         value=-1.0,
@@ -341,7 +398,7 @@ def test_nonconverged_grid_rows_exit_2(monkeypatch, command):
     spec = RunSpec(command=command, material="Al", grid=grid)
     status, text = _run(spec)
     assert status == 2
-    columns = cli._COLUMNS[command]
+    columns, _ = cli._COMMANDS[command]
     flags = [i for i, name in enumerate(columns) if name.endswith("converged")]
     rows = _rows(text)
     assert [[row[i] for i in flags] for row in rows] == [

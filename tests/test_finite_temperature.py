@@ -28,13 +28,10 @@ from casimir_impedance import (
     ideal_closed_forms,
     ideal_energy_T,
     impedance,
-    integrate_y_from,
     log1mexp,
     reflection_factors,
-    riemann_zeta,
     sphere_plate_T,
     static_reflection_factors,
-    sum_matsubara_primed,
     thermal_ideal_ratios,
 )
 from casimir_impedance import finite_temperature, quadrature
@@ -59,7 +56,7 @@ def test_classical_high_temperature_limit(ideal_energy_T_integral):
     # E -> -zeta(3) k_B T / (8 pi a^2)
     a = 1e-6
     T = 50.0 * effective_temperature(a)
-    classical = -riemann_zeta(3.0) * CODATA.k_B * T / (8.0 * math.pi * a**2)
+    classical = -quadrature._ZETA_3 * CODATA.k_B * T / (8.0 * math.pi * a**2)
     assert ideal_energy_T_integral(a, T) == pytest.approx(classical, rel=1e-10)
     assert ideal_energy_T(a, T) == pytest.approx(classical, rel=1e-6)
 
@@ -74,17 +71,17 @@ def test_thermal_energy_grows_with_temperature():
         prev = e
 
 
-def test_primed_sum_convention(ideal_energy_T_integral):
+def test_primed_sum_convention(ideal_energy_T_integral, y_integral):
     # explicit half-weight l = 0 reimplementation of the mode sum
     a, T = 1e-6, 300.0
     tau = T / effective_temperature(a)
 
     def term(l):
-        return integrate_y_from(lambda y: y * log1mexp(y), 2.0 * math.pi * tau * l).value
+        return y_integral(lambda y: y * log1mexp(y), 2.0 * math.pi * tau * l).value
 
-    assert term(0) == pytest.approx(-riemann_zeta(3.0), rel=1e-10)
+    assert term(0) == pytest.approx(-quadrature._ZETA_3, rel=1e-10)
     explicit = 0.5 * term(0) + sum(term(l) for l in range(1, 40))
-    summed = sum_matsubara_primed(lambda ls: [term(l) for l in ls])
+    summed = quadrature._sum_primed(lambda ls: [term(l) for l in ls], 3)
     assert summed.value == pytest.approx(explicit, rel=1e-10)
     expected = CODATA.k_B * T / (4.0 * math.pi * a**2) * explicit
     assert ideal_energy_T_integral(a, T) == pytest.approx(expected, rel=1e-10)
@@ -300,9 +297,9 @@ def _step(a, T):
 
 @pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
 def test_batched_matsubara_sum_matches_per_term_integrals(
-    observable, monkeypatch, aluminum, plasma_lifshitz
+    observable, monkeypatch, aluminum, plasma_lifshitz, y_integral
 ):
-    # Oracle: one integrate_y_from per Matsubara index, the integrand written
+    # Oracle: one y integral per Matsubara index, the integrand written
     # out, summed with the observable's stop rule.  The Lifshitz formalism
     # makes the static l = 0 term non-zero.  The step lies just above the
     # tail threshold, so the sum runs term by term, its first block of l
@@ -315,7 +312,7 @@ def test_batched_matsubara_sum_matches_per_term_integrals(
 
     def term(l):
         xi = step * l
-        results.append(integrate_y_from(lambda y: integrand(xi, y), xi))
+        results.append(y_integral(lambda y: integrand(xi, y), xi))
         return results[-1].value
 
     first_stop = math.ceil(finite_temperature._STOP_XI / step)

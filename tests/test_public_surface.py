@@ -1,0 +1,38 @@
+"""The package's public surface: every name the benchmark calls exists, and
+the package exports exactly what its submodules export."""
+
+import re
+from pathlib import Path
+
+import casimir_impedance as ci
+from casimir_impedance import (
+    constants,
+    finite_temperature,
+    geometry,
+    materials,
+    quadrature,
+    reflection,
+    series,
+    zero_temperature,
+)
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_every_name_the_benchmark_calls_exists():
+    # The benchmark counts an operation that raises as failed, so a removed
+    # name it still calls would fail it.
+    names = set(re.findall(r"\bci\.([A-Za-z_]\w*)", _WORKLOADS.read_text()))
+    assert names
+    assert sorted(name for name in names if not hasattr(ci, name)) == []
+
+
+def test_package_exports_the_union_of_its_submodules():
+    modules = (
+        constants, materials, geometry, quadrature, reflection, zero_temperature,
+        finite_temperature, series,
+    )
+    submodule_names = set().union(*(m.__all__ for m in modules))
+    assert set(ci.__all__) == submodule_names | {"__version__", "DEFAULT_CONFIG"}
+    assert len(ci.__all__) == len(set(ci.__all__))
+    assert all(hasattr(ci, name) for name in ci.__all__)

@@ -18,52 +18,54 @@ from casimir_impedance import (
     dilog,
     impedance,
     integrate_xi_y,
-    integrate_y_from,
     log1mexp,
     reflection_factors,
-    riemann_zeta,
-    sum_matsubara_primed,
 )
 from casimir_impedance import quadrature
 from casimir_impedance.quadrature import (
+    _ZETA_3,
+    _ZETA_4,
+    _ZETA_5,
+    _ZETA_7_2,
     DEFAULT_CONFIG,
     _integrate_y_batch,
     _level_ordered,
+    _sum_primed,
 )
 from casimir_impedance.zero_temperature import force_bracket
 
 
-def test_integrate_y_from_zero():
-    res = integrate_y_from(lambda y: y * np.exp(-y), 0.0)
+def test_y_rule_from_zero(y_integral):
+    res = y_integral(lambda y: y * np.exp(-y), 0.0)
     assert res.converged
     assert res.value == pytest.approx(1.0, rel=1e-12)
     assert abs(res.value - 1.0) <= res.abs_error_estimate
 
 
-def test_integrate_y_from_offset_lower_bound():
+def test_y_rule_offset_lower_bound(y_integral):
     # int_a^inf y e^-y dy = (1 + a) e^-a
-    res = integrate_y_from(lambda y: y * np.exp(-y), 2.0)
+    res = y_integral(lambda y: y * np.exp(-y), 2.0)
     assert res.value == pytest.approx(3.0 * math.exp(-2.0), rel=1e-12)
 
 
-def test_integrate_y_from_cubic_moment():
-    res = integrate_y_from(lambda y: y**3 * np.exp(-y), 0.0)
+def test_y_rule_cubic_moment(y_integral):
+    res = y_integral(lambda y: y**3 * np.exp(-y), 0.0)
     assert res.value == pytest.approx(6.0, rel=1e-11)
 
 
-def test_integrate_y_from_rejects_negative_lower():
+def test_y_rule_rejects_negative_lower(y_integral):
     with pytest.raises(ValueError, match=">= 0"):
-        integrate_y_from(lambda y: np.exp(-y), -1.0)
+        y_integral(lambda y: np.exp(-y), -1.0)
 
 
-def test_integrate_y_from_nonfinite_integrand():
+def test_y_rule_nonfinite_integrand(y_integral):
     def bad(y):
         out = np.exp(-y)
         out[y > 1.0] = np.nan
         return out
 
     with pytest.raises(IntegrandError, match="non-finite"):
-        integrate_y_from(bad, 0.0)
+        y_integral(bad, 0.0)
 
 
 @pytest.mark.parametrize("points", [True, False], ids=["per-point", "per-row"])
@@ -79,10 +81,10 @@ def test_integrate_xi_y_nonfinite_integrand_names_both_coordinates(points):
     assert info.value.x > 1.0
 
 
-def test_integrate_y_from_deterministic():
+def test_y_rule_deterministic(y_integral):
     f = lambda y: y**2 / np.expm1(y + 1e-9)
-    a = integrate_y_from(f, 0.0)
-    b = integrate_y_from(f, 0.0)
+    a = y_integral(f, 0.0)
+    b = y_integral(f, 0.0)
     assert a.value == b.value and a.evaluations == b.evaluations
 
 
@@ -90,7 +92,7 @@ def test_wedge_integral_ideal_mode_density():
     # int_0^inf dxi int_xi^inf 2 y ln(1 - e^-y) dy = -4 zeta(4)
     res = integrate_xi_y(lambda xi, y: 2.0 * y * log1mexp(y))
     assert res.converged
-    assert res.value == pytest.approx(-4.0 * riemann_zeta(4.0), rel=1e-9)
+    assert res.value == pytest.approx(-4.0 * _ZETA_4, rel=1e-9)
 
 
 def test_wedge_integral_exponential():
@@ -208,19 +210,19 @@ def test_wedge_trim_below_x_1e_8_is_negligible(lower, monkeypatch):
 
 def test_matsubara_prime_weight():
     # term(l) = x^l: 0.5 + x / (1 - x)
-    res = sum_matsubara_primed(lambda l: 0.5**l)
+    res = _sum_primed(lambda l: 0.5**l, 3)
     assert res.converged
     assert res.value == pytest.approx(1.5, rel=1e-12)
 
 
 def test_matsubara_exponential_terms():
     q = math.exp(-3.0)
-    res = sum_matsubara_primed(lambda ls: np.exp(-3.0 * ls))
+    res = _sum_primed(lambda ls: np.exp(-3.0 * ls), 3)
     assert res.value == pytest.approx(0.5 + q / (1.0 - q), rel=1e-12)
 
 
 def test_matsubara_stops_on_exact_zeros():
-    res = sum_matsubara_primed(lambda ls: np.where(ls == 1, 1.0, 0.0))
+    res = _sum_primed(lambda ls: np.where(ls == 1, 1.0, 0.0), 3)
     assert res.converged
     assert res.value == 1.0
     assert res.evaluations <= 5
@@ -228,7 +230,7 @@ def test_matsubara_stops_on_exact_zeros():
 
 def test_matsubara_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_TERMS", 10)
-    res = sum_matsubara_primed(lambda l: 1.0 / (l + 1.0))
+    res = _sum_primed(lambda l: 1.0 / (l + 1.0), 3)
     assert not res.converged
 
 
@@ -264,11 +266,11 @@ def test_log1mexp_vectorized():
     np.testing.assert_allclose(out, [log1mexp(v) for v in y], rtol=1e-15)
 
 
-def test_riemann_zeta_matches_mpmath():
+def test_zeta_constants_are_correctly_rounded():
     mpmath = pytest.importorskip("mpmath")
-    for s in np.linspace(1.1, 20.0, 400).tolist() + [3.5]:
-        exact = mpmath.zeta(s)
-        assert abs(riemann_zeta(s) - exact) <= 2.2e-16 * exact, s
+    constants = {3.0: _ZETA_3, 3.5: _ZETA_7_2, 4.0: _ZETA_4, 5.0: _ZETA_5}
+    for s, value in constants.items():
+        assert value == float(mpmath.zeta(s)), s
 
 
 def test_dilog_matches_mpmath():
@@ -305,11 +307,10 @@ def test_package_runs_without_scipy():
     assert run.stdout.strip() == "[]"
 
 
-def test_riemann_zeta_values():
-    assert riemann_zeta(2.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-14)
-    assert riemann_zeta(4.0) == pytest.approx(math.pi**4 / 90.0, rel=1e-14)
-    with pytest.raises(ValueError, match="s > 1"):
-        riemann_zeta(1.0)
+def test_zeta_4_is_one_ulp_above_its_rounded_closed_form():
+    # pi**4 / 90 rounds twice and lands one ulp below zeta(4).
+    assert _ZETA_4 == pytest.approx(math.pi**4 / 90.0, rel=1e-15)
+    assert _ZETA_4 == math.nextafter(math.pi**4 / 90.0, math.inf)
 
 
 def test_dilog_values():
@@ -373,7 +374,7 @@ def test_blocked_stop_rule_matches_sequential_rule(series, max_terms, monkeypatc
         blocks.append(ls.tolist())
         return [series(l) for l in ls.tolist()]
 
-    res = sum_matsubara_primed(terms)
+    res = _sum_primed(terms, 3)
     value, tail, n, converged = _sequential_primed_sum(series)
     assert (res.value, res.abs_error_estimate, res.evaluations, res.converged) == (
         value, tail, n, converged)
@@ -385,7 +386,7 @@ def test_blocked_stop_rule_matches_sequential_rule(series, max_terms, monkeypatc
 
 def test_matsubara_terms_must_return_one_value_per_index():
     with pytest.raises(ValueError, match="one value per l"):
-        sum_matsubara_primed(lambda ls: 1.0)
+        _sum_primed(lambda ls: 1.0, 3)
 
 
 def _nodes(h):
