@@ -21,11 +21,25 @@ rows are computed are collapsed into one stderr line per source with a count.
 
 Exit status: 0 on success, 1 on configuration errors (the message names the
 offending field), 2 when any output row failed to converge.
+
+Once per process, before it parses, ``main()`` sets glibc's heap policy with
+``mallopt``: a 64 MiB trim threshold and a 4 MiB mmap threshold.  The wedge
+integral behind each output row allocates and frees numpy temporaries of about
+100 KB; with glibc's defaults that memory goes back to the OS and is faulted
+in again on the next call.  Keeping it raised the throughput of
+``perfbench/``'s cli-scans workload (figure1, figure2 and scan) by 30-45% on a
+2-vCPU host, and resident memory stays at its peak for the rest of the run.
+``run()`` and library calls leave the allocator alone; a long-running Python
+caller gets the same effect from glibc's own ``MALLOC_TRIM_THRESHOLD_``
+environment variable.  Where the C library has no ``mallopt`` (macOS, Windows)
+nothing is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -186,7 +200,10 @@ def parse_config(path: str | Path | None, flags: dict | None = None) -> RunSpec:
     """
     raw: dict = {}
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SpecError(f"config: {exc}") from None
         if text.lstrip().startswith("{"):
             try:
                 raw = json.loads(text)
@@ -445,8 +462,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h) and the values main() gives them.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 64 << 20
+_MMAP_THRESHOLD = 4 << 20
+
+
+def _libc() -> ctypes.CDLL:
+    """The C symbols the process has loaded; no ``find_library`` lookup."""
+    return ctypes.CDLL(None)
+
+
+@functools.cache
+def _process_parser() -> argparse.ArgumentParser:
+    """main()'s once-per-process step: the heap policy, then the parser.
+
+    The module docstring says why the trim threshold is raised.  Setting it
+    turns off glibc's dynamic mmap threshold, so the mmap threshold is set
+    as well, above the integrand's temporaries.
+    """
+    try:
+        mallopt = _libc().mallopt
+    except (OSError, TypeError, AttributeError):
+        # OSError: no loader; TypeError: CDLL(None) on Windows;
+        # AttributeError: a C library without mallopt.
+        pass
+    else:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    return _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    flags = vars(_build_parser().parse_args(argv))
+    flags = vars(_process_parser().parse_args(argv))
     try:
         spec = parse_config(flags.pop("config"), flags)
         return run(spec)

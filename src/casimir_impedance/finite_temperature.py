@@ -371,7 +371,9 @@ def delta_T_energy_pert(a: float, T: float, material: Material | None = None) ->
     with d = delta_0/a and t = T_eff/T; the remainder decays like
     e^(-2 pi l t) and is truncated on its geometric tail.  With no material
     the skin-depth corrections vanish and the ideal-metal correction is
-    returned, which equals ideal_energy_T(a, T) - E0.
+    returned: E0 plus it matches ideal_energy_T(a, T) to 2.2e-16 relative for
+    T/T_eff <= 0.5, to 9.7e-15 at T/T_eff = 1 and to 6.8e-9 at T/T_eff = 26
+    (a = 0.1-10 um).
     """
     t = _t(a, T)
     d = _pert_ratio(a, material)

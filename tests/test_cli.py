@@ -2,7 +2,11 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -511,3 +515,100 @@ def test_main_merges_config_and_flags(tmp_path, capsys):
     assert status == 0
     rows = _rows(capsys.readouterr().out)
     assert rows[0][0] == pytest.approx(2e-6)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_main_reports_an_unreadable_config(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"command=point\n\xff\xfe\n")
+    assert cli.main(["point", "--model", "ideal", "--a", "1um", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "Traceback" not in err
+
+
+# ------------------------------------------------- main()'s per-process step
+
+_SCAN = ["scan", "--material", "Al", "--grid", "100nm:1um:3:log"]
+
+
+@pytest.fixture
+def fresh_process_step():
+    """main()'s once-per-process step as a new process finds it."""
+    cli._process_parser.cache_clear()
+    yield
+    cli._process_parser.cache_clear()
+
+
+def _counting_loader(loads, calls):
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def load():
+        loads.append(None)
+        return SimpleNamespace(mallopt=mallopt)
+
+    return load
+
+
+def _main_csv(argv, path):
+    status = cli.main([*argv, "--out", str(path)])
+    return status, path.read_bytes()
+
+
+def test_main_sets_the_allocator_policy_once_and_run_never(
+    fresh_process_step, monkeypatch, tmp_path
+):
+    loads, calls = [], []
+    monkeypatch.setattr(cli, "_libc", _counting_loader(loads, calls))
+    assert _run(RunSpec(command="scan", model="ideal", grid=(1e-7, 1e-6, 3, True)))[0] == 0
+    assert loads == []
+    for k in range(3):
+        assert _main_csv(_SCAN, tmp_path / f"{k}.csv")[0] == 0
+    assert len(loads) == 1
+    assert calls == [(-1, 64 << 20), (-3, 4 << 20)]
+
+
+def _oserror_loader():
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize(
+    "loader", [_oserror_loader, SimpleNamespace], ids=["raises OSError", "no mallopt"]
+)
+def test_main_without_mallopt_writes_the_same_csv(
+    fresh_process_step, monkeypatch, tmp_path, loader
+):
+    expected = _main_csv(_SCAN, tmp_path / "with.csv")
+    cli._process_parser.cache_clear()
+    monkeypatch.setattr(cli, "_libc", loader)
+    assert _main_csv(_SCAN, tmp_path / "without.csv") == expected
+
+
+def test_main_calls_in_one_process_write_identical_csvs(fresh_process_step, tmp_path):
+    first = _main_csv(_SCAN, tmp_path / "first.csv")
+    assert first[0] == 0
+    assert _main_csv(_SCAN, tmp_path / "second.csv") == first
+
+
+def test_module_entry_point_writes_the_bytes_of_main(tmp_path):
+    argv = [*_SCAN, "--T", "300"]
+    expected = _main_csv(argv, tmp_path / "in_process.csv")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "module.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "casimir_impedance", *argv, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert (proc.returncode, out.read_bytes()) == expected, proc.stderr
+
+
+def test_console_script_targets_main():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"casimir": "casimir_impedance.cli:main"}

@@ -215,6 +215,19 @@ def test_ideal_pert_matches_closed_difference():
         assert delta_T_energy_pert(a, T) == pytest.approx(expected, rel=1e-6)
 
 
+def test_ideal_pert_plus_e0_is_the_closed_series_to_roundoff_below_half_t_eff():
+    # The two forms drift apart above T/T_eff = 0.5 (6.8e-9 at 26), so the
+    # roundoff-level agreement is pinned on T/T_eff <= 0.5 only.
+    worst = 0.0
+    for a in np.geomspace(1e-7, 1e-5, 9):
+        e0 = ideal_closed_forms(a)[0]
+        for tau in (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
+            T = tau * effective_temperature(a)
+            total = e0 + delta_T_energy_pert(a, T)
+            worst = max(worst, abs(total / ideal_energy_T(a, T) - 1.0))
+    assert worst <= 1e-15
+
+
 def test_ideal_force_pert_matches_direct_difference(ideal_model):
     a, T = 1e-6, 300.0
     direct = force_ppT(a, T, ideal_model).value - ideal_closed_forms(a)[1]
