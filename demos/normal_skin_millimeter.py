@@ -16,10 +16,12 @@ from casimir_impedance import (
     ImpedanceModel,
     effective_temperature,
     energy_pp0,
+    energy_ppT,
     force_pp0,
+    force_ppT,
     ideal_closed_forms,
+    ideal_energy_T,
     normal_skin_pert0,
-    thermal_ideal_ratios,
 )
 
 C = 299792458.0
@@ -45,8 +47,10 @@ def main():
     t_eff = effective_temperature(a)
     print(f"\nfinite temperature (T_eff = {t_eff:.3f} K at 1 mm):")
     print(f"{'T [K]':>6} {'E(T,Z)/E(T,ideal)':>19} {'F(T,Z)/F(T,ideal)':>19}")
+    ideal = ImpedanceModel(ImpedanceKind.IDEAL_METAL)
     for T in (0.5, 1.0, 2.0, 4.2):
-        e_ratio, f_ratio = thermal_ideal_ratios(a, T, model, ALUMINUM)
+        e_ratio = energy_ppT(a, T, model, ALUMINUM).value / ideal_energy_T(a, T)
+        f_ratio = force_ppT(a, T, model, ALUMINUM).value / force_ppT(a, T, ideal).value
         print(f"{T:6.1f} {e_ratio:19.7f} {f_ratio:19.7f}")
     print("\nabove ~2 K the impedance correction is swamped by the thermal "
           "photons and the ratios return to 1.")

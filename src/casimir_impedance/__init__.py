@@ -17,7 +17,6 @@ from .finite_temperature import (
     force_ppT,
     ideal_energy_T,
     sphere_plate_T,
-    thermal_ideal_ratios,
 )
 from .geometry import Geometry, effective_temperature
 from .materials import ALUMINUM, PRESETS, Material, load_material
@@ -38,16 +37,7 @@ from .reflection import (
     reflection_factors,
     static_reflection_factors,
 )
-from .series import (
-    CoefficientFit,
-    CoefficientSet,
-    CoefficientVariant,
-    coefficients,
-    recover_coefficients,
-    series_factor,
-    series_force,
-    series_force_deviation,
-)
+from .series import CoefficientSet, CoefficientVariant, coefficients, series_force
 from .zero_temperature import (
     Observable,
     ObservableKind,
@@ -56,7 +46,6 @@ from .zero_temperature import (
     force_sphere0,
     ideal_closed_forms,
     normal_skin_pert0,
-    relative_deviation,
 )
 
 __version__ = "0.1.0"
@@ -90,7 +79,6 @@ __all__ = [
     "energy_pp0",
     "force_pp0",
     "force_sphere0",
-    "relative_deviation",
     "normal_skin_pert0",
     "ideal_energy_T",
     "energy_ppT",
@@ -98,13 +86,8 @@ __all__ = [
     "sphere_plate_T",
     "delta_T_energy_pert",
     "delta_T_force_pert",
-    "thermal_ideal_ratios",
     "CoefficientVariant",
     "CoefficientSet",
-    "CoefficientFit",
     "coefficients",
-    "series_factor",
     "series_force",
-    "series_force_deviation",
-    "recover_coefficients",
 ]

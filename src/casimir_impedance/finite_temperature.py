@@ -75,7 +75,6 @@ __all__ = [
     "sphere_plate_T",
     "delta_T_energy_pert",
     "delta_T_force_pert",
-    "thermal_ideal_ratios",
 ]
 
 # Arguments beyond this make every exponential thermal factor underflow; the
@@ -457,21 +456,6 @@ def delta_T_force_pert(a: float, T: float, material: Material | None = None) -> 
     return -CODATA.hbar * CODATA.c / (8.0 * math.pi**2 * a**4) * total
 
 
-def thermal_ideal_ratios(
-    a: float,
-    T: float,
-    model: ImpedanceModel,
-    material: Material | None = None,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-) -> tuple[float, float]:
-    """(energy ratio, force ratio) of a real metal to the ideal metal at T.
-
-    The energy denominator is the ideal-metal closed series; the force
-    denominator runs the full Matsubara path with zero reflection factors.
-    """
-    return _thermal_ratios(a, T, model, material, config)[:2]
-
-
 def _thermal_ratios(
     a: float,
     T: float,
@@ -480,7 +464,9 @@ def _thermal_ratios(
     config: QuadratureConfig,
 ) -> tuple[float, float, float, bool]:
     """(energy ratio, force ratio, error, converged) of a real metal to the
-    ideal metal at T; the error adds the relative errors of both ratios."""
+    ideal metal at T; the error adds the relative errors of both ratios.
+    The energy denominator is the ideal-metal closed series, the force
+    denominator the Matsubara sum with both reflection factors zero."""
     e_real = energy_ppT(a, T, model, material, config)
     e_ideal = ideal_energy_T(a, T)
     f_real = force_ppT(a, T, model, material, config)

@@ -26,9 +26,10 @@ termwise in delta_0/a gives instead
 within 2% of this c3 (see README).  The published set is kept because the comparison curves in the
 validation suite are drawn from it.
 
-``recover_coefficients`` inverts the problem: given numerically computed
-force ratios it fits the polynomial and reports conditioning diagnostics, so
-the closed forms above can be checked against the quadrature engine.
+``series_force`` evaluates the truncated polynomial times F0, refusing
+delta_0/a >= 0.3 and warning above 0.1.  The closed forms are checked against
+the quadrature engine by least-squares fits of sampled force ratios in the
+test suite (acceptance check C4) and in ``demos/series_coefficients.py``.
 """
 
 from __future__ import annotations
@@ -37,33 +38,19 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .materials import Material
-from .quadrature import _ZETA_3, _ZETA_5, DEFAULT_CONFIG, QuadratureConfig
-from .reflection import Formalism, ImpedanceKind, ImpedanceModel
-from .zero_temperature import force_pp0, ideal_closed_forms
+from .quadrature import _ZETA_3, _ZETA_5
+from .zero_temperature import ideal_closed_forms
 
-__all__ = [
-    "CoefficientVariant",
-    "CoefficientSet",
-    "CoefficientFit",
-    "coefficients",
-    "series_factor",
-    "series_force",
-    "series_force_deviation",
-    "recover_coefficients",
-]
+__all__ = ["CoefficientVariant", "CoefficientSet", "coefficients", "series_force"]
 
 # Beyond this ratio the quartic polynomial is meaningless.
 _SERIES_RATIO_MAX = 0.3
 # Above this the truncation error is no longer small; warn but proceed.
 _SERIES_RATIO_WARN = 0.1
-# Fits are only accepted deep in the asymptotic regime.
-_FIT_RATIO_MAX = 0.05
-_FIT_CONDITION_LIMIT = 1e10
 
 
 class CoefficientVariant(enum.Enum):
@@ -106,15 +93,10 @@ def coefficients(variant: CoefficientVariant) -> CoefficientSet:
     return CoefficientSet(variant=variant, c=(c0, c1, c2, c3, c4))
 
 
-def _check_order(order: int) -> int:
+def _series_factor(d: float, variant: CoefficientVariant, order: int = 4) -> float:
+    """Polynomial factor F/F0 at d = delta_0/a, truncated at the given order."""
     if not (0 <= order <= 4):
         raise ValueError(f"series order must lie in 0..4, got {order!r}")
-    return order
-
-
-def series_factor(d: float, variant: CoefficientVariant, order: int = 4) -> float:
-    """Polynomial factor F/F0 at d = delta_0/a, truncated at the given order."""
-    order = _check_order(order)
     if not (0.0 <= d < _SERIES_RATIO_MAX):
         raise ValueError(
             f"delta_0/a = {d:.3g} is outside the series domain [0, {_SERIES_RATIO_MAX})"
@@ -123,7 +105,8 @@ def series_factor(d: float, variant: CoefficientVariant, order: int = 4) -> floa
         warnings.warn(
             f"delta_0/a = {d:.3g} exceeds {_SERIES_RATIO_WARN}; the truncated "
             "series is only qualitative here",
-            stacklevel=2,
+            # Past series_force, to its caller.
+            stacklevel=3,
         )
     c = coefficients(variant).c
     return float(np.polynomial.polynomial.polyval(d, c[: order + 1]))
@@ -139,93 +122,4 @@ def series_force(
     if not (a > 0.0):
         raise ValueError(f"separation must be positive, got {a!r}")
     f0 = ideal_closed_forms(a)[1]
-    return f0 * series_factor(material.delta_0 / a, variant, order)
-
-
-def series_force_deviation(
-    a: float,
-    material: Material,
-    variant: CoefficientVariant = CoefficientVariant.IMPEDANCE_APPROX,
-    order: int = 4,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Relative deviation (F_L - F_series)/F_L of a series from the reference.
-
-    The reference F_L is the numerically integrated force in the
-    permittivity formalism with the exact plasma impedance, i.e. the same
-    baseline against which the direct quadratures are compared.
-    """
-    reference = force_pp0(
-        a, ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.LIFSHITZ), material, config
-    ).value
-    approx = series_force(a, material, variant, order)
-    return (reference - approx) / reference
-
-
-@dataclass(frozen=True)
-class CoefficientFit:
-    """Least-squares estimate of series coefficients from force samples.
-
-    ``sensitivity[k]`` bounds the change of ``estimates[k]`` per unit 2-norm
-    perturbation of the sampled ratios; ``condition_number`` is that of the
-    scaled Vandermonde matrix actually solved.
-    """
-
-    order: int
-    estimates: tuple[float, ...]
-    condition_number: float
-    sensitivity: tuple[float, ...]
-    residual_norm: float
-
-
-def recover_coefficients(
-    samples: Sequence[tuple[float, float]],
-    material: Material,
-    order: int = 4,
-) -> CoefficientFit:
-    """Fit c0..c_order from (separation, force/F0 ratio) samples.
-
-    The fit runs on the scaled variable x/x_max, where x = delta_0/a, which
-    keeps the Vandermonde condition number moderate over a decade of x.
-    Conditioning above 1e10 is reported with a warning, not an error.
-    """
-    order = _check_order(order)
-    if len(samples) < order + 2:
-        raise ValueError(
-            f"need at least order + 2 = {order + 2} samples, got {len(samples)}"
-        )
-    a_vals = np.asarray([s[0] for s in samples], dtype=float)
-    ratios = np.asarray([s[1] for s in samples], dtype=float)
-    if np.any(a_vals <= 0.0):
-        raise ValueError("all separations must be positive")
-    x = material.delta_0 / a_vals
-    if np.max(x) >= _FIT_RATIO_MAX:
-        raise ValueError(
-            f"samples must stay below delta_0/a = {_FIT_RATIO_MAX}; "
-            f"largest is {np.max(x):.3g}"
-        )
-    if np.max(x) / np.min(x) < 10.0:
-        raise ValueError("samples must span at least a decade in delta_0/a")
-
-    x_max = float(np.max(x))
-    V = np.vander(x / x_max, N=order + 1, increasing=True)
-    beta, res, rank, _ = np.linalg.lstsq(V, ratios, rcond=None)
-    cond = float(np.linalg.cond(V))
-    if cond > _FIT_CONDITION_LIMIT:
-        warnings.warn(
-            f"Vandermonde condition number {cond:.3g} exceeds "
-            f"{_FIT_CONDITION_LIMIT:.0e}; coefficient estimates are unreliable",
-            stacklevel=2,
-        )
-    scale = x_max ** np.arange(order + 1)
-    estimates = beta / scale
-    pinv = np.linalg.pinv(V)
-    sens = np.linalg.norm(pinv, axis=1) / scale
-    fitted = V @ beta
-    return CoefficientFit(
-        order=order,
-        estimates=tuple(float(b) for b in estimates),
-        condition_number=cond,
-        sensitivity=tuple(float(s) for s in sens),
-        residual_norm=float(np.linalg.norm(ratios - fitted)),
-    )
+    return f0 * _series_factor(material.delta_0 / a, variant, order)

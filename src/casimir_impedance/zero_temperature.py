@@ -44,7 +44,6 @@ __all__ = [
     "energy_pp0",
     "force_pp0",
     "force_sphere0",
-    "relative_deviation",
     "normal_skin_pert0",
 ]
 
@@ -232,28 +231,6 @@ def _sphere_plate(geometry: Geometry, energy: Observable) -> Observable:
     )
 
 
-def relative_deviation(
-    kind: ObservableKind,
-    a: float,
-    material: Material,
-    impedance_kind: ImpedanceKind,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Relative difference (Q_L - Q_imp) / Q_L between the two formalisms.
-
-    Q_L uses the permittivity-based reflection factors and Q_imp the impedance
-    boundary condition, both with the same impedance kind.  Positive values
-    mean the impedance approach binds the plates less strongly.
-    """
-    if kind is ObservableKind.ENERGY_PER_AREA:
-        op = energy_pp0
-    elif kind is ObservableKind.FORCE_PER_AREA:
-        op = force_pp0
-    else:
-        raise ValueError(f"relative deviation is defined for plate observables, not {kind}")
-    return _deviation(op, impedance_kind, a, material, config)[1]
-
-
 def _deviation(
     observable: Callable[..., Observable],
     impedance_kind: ImpedanceKind,
@@ -262,8 +239,11 @@ def _deviation(
     config: QuadratureConfig,
 ) -> tuple[float, float, float, bool]:
     """(Q_L, (Q_L - Q_imp) / Q_L, error, converged) of ``observable``
-    (``energy_pp0`` or ``force_pp0``) at separation a.  The error is the sum
-    of both quadrature errors relative to |Q_L|."""
+    (``energy_pp0`` or ``force_pp0``) at separation a, Q_L from the
+    permittivity route and Q_imp from the impedance boundary condition with
+    the same impedance kind; a positive deviation means the impedance route
+    binds the plates less strongly.  The error is the sum of both quadrature
+    errors relative to |Q_L|."""
     ref, direct = (
         observable(a, ImpedanceModel(impedance_kind, f), material, config)
         for f in (Formalism.LIFSHITZ, Formalism.IMPEDANCE)

@@ -16,11 +16,12 @@ import pytest
 
 from casimir_impedance import (
     ALUMINUM,
+    DEFAULT_CONFIG,
+    CoefficientVariant,
     Formalism,
     ImpedanceKind,
     ImpedanceModel,
     Material,
-    ObservableKind,
     QuadratureConfig,
     delta_T_energy_pert,
     delta_T_force_pert,
@@ -34,14 +35,13 @@ from casimir_impedance import (
     impedance,
     integrate_xi_y,
     normal_skin_pert0,
-    recover_coefficients,
     reflection_factors,
-    relative_deviation,
-    series_force_deviation,
-    thermal_ideal_ratios,
+    series_force,
 )
 from casimir_impedance import cli
-from casimir_impedance.zero_temperature import energy_bracket, force_bracket
+from casimir_impedance.finite_temperature import _thermal_ratios
+from casimir_impedance.zero_temperature import _deviation, energy_bracket, force_bracket
+from series_fit import recover_coefficients
 
 AL = ALUMINUM
 IDEAL = ImpedanceModel(ImpedanceKind.IDEAL_METAL)
@@ -72,18 +72,25 @@ def test_c1_ideal_metal_closed_forms(record_acceptance):
     assert elapsed < 5.0
 
 
+def _plate_deviation(observable, kind, a):
+    """(Q_L - Q_imp) / Q_L of one impedance kind, as figure1 and figure2 print it."""
+    return _deviation(observable, kind, a, AL, DEFAULT_CONFIG)[1]
+
+
+def _series_deviation(a):
+    """(F_L - F_series) / F_L of the published constant-impedance series."""
+    reference = force_pp0(a, EXACT_LIF, AL).value
+    return (reference - series_force(a, AL, CoefficientVariant.IMPEDANCE_APPROX)) / reference
+
+
 def test_c2_force_deviation_curves(record_acceptance):
     # exact impedance stays below 0.5% at 100 nm; the historical constant-
     # impedance series misses by more than 5% at 150 nm and recovers to
     # below 1% from 1.2 um on; the 60-point curve scan stays under 2 min
-    d_exact = relative_deviation(
-        ObservableKind.FORCE_PER_AREA, 1e-7, AL, ImpedanceKind.PLASMA_EXACT
-    )
+    d_exact = _plate_deviation(force_pp0, ImpedanceKind.PLASMA_EXACT, 1e-7)
     with pytest.warns(UserWarning):
-        d_150 = series_force_deviation(1.5e-7, AL)
-    d_far = {
-        a: series_force_deviation(a, AL) for a in (1.2e-6, 2e-6, 5e-6, 1e-5)
-    }
+        d_150 = _series_deviation(1.5e-7)
+    d_far = {a: _series_deviation(a) for a in (1.2e-6, 2e-6, 5e-6, 1e-5)}
     t0 = time.perf_counter()
     spec = cli.RunSpec(command="figure1", material="Al", grid=(1e-7, 1e-5, 60, True))
     stream = io.StringIO()
@@ -123,19 +130,13 @@ def test_c2_force_deviation_curves(record_acceptance):
 def test_c3_energy_deviation_curves(record_acceptance):
     # claimed: exact impedance below 0.3% at 100 nm; constant impedance
     # below 5% on 0.1-0.7 um and below 1% from 0.7 um on
-    d_exact = relative_deviation(
-        ObservableKind.ENERGY_PER_AREA, 1e-7, AL, ImpedanceKind.PLASMA_EXACT
-    )
+    d_exact = _plate_deviation(energy_pp0, ImpedanceKind.PLASMA_EXACT, 1e-7)
     near = {
-        a: relative_deviation(
-            ObservableKind.ENERGY_PER_AREA, a, AL, ImpedanceKind.PLASMA_APPROX
-        )
+        a: _plate_deviation(energy_pp0, ImpedanceKind.PLASMA_APPROX, a)
         for a in (1e-7, 2e-7, 4e-7, 6.9e-7)
     }
     far = {
-        a: relative_deviation(
-            ObservableKind.ENERGY_PER_AREA, a, AL, ImpedanceKind.PLASMA_APPROX
-        )
+        a: _plate_deviation(energy_pp0, ImpedanceKind.PLASMA_APPROX, a)
         for a in (7e-7, 1.2e-6, 5e-6, 1e-5)
     }
     exact_ok = abs(d_exact) < 0.3e-2
@@ -248,8 +249,8 @@ def test_c6_normal_skin_zero_T(record_acceptance):
 
 
 def test_c7_normal_skin_finite_T(record_acceptance):
-    e1, f1 = thermal_ideal_ratios(1e-3, 1.0, NORMAL_IMP, AL)
-    e2, f2 = thermal_ideal_ratios(1e-3, 2.0, NORMAL_IMP, AL)
+    e1, f1, _, _ = _thermal_ratios(1e-3, 1.0, NORMAL_IMP, AL, DEFAULT_CONFIG)
+    e2, f2, _, _ = _thermal_ratios(1e-3, 2.0, NORMAL_IMP, AL, DEFAULT_CONFIG)
     t_eff = effective_temperature(1e-3)
     ok = (
         abs(e1 - 0.99992) < 2e-5

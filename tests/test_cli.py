@@ -16,15 +16,15 @@ import numpy as np
 from casimir_impedance import cli, finite_temperature, zero_temperature
 from casimir_impedance import (
     ALUMINUM,
+    Formalism,
     ImpedanceKind,
     ImpedanceModel,
-    ObservableKind,
+    energy_pp0,
     energy_ppT,
+    force_pp0,
     force_ppT,
     ideal_closed_forms,
     ideal_energy_T,
-    relative_deviation,
-    thermal_ideal_ratios,
 )
 from casimir_impedance.cli import RunSpec, SpecError, parse_config, parse_grid, parse_length
 
@@ -265,24 +265,37 @@ def test_thermal_ratio_output():
     assert f_ratio == pytest.approx(0.9997448, abs=2e-6)
 
 
+def _deviation(observable, kind, a):
+    """(Q_L - Q_imp) / Q_L from the two public plate observables."""
+    ref, direct = (
+        observable(a, ImpedanceModel(kind, formalism), ALUMINUM).value
+        for formalism in (Formalism.LIFSHITZ, Formalism.IMPEDANCE)
+    )
+    return (ref - direct) / ref
+
+
 def test_cli_deviations_and_ratios_equal_the_library():
-    # The CLI writes the library's numbers: .16e round-trips a double.
+    # The CLI writes the numbers of the public observables: .16e
+    # round-trips a double.
     grid = (5e-7, 2e-6, 2, True)
     exact, approx = ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX
-    force, energy = ObservableKind.FORCE_PER_AREA, ObservableKind.ENERGY_PER_AREA
     _, text = _run(RunSpec(command="figure1", material="Al", grid=grid))
     for a, d_exact, *_ in _rows(text):
-        assert d_exact == relative_deviation(force, a, ALUMINUM, exact)
+        assert d_exact == _deviation(force_pp0, exact, a)
     _, text = _run(RunSpec(command="figure2", material="Al", grid=grid))
     for a, d_exact, d_approx, *_ in _rows(text):
-        assert d_exact == relative_deviation(energy, a, ALUMINUM, exact)
-        assert d_approx == relative_deviation(energy, a, ALUMINUM, approx)
+        assert d_exact == _deviation(energy_pp0, exact, a)
+        assert d_approx == _deviation(energy_pp0, approx, a)
+    ideal = ImpedanceModel(ImpedanceKind.IDEAL_METAL)
     for model, a, T in (("plasma-exact", 1e-6, 300.0), ("normal-skin", 1e-3, 1.0)):
         spec = RunSpec(command="thermal-ratio", material="Al", model=model, a=a, T=T)
         _, text = _run(spec)
         ((_, _, _, e_ratio, f_ratio, _, _),) = _rows(text)
         model = ImpedanceModel(ImpedanceKind(model))
-        assert (e_ratio, f_ratio) == thermal_ideal_ratios(a, T, model, ALUMINUM)
+        assert e_ratio == energy_ppT(a, T, model, ALUMINUM).value / ideal_energy_T(a, T)
+        assert f_ratio == (
+            force_ppT(a, T, model, ALUMINUM).value / force_ppT(a, T, ideal).value
+        )
 
 
 def test_coefficients_table():

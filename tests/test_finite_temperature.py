@@ -32,7 +32,6 @@ from casimir_impedance import (
     reflection_factors,
     sphere_plate_T,
     static_reflection_factors,
-    thermal_ideal_ratios,
 )
 from casimir_impedance import finite_temperature, quadrature
 from casimir_impedance.zero_temperature import force_bracket
@@ -255,14 +254,19 @@ def test_pert_domain(aluminum):
         delta_T_force_pert(1e-7, 300.0, aluminum)
 
 
+def _thermal_ratios(a, T, model, material):
+    """The (energy ratio, force ratio, error, converged) that thermal-ratio prints."""
+    return finite_temperature._thermal_ratios(a, T, model, material, quadrature.DEFAULT_CONFIG)
+
+
 def test_ratio_pins_1mm(aluminum):
     # frozen values for Al plates 1 mm apart at 1 K and 2 K; at millimeter
     # separations the metal responds in the normal skin regime
     model = ImpedanceModel(ImpedanceKind.NORMAL_SKIN, Formalism.IMPEDANCE)
-    e_ratio, f_ratio = thermal_ideal_ratios(1e-3, 1.0, model, aluminum)
+    e_ratio, f_ratio, _, _ = _thermal_ratios(1e-3, 1.0, model, aluminum)
     assert e_ratio == pytest.approx(0.9999169, abs=2e-6)
     assert f_ratio == pytest.approx(0.9997448, abs=2e-6)
-    e_ratio2, f_ratio2 = thermal_ideal_ratios(1e-3, 2.0, model, aluminum)
+    e_ratio2, f_ratio2, _, _ = _thermal_ratios(1e-3, 2.0, model, aluminum)
     assert e_ratio2 == pytest.approx(0.9999991, abs=2e-6)
     assert f_ratio2 == pytest.approx(0.9999945, abs=2e-6)
 
@@ -270,8 +274,8 @@ def test_ratio_pins_1mm(aluminum):
 def test_ratios_approach_unity_with_temperature(aluminum):
     # at 1 mm the impedance correction fades as T grows past T_eff
     model = ImpedanceModel(ImpedanceKind.NORMAL_SKIN, Formalism.IMPEDANCE)
-    _, f1 = thermal_ideal_ratios(1e-3, 1.0, model, aluminum)
-    _, f2 = thermal_ideal_ratios(1e-3, 2.0, model, aluminum)
+    f1 = _thermal_ratios(1e-3, 1.0, model, aluminum)[1]
+    f2 = _thermal_ratios(1e-3, 2.0, model, aluminum)[1]
     assert abs(1.0 - f2) < abs(1.0 - f1)
 
 
@@ -438,6 +442,25 @@ def test_tail_error_estimate_holds_at_30_nm(observable, formalism):
     obs = observable(a, T, model, ALUMINUM)
     assert obs.quadrature.converged
     assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
+
+
+@pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
+@pytest.mark.parametrize("formalism", list(Formalism))
+@pytest.mark.parametrize("kind", [ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX])
+def test_tail_matches_the_term_by_term_sum_at_30_nm(observable, formalism, kind, monkeypatch):
+    # Below 100 nm the tail path is farthest from its accuracy at 1 um: at
+    # 30 nm and step 0.18, just under the threshold, it differs from the
+    # term-by-term sum by up to 1.26e-11 relative (plasma-approx Lifshitz
+    # force), 0.011 of its error estimate.
+    model = ImpedanceModel(kind, formalism)
+    a = 3e-8
+    T = _T_at_step(a, 0.18)
+    assert _step(a, T) < finite_temperature._TAIL_STEP_MAX
+    tail = observable(a, T, model, ALUMINUM)
+    monkeypatch.setattr(finite_temperature, "_TAIL_STEP_MAX", 0.0)
+    term_by_term = observable(a, T, model, ALUMINUM)
+    assert tail.quadrature.converged and term_by_term.quadrature.converged
+    assert abs(tail.value - term_by_term.value) <= tail.quadrature.abs_error_estimate
 
 
 @pytest.mark.parametrize("observable", [force_ppT, energy_ppT])

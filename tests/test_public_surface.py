@@ -36,3 +36,19 @@ def test_package_exports_the_union_of_its_submodules():
     assert set(ci.__all__) == submodule_names | {"__version__", "DEFAULT_CONFIG"}
     assert len(ci.__all__) == len(set(ci.__all__))
     assert all(hasattr(ci, name) for name in ci.__all__)
+
+
+def test_every_public_name_has_a_product_use():
+    # A public name that the README, the CLI, a demo and the benchmark all
+    # leave out is a second entry to a computation that nothing documents.
+    root = Path(__file__).resolve().parents[1]
+    files = [
+        root / "README.md",
+        root / "src" / "casimir_impedance" / "cli.py",
+        *(root / "demos").glob("*.py"),
+        *(root / "perfbench").glob("*.py"),
+        *(root / "perfbench").glob("*.md"),
+    ]
+    text = "\n".join(path.read_text() for path in files)
+    unused = [name for name in ci.__all__ if not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert unused == []

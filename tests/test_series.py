@@ -1,6 +1,7 @@
 """Skin-depth series coefficients, evaluation, and recovery from samples."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,10 @@ from casimir_impedance import (
     ImpedanceModel,
     coefficients,
     force_pp0,
-    recover_coefficients,
-    series_factor,
     series_force,
-    series_force_deviation,
 )
+from casimir_impedance.series import _series_factor
+from series_fit import recover_coefficients
 
 Z3 = 1.2020569031595943
 Z5 = 1.0369277551433699
@@ -73,23 +73,33 @@ def test_series_factor_polynomial():
     for variant in CoefficientVariant:
         c = coefficients(variant).c
         expected = sum(c[k] * d**k for k in range(5))
-        assert series_factor(d, variant) == pytest.approx(expected, rel=1e-14)
+        assert _series_factor(d, variant) == pytest.approx(expected, rel=1e-14)
         # order increments add exactly one monomial
         for order in range(1, 5):
-            inc = series_factor(d, variant, order) - series_factor(d, variant, order - 1)
+            inc = _series_factor(d, variant, order) - _series_factor(d, variant, order - 1)
             assert inc == pytest.approx(c[order] * d**order, rel=1e-12)
 
 
 def test_series_factor_domain():
-    assert series_factor(0.0, CoefficientVariant.LIFSHITZ_PLASMA) == 1.0
+    assert _series_factor(0.0, CoefficientVariant.LIFSHITZ_PLASMA) == 1.0
     with pytest.raises(ValueError, match="series domain"):
-        series_factor(-0.01, CoefficientVariant.LIFSHITZ_PLASMA)
+        _series_factor(-0.01, CoefficientVariant.LIFSHITZ_PLASMA)
     with pytest.raises(ValueError, match="series domain"):
-        series_factor(0.3, CoefficientVariant.LIFSHITZ_PLASMA)
+        _series_factor(0.3, CoefficientVariant.LIFSHITZ_PLASMA)
     with pytest.warns(UserWarning, match="exceeds"):
-        series_factor(0.15, CoefficientVariant.LIFSHITZ_PLASMA)
+        _series_factor(0.15, CoefficientVariant.LIFSHITZ_PLASMA)
     with pytest.raises(ValueError, match="order"):
-        series_factor(0.01, CoefficientVariant.LIFSHITZ_PLASMA, order=5)
+        _series_factor(0.01, CoefficientVariant.LIFSHITZ_PLASMA, order=5)
+
+
+def test_series_warning_names_the_caller_of_series_force():
+    # delta_0/a = 0.105 at 150 nm, just past the warning edge
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        series_force(1.5e-7, ALUMINUM, CoefficientVariant.IMPEDANCE_APPROX)
+    assert len(record) == 1
+    assert str(record[0].message).startswith("delta_0/a = 0.105 exceeds 0.1")
+    assert record[0].filename == __file__
 
 
 def test_series_tracks_quadrature(aluminum, fast_config):
@@ -110,25 +120,35 @@ def test_series_tracks_quadrature(aluminum, fast_config):
     assert s_imp == pytest.approx(f_imp, rel=5e-5)
 
 
+def _series_deviation(a, material, config):
+    """(F_L - F_series) / F_L of the published constant-impedance series
+    against the permittivity-route force of the exact plasma model."""
+    reference = force_pp0(
+        a, ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.LIFSHITZ), material, config
+    ).value
+    approx = series_force(a, material, CoefficientVariant.IMPEDANCE_APPROX)
+    return (reference - approx) / reference
+
+
 def test_deviation_pins(aluminum, fast_config):
     # frozen curve values for Al against the permittivity reference; at
     # 150 nm the ratio delta_0/a = 0.105 sits just past the warning edge
     with pytest.warns(UserWarning, match="exceeds"):
-        dev = series_force_deviation(1.5e-7, aluminum, config=fast_config)
+        dev = _series_deviation(1.5e-7, aluminum, fast_config)
     assert dev == pytest.approx(-9.7017e-2, rel=1e-3)
-    dev = series_force_deviation(1.2e-6, aluminum, config=fast_config)
+    dev = _series_deviation(1.2e-6, aluminum, fast_config)
     assert dev == pytest.approx(-1.52e-4, rel=1e-2)
 
 
 def test_deviation_fades_at_large_separation(aluminum, fast_config):
-    dev = series_force_deviation(5e-6, aluminum, config=fast_config)
+    dev = _series_deviation(5e-6, aluminum, fast_config)
     assert abs(dev) < 1e-4
 
 
 def test_recover_coefficients_from_synthetic_samples(aluminum):
     x = np.geomspace(0.002, 0.02, 12)
     samples = [
-        (aluminum.delta_0 / xi, series_factor(xi, CoefficientVariant.LIFSHITZ_PLASMA))
+        (aluminum.delta_0 / xi, _series_factor(xi, CoefficientVariant.LIFSHITZ_PLASMA))
         for xi in x
     ]
     fit = recover_coefficients(samples, aluminum)
@@ -159,7 +179,7 @@ def test_recover_coefficients_conditioning_warning(aluminum):
     # clustered abscissae make the Vandermonde numerically singular
     x = np.concatenate([np.full(6, 0.002) * (1 + 1e-9 * np.arange(6)), [0.02]])
     samples = [
-        (aluminum.delta_0 / xi, series_factor(xi, CoefficientVariant.LIFSHITZ_PLASMA))
+        (aluminum.delta_0 / xi, _series_factor(xi, CoefficientVariant.LIFSHITZ_PLASMA))
         for xi in x
     ]
     with pytest.warns(UserWarning, match="condition number"):

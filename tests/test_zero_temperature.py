@@ -20,7 +20,6 @@ from casimir_impedance import (
     impedance,
     normal_skin_pert0,
     reflection_factors,
-    relative_deviation,
     static_reflection_factors,
 )
 from casimir_impedance import quadrature, zero_temperature
@@ -132,46 +131,28 @@ def test_sphere_radius_is_checked_before_the_plate_sum(T, monkeypatch, aluminum,
             finite_temperature.sphere_plate_T(1e-6, -1e-4, T, plasma_impedance, aluminum)
 
 
+def _deviation(observable, kind, a, material, config):
+    """(Q_L - Q_imp) / Q_L as figure1 and figure2 print it."""
+    return zero_temperature._deviation(observable, kind, a, material, config)[1]
+
+
 def test_deviation_pins_at_100nm(aluminum, fast_config):
     # frozen values for Al at a = 100 nm, both formalisms fully converged
-    d_f = relative_deviation(
-        ObservableKind.FORCE_PER_AREA, 1e-7, aluminum,
-        ImpedanceKind.PLASMA_EXACT, fast_config,
-    )
+    d_f = _deviation(force_pp0, ImpedanceKind.PLASMA_EXACT, 1e-7, aluminum, fast_config)
     assert d_f == pytest.approx(4.635e-3, rel=2e-3)
-    d_e = relative_deviation(
-        ObservableKind.ENERGY_PER_AREA, 1e-7, aluminum,
-        ImpedanceKind.PLASMA_EXACT, fast_config,
-    )
+    d_e = _deviation(energy_pp0, ImpedanceKind.PLASMA_EXACT, 1e-7, aluminum, fast_config)
     assert d_e == pytest.approx(3.0933e-3, rel=2e-3)
 
 
 def test_deviation_approx_kind(aluminum, fast_config):
-    d_e = relative_deviation(
-        ObservableKind.ENERGY_PER_AREA, 1e-7, aluminum,
-        ImpedanceKind.PLASMA_APPROX, fast_config,
-    )
+    d_e = _deviation(energy_pp0, ImpedanceKind.PLASMA_APPROX, 1e-7, aluminum, fast_config)
     assert d_e == pytest.approx(3.030e-3, rel=2e-3)
 
 
 def test_deviation_shrinks_with_separation(aluminum, fast_config):
-    d_near = relative_deviation(
-        ObservableKind.FORCE_PER_AREA, 1e-7, aluminum,
-        ImpedanceKind.PLASMA_EXACT, fast_config,
-    )
-    d_far = relative_deviation(
-        ObservableKind.FORCE_PER_AREA, 1e-6, aluminum,
-        ImpedanceKind.PLASMA_EXACT, fast_config,
-    )
+    d_near = _deviation(force_pp0, ImpedanceKind.PLASMA_EXACT, 1e-7, aluminum, fast_config)
+    d_far = _deviation(force_pp0, ImpedanceKind.PLASMA_EXACT, 1e-6, aluminum, fast_config)
     assert 0.0 < abs(d_far) < abs(d_near)
-
-
-def test_deviation_rejects_sphere_kind(aluminum):
-    with pytest.raises(ValueError, match="plate observables"):
-        relative_deviation(
-            ObservableKind.SPHERE_PLATE_FORCE, 1e-7, aluminum,
-            ImpedanceKind.PLASMA_EXACT,
-        )
 
 
 def test_normal_skin_corrections(aluminum):
