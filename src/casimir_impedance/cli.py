@@ -53,7 +53,7 @@ from .finite_temperature import _thermal_ratios, energy_ppT, force_ppT
 from .geometry import Geometry, effective_temperature
 from .materials import PRESETS, Material, load_material
 from .quadrature import _SERIES_TAIL_TOL, DEFAULT_CONFIG, QuadratureConfig
-from .reflection import Formalism, ImpedanceKind, ImpedanceModel
+from .reflection import _NO_STATIC_LIMIT, Formalism, ImpedanceKind, ImpedanceModel
 from .series import _SERIES_RATIO_MAX, CoefficientVariant, coefficients, series_force
 from .zero_temperature import _deviation, _sphere_plate, energy_pp0, force_pp0
 
@@ -158,7 +158,7 @@ def _validate(spec: RunSpec) -> RunSpec:
     except ValueError:
         raise SpecError(f"model: unknown impedance kind {spec.model!r}") from None
     try:
-        Formalism(spec.formalism)
+        formalism = Formalism(spec.formalism)
     except ValueError:
         raise SpecError(f"formalism: unknown formalism {spec.formalism!r}") from None
     if spec.material is None and spec.command in ("figure1", "figure2"):
@@ -177,6 +177,10 @@ def _validate(spec: RunSpec) -> RunSpec:
         raise SpecError(f"T: temperature must be non-negative and finite, got {spec.T!r}")
     if spec.command == "thermal-ratio" and spec.T == 0.0:
         raise SpecError("T: thermal-ratio requires T > 0")
+    if spec.command in ("figure1", "figure2", "coefficients") and spec.T != 0.0:
+        raise SpecError(f"T: {spec.command} is computed at T = 0 only, got {spec.T!r}")
+    if kind is ImpedanceKind.NORMAL_SKIN and formalism is Formalism.LIFSHITZ and spec.T > 0.0:
+        raise SpecError(f"formalism: {_NO_STATIC_LIMIT}; the Matsubara sum at T > 0 needs it")
     if spec.rel_tol is not None and not (0.0 < spec.rel_tol < 1.0):
         raise SpecError(f"rel_tol: must lie in (0, 1), got {spec.rel_tol!r}")
     if spec.command == "figure1":
@@ -330,7 +334,7 @@ def _figure1_rows(spec: RunSpec, material, model, config):
         reference, d_exact, err, conv = _deviation(
             force_pp0, ImpedanceKind.PLASMA_EXACT, a, material, config
         )
-        approx = series_force(a, material, CoefficientVariant.IMPEDANCE_APPROX, 4)
+        approx = series_force(a, material, CoefficientVariant.IMPEDANCE_APPROX)
         rows.append((a, d_exact, (reference - approx) / reference, err, float(conv)))
     return rows
 
@@ -415,8 +419,8 @@ def _warning_summary(command: str, caught: list[warnings.WarningMessage]) -> Non
         )
 
 
-def run(spec: RunSpec, stream=None) -> int:
-    """Execute a validated RunSpec; returns the process exit status."""
+def run(spec: RunSpec) -> int:
+    """Execute a validated RunSpec, CSV to ``spec.out`` or stdout; returns the exit status."""
     spec = _validate(spec)
     material = _resolve_material(spec)
     model = ImpedanceModel(ImpedanceKind(spec.model), Formalism(spec.formalism))
@@ -429,8 +433,6 @@ def run(spec: RunSpec, stream=None) -> int:
     text = _render(spec, material, columns, rows)
     if spec.out is not None:
         Path(spec.out).write_text(text)
-    elif stream is not None:
-        stream.write(text)
     else:
         sys.stdout.write(text)
 

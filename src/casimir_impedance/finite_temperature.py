@@ -134,11 +134,10 @@ def _csch2(z: float) -> float:
 
 def _t(a: float, T: float) -> float:
     """The reduced inverse temperature t = T_eff / T of a gap of width a."""
-    if not (a > 0.0):
-        raise ValueError(f"separation must be positive, got {a!r}")
+    t_eff = effective_temperature(a)
     if not (0.0 < T < math.inf):
         raise ValueError(f"temperature must be positive and finite, got {T!r}")
-    return effective_temperature(a) / T
+    return t_eff / T
 
 
 def ideal_energy_T(a: float, T: float) -> float:
@@ -205,6 +204,7 @@ def _matsubara_correction(
     step = 2.0 * math.pi * (1.0 / _t(a, T))
     g_terms = _integrand(integrand_kind, a, model, material, ideal=False, static=True)
 
+    # Each reduction sets its value, bound, count n of terms summed, extra points and flag.
     if step >= _TAIL_STEP_MAX:
         sides = []  # per-term (errors, evaluations, converged) of each block
 
@@ -214,45 +214,39 @@ def _matsubara_correction(
             return vals
 
         total = _sum_primed(terms, max(3, math.ceil(_STOP_XI / step)))
-        n = total.evaluations
         errs, evals, conv = (np.concatenate(col) for col in zip(*sides))
-        return QuadratureResult(
-            value=total.value,
-            abs_error_estimate=total.abs_error_estimate + math.fsum(errs[:n].tolist()),
-            evaluations=errs.size + int(evals.sum()),
-            converged=bool(total.converged and conv[:n].all()),
+        value, bound, n = total.value, total.abs_error_estimate, total.evaluations
+        extra, ok = 0, total.converged
+    else:
+        f, errs, evals, conv = _integrate_y_batch(g_terms, step * np.arange(_HEAD + 4), config)
+        g = _integrand(integrand_kind, a, model, material, ideal=False)
+        wedge = integrate_xi_y(g, config, lower=step * _HEAD)
+        around = f[_HEAD - 3:]
+        last = float(_D5 @ around) / 30240.0
+        truncation = (
+            abs(last)
+            + abs(float(_D1_GAP @ around)) / 12.0
+            + abs(float(_D3_GAP @ around)) / 720.0
         )
-
-    f, errs, evals, conv = _integrate_y_batch(g_terms, step * np.arange(_HEAD + 4), config)
-    g = _integrand(integrand_kind, a, model, material, ideal=False)
-    wedge = integrate_xi_y(g, config, lower=step * _HEAD)
-    around = f[_HEAD - 3:]
-    last = float(_D5 @ around) / 30240.0
-    truncation = (
-        abs(last)
-        + abs(float(_D1_GAP @ around)) / 12.0
-        + abs(float(_D3_GAP @ around)) / 720.0
-    )
-    value = math.fsum(
-        [
-            0.5 * f[0],
-            *f[1:_HEAD].tolist(),
-            wedge.value / step,
-            0.5 * f[_HEAD],
-            -float(_D1 @ around) / 12.0,
-            float(_D3 @ around) / 720.0,
-            -last,
-        ]
-    )
+        value = math.fsum(
+            [
+                0.5 * f[0],
+                *f[1:_HEAD].tolist(),
+                wedge.value / step,
+                0.5 * f[_HEAD],
+                -float(_D1 @ around) / 12.0,
+                float(_D3 @ around) / 720.0,
+                -last,
+            ]
+        )
+        bound, n = truncation + wedge.abs_error_estimate / step, f.size
+        extra = wedge.evaluations
+        ok = wedge.converged and truncation <= config.rel_tol * abs(value)
     return QuadratureResult(
         value=value,
-        abs_error_estimate=truncation
-        + wedge.abs_error_estimate / step
-        + math.fsum(errs.tolist()),
-        evaluations=f.size + int(evals.sum()) + wedge.evaluations,
-        converged=bool(
-            wedge.converged and conv.all() and truncation <= config.rel_tol * abs(value)
-        ),
+        abs_error_estimate=bound + math.fsum(errs[:n].tolist()),
+        evaluations=errs.size + int(evals.sum()) + extra,
+        converged=bool(ok and conv[:n].all()),
     )
 
 

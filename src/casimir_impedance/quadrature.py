@@ -119,11 +119,7 @@ _ZETA_5 = 1.03692775514337
 
 
 class IntegrandError(RuntimeError):
-    """An integrand returned a non-finite value at (xi, y); ``x`` is that y."""
-
-    def __init__(self, message: str, x: float = 0.0):
-        super().__init__(message)
-        self.x = x
+    """An integrand returned a non-finite value; the message names its (xi, y)."""
 
 
 @dataclass(frozen=True)
@@ -210,9 +206,8 @@ def _evaluate(
         k = np.unravel_index(int(np.argmax(bad)), shape)
         at_xi = float(np.broadcast_to(xi, shape)[k])
         at_y = float(np.broadcast_to(y, shape)[k])
-        raise IntegrandError(
-            f"integrand returned non-finite value at (xi={at_xi!r}, y={at_y!r})", x=at_y
-        )
+        message = f"integrand returned non-finite value at (xi={at_xi!r}, y={at_y!r})"
+        raise IntegrandError(message)
     return v
 
 

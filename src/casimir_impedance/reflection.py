@@ -64,15 +64,13 @@ class ImpedanceModel:
     formalism: Formalism = Formalism.IMPEDANCE
 
 
-def _scale(kind: ImpedanceKind, a, material: Material | None):
+def _scale(kind: ImpedanceKind, a: float, material: Material | None):
     """The model's scale at the checked separation a: the reduced plasma
     frequency w_p = 2 a omega_p / c of both plasma forms, the reduced
     conductivity sigma_r = 2 a sigma / c of normal skin, None for the ideal
     metal."""
-    a = np.asarray(a, dtype=float)
-    bad = ~(a > 0.0)
-    if bad.any():
-        raise ValueError(f"separation must be positive, got {float(a[bad][0])!r}")
+    if not (a > 0.0):
+        raise ValueError(f"separation must be positive, got {float(a)!r}")
     if kind is ImpedanceKind.IDEAL_METAL:
         return None
     if material is None:
@@ -106,17 +104,12 @@ def _check_points(Z, y, xi) -> None:
         raise ValueError("domain requires y >= xi")
 
 
-def impedance(
-    kind: ImpedanceKind | ImpedanceModel,
-    xi,
-    a,
-    material: Material | None = None,
-):
+def impedance(kind: ImpedanceKind, xi, a: float, material: Material | None = None):
     """Surface impedance Z at reduced imaginary frequency xi for gap width a.
 
-    Vectorized over xi and over gap widths a that broadcast against it.  The
-    reduced plasma frequency is w_p = 2 a omega_p / c and the reduced
-    conductivity sigma_r = 2 a sigma / c, so that
+    Vectorized over xi at one separation a > 0.  The reduced plasma
+    frequency is w_p = 2 a omega_p / c and the reduced conductivity
+    sigma_r = 2 a sigma / c, so that
 
     * ideal metal:   Z = 0
     * exact plasma:  Z = xi / sqrt(w_p^2 + xi^2)
@@ -127,13 +120,11 @@ def impedance(
     xi ~ w_p it exceeds its validity range (and eventually 1), which is
     precisely the defect probed by comparing it with the exact form.
     """
-    if isinstance(kind, ImpedanceModel):
-        kind = kind.kind
     scale = _scale(kind, a, material)
     xi = np.asarray(xi, dtype=float)
     _check_xi(xi)
     if scale is None:
-        out = np.zeros(np.broadcast(xi, a).shape)
+        out = np.zeros(xi.shape)
     else:
         out = _impedance(kind, xi, scale)
     return float(out) if out.ndim == 0 else out
@@ -187,6 +178,13 @@ def reflection_factors(Z, y, xi, formalism: Formalism = Formalism.IMPEDANCE):
     return x_par, x_perp
 
 
+# Why a normal-skin Lifshitz model has no l = 0 Matsubara term; the CLI cites it.
+_NO_STATIC_LIMIT = (
+    "the zero-frequency reflection of a dissipative (normal-skin) metal "
+    "is not defined under the permittivity formalism"
+)
+
+
 def _static_factors(model: ImpedanceModel, y: np.ndarray, scale):
     """(x_par, x_perp) at xi = 0 and y >= 0 with the model's ``_scale``."""
     zeros = np.zeros_like(y)
@@ -195,10 +193,7 @@ def _static_factors(model: ImpedanceModel, y: np.ndarray, scale):
         return zeros, _guarded_ratio(4.0 * y * q, np.square(y + q))
     if model.kind is ImpedanceKind.IDEAL_METAL or model.formalism is Formalism.IMPEDANCE:
         return zeros, zeros.copy()
-    raise ValueError(
-        "the zero-frequency reflection of a dissipative (normal-skin) metal "
-        "is not defined under the permittivity formalism"
-    )
+    raise ValueError(_NO_STATIC_LIMIT)
 
 
 def static_reflection_factors(

@@ -26,7 +26,7 @@ termwise in delta_0/a gives instead
 within 2% of this c3 (see README).  The published set is kept because the comparison curves in the
 validation suite are drawn from it.
 
-``series_force`` evaluates the truncated polynomial times F0, refusing
+``series_force`` evaluates the quartic polynomial times F0, refusing
 delta_0/a >= 0.3 and warning above 0.1.  The closed forms are checked against
 the quadrature engine by least-squares fits of sampled force ratios in the
 test suite (acceptance check C4) and in ``demos/series_coefficients.py``.
@@ -93,10 +93,8 @@ def coefficients(variant: CoefficientVariant) -> CoefficientSet:
     return CoefficientSet(variant=variant, c=(c0, c1, c2, c3, c4))
 
 
-def _series_factor(d: float, variant: CoefficientVariant, order: int = 4) -> float:
-    """Polynomial factor F/F0 at d = delta_0/a, truncated at the given order."""
-    if not (0 <= order <= 4):
-        raise ValueError(f"series order must lie in 0..4, got {order!r}")
+def _series_factor(d: float, variant: CoefficientVariant) -> float:
+    """Quartic polynomial factor F/F0 at d = delta_0/a."""
     if not (0.0 <= d < _SERIES_RATIO_MAX):
         raise ValueError(
             f"delta_0/a = {d:.3g} is outside the series domain [0, {_SERIES_RATIO_MAX})"
@@ -109,17 +107,10 @@ def _series_factor(d: float, variant: CoefficientVariant, order: int = 4) -> flo
             stacklevel=3,
         )
     c = coefficients(variant).c
-    return float(np.polynomial.polynomial.polyval(d, c[: order + 1]))
+    return float(np.polynomial.polynomial.polyval(d, c))
 
 
-def series_force(
-    a: float,
-    material: Material,
-    variant: CoefficientVariant,
-    order: int = 4,
-) -> float:
-    """Series approximation to the zero-T plate pressure, in Pa."""
-    if not (a > 0.0):
-        raise ValueError(f"separation must be positive, got {a!r}")
+def series_force(a: float, material: Material, variant: CoefficientVariant) -> float:
+    """Quartic series approximation to the zero-T plate pressure, in Pa."""
     f0 = ideal_closed_forms(a)[1]
-    return f0 * _series_factor(material.delta_0 / a, variant, order)
+    return f0 * _series_factor(material.delta_0 / a, variant)

@@ -271,8 +271,7 @@ def normal_skin_pert0(a: float, material: Material) -> tuple[float, float]:
         E = E_ideal [1 - (405 sqrt(2) / (4 pi^4)) zeta(7/2) sqrt(c/(sigma a))]
         F = F_ideal [1 - (945 sqrt(2) / (8 pi^4)) zeta(7/2) sqrt(c/(sigma a))]
     """
-    if not (a > 0.0):
-        raise ValueError(f"separation must be positive, got {a!r}")
+    e_ideal, f_ideal = ideal_closed_forms(a)
     root = math.sqrt(CODATA.c / (material.sigma * a))
     small = root / math.sqrt(8.0 * math.pi)
     if small >= _NORMAL_SKIN_PARAM_MAX:
@@ -281,7 +280,6 @@ def normal_skin_pert0(a: float, material: Material) -> tuple[float, float]:
             f"(requires < {_NORMAL_SKIN_PARAM_MAX}); use the numerical route"
         )
     z72 = _ZETA_7_2
-    e_ideal, f_ideal = ideal_closed_forms(a)
     e_coeff = 405.0 * math.sqrt(2.0) / (4.0 * math.pi**4) * z72
     f_coeff = 945.0 * math.sqrt(2.0) / (8.0 * math.pi**4) * z72
     return e_ideal * (1.0 - e_coeff * root), f_ideal * (1.0 - f_coeff * root)

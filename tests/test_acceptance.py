@@ -7,6 +7,7 @@ failing test documents a real, reproducible disagreement rather than a
 loose tolerance.
 """
 
+import contextlib
 import io
 import math
 import time
@@ -94,7 +95,8 @@ def test_c2_force_deviation_curves(record_acceptance):
     t0 = time.perf_counter()
     spec = cli.RunSpec(command="figure1", material="Al", grid=(1e-7, 1e-5, 60, True))
     stream = io.StringIO()
-    status = cli.run(spec, stream=stream)
+    with contextlib.redirect_stdout(stream):
+        status = cli.run(spec)
     scan_s = time.perf_counter() - t0
     rows = [
         [float(v) for v in line.split(",")]

@@ -1,5 +1,6 @@
 """Command-line frontend: parsing, CSV output, exit codes."""
 
+import contextlib
 import io
 import math
 import os
@@ -44,7 +45,8 @@ def _header(text):
 
 def _run(spec):
     buf = io.StringIO()
-    status = cli.run(spec, stream=buf)
+    with contextlib.redirect_stdout(buf):
+        status = cli.run(spec)
     return status, buf.getvalue()
 
 
@@ -352,6 +354,42 @@ def test_thermal_scan_rows_equal_the_library_on_a_linear_grid(capsys):
             row += [ob.value, ob.quadrature.abs_error_estimate, float(ob.quadrature.converged)]
         expected.append(row)
     assert rows == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure1", "--material", "Al", "--grid", "200nm:1um:2", "--T", "5"],
+        ["figure2", "--material", "Al", "--grid", "200nm:1um:2", "--T", "300"],
+        ["coefficients", "--T", "5"],
+    ],
+)
+def test_zero_temperature_commands_reject_a_temperature(argv, capsys):
+    # Their rows are T = 0 values; a header reading T_K = 300.0 misstated them.
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: T: {argv[0]} is computed at T = 0 only, got ")
+    assert cli.main(["coefficients", "--T", "0"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--a", "1mm", "--T", "1"],
+        ["thermal-ratio", "--a", "1mm", "--T", "1"],
+        ["scan", "--grid", "1mm:2mm:2", "--T", "1"],
+    ],
+)
+def test_normal_skin_lifshitz_needs_zero_temperature(argv, capsys):
+    # The l = 0 Matsubara term needs the zero-frequency reflection, which
+    # this pair leaves undefined; it used to end in a traceback.
+    flags = ["--material", "Al", "--model", "normal-skin", "--formalism", "lifshitz"]
+    assert cli.main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: formalism: the zero-frequency reflection of a dissipative")
+    assert "Traceback" not in err
+    assert cli.main(["point", "--a", "1mm", *flags]) == 0
 
 
 _AL_FILE = "omega_p_rad_s=1.9e16\ngamma_rad_s=9.6e13\n"

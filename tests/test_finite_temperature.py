@@ -179,6 +179,19 @@ def test_temperature_validation(plasma_impedance, aluminum):
                 call(T)
 
 
+@pytest.mark.parametrize("a", [-1e-6, 0.0, math.nan])
+def test_a_bad_separation_is_named_before_the_temperature(a, aluminum):
+    # The separation is checked once, by effective_temperature, and before
+    # the temperature, whatever T is.
+    for call in (
+        lambda: ideal_energy_T(a, -1.0),
+        lambda: delta_T_energy_pert(a, math.inf, aluminum),
+        lambda: delta_T_force_pert(a, 0.0, aluminum),
+    ):
+        with pytest.raises(ValueError, match=f"separation must be positive, got {a!r}"):
+            call()
+
+
 def test_normal_skin_zero_frequency_is_safe(aluminum):
     # Z(0) = 0 at the l = 0 mode must not produce division noise
     model = ImpedanceModel(ImpedanceKind.NORMAL_SKIN, Formalism.IMPEDANCE)
@@ -285,7 +298,7 @@ def _mode_integrand(model, material, a, energy):
 
     def integrand(xi, y):
         xi = np.broadcast_to(xi, y.shape)
-        Z = impedance(model, xi, a, material)
+        Z = impedance(model.kind, xi, a, material)
         x_par, x_perp = reflection_factors(Z, y, xi, model.formalism)
         static = xi == 0.0
         if static.any():
@@ -605,7 +618,8 @@ def test_tail_reports_a_non_finite_integrand_where_it_was_evaluated(
     with pytest.raises(IntegrandError) as info:
         force_ppT(1e-6, _T_at_step(1e-6, 0.1), plasma_impedance, aluminum)
     xi = float(re.search(r"xi=(?:np\.float64\()?([-+.\deE]+)", str(info.value)).group(1))
-    assert xi > 4.0 and info.value.x >= xi
+    y = float(re.search(r"y=(?:np\.float64\()?([-+.\deE]+)", str(info.value)).group(1))
+    assert 4.0 < xi <= y
 
 
 @pytest.mark.parametrize("observable", [force_ppT, energy_ppT])

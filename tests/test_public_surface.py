@@ -1,6 +1,7 @@
 """The package's public surface: every name the benchmark calls exists, and
 the package exports exactly what its submodules export."""
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -17,6 +18,18 @@ from casimir_impedance import (
 )
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_TRACING = _WORKLOADS.with_name("tracing.py")
+
+# The benchmark tracer's boundaries that no module imports any more.
+_ABSENT_BOUNDARIES = {
+    "zero_temperature.impedance",
+    "zero_temperature.reflection_factors",
+    "finite_temperature.integrate_y_from",
+    "finite_temperature.sum_matsubara_primed",
+    "finite_temperature.impedance",
+    "finite_temperature.reflection_factors",
+    "finite_temperature.static_reflection_factors",
+}
 
 
 def test_every_name_the_benchmark_calls_exists():
@@ -25,6 +38,21 @@ def test_every_name_the_benchmark_calls_exists():
     names = set(re.findall(r"\bci\.([A-Za-z_]\w*)", _WORKLOADS.read_text()))
     assert names
     assert sorted(name for name in names if not hasattr(ci, name)) == []
+
+
+def test_the_tracer_loses_no_boundary():
+    # The tracer times a layer by wrapping a name one module imports from the
+    # next; a name that goes is reported absent and its time unattributed.
+    # The absent set may shrink but not grow.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.remove()
+    assert set(tracer.absent) <= _ABSENT_BOUNDARIES
 
 
 def test_package_exports_the_union_of_its_submodules():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,7 +79,8 @@ def test_integrate_xi_y_nonfinite_integrand_names_both_coordinates(points):
 
     with pytest.raises(IntegrandError, match=r"xi=.*y=") as info:
         integrate_xi_y(bad)
-    assert info.value.x > 1.0
+    # The message names the point; y is past the jump.
+    assert float(re.search(r"y=([-+.\deE]+)", str(info.value)).group(1)) > 1.0
 
 
 def test_y_rule_deterministic(y_integral):
@@ -132,6 +134,8 @@ def test_wedge_rule_stops_unconverged_at_its_level_cap():
 
     def step(xi, y):
         sizes.append(np.broadcast(xi, y).size)
+        # Every level up to the cap keeps its points in 0 <= lower <= xi <= y.
+        assert np.all((0.0 <= xi) & (xi <= y))
         return np.where(y < 1.0, 1.0, 0.0)
 
     res = integrate_xi_y(step)
@@ -139,6 +143,34 @@ def test_wedge_rule_stops_unconverged_at_its_level_cap():
     assert res.value == pytest.approx(0.5, rel=2e-2)
     assert res.evaluations == sum(sizes) == 794_523
     assert max(sizes) <= quadrature._EVAL_MAX
+
+
+def test_shifted_wedge_points_stay_in_the_domain_up_to_the_level_cap():
+    # The plate integrand's point checks rely on 0 <= lower <= xi <= y; a
+    # jump at y = lower + 1 keeps the rule refining to its cap.  The points
+    # are checked as they come, not stored.
+    lower = 2.5
+
+    def step(xi, y):
+        assert np.all((lower <= xi) & (xi <= y))
+        return np.where(y < lower + 1.0, 1.0, 0.0)
+
+    res = integrate_xi_y(step, lower=lower)
+    assert not res.converged and res.evaluations == 794_523
+
+
+def test_y_rule_points_stay_in_the_domain_up_to_the_level_cap():
+    # xi is a column of the lower bounds, 0 among them, and y >= xi on each
+    # row at every level up to the cap.
+    lowers = np.array([0.0, 0.5, 2.5])
+
+    def jump(xi, y):
+        assert np.all(np.isin(xi, lowers)) and np.all((0.0 <= xi) & (xi <= y))
+        return np.where(y < xi + 1.0, np.exp(-y), 0.0)
+
+    _, _, evals, conv = _integrate_y_batch(jump, lowers, DEFAULT_CONFIG)
+    assert not conv.any()
+    assert np.all(evals == _nodes(quadrature._DE_H0 / 2**quadrature._DE_LEVELS))
 
 
 def _counted(f, sizes):

@@ -45,15 +45,11 @@ def test_impedance_requires_material():
 
 
 @pytest.mark.parametrize("kind", list(ImpedanceKind))
-def test_impedance_broadcasts_over_separations(kind):
-    xi = np.array([0.0, 0.3, 2.0, 40.0, 7.5])
-    a = np.array([1e-7, 3.3e-7, 1e-6, 2e-6, 1e-3])
+@pytest.mark.parametrize("a", [-1e-6, 0.0, math.nan])
+def test_impedance_rejects_a_bad_separation(kind, a):
     material = None if kind is ImpedanceKind.IDEAL_METAL else ALUMINUM
-    together = impedance(kind, xi, a, material)
-    one_by_one = [impedance(kind, x, s, material) for x, s in zip(xi.tolist(), a.tolist())]
-    assert together.tolist() == one_by_one
-    with pytest.raises(ValueError, match="separation must be positive, got -1e-06"):
-        impedance(kind, xi, np.where(a == 1e-6, -1e-6, a), material)
+    with pytest.raises(ValueError, match=f"separation must be positive, got {a!r}"):
+        impedance(kind, np.array([0.0, 0.3, 2.0]), a, material)
 
 
 def test_plasma_forms_agree_at_low_frequency():

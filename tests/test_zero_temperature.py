@@ -172,6 +172,12 @@ def test_normal_skin_domain(aluminum):
         normal_skin_pert0(1e-7, aluminum)
 
 
+@pytest.mark.parametrize("a", [-1e-6, 0.0, math.nan])
+def test_normal_skin_pert0_names_a_bad_separation_before_its_domain(a, aluminum):
+    with pytest.raises(ValueError, match=f"separation must be positive, got {a!r}"):
+        normal_skin_pert0(a, aluminum)
+
+
 def _graded_edges(top):
     """Panel edges 0, 2^-40, 2^-39, ..., 1, then doubling up to top."""
     edges = [0.0] + [2.0**k for k in range(-40, 1)]
