@@ -15,8 +15,11 @@ Output is CSV: ``#``-prefixed provenance header (constants, material, model,
 tolerances, tool version, column names), then purely numeric rows in
 scientific notation with 17 significant digits.  Rows derived from quadrature
 carry the error estimate and a converged flag.  Grid commands compute one
-separation after another and write the rows in grid order.  Identical
-configurations produce byte-identical files.  Warnings raised while the
+separation after another and write the rows in grid order.  Each row is one
+call of the plate core: at T = 0 all of a row's observables and formalisms
+(energy and force, or the Lifshitz and impedance forms of each plasma kind)
+are the components of one wedge integral.  Identical configurations produce
+byte-identical files.  Warnings raised while the
 rows are computed are collapsed into one stderr line per source with a count.
 
 Exit status: 0 on success, 1 on configuration errors (the message names the
@@ -49,13 +52,13 @@ from pathlib import Path
 
 from . import __version__
 from .constants import CODATA
-from .finite_temperature import _thermal_ratios, energy_ppT, force_ppT
+from .finite_temperature import _thermal_ratios
 from .geometry import Geometry, effective_temperature
 from .materials import PRESETS, Material, load_material
 from .quadrature import _SERIES_TAIL_TOL, DEFAULT_CONFIG, QuadratureConfig
 from .reflection import _NO_STATIC_LIMIT, Formalism, ImpedanceKind, ImpedanceModel
 from .series import _SERIES_RATIO_MAX, CoefficientVariant, coefficients, series_force
-from .zero_temperature import _deviation, _sphere_plate, energy_pp0, force_pp0
+from .zero_temperature import ObservableKind, _deviation, _plates, _sphere_plate
 
 __all__ = [
     "RunSpec",
@@ -148,7 +151,8 @@ _PARSERS = {
 }
 
 
-def _validate(spec: RunSpec) -> RunSpec:
+def _validate(spec: RunSpec) -> Material | None:
+    """Check every field of ``spec`` and return its material, resolved."""
     if spec.command not in _COMMANDS:
         raise SpecError(
             f"command: must be one of {', '.join(_COMMANDS)}, got {spec.command!r}"
@@ -183,16 +187,17 @@ def _validate(spec: RunSpec) -> RunSpec:
         raise SpecError(f"formalism: {_NO_STATIC_LIMIT}; the Matsubara sum at T > 0 needs it")
     if spec.rel_tol is not None and not (0.0 < spec.rel_tol < 1.0):
         raise SpecError(f"rel_tol: must lie in (0, 1), got {spec.rel_tol!r}")
+    material = _resolve_material(spec)
     if spec.command == "figure1":
         # The series curve is defined only for delta_0/a below the domain bound.
-        delta_0, lo = _resolve_material(spec).delta_0, spec.grid[0]
+        delta_0, lo = material.delta_0, spec.grid[0]
         if delta_0 / lo >= _SERIES_RATIO_MAX:
             raise SpecError(
                 f"grid: figure1's series curve needs delta_0/a < {_SERIES_RATIO_MAX}, "
                 f"got {delta_0 / lo:.3g} at a = {lo:.3g} m; start the grid above "
                 f"{delta_0 / _SERIES_RATIO_MAX:.3g} m"
             )
-    return spec
+    return material
 
 
 def parse_config(path: str | Path | None, flags: dict | None = None) -> RunSpec:
@@ -202,6 +207,13 @@ def parse_config(path: str | Path | None, flags: dict | None = None) -> RunSpec:
     values take precedence over file values.  Either source may be empty as
     long as the merge is complete.
     """
+    spec = _merged_spec(path, flags)
+    _validate(spec)
+    return spec
+
+
+def _merged_spec(path: str | Path | None, flags: dict | None) -> RunSpec:
+    """The RunSpec of ``parse_config``, not yet validated."""
     raw: dict = {}
     if path is not None:
         try:
@@ -237,7 +249,7 @@ def parse_config(path: str | Path | None, flags: dict | None = None) -> RunSpec:
             raise SpecError(f"{key}: {exc}") from None
     if "command" not in merged:
         raise SpecError("command: required")
-    return _validate(RunSpec(**merged))
+    return RunSpec(**merged)
 
 
 def _resolve_material(spec: RunSpec) -> Material | None:
@@ -301,29 +313,25 @@ def _entry(ob) -> tuple[float, float, float]:
     return ob.value, ob.quadrature.abs_error_estimate, float(ob.quadrature.converged)
 
 
-def _plates(a: float, spec: RunSpec, material, model, config):
-    """The plate (energy, force) at separation a and the run's temperature."""
-    if spec.T == 0.0:
-        return energy_pp0(a, model, material, config), force_pp0(a, model, material, config)
-    return (
-        energy_ppT(a, spec.T, model, material, config),
-        force_ppT(a, spec.T, model, material, config),
-    )
+def _energy_force(a: float, spec: RunSpec, material, model, config):
+    """The plate (energy, force) at separation a and the run's temperature,
+    from one call of the plate core: one wedge at T = 0."""
+    kinds = (ObservableKind.ENERGY_PER_AREA, ObservableKind.FORCE_PER_AREA)
+    return _plates(a, spec.T, tuple((kind, model) for kind in kinds), material, config)
 
 
 def _point_rows(spec: RunSpec, material, model, config):
     """One row per observable: kind index, value, error, converged."""
-    e, f = _plates(spec.a, spec, material, model, config)
-    obs = [e, f]
+    obs = _energy_force(spec.a, spec, material, model, config)
     if spec.R is not None:
-        obs.append(_sphere_plate(Geometry(separation=spec.a, sphere_radius=spec.R), e))
+        obs.append(_sphere_plate(Geometry(separation=spec.a, sphere_radius=spec.R), obs[0]))
     return [(spec.a, spec.T, float(index), *_entry(ob)) for index, ob in enumerate(obs)]
 
 
 def _scan_rows(spec: RunSpec, material, model, config):
     rows = []
     for a in _grid_points(spec.grid):
-        e, f = _plates(a, spec, material, model, config)
+        e, f = _energy_force(a, spec, material, model, config)
         rows.append((a, *_entry(e), *_entry(f)))
     return rows
 
@@ -331,8 +339,8 @@ def _scan_rows(spec: RunSpec, material, model, config):
 def _figure1_rows(spec: RunSpec, material, model, config):
     rows = []
     for a in _grid_points(spec.grid):
-        reference, d_exact, err, conv = _deviation(
-            force_pp0, ImpedanceKind.PLASMA_EXACT, a, material, config
+        ((reference, d_exact, err, conv),) = _deviation(
+            ObservableKind.FORCE_PER_AREA, (ImpedanceKind.PLASMA_EXACT,), a, material, config
         )
         approx = series_force(a, material, CoefficientVariant.IMPEDANCE_APPROX)
         rows.append((a, d_exact, (reference - approx) / reference, err, float(conv)))
@@ -340,11 +348,11 @@ def _figure1_rows(spec: RunSpec, material, model, config):
 
 
 def _figure2_rows(spec: RunSpec, material, model, config):
+    kinds = (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX)
     rows = []
     for a in _grid_points(spec.grid):
-        (_, d_exact, err_exact, ok_exact), (_, d_approx, err_approx, ok_approx) = (
-            _deviation(energy_pp0, kind, a, material, config)
-            for kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX)
+        (_, d_exact, err_exact, ok_exact), (_, d_approx, err_approx, ok_approx) = _deviation(
+            ObservableKind.ENERGY_PER_AREA, kinds, a, material, config
         )
         ok = float(ok_exact and ok_approx)
         rows.append((a, d_exact, d_approx, err_exact + err_approx, ok))
@@ -420,9 +428,8 @@ def _warning_summary(command: str, caught: list[warnings.WarningMessage]) -> Non
 
 
 def run(spec: RunSpec) -> int:
-    """Execute a validated RunSpec, CSV to ``spec.out`` or stdout; returns the exit status."""
-    spec = _validate(spec)
-    material = _resolve_material(spec)
+    """Validate and execute a RunSpec, CSV to ``spec.out`` or stdout; returns the exit status."""
+    material = _validate(spec)
     model = ImpedanceModel(ImpedanceKind(spec.model), Formalism(spec.formalism))
     columns, compute_rows = _COMMANDS[spec.command]
     with warnings.catch_warnings(record=True) as caught:
@@ -500,8 +507,8 @@ def _process_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     flags = vars(_process_parser().parse_args(argv))
     try:
-        spec = parse_config(flags.pop("config"), flags)
-        return run(spec)
+        # run() validates the spec and resolves its material, once.
+        return run(_merged_spec(flags.pop("config"), flags))
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

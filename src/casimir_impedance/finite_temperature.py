@@ -11,13 +11,14 @@ l = 0 term at half weight (the prime on the sum):
     I_F = int_{xi_l} dy y^2 [(1 - x_par)/(e^y - 1 + x_par) + (x_par -> x_perp)]
 
 The ideal-metal energy E_ideal is evaluated from its equivalent closed series
-in coth and sinh^-2 (``ideal_energy_T``).
+in coth and sinh^-2, or from T = T_eff up from its own Matsubara form
+(``ideal_energy_T``).
 
 The integrand of I_E and I_F is the plate integrand of the T = 0 wedge.
-Energy and pressure share one core, ``_platesT``, as their T = 0
-counterparts share ``zero_temperature._plates0``.  Each sum takes its
-terms from the y rule in one of two reductions chosen by the step
-xi_1 = 2 pi T / T_eff (see ``_matsubara_correction``).  From
+Energy and pressure share one core with their T = 0 counterparts,
+``zero_temperature._plates``, which takes one sum per observable.  Each
+sum takes its terms from the y rule in one of two reductions chosen by the
+step xi_1 = 2 pi T / T_eff (see ``_matsubara_correction``).  From
 ``_TAIL_STEP_MAX`` up the terms are summed one by one and the sum may not
 stop before the first xi_l >= 36, so a sum that stops there takes its
 terms from one call.  Below it, where that would take about 36 / xi_1
@@ -62,8 +63,7 @@ from .zero_temperature import (
     Observable,
     ObservableKind,
     _integrand,
-    _observable,
-    _plates0,
+    _plates,
     _sphere_plate,
     ideal_closed_forms,
 )
@@ -80,6 +80,11 @@ __all__ = [
 # Arguments beyond this make every exponential thermal factor underflow; the
 # hyperbolic helpers clamp there instead of evaluating exp(-2z) subnormals.
 _CLAMP_Z = 350.0
+
+# From this tau = T / T_eff up ideal_energy_T takes the Matsubara form: both
+# forms agree with a 40-digit evaluation to 1.1e-16 at tau = 1, and the
+# closed series drifts off above (6.5e-16 at 1.5, 1e-10 at 10).
+_IDEAL_TAU_SWITCH = 1.0
 
 # The second-order expansion in delta_0 / a loses meaning past this ratio.
 _PERT_RATIO_MAX = 0.1
@@ -151,9 +156,23 @@ def ideal_energy_T(a: float, T: float) -> float:
 
     The coth is split as 1 + (coth - 1): the power-law part sums to
     tau^3 zeta(3) exactly and the remainder decays like e^(-2 pi n / tau),
-    so truncation on the series tail tolerance is geometric.
+    so truncation on the series tail tolerance is geometric.  The -tau^4
+    cancels most of the sum as tau grows (off by 4.5e-15 at tau = 2, 2.4e-6
+    at tau = 262), so from ``_IDEAL_TAU_SWITCH`` up the energy is its
+    Matsubara form, whose terms all have one sign,
+
+        E = k_B T / (8 pi a^2) S'_l -2 [xi_l Li_2(e^-xi_l) + Li_3(e^-xi_l)]
+
+    with xi_l = 2 pi tau l and Li_s(x) = S_k x^k / k^s, summed over l and k
+    up to 7; the terms past them are below 1e-20 of the sum there.
     """
     tau = 1.0 / _t(a, T)
+    if tau >= _IDEAL_TAU_SWITCH:
+        xis = [2.0 * math.pi * tau * l for l in range(1, 8)]
+        total = math.fsum(
+            math.exp(-k * xi) * (xi / k**2 + 1.0 / k**3) for xi in xis for k in range(1, 8)
+        )
+        return CODATA.k_B * T / (8.0 * math.pi * a**2) * (-_ZETA_3 - 2.0 * total)
     e0 = ideal_closed_forms(a)[0]
 
     total = _ZETA_3 * tau**3
@@ -202,7 +221,11 @@ def _matsubara_correction(
     integrated plus every integrand point of the y-integrals and the wedge.
     """
     step = 2.0 * math.pi * (1.0 / _t(a, T))
-    g_terms = _integrand(integrand_kind, a, model, material, ideal=False, static=True)
+    request = ((integrand_kind, model),)
+    g_static = _integrand(request, a, material, ideal=False, static=True)
+
+    def g_terms(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return g_static(xi, y)[0]
 
     # Each reduction sets its value, bound, count n of terms summed, extra points and flag.
     if step >= _TAIL_STEP_MAX:
@@ -219,8 +242,8 @@ def _matsubara_correction(
         extra, ok = 0, total.converged
     else:
         f, errs, evals, conv = _integrate_y_batch(g_terms, step * np.arange(_HEAD + 4), config)
-        g = _integrand(integrand_kind, a, model, material, ideal=False)
-        wedge = integrate_xi_y(g, config, lower=step * _HEAD)
+        g = _integrand(request, a, material, ideal=False)
+        (wedge,) = integrate_xi_y(g, config, lower=step * _HEAD)
         around = f[_HEAD - 3:]
         last = float(_D5 @ around) / 30240.0
         truncation = (
@@ -250,7 +273,7 @@ def _matsubara_correction(
     )
 
 
-def _platesT(
+def _thermal_plate(
     kind: ObservableKind,
     a: float,
     T: float,
@@ -259,25 +282,15 @@ def _platesT(
     config: QuadratureConfig,
     decompose: bool,
 ) -> Observable:
-    """Plate energy or pressure at temperature T: one Matsubara sum.
-
-    The energy is the ideal-metal closed series plus the sum of the
-    material-dependent logarithms, which vanishes for the ideal metal; the
-    pressure sums the complete bracket, for the ideal metal with both
-    reflection factors zero.
-    """
-    geometry = Geometry(separation=a)
-    energy = kind is ObservableKind.ENERGY_PER_AREA
-    if energy:
-        offset, pref = ideal_energy_T(a, T), CODATA.k_B * T / (8.0 * math.pi * a**2)
-    else:
-        offset, pref = 0.0, -CODATA.k_B * T / (8.0 * math.pi * a**3)
-    ideal = energy and model.kind is ImpedanceKind.IDEAL_METAL
-    corr = _NOTHING if ideal else _matsubara_correction(a, T, model, material, config, kind)
-    obs = _observable(kind, pref, corr, geometry, model, T, offset=offset)
+    """The plate energy or pressure at T > 0 as one request to the plate
+    core, with its (zero-T value, thermal correction) split when
+    ``decompose``."""
+    if not T > 0.0:
+        _t(a, T)  # names the bad separation or temperature; T = 0 is no sum
+    (obs,) = _plates(a, T, ((kind, model),), material, config)
     if decompose:
-        zero = _plates0(kind, a, model, material, config).value
-        obs = replace(obs, decomposition=(zero, obs.value - zero))
+        (zero,) = _plates(a, 0.0, ((kind, model),), material, config)
+        obs = replace(obs, decomposition=(zero.value, obs.value - zero.value))
     return obs
 
 
@@ -296,7 +309,7 @@ def energy_ppT(
     (0 for the ideal metal).  With ``decompose=True`` the result also
     carries the (zero-T value, thermal correction) split.
     """
-    return _platesT(ObservableKind.ENERGY_PER_AREA, a, T, model, material, config, decompose)
+    return _thermal_plate(ObservableKind.ENERGY_PER_AREA, a, T, model, material, config, decompose)
 
 
 def force_ppT(
@@ -312,7 +325,7 @@ def force_ppT(
     both reflection factors zero, so the real-to-ideal comparison shares one
     code path.  ``evaluations`` and ``decompose`` as for :func:`energy_ppT`.
     """
-    return _platesT(ObservableKind.FORCE_PER_AREA, a, T, model, material, config, decompose)
+    return _thermal_plate(ObservableKind.FORCE_PER_AREA, a, T, model, material, config, decompose)
 
 
 def sphere_plate_T(
@@ -365,8 +378,8 @@ def delta_T_energy_pert(a: float, T: float, material: Material | None = None) ->
     e^(-2 pi l t) and is truncated on its geometric tail.  With no material
     the skin-depth corrections vanish and the ideal-metal correction is
     returned: E0 plus it matches ideal_energy_T(a, T) to 2.2e-16 relative for
-    T/T_eff <= 0.5, to 9.7e-15 at T/T_eff = 1 and to 6.8e-9 at T/T_eff = 26
-    (a = 0.1-10 um).
+    T/T_eff <= 0.5, to 9.8e-15 at T/T_eff = 1 and to 8.5e-9 at T/T_eff = 26
+    (a = 0.1-10 um), where the difference is this expansion's cancellation.
     """
     t = _t(a, T)
     d = _pert_ratio(a, material)
@@ -459,12 +472,16 @@ def _thermal_ratios(
 ) -> tuple[float, float, float, bool]:
     """(energy ratio, force ratio, error, converged) of a real metal to the
     ideal metal at T; the error adds the relative errors of both ratios.
-    The energy denominator is the ideal-metal closed series, the force
-    denominator the Matsubara sum with both reflection factors zero."""
-    e_real = energy_ppT(a, T, model, material, config)
+    The energy denominator is ``ideal_energy_T``, the force denominator the
+    Matsubara sum with both reflection factors zero."""
     e_ideal = ideal_energy_T(a, T)
-    f_real = force_ppT(a, T, model, material, config)
-    f_ideal = force_ppT(a, T, ImpedanceModel(ImpedanceKind.IDEAL_METAL), None, config)
+    ideal = ImpedanceModel(ImpedanceKind.IDEAL_METAL)
+    requests = (
+        (ObservableKind.ENERGY_PER_AREA, model),
+        (ObservableKind.FORCE_PER_AREA, model),
+        (ObservableKind.FORCE_PER_AREA, ideal),
+    )
+    e_real, f_real, f_ideal = _plates(a, T, requests, material, config)
     f_ratio = f_real.value / f_ideal.value
     err = e_real.quadrature.abs_error_estimate / abs(e_ideal) + (
         f_real.quadrature.abs_error_estimate

@@ -15,7 +15,8 @@ adaptive bookkeeping.  The y rule stops when two levels differ by no more
 than rel_tol of the value; the wedge rule, once its level differences
 shrink, when their geometric tail does.  After ``_DE_LEVELS`` halvings of
 ``_DE_H0`` a rule returns its last level unconverged.  Each rule evaluates
-at most ``_EVAL_MAX`` points per integrand call.
+at most ``_EVAL_MAX`` points per integrand call, however many components
+the integrand returns at each point.
 
 Both rules call their integrand as f(xi, y) on arrays that broadcast to
 the points they evaluate, so a factor that depends on xi or on y alone is
@@ -38,9 +39,13 @@ The wedge lower <= xi <= y < infinity is taken by ``integrate_xi_y`` with
 the product of the same exp-sinh rule in y, from x = y - lower = 1e-8 up,
 and a tanh-sinh rule in u = (xi - lower) / (y - lower); it passes y as a
 column, one value per row of xi.  Its first pass is one integrand call on
-12,375 points.  The node tables of both rules are built once per level and
-shared, read-only, by every call.  The special functions need numpy
-alone.
+12,375 points.  Its integrand may return a tuple of arrays, components that
+share the points: each component keeps its own level sums and stop test
+and is frozen once it has converged (no longer checked, summed or
+counted), so it gets bit for bit the result it would get alone, and the
+wedge returns one result per component.  The node tables of both rules
+are built once per level and shared, read-only, by every call.  The
+special functions need numpy alone.
 """
 
 from __future__ import annotations
@@ -194,21 +199,35 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _evaluate(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], xi: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """f(xi, y) broadcast to the points of xi and y; a non-finite value
-    raises an IntegrandError that names its (xi, y)."""
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
+    xi: np.ndarray,
+    y: np.ndarray,
+    keep: list[int] | None = None,
+) -> tuple[list[np.ndarray], bool]:
+    """The components of f(xi, y), each broadcast to the points of xi and
+    y, and whether f returns a tuple of them rather than one array; of a
+    tuple, those at the indices ``keep`` (all when None).  A non-finite
+    value raises an IntegrandError that names its (xi, y)."""
     shape = np.broadcast_shapes(xi.shape, y.shape)
     with np.errstate(all="ignore"):
-        v = np.broadcast_to(np.asarray(f(xi, y), dtype=float), shape)
-    bad = ~np.isfinite(v)
-    if bad.any():
-        k = np.unravel_index(int(np.argmax(bad)), shape)
-        at_xi = float(np.broadcast_to(xi, shape)[k])
-        at_y = float(np.broadcast_to(y, shape)[k])
-        message = f"integrand returned non-finite value at (xi={at_xi!r}, y={at_y!r})"
-        raise IntegrandError(message)
-    return v
+        out = f(xi, y)
+    many = isinstance(out, tuple)
+    if not many:
+        out = (out,)
+    elif keep is not None:
+        out = [out[i] for i in keep]
+    values = []
+    for v in out:
+        v = np.broadcast_to(np.asarray(v, dtype=float), shape)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            k = np.unravel_index(int(np.argmax(bad)), shape)
+            at_xi = float(np.broadcast_to(xi, shape)[k])
+            at_y = float(np.broadcast_to(y, shape)[k])
+            message = f"integrand returned non-finite value at (xi={at_xi!r}, y={at_y!r})"
+            raise IntegrandError(message)
+        values.append(v)
+    return values, many
 
 
 @functools.cache
@@ -237,7 +256,8 @@ def _y_weighted_values(
     parts = []
     for start in range(0, lowers.size, rows):
         lower = lowers[start:start + rows, None]
-        parts.append(w * _evaluate(f, lower, lower + x))
+        (v,), _ = _evaluate(f, lower, lower + x)
+        parts.append(w * v)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -313,15 +333,16 @@ def _wedge_table(
 
 
 def _wedge_values(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
     y: np.ndarray,
     u: np.ndarray,
     w: np.ndarray,
     lower: float,
-) -> np.ndarray:
-    """w f(lower + u y, lower + y) on the rows y and the columns u; ``f``
-    gets y as a column, one value per row of xi, and sees at most
-    ``_EVAL_MAX`` points per call."""
+    keep: list[int] | None = None,
+) -> tuple[list[np.ndarray], bool]:
+    """w f(lower + u y, lower + y) on the rows y and the columns u, as
+    ``_evaluate`` gives them; ``f`` gets y as a column, one value per row
+    of xi, and sees at most ``_EVAL_MAX`` points per call."""
     rows = max(1, _EVAL_MAX // u.size)
     parts = []
     for start in range(0, y.size, rows):
@@ -330,15 +351,26 @@ def _wedge_values(
         if lower != 0.0:
             # Only when shifted: an unconditional add slows the T = 0 wedge.
             xi, yy = xi + lower, yy + lower
-        parts.append(w[start:start + rows] * _evaluate(f, xi, yy))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        values, many = _evaluate(f, xi, yy, keep)
+        ws = w[start:start + rows]
+        parts.append([ws * v for v in values])
+    return [p[0] if len(parts) == 1 else np.concatenate(p) for p in zip(*parts)], many
+
+
+class _Results(tuple):
+    """The per-component results of one wedge call, in order, with the
+    call's own accounting: the points it evaluated and whether every
+    component converged."""
+
+    evaluations = property(lambda self: max(r.evaluations for r in self))
+    converged = property(lambda self: all(r.converged for r in self))
 
 
 def integrate_xi_y(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
     config: QuadratureConfig = DEFAULT_CONFIG,
     lower: float = 0.0,
-) -> QuadratureResult:
+) -> QuadratureResult | tuple[QuadratureResult, ...]:
     """Integrate f(xi, y) over the wedge lower <= xi <= y < infinity.
 
     With xi = lower + u x and y = lower + x the wedge is
@@ -365,44 +397,58 @@ def integrate_xi_y(
     from the one before by about rel_tol.  After ``_DE_LEVELS`` halvings
     the last level is returned unconverged.  ``evaluations`` counts
     integrand points.
+
+    An ``f`` that returns a tuple of arrays gets a tuple of results.  Each
+    component has its own level sums and stop test and, once converged, is
+    no longer checked, summed or counted: it gets the bits it gets alone.
     """
     y, u, w, rows, cols = _wedge_table(2, _WEDGE_T_LO)
-    wf = _wedge_values(f, y, u, w, lower)
-    total, total_abs = float(wf.sum()), float(np.abs(wf).sum())
-    evaluations = wf.size
-    levels = [(_DE_H0 / 2**k) ** 2 * float(wf[:rows[k], :cols[k]].sum()) for k in (0, 1)]
+    first, many = _wedge_values(f, y, u, w, lower)
+    # Per component: total, absolute total, points and the levels T_k.
+    sums = []
+    for wf in first:
+        levels = [(_DE_H0 / 2**k) ** 2 * float(wf[:rows[k], :cols[k]].sum()) for k in (0, 1)]
+        sums.append([float(wf.sum()), float(np.abs(wf).sum()), wf.size, levels])
+    results: list[QuadratureResult | None] = [None] * len(first)
+    open_ = list(range(len(first)))
     for level in range(2, _DE_LEVELS + 1):
         if level > 2:
             y, u, w, rows, cols = _wedge_table(level, _WEDGE_T_LO)
             old, old_cols = rows[-2], cols[-2]
-            for new in (
-                _wedge_values(f, y[old:], u, w[old:], lower),
-                _wedge_values(f, y[:old], u[old_cols:], w[:old, old_cols:], lower),
+            for block, _ in (
+                _wedge_values(f, y[old:], u, w[old:], lower, open_),
+                _wedge_values(f, y[:old], u[old_cols:], w[:old, old_cols:], lower, open_),
             ):
-                total += float(new.sum())
-                total_abs += float(np.abs(new).sum())
-                evaluations += new.size
+                for i, new in zip(open_, block):
+                    sums[i][0] += float(new.sum())
+                    sums[i][1] += float(np.abs(new).sum())
+                    sums[i][2] += new.size
         h = _DE_H0 / 2**level
-        value, resabs = h * h * total, h * h * total_abs
-        levels.append(value)
-        error = d = abs(value - levels[-2])
-        diff = abs(levels[-2] - levels[-3])
-        if d < diff:
-            # Differences shrinking by r bound the rest of the sequence by a
-            # geometric tail, as in _sum_primed.
-            r = d / diff
-            error = d * r / (1.0 - r)
-        # No estimate is smaller than the roundoff of the sum.
-        error = max(error, _ROUNDOFF * resabs)
-        converged = bool(error <= _target(value, resabs, config.rel_tol))
-        if converged:
+        for i in open_:
+            total, total_abs, evaluations, levels = sums[i]
+            value, resabs = h * h * total, h * h * total_abs
+            levels.append(value)
+            error = d = abs(value - levels[-2])
+            diff = abs(levels[-2] - levels[-3])
+            if d < diff:
+                # Differences shrinking by r bound the rest of the sequence by a
+                # geometric tail, as in _sum_primed.
+                r = d / diff
+                error = d * r / (1.0 - r)
+            # No estimate is smaller than the roundoff of the sum.
+            error = max(error, _ROUNDOFF * resabs)
+            converged = bool(error <= _target(value, resabs, config.rel_tol))
+            if converged or level == _DE_LEVELS:
+                results[i] = QuadratureResult(
+                    value=value,
+                    abs_error_estimate=error + abs(value) * math.exp(-_Y_MARGIN),
+                    evaluations=evaluations,
+                    converged=converged,
+                )
+        open_ = [i for i in open_ if results[i] is None]
+        if not open_:
             break
-    return QuadratureResult(
-        value=value,
-        abs_error_estimate=error + abs(value) * math.exp(-_Y_MARGIN),
-        evaluations=evaluations,
-        converged=converged,
-    )
+    return _Results(results) if many else results[0]
 
 
 def _blocks(

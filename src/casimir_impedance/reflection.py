@@ -95,9 +95,10 @@ def _check_xi(xi) -> None:
         raise ValueError("reduced frequency xi must be >= 0")
 
 
-def _check_points(Z, y, xi) -> None:
-    if np.any(Z < 0.0):
-        raise ValueError("impedance must be >= 0 on the imaginary axis")
+def _check_points(Zs, y, xi) -> None:
+    for Z in Zs:
+        if np.any(Z < 0.0):
+            raise ValueError("impedance must be >= 0 on the imaginary axis")
     if np.any(xi < 0.0) or np.any(y < 0.0):
         raise ValueError("reduced variables must be >= 0")
     if np.any(y < xi):
@@ -171,7 +172,7 @@ def reflection_factors(Z, y, xi, formalism: Formalism = Formalism.IMPEDANCE):
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    _check_points(Z, y, xi)
+    _check_points((Z,), y, xi)
     x_par, x_perp = _factors(Z, y, xi, formalism)
     if x_par.ndim == 0:
         return float(x_par), float(x_perp)
@@ -226,35 +227,52 @@ def static_reflection_factors(
     return x_par, x_perp
 
 
-def _plate_factors(model: ImpedanceModel, a: float, material: Material | None, static: bool):
-    """The model's reflection factors at separation a as a function of the
-    points, f(xi, y) -> (x_par, x_perp), with the kind, the material and
-    the scale resolved here, once.
+def _plate_factors(
+    models: list[ImpedanceModel], a: float, material: Material | None, static: bool
+):
+    """The reflection factors of each model at separation a as one function
+    of the points, f(xi, y) -> [(x_par, x_perp) of each model], with the
+    kinds, the material and the scales resolved here, once.
 
-    Each call checks its points as :func:`impedance` and
-    :func:`reflection_factors` do, with their messages.  The ideal metal's
-    factors are the scalars (0.0, 0.0), so a bracket of them is computed
-    once per value of y.  With ``static=True`` points at xi = 0 take the
-    static factors.
+    Each call checks its points once, as :func:`impedance` and
+    :func:`reflection_factors` do, with their messages, and computes Z once
+    per kind.  The ideal metal's factors are the scalars (0.0, 0.0), so a
+    bracket of them is computed once per value of y.  With ``static=True``
+    points at xi = 0 take the static factors.
     """
-    scale = _scale(model.kind, a, material)
-    kind, formalism = model.kind, model.formalism
+    kinds = []
+    for model in models:
+        if model.kind not in kinds:
+            kinds.append(model.kind)
+    scales = [_scale(kind, a, material) for kind in kinds]
+    plan = [(kinds.index(model.kind), model) for model in models]
+    # The ideal metal's static factors are its factors, 0.
+    static = static and any(scale is not None for scale in scales)
 
     def factors(xi: np.ndarray, y: np.ndarray):
         _check_xi(xi)
-        if scale is None:
-            _check_points(0.0, y, xi)
-            return 0.0, 0.0
-        Z = _impedance(kind, xi, scale)
-        _check_points(Z, y, xi)
-        x_par, x_perp = _factors(Z, y, xi, formalism)
+        Zs = [0.0 if s is None else _impedance(kind, xi, s) for kind, s in zip(kinds, scales)]
+        _check_points(Zs, y, xi)
+        at = ()
         if static:
             zero = xi == 0.0
             if zero.any():
-                zero = np.broadcast_to(zero, x_par.shape)
-                x_par[zero], x_perp[zero] = _static_factors(
-                    model, np.broadcast_to(y, zero.shape)[zero], scale
+                # Index the axes along which xi varies: the y rule's column
+                # of lower bounds puts xi = 0 (l = 0) in whole rows.
+                at = tuple(
+                    i if n > 1 else slice(None) for i, n in zip(np.nonzero(zero), zero.shape)
                 )
-        return x_par, x_perp
+        out = []
+        for k, model in plan:
+            if scales[k] is None:
+                out.append((0.0, 0.0))
+                continue
+            x_par, x_perp = _factors(Zs[k], y, xi, model.formalism)
+            if at:
+                x_par[at], x_perp[at] = _static_factors(
+                    model, np.broadcast_to(y, x_par.shape)[at], scales[k]
+                )
+            out.append((x_par, x_perp))
+        return out
 
     return factors

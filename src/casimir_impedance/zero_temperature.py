@@ -12,7 +12,9 @@ integrals over reduced variables (xi, y):
 with the polarization factors x_p from :mod:`casimir_impedance.reflection`.
 Setting both factors to zero recovers the ideal-metal closed forms
 E = -pi^2 hbar c/(720 a^3) and F = -pi^2 hbar c/(240 a^4).  The sphere-plate
-force follows from the proximity mapping F_sp = 2 pi R E(a).
+force follows from the proximity mapping F_sp = 2 pi R E(a).  One core,
+``_plates``, takes any set of (observable, model) pairs at one separation; at
+T = 0 they are the components of one wedge integral.
 """
 
 from __future__ import annotations
@@ -126,60 +128,92 @@ def force_bracket(x_par, x_perp, y):
 
 
 def _integrand(
-    kind: ObservableKind,
+    requests: tuple[tuple[ObservableKind, ImpedanceModel], ...],
     a: float,
-    model: ImpedanceModel,
     material: Material | None,
     ideal: bool = True,
     static: bool = False,
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The plate integrand g(xi, y) at separation a: y times the energy
-    bracket or y^2 times the force bracket.
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]:
+    """The plate integrand g(xi, y) -> one array per request, a (kind,
+    model) pair at separation a: y times the energy bracket or y^2 times
+    the force bracket.
 
     Every reduction of the plates shares it: the T = 0 wedge, the Matsubara
-    y-integrals and their shifted-wedge tail.  The model is resolved here,
-    once per observable: its kind, its material and w_p or sigma_r, and a
-    separation a <= 0 or a missing material raises here; each call checks
-    only its points, as :func:`impedance` and :func:`reflection_factors` do.
-    xi and y need only broadcast to the points, so a factor of y alone
-    (expm1, log1mexp, y^2) is computed once per value of y, and the
-    impedance once per value of xi: the wedge passes y as a column, the y
-    rule xi.  The ideal metal's factors are 0, so its whole integrand is a
-    function of y, one value per row of the wedge.  Every point gets the
-    same bits as from flat arrays.  ``ideal=False`` drops the ideal-metal
-    part of the energy bracket, which the finite-temperature closed series
-    carries.  With ``static=True`` points at xi = 0 take the model's static
-    reflection factors: the Matsubara terms ask for it for their l = 0
-    term, the wedges never evaluate there.
+    y-integrals and their shifted-wedge tail.  The models are resolved here,
+    once (a separation a <= 0 or a missing material raises here); each call
+    checks its points once and computes each kind's Z and each model's
+    factors once for all the requests.  xi and y need only broadcast to the
+    points, so a factor of y alone (expm1, log1mexp, y^2) is computed once
+    per value of y, and the impedance once per value of xi: the wedge passes
+    y as a column, the y rule xi.  The ideal metal's factors are 0, so its
+    whole integrand is a function of y, one value per row of the wedge.
+    Every point gets the bits it gets from flat arrays and with no other
+    request.  ``ideal=False`` drops the ideal-metal part of the energy
+    bracket, which the finite-temperature closed series carries.  With
+    ``static=True`` points at xi = 0 take the models' static reflection
+    factors, for the l = 0 Matsubara term; the wedges never evaluate there.
     """
-    energy = kind is ObservableKind.ENERGY_PER_AREA
-    factors = _plate_factors(model, a, material, static)
+    # The unique models in order, by comparison: hashing a model costs more.
+    models = []
+    for _, model in requests:
+        if model not in models:
+            models.append(model)
+    factors = _plate_factors(models, a, material, static)
+    brackets = [
+        (kind is ObservableKind.ENERGY_PER_AREA, models.index(model)) for kind, model in requests
+    ]
 
-    def g(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x_par, x_perp = factors(xi, y)
-        if energy:
-            return y * energy_bracket(x_par, x_perp, y, ideal)
-        return y * y * force_bracket(x_par, x_perp, y)
+    def g(xi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        fs = factors(xi, y)
+        return tuple([
+            y * energy_bracket(*fs[m], y, ideal) if energy else y * y * force_bracket(*fs[m], y)
+            for energy, m in brackets
+        ])
 
     return g
 
 
-def _plates0(
-    kind: ObservableKind,
+def _plates(
     a: float,
-    model: ImpedanceModel,
+    T: float,
+    requests: tuple[tuple[ObservableKind, ImpedanceModel], ...],
     material: Material | None,
     config: QuadratureConfig,
-) -> Observable:
-    """Plate energy or pressure at T = 0: one wedge integral."""
+) -> list[Observable]:
+    """The plate energy or pressure of each request, a (kind, model) pair,
+    at separation a and temperature T.  At T = 0 the requests are the
+    components of one wedge integral and each gets the bits it gets alone;
+    at T > 0 each is its own Matsubara sum, which for the energy adds to
+    ``finite_temperature.ideal_energy_T``.
+    """
     geometry = Geometry(separation=a)
-    raw = integrate_xi_y(_integrand(kind, a, model, material), config)
-    hc = CODATA.hbar * CODATA.c
-    if kind is ObservableKind.ENERGY_PER_AREA:
-        scale = hc / (32.0 * math.pi**2 * a**3)
-    else:
-        scale = -hc / (32.0 * math.pi**2 * a**4)
-    return _observable(kind, scale, raw, geometry, model, 0.0)
+    if T == 0.0:
+        raws = integrate_xi_y(_integrand(requests, a, material), config)
+        hc = CODATA.hbar * CODATA.c
+        out = []
+        for (kind, model), raw in zip(requests, raws):
+            if kind is ObservableKind.ENERGY_PER_AREA:
+                scale = hc / (32.0 * math.pi**2 * a**3)
+            else:
+                scale = -hc / (32.0 * math.pi**2 * a**4)
+            out.append(_observable(kind, scale, raw, geometry, model, 0.0))
+        return out
+    # Imported here: finite_temperature builds on this module.
+    from .finite_temperature import _NOTHING, _matsubara_correction, ideal_energy_T
+
+    out = []
+    for kind, model in requests:
+        energy = kind is ObservableKind.ENERGY_PER_AREA
+        if energy:
+            offset, scale = ideal_energy_T(a, T), CODATA.k_B * T / (8.0 * math.pi * a**2)
+        else:
+            offset, scale = 0.0, -CODATA.k_B * T / (8.0 * math.pi * a**3)
+        if energy and model.kind is ImpedanceKind.IDEAL_METAL:
+            raw = _NOTHING
+        else:
+            raw = _matsubara_correction(a, T, model, material, config, kind)
+        out.append(_observable(kind, scale, raw, geometry, model, T, offset))
+    return out
 
 
 def energy_pp0(
@@ -189,7 +223,7 @@ def energy_pp0(
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Observable:
     """Casimir energy per unit area of parallel plates at T = 0, in J/m^2."""
-    return _plates0(ObservableKind.ENERGY_PER_AREA, a, model, material, config)
+    return _plates(a, 0.0, ((ObservableKind.ENERGY_PER_AREA, model),), material, config)[0]
 
 
 def force_pp0(
@@ -199,7 +233,7 @@ def force_pp0(
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Observable:
     """Casimir pressure between parallel plates at T = 0, in Pa (negative)."""
-    return _plates0(ObservableKind.FORCE_PER_AREA, a, model, material, config)
+    return _plates(a, 0.0, ((ObservableKind.FORCE_PER_AREA, model),), material, config)[0]
 
 
 def force_sphere0(
@@ -232,29 +266,34 @@ def _sphere_plate(geometry: Geometry, energy: Observable) -> Observable:
 
 
 def _deviation(
-    observable: Callable[..., Observable],
-    impedance_kind: ImpedanceKind,
+    kind: ObservableKind,
+    impedance_kinds: tuple[ImpedanceKind, ...],
     a: float,
     material: Material,
     config: QuadratureConfig,
-) -> tuple[float, float, float, bool]:
-    """(Q_L, (Q_L - Q_imp) / Q_L, error, converged) of ``observable``
-    (``energy_pp0`` or ``force_pp0``) at separation a, Q_L from the
+) -> list[tuple[float, float, float, bool]]:
+    """(Q_L, (Q_L - Q_imp) / Q_L, error, converged) of the plate observable
+    ``kind`` at separation a for each impedance kind, Q_L from the
     permittivity route and Q_imp from the impedance boundary condition with
-    the same impedance kind; a positive deviation means the impedance route
-    binds the plates less strongly.  The error is the sum of both quadrature
-    errors relative to |Q_L|."""
-    ref, direct = (
-        observable(a, ImpedanceModel(impedance_kind, f), material, config)
+    the same impedance kind, all from one wedge integral; a positive
+    deviation means the impedance route binds the plates less strongly.
+    The error is the sum of both quadrature errors relative to |Q_L|."""
+    requests = tuple(
+        (kind, ImpedanceModel(impedance_kind, f))
+        for impedance_kind in impedance_kinds
         for f in (Formalism.LIFSHITZ, Formalism.IMPEDANCE)
     )
-    return (
-        ref.value,
-        (ref.value - direct.value) / ref.value,
-        (ref.quadrature.abs_error_estimate + direct.quadrature.abs_error_estimate)
-        / abs(ref.value),
-        ref.quadrature.converged and direct.quadrature.converged,
-    )
+    obs = _plates(a, 0.0, requests, material, config)
+    return [
+        (
+            ref.value,
+            (ref.value - direct.value) / ref.value,
+            (ref.quadrature.abs_error_estimate + direct.quadrature.abs_error_estimate)
+            / abs(ref.value),
+            ref.quadrature.converged and direct.quadrature.converged,
+        )
+        for ref, direct in zip(obs[::2], obs[1::2])
+    ]
 
 
 # Largest normal-skin expansion parameter for which the first-order forms are

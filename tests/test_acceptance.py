@@ -41,7 +41,12 @@ from casimir_impedance import (
 )
 from casimir_impedance import cli
 from casimir_impedance.finite_temperature import _thermal_ratios
-from casimir_impedance.zero_temperature import _deviation, energy_bracket, force_bracket
+from casimir_impedance.zero_temperature import (
+    ObservableKind,
+    _deviation,
+    energy_bracket,
+    force_bracket,
+)
 from series_fit import recover_coefficients
 
 AL = ALUMINUM
@@ -75,7 +80,9 @@ def test_c1_ideal_metal_closed_forms(record_acceptance):
 
 def _plate_deviation(observable, kind, a):
     """(Q_L - Q_imp) / Q_L of one impedance kind, as figure1 and figure2 print it."""
-    return _deviation(observable, kind, a, AL, DEFAULT_CONFIG)[1]
+    force = observable is force_pp0
+    kind_of = ObservableKind.FORCE_PER_AREA if force else ObservableKind.ENERGY_PER_AREA
+    return _deviation(kind_of, (kind,), a, AL, DEFAULT_CONFIG)[0][1]
 
 
 def _series_deviation(a):

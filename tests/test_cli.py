@@ -236,7 +236,8 @@ def test_point_thermal_ideal():
 )
 def test_point_sphere_row_maps_the_energy_row(T, module, engine, monkeypatch, capsys):
     # The sphere row is 2 pi R times the energy row above it, not a third
-    # plate computation: one wedge or Matsubara sum each for energy and force.
+    # plate computation: one wedge for energy and force together at T = 0,
+    # one Matsubara sum each at T > 0.
     calls = []
     original = getattr(module, engine)
 
@@ -248,7 +249,7 @@ def test_point_sphere_row_maps_the_energy_row(T, module, engine, monkeypatch, ca
     argv = ["point", "--material", "Al", "--a", "1um", "--R", "100um", "--T", T]
     assert cli.main(argv) == 0
     rows = _rows(capsys.readouterr().out)
-    assert len(calls) == 2
+    assert len(calls) == (1 if T == "0" else 2)
     assert [row[2] for row in rows] == [0.0, 1.0, 2.0]
     assert rows[2][3] == 2.0 * math.pi * parse_length("100um", "R") * rows[0][3]
 
@@ -429,7 +430,13 @@ def test_nonconverged_rows_exit_2(monkeypatch):
         value=-1.0,
         quadrature=SimpleNamespace(abs_error_estimate=1.0, converged=False),
     )
-    monkeypatch.setattr(cli, "force_pp0", lambda *args, **kwargs: stub)
+    plates = cli._plates
+
+    def force_stubbed(*args):
+        energy, _ = plates(*args)
+        return [energy, stub]
+
+    monkeypatch.setattr(cli, "_plates", force_stubbed)
     spec = RunSpec(command="point", model="ideal", a=1e-6)
     status, text = _run(spec)
     assert status == 2
@@ -442,14 +449,17 @@ def test_nonconverged_grid_rows_exit_2(monkeypatch, command):
     grid = (1e-6, 2e-6, 3, True)
     middle = cli._grid_points(grid)[1]
 
-    def stub(a, *args):
-        return SimpleNamespace(
-            value=-1.0,
-            quadrature=SimpleNamespace(abs_error_estimate=1e-12, converged=a != middle),
-        )
+    def stub(a, T, requests, *args):
+        return [
+            SimpleNamespace(
+                value=-1.0,
+                quadrature=SimpleNamespace(abs_error_estimate=1e-12, converged=a != middle),
+            )
+            for _ in requests
+        ]
 
-    monkeypatch.setattr(cli, "energy_pp0", stub)
-    monkeypatch.setattr(cli, "force_pp0", stub)
+    monkeypatch.setattr(cli, "_plates", stub)
+    monkeypatch.setattr(zero_temperature, "_plates", stub)
     spec = RunSpec(command=command, material="Al", grid=grid)
     status, text = _run(spec)
     assert status == 2
@@ -467,15 +477,14 @@ def test_grid_observables_carry_python_floats(monkeypatch, command):
     # grid command carries Python floats, not numpy scalars.
     seen = []
 
-    def recorded(op):
-        def wrapped(*args, **kwargs):
-            seen.append(op(*args, **kwargs))
-            return seen[-1]
+    plates = zero_temperature._plates
 
-        return wrapped
+    def recorded(*args):
+        seen.extend(plates(*args))
+        return seen[-len(args[2]):]
 
-    monkeypatch.setattr(cli, "energy_pp0", recorded(cli.energy_pp0))
-    monkeypatch.setattr(cli, "force_pp0", recorded(cli.force_pp0))
+    monkeypatch.setattr(cli, "_plates", recorded)
+    monkeypatch.setattr(zero_temperature, "_plates", recorded)
     spec = RunSpec(command=command, material="Al", grid=(1e-6, 2e-6, 2, True), rel_tol=1e-6)
     status, _ = _run(spec)
     assert status == 0 and seen
@@ -663,3 +672,73 @@ def test_console_script_targets_main():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts == {"casimir": "casimir_impedance.cli:main"}
+
+
+@pytest.mark.parametrize("command", ["figure1", "figure2", "scan", "point"])
+def test_each_zero_temperature_row_is_one_wedge(command, monkeypatch):
+    # Hardware-independent cost guard: every observable and formalism of a
+    # T = 0 row comes from one wedge call (figure1, scan and point took 2
+    # calls a row, figure2 4), and each keeps the points of its own call.
+    results = []
+    wedge = zero_temperature.integrate_xi_y
+
+    def counted(*args, **kwargs):
+        results.append(wedge(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(zero_temperature, "integrate_xi_y", counted)
+    grid = parse_grid("100nm:2um:3:log")
+    if command == "point":
+        spec, points = RunSpec(command=command, material="Al", a=1e-6), [1e-6]
+    else:
+        spec, points = RunSpec(command=command, material="Al", grid=grid), cli._grid_points(grid)
+    status, _ = _run(spec)
+    assert status == 0
+    assert len(results) == len(points)
+    monkeypatch.undo()
+    exact, approx = ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX
+    lif, imp = Formalism.LIFSHITZ, Formalism.IMPEDANCE
+    ops = {
+        "figure1": [(force_pp0, exact, lif), (force_pp0, exact, imp)],
+        "figure2": [(energy_pp0, kind, f) for kind in (exact, approx) for f in (lif, imp)],
+        "scan": [(energy_pp0, exact, imp), (force_pp0, exact, imp)],
+    }
+    for a, res in zip(points, results):
+        lone = [
+            op(a, ImpedanceModel(kind, f), ALUMINUM).quadrature.evaluations
+            for op, kind, f in ops.get(command, ops["scan"])
+        ]
+        assert [r.evaluations for r in res] == lone
+
+
+def test_main_validates_and_loads_the_material_once(tmp_path, monkeypatch):
+    # figure1 checks its grid against the material's delta_0; the material
+    # file is still read once, and the spec checked once, per command.
+    path = tmp_path / "al.txt"
+    path.write_text(_AL_FILE + "name=Al\n")
+    calls = []
+    for name in ("_validate", "_resolve_material", "load_material"):
+
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = str(tmp_path / "figure1.csv")
+    argv = ["figure1", "--material", str(path), "--grid", "100nm:1um:2", "--out", out]
+    assert cli.main(argv) == 0
+    assert sorted(calls) == ["_resolve_material", "_validate", "load_material"]
+    # run() still checks a spec from a library caller.
+    with pytest.raises(SpecError, match="command: must be one of"):
+        cli.run(RunSpec(command="pont"))
+
+
+def test_thermal_point_rows_equal_the_library(capsys):
+    # At T > 0 each plate observable is its own Matsubara sum, as before.
+    assert cli.main(["point", "--material", "Al", "--a", "300nm", "--T", "300"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT)
+    for row, op in zip(rows, (energy_ppT, force_ppT)):
+        ob = op(parse_length("300nm"), 300.0, model, ALUMINUM)
+        q = ob.quadrature
+        assert row[3:] == [ob.value, q.abs_error_estimate, float(q.converged)]

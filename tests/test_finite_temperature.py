@@ -60,6 +60,23 @@ def test_classical_high_temperature_limit(ideal_energy_T_integral):
     assert ideal_energy_T(a, T) == pytest.approx(classical, rel=1e-6)
 
 
+@pytest.mark.parametrize("tau", [0.3, 1.0, 2.6, 26.0, 262.0, 2620.0, 1e4])
+def test_ideal_energy_keeps_its_digits_at_large_tau(tau, ideal_energy_T_integral):
+    # The closed series cancels against -tau^4 as tau = T / T_eff grows: it
+    # was off by 2.4e-6 at tau = 262 (1 mm, 300 K) and 2.2e-3 at 2,620.
+    # From tau = 1 up the energy is the Matsubara form, whose terms have
+    # one sign; the y-integral route is the independent check, and far
+    # above T_eff only the l = 0 term is left.
+    a = 1e-3
+    T = tau * effective_temperature(a)
+    energy = ideal_energy_T(a, T)
+    oracle = ideal_energy_T_integral(a, T, QuadratureConfig(rel_tol=1e-13))
+    assert abs(energy / oracle - 1.0) < 1e-10
+    if tau >= 26.0:
+        classical = -quadrature._ZETA_3 * CODATA.k_B * T / (8.0 * math.pi * a**2)
+        assert abs(energy / classical - 1.0) < 1e-15
+
+
 def test_thermal_energy_grows_with_temperature():
     a = 1e-6
     e0 = abs(ideal_closed_forms(a)[0])
@@ -582,7 +599,7 @@ def test_term_by_term_sum_goes_on_past_a_slow_tail(monkeypatch, aluminum, plasma
     # its tail test at L, where its first engine call ends, and goes on in
     # further calls until the geometric tail is negligible.
     def slow_integrand(*args, **kwargs):
-        return lambda xi, y: np.exp(xi - y - xi / 8.0)
+        return lambda xi, y: (np.exp(xi - y - xi / 8.0),)
 
     handed = []
     engine = finite_temperature._integrate_y_batch
@@ -610,7 +627,7 @@ def test_tail_reports_a_non_finite_integrand_where_it_was_evaluated(
     # xi_L = 3.2 up; the error names the unshifted coordinates.
     def bad_integrand(*args, **kwargs):
         def g(xi, y):
-            return np.where(xi > 4.0, np.nan, np.exp(-y))
+            return (np.where(xi > 4.0, np.nan, np.exp(-y)),)
 
         return g
 

@@ -195,7 +195,7 @@ def test_wedge_evaluations_count_the_points_handed_to_the_integrand(lower):
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-8, 1e-7, 1e-5, 1e-3])
-def test_wedge_error_estimate_covers_a_boundary_layer_in_u(eps):
+def test_wedge_error_estimate_covers_a_boundary_peak_in_u(eps):
     # sqrt(xi / (xi + eps y)) rises from 0 to 1 within u ~ eps of u = 0, a
     # boundary layer like that of the normal-skin Lifshitz integrand.  The
     # wedge of e^-y times it is exactly
@@ -474,3 +474,50 @@ def test_panel_evaluation_is_sliced_above_the_point_cap(monkeypatch):
     assert sizes[0] > cap
     for a, b in zip(sliced, whole):
         np.testing.assert_array_equal(a, b)
+
+
+def _smooth(xi, y):
+    return np.exp(-y) * np.ones_like(xi)
+
+
+def _peak(xi, y):
+    # A peak across the wedge, at u = 1/2, that the rule resolves only past
+    # its first pass.
+    return np.exp(-y) / (1.0 + 100.0 * (xi / y - 0.5) ** 2)
+
+
+def test_wedge_components_each_get_their_lone_result():
+    # Components of one integrand have their own level sums and stop tests:
+    # one that stops after the first pass is frozen there while another
+    # refines on, and each gets the bits of its own call.  The call's own
+    # accounting is the points of its deepest component.
+    config = QuadratureConfig(rel_tol=1e-9)
+    lone = [integrate_xi_y(g, config) for g in (_smooth, _peak)]
+    assert (lone[0].evaluations, lone[1].evaluations) == (12_375, 49_447)
+    both = integrate_xi_y(lambda xi, y: (_smooth(xi, y), _peak(xi, y)), config)
+    assert list(both) == lone
+    assert (both.evaluations, both.converged) == (lone[1].evaluations, True)
+    (one,) = integrate_xi_y(lambda xi, y: (_smooth(xi, y),), config)
+    assert one == lone[0]
+
+
+def test_a_frozen_wedge_component_is_no_longer_evaluated():
+    # Finite only on the rows of the first pass: alone it stops there, so
+    # beside a component that refines on it is never checked again.
+    rows = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)[0]
+
+    def first_pass_only(xi, y):
+        return np.where(np.isin(y, rows), np.exp(-y), np.nan) * np.ones_like(xi)
+
+    config = QuadratureConfig(rel_tol=1e-9)
+    both = integrate_xi_y(lambda xi, y: (first_pass_only(xi, y), _peak(xi, y)), config)
+    assert list(both) == [integrate_xi_y(g, config) for g in (first_pass_only, _peak)]
+
+
+def test_a_non_finite_wedge_component_names_its_point():
+    def bad(xi, y):
+        return np.where(xi > 2.0, np.nan, np.exp(-y))
+
+    with pytest.raises(IntegrandError, match=r"xi=.*y=") as info:
+        integrate_xi_y(lambda xi, y: (_smooth(xi, y), bad(xi, y)))
+    assert float(re.search(r"xi=([-+.\deE]+)", str(info.value)).group(1)) > 2.0

@@ -133,7 +133,9 @@ def test_sphere_radius_is_checked_before_the_plate_sum(T, monkeypatch, aluminum,
 
 def _deviation(observable, kind, a, material, config):
     """(Q_L - Q_imp) / Q_L as figure1 and figure2 print it."""
-    return zero_temperature._deviation(observable, kind, a, material, config)[1]
+    force = observable is force_pp0
+    kind_of = ObservableKind.FORCE_PER_AREA if force else ObservableKind.ENERGY_PER_AREA
+    return zero_temperature._deviation(kind_of, (kind,), a, material, config)[0][1]
 
 
 def test_deviation_pins_at_100nm(aluminum, fast_config):
@@ -331,6 +333,11 @@ def test_wedge_trim_below_x_1e_8_is_negligible(kind, formalism, monkeypatch):
             assert diff <= trimmed.abs_error_estimate, (a, op.__name__)
 
 
+def _one(g):
+    """The one array of a one-request plate integrand g."""
+    return lambda xi, y: g(xi, y)[0]
+
+
 # Every (kind, formalism) pair with a static term: all but normal skin under
 # the Lifshitz formalism.
 _STATIC_PAIRS = [
@@ -354,7 +361,7 @@ def test_integrand_on_factored_points_equals_its_flat_call(kind, formalism, kind
     # point gets the bits it gets from flat arrays, at xi = 0 too.
     model, material = _model_material(kind, formalism)
     a = 1e-3 if kind is ImpedanceKind.NORMAL_SKIN else 1e-6
-    g = _integrand(kind_of, a, model, material, ideal=not static, static=static)
+    g = _one(_integrand(((kind_of, model),), a, material, ideal=not static, static=static))
     y = np.geomspace(1e-8, 90.0, 40)[:, None]
     u = np.linspace(0.0, 1.0, 17)
     lowers = np.array([0.0, 0.3, 2.5, 40.0])[:, None]
@@ -406,7 +413,7 @@ def test_resolved_integrand_gives_the_public_formulas_bits(kind, formalism, kind
             expected = y_b * energy_bracket(x_par, x_perp, y_b, ideal)
         else:
             expected = y_b * y_b * force_bracket(x_par, x_perp, y_b)
-        g = _integrand(kind_of, a, model, material, ideal=ideal, static=static)
+        g = _one(_integrand(((kind_of, model),), a, material, ideal=ideal, static=static))
         assert np.array_equal(np.broadcast_to(g(xi, y), y_b.shape), expected)
 
 
@@ -423,7 +430,7 @@ def test_ideal_metal_wedge_integrand_is_one_value_per_row(op, kind, monkeypatch)
 
         def recorded(xi, y):
             out = g(xi, y)
-            shapes.append(out.shape)
+            shapes.append(out[0].shape)
             return out
 
         return recorded
@@ -443,11 +450,11 @@ def test_plate_integrand_checks_its_model_and_its_points(kind, kind_of):
     model, material = _model_material(kind, Formalism.IMPEDANCE)
     for a in (-1e-6, 0.0):
         with pytest.raises(ValueError, match=f"separation must be positive, got {a!r}"):
-            _integrand(kind_of, a, model, material)
+            _integrand(((kind_of, model),), a, material)
     if material is not None:
         with pytest.raises(ValueError, match=f"impedance kind '{kind.value}' requires a material"):
-            _integrand(kind_of, 1e-6, model, None)
-    g = _integrand(kind_of, 1e-6, model, material, static=True)
+            _integrand(((kind_of, model),), 1e-6, None)
+    g = _integrand(((kind_of, model),), 1e-6, material, static=True)
     y = np.array([[0.5, 2.0, 3.0]])
     for xi, yy, message in (
         (np.array([[-0.1]]), y, "reduced frequency xi must be >= 0"),
@@ -456,3 +463,63 @@ def test_plate_integrand_checks_its_model_and_its_points(kind, kind_of):
     ):
         with pytest.raises(ValueError, match=message):
             g(xi, yy)
+
+
+_E, _F = ObservableKind.ENERGY_PER_AREA, ObservableKind.FORCE_PER_AREA
+_PLASMA = (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX)
+
+
+def _cli_groupings():
+    """The requests of one CLI row: energy and force of one model (point,
+    scan), both formalisms of one kind (figure1 for the force) and both
+    plasma kinds in both formalisms (figure2)."""
+    models = [ImpedanceModel(kind, f) for kind in ImpedanceKind for f in Formalism]
+    yield from (((_E, model), (_F, model)) for model in models)
+    for kind in ImpedanceKind:
+        for obs in (_E, _F):
+            yield tuple((obs, ImpedanceModel(kind, f)) for f in Formalism)
+    yield tuple((_E, ImpedanceModel(kind, f)) for kind in _PLASMA for f in Formalism)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])
+def test_grouped_plate_requests_get_their_lone_observables(rel_tol):
+    # One wedge serves every request of a row, and each request gets the
+    # Observable of its own call bit for bit: value, error estimate,
+    # evaluations and converged flag.
+    config = QuadratureConfig(rel_tol=rel_tol)
+    for a in (1e-9, 1e-6, 1e-3, 1e-1):
+        lone = {}
+        for requests in _cli_groupings():
+            grouped = zero_temperature._plates(a, 0.0, requests, ALUMINUM, config)
+            for (obs, model), ob in zip(requests, grouped):
+                if (obs, model) not in lone:
+                    op = energy_pp0 if obs is _E else force_pp0
+                    lone[obs, model] = op(a, model, ALUMINUM, config)
+                assert ob == lone[obs, model], (a, obs, model)
+
+
+def test_grouped_requests_stop_at_their_own_levels():
+    # At rel_tol 1e-13 the 3 nm plasma-exact energy takes three halvings
+    # and the force one: the force is frozen at its level inside the shared
+    # wedge.
+    model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT)
+    config = QuadratureConfig(rel_tol=1e-13)
+    e, f = zero_temperature._plates(3e-9, 0.0, ((_E, model), (_F, model)), ALUMINUM, config)
+    assert (e.quadrature.evaluations, f.quadrature.evaluations) == (49_447, 12_375)
+    assert e == energy_pp0(3e-9, model, ALUMINUM, config)
+    assert f == force_pp0(3e-9, model, ALUMINUM, config)
+
+
+def test_figure2_row_equals_four_lone_calls():
+    # figure2's row: both plasma kinds, each against its Lifshitz reference,
+    # from one wedge.
+    rows = zero_temperature._deviation(_E, _PLASMA, 1e-7, ALUMINUM, DEFAULT_CONFIG)
+    for kind, (ref, deviation, err, conv) in zip(_PLASMA, rows):
+        lif, imp = (
+            energy_pp0(1e-7, ImpedanceModel(kind, f), ALUMINUM)
+            for f in (Formalism.LIFSHITZ, Formalism.IMPEDANCE)
+        )
+        assert (ref, deviation) == (lif.value, (lif.value - imp.value) / lif.value)
+        errors = lif.quadrature.abs_error_estimate + imp.quadrature.abs_error_estimate
+        assert err == errors / abs(lif.value)
+        assert conv is (lif.quadrature.converged and imp.quadrature.converged)
