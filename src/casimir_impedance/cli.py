@@ -52,10 +52,10 @@ from pathlib import Path
 
 from . import __version__
 from .constants import CODATA
-from .finite_temperature import _thermal_ratios
+from .finite_temperature import _SERIES_TAIL_TOL, _thermal_ratios
 from .geometry import Geometry, effective_temperature
 from .materials import PRESETS, Material, load_material
-from .quadrature import _SERIES_TAIL_TOL, DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .reflection import _NO_STATIC_LIMIT, Formalism, ImpedanceKind, ImpedanceModel
 from .series import _SERIES_RATIO_MAX, CoefficientVariant, coefficients, series_force
 from .zero_temperature import ObservableKind, _deviation, _plates, _sphere_plate

@@ -19,12 +19,12 @@ Energy and pressure share one core with their T = 0 counterparts,
 ``zero_temperature._plates``, which takes one sum per observable.  Each
 sum takes its terms from the y rule in one of two reductions chosen by the
 step xi_1 = 2 pi T / T_eff (see ``_matsubara_correction``).  From
-``_TAIL_STEP_MAX`` up the terms are summed one by one and the sum may not
-stop before the first xi_l >= 36, so a sum that stops there takes its
-terms from one call.  Below it, where that would take about 36 / xi_1
-terms, the first ``_HEAD`` terms are summed exactly and the rest is an
-Euler-Maclaurin tail whose integral is the T = 0 wedge shifted to xi_L,
-so the cost no longer grows as T falls.
+``_TAIL_STEP_MAX`` up the terms are summed one by one, in one or two
+calls, until the ideal metal's terms, which bound every model's, bound the
+rest of the sum within rel_tol / 2 of it.  Below it, where that would take
+about 26 / xi_1 terms, the first ``_HEAD`` terms are summed exactly and the
+rest is an Euler-Maclaurin tail whose integral is the T = 0 wedge shifted
+to xi_L, so the cost no longer grows as T falls.
 
 The thermal correction Delta_T = Q(a, T) - Q(a, 0) also has closed expansions
 to second order in delta_0 / a, the penetration-depth-to-gap ratio
@@ -44,8 +44,8 @@ from .constants import CODATA
 from .geometry import Geometry, effective_temperature
 from .materials import Material
 from .quadrature import (
-    _MAX_TERMS,
-    _SERIES_TAIL_TOL,
+    _ABS_FLOOR,
+    _ROUNDOFF,
     _ZETA_3,
     _ZETA_4,
     _ZETA_5,
@@ -53,7 +53,7 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
     _integrate_y_batch,
-    _sum_primed,
+    _target,
     dilog,
     integrate_xi_y,
     log1mexp,
@@ -92,21 +92,25 @@ _PERT_RATIO_MAX = 0.1
 # Below this Matsubara step xi_1 = 2 pi T / T_eff a primed sum is its first
 # _HEAD terms plus an Euler-Maclaurin tail (see _matsubara_correction), at a
 # fixed 16,911 integrand points whatever the step (1 um, plasma model).
-# The term-by-term sum costs about 4,600 / step points: it takes fewer
-# points from step 0.27 up, and from step 1 (1 um, 180 K) up it is about
-# 3 times faster.  The threshold stays below that crossover until the
-# tail's accuracy is measured at steps 0.19 to 0.27.
+# The term-by-term sum, which stops near xi = 26, costs about 3,350 / step
+# points: it takes fewer points from step 0.2 up, and from step 1 (1 um,
+# 180 K) up it is about 2 times faster.  The tail's accuracy is measured
+# only up to step 0.19, so the threshold stays there, just below the
+# crossover.
 _TAIL_STEP_MAX = 0.19
 _HEAD = 32
 
-# A term-by-term sum may not stop before the first xi_l >= _STOP_XI.  The
-# plasma-approx terms dip almost to zero at xi = w_p, where Z = 1, and rise
-# again, so a tail read in the dip would end the sum too early.  Sums
-# without a dip pass the tail test from xi = 33 to 35 on (every model), so
-# a dip past xi = 36 is too deep in the tail to matter; where the terms
-# still rise out of a dip just below 36 (w_p = 35.5 for Al at 280 nm) the
-# tail test fails there and the sum goes on.
-_STOP_XI = 36.0
+# The ideal metal's Matsubara sum, which picks where a term-by-term sum
+# first stops, takes its k series to here: from step 0.19 up the rest is
+# below 6e-9 of it.  Stops are searched for this many indices at a time.
+_IDEAL_K = 64
+_STOP_WINDOW = 256
+
+# The closed series (the ideal-metal energy, the delta_0 / a expansions)
+# stop when their tail falls below _SERIES_TAIL_TOL of the sum, and give
+# up after _MAX_TERMS terms.
+_SERIES_TAIL_TOL = 1e-12
+_MAX_TERMS = 1_000_000
 
 # 7-point central differences at the middle of f(L-3 .. L+3), unit spacing:
 # f' and f^(3) to O(h^6) and O(h^4), f^(5) to O(h^2).
@@ -187,6 +191,42 @@ def ideal_energy_T(a: float, T: float) -> float:
     return e0 * (1.0 + 45.0 / math.pi**3 * total - tau**4)
 
 
+def _ideal_sums(n: int, step: float, m, k):
+    """2 S_{l >= m} e^(-k xi_l) p(xi_l), xi_l = step l, in closed form, with
+    p(xi) = e^(k xi) int_xi^inf y^n e^(-k y) dy: summed over k >= 1, the
+    ideal metal's terms b(xi) = 2 int_xi^inf y^n / (e^y - 1) dy of the
+    energy (n = 1) or force (n = 2) from l = m on.  Vectorized over m, k."""
+    q, g = np.exp(-k * step), -1.0 / np.expm1(-k * step)
+    x = m * step
+    # S_{l >= m} xi_l^j q^(l - m) for j = 0, 1, 2.
+    moments = (
+        g,
+        x * g + step * q * g**2,
+        x * x * g + 2.0 * x * step * q * g**2 + step**2 * q * (1.0 + q) * g**3,
+    )
+    p = sum(math.factorial(n) // math.factorial(j) * moments[j] / k ** (n + 1 - j)
+            for j in range(n + 1))
+    return 2.0 * np.exp(-k * x) * p
+
+
+def _tail_bound(n: int, step: float, L):
+    """B(L) >= S_{l > L} b(xi_l): with m = L + 1, 1 / (e^y - 1) <=
+    e^-y / (1 - e^-xi_m) for y >= xi_m, so these b add up to at most the
+    k = 1 term of ``_ideal_sums`` over 1 - e^-xi_m, times 1 + ``_ROUNDOFF``
+    for rounding (from xi_m = 33 on the two agree to it)."""
+    m = L + 1
+    return _ideal_sums(n, step, m, 1) / -np.expm1(-step * m) * (1.0 + _ROUNDOFF)
+
+
+def _stop(n: int, step: float, target: float) -> int:
+    """The smallest L with B(L) <= target; B underflows to 0, so any
+    positive target is met."""
+    L = np.arange(_STOP_WINDOW)
+    while not (hit := _tail_bound(n, step, L) <= target).any():
+        L += _STOP_WINDOW
+    return int(L[hit.argmax()])
+
+
 def _matsubara_correction(
     a: float,
     T: float,
@@ -202,11 +242,17 @@ def _matsubara_correction(
     force it is the complete bracket.
 
     With the step xi_1 = 2 pi T / T_eff at or above ``_TAIL_STEP_MAX`` the
-    terms are summed one by one by ``quadrature._sum_primed``, which may not
-    stop before L = max(3, ceil(``_STOP_XI`` / step)) and takes l = 0 .. L
-    in one ``_integrate_y_batch`` call.  Below it the term count would grow
-    like 1/T, so the sum is an exact head of ``_HEAD`` = L terms plus the
-    Euler-Maclaurin tail
+    terms are summed one by one.  Both reflection factors lie in [0, 1], so
+    every term lies in [0, b(xi_l)], b the ideal metal's term (see
+    ``_ideal_sums``).  The sum stops at the smallest L whose bound
+    B(L) >= S_{l > L} b(xi_l) (``_tail_bound``) is within rel_tol / 2 of
+    the partial sum S_L, or its roundoff, and reports B(L) as truncation.
+    A first ``_integrate_y_batch`` call runs to the L where the ideal
+    metal's sum stops; a second, if no S_L meets its target, to the L that
+    the last S_L demands, which suffices as no term is negative.  Terms
+    past the stop are dropped but counted in ``evaluations``.  Below
+    ``_TAIL_STEP_MAX`` the term count would grow like 1/T, so the sum is an
+    exact head of ``_HEAD`` = L terms plus the Euler-Maclaurin tail
 
         S_{l >= L} f(l) = (1/step) int_{xi_L}^inf I(xi) dxi + f(L)/2
                           - f'(L)/12 + f^(3)(L)/720 - f^(5)(L)/30240,
@@ -227,19 +273,32 @@ def _matsubara_correction(
     def g_terms(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
         return g_static(xi, y)[0]
 
-    # Each reduction sets its value, bound, count n of terms summed, extra points and flag.
+    # Each reduction sets its value, truncation bound, extra points and flag.
     if step >= _TAIL_STEP_MAX:
-        sides = []  # per-term (errors, evaluations, converged) of each block
-
-        def terms(ls: np.ndarray) -> np.ndarray:
-            vals, *side = _integrate_y_batch(g_terms, step * ls, config)
-            sides.append(side)
-            return vals
-
-        total = _sum_primed(terms, max(3, math.ceil(_STOP_XI / step)))
-        errs, evals, conv = (np.concatenate(col) for col in zip(*sides))
-        value, bound, n = total.value, total.abs_error_estimate, total.evaluations
-        extra, ok = 0, total.converged
+        n_pow = 1 if integrand_kind is ObservableKind.ENERGY_PER_AREA else 2
+        half_tol = 0.5 * config.rel_tol
+        # The ideal metal's sum S'_l b(xi_l): b(0) / 2 = n! zeta(n + 1).
+        k = np.arange(1, _IDEAL_K + 1)
+        total = (math.pi**2 / 6.0, 2.0 * _ZETA_3)[n_pow - 1] + _ideal_sums(n_pow, step, 1, k).sum()
+        start, parts = 0, []
+        for _ in range(2):
+            # From l = 1: S_0 = 0 (the normal-skin energy) would demand every
+            # term down to the absolute floor.
+            L = max(1, _stop(n_pow, step, _target(total, total, half_tol)))
+            parts.append(_integrate_y_batch(g_terms, step * np.arange(start, L + 1), config))
+            start = L + 1
+            f, errs, evals, conv = (np.concatenate(col) for col in zip(*parts))
+            partial = np.cumsum(f) - 0.5 * f[0]
+            bounds = _tail_bound(n_pow, step, np.arange(f.size))
+            passed = np.flatnonzero(bounds <= _target(partial, partial, half_tol))
+            total = partial[-1]
+            if passed.size:
+                break
+        n = passed[0] + 1 if passed.size else f.size
+        value = math.fsum([0.5 * f[0], *f[1:n].tolist()])
+        # The terms' level differences do not see their rounding.
+        bound = float(bounds[n - 1]) + _ROUNDOFF * abs(value)
+        extra, ok = 0, passed.size > 0
     else:
         f, errs, evals, conv = _integrate_y_batch(g_terms, step * np.arange(_HEAD + 4), config)
         g = _integrand(request, a, material, ideal=False)
@@ -354,15 +413,32 @@ def _pert_ratio(a: float, material: Material | None) -> float:
 
 
 def _pert_sum(term) -> float:
-    """Sum the scalar term(l) for l >= 1; terms decay like e^(-2 pi l t)."""
+    """Sum the scalar term(l) for l >= 1; terms decay like e^(-2 pi l t).
 
-    def terms(ls: np.ndarray) -> list[float]:
-        return [0.0 if l == 0 else term(l) for l in ls.tolist()]
-
-    res = _sum_primed(terms, 3)
-    if not res.converged:
-        raise RuntimeError("thermal expansion l-sum did not converge")
-    return res.value
+    From l = 3 on, once consecutive magnitudes fall by r < 1, the tail is
+    estimated as |t_l| r / (1 - r) and the sum stops when that is within
+    ``_SERIES_TAIL_TOL`` of it; two zero terms in a row end it.  After
+    ``_MAX_TERMS`` terms it raises.
+    """
+    terms, abs_sum, prev, zeros_in_row = [], 0.0, 0.0, 0
+    for l in range(1, _MAX_TERMS + 1):
+        terms.append(term(l))
+        mag = abs(terms[-1])
+        abs_sum += mag
+        zeros_in_row = zeros_in_row + 1 if mag == 0.0 else 0
+        if zeros_in_row == 2:
+            return math.fsum(terms)
+        if l >= 3 and 0.0 < mag < prev:
+            r = mag / prev
+            tail = mag * r / (1.0 - r)
+            # abs_sum bounds |sum|, so the exact sum is taken only where the
+            # test could pass; the factor covers the rounding of abs_sum.
+            if tail <= max(_SERIES_TAIL_TOL * abs_sum * (1.0 + 1e-9), _ABS_FLOOR) and tail <= max(
+                _SERIES_TAIL_TOL * abs(math.fsum(terms)), _ABS_FLOOR
+            ):
+                return math.fsum(terms)
+        prev = mag
+    raise RuntimeError("thermal expansion l-sum did not converge")
 
 
 def delta_T_energy_pert(a: float, T: float, material: Material | None = None) -> float:

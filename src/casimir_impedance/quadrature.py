@@ -1,10 +1,10 @@
-"""Quadrature and series summation tuned to exponentially damped modes.
+"""Quadrature tuned to exponentially damped modes.
 
 Every integrand in this package decays like exp(-y) in the "radial" variable,
 so semi-infinite ranges end at ``lower + 2 _Y_MARGIN`` (= 90) and every error
 estimate adds exp(-_Y_MARGIN) ~ 3e-20 of the value, a bound on the neglected
-tail.  ``QuadratureConfig.rel_tol`` is the one accuracy setting; the margin,
-the Matsubara term budget and the series tail tolerance are fixed.  All
+tail.  ``QuadratureConfig.rel_tol`` is the one accuracy setting; the margin
+is fixed.  All
 evaluation is vectorized and deterministic, so identical inputs give
 identical results.
 
@@ -28,12 +28,7 @@ y = lower + exp(pi/2 sinh t) for a batch of lower bounds at once, with xi
 a column of each integral's lower bound and y one row of nodes per
 integral.  An integral stops being evaluated once it has converged, and
 its sums are row sums over its own nodes, so it gets bit for bit the
-results it would get alone.  A primed sum (``_sum_primed``) asks its
-``terms(ls)`` callable for a first block that ends where the sum may first
-stop, so a finite-temperature sum that stops there integrates all of its
-Matsubara terms in one such call, then for blocks that double from 8 up
-to 64, and applies its stopping rule term by term, as if the terms came
-one at a time.
+results it would get alone.
 
 The wedge lower <= xi <= y < infinity is taken by ``integrate_xi_y`` with
 the product of the same exp-sinh rule in y, from x = y - lower = 1e-8 up,
@@ -53,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -77,19 +72,6 @@ _ROUNDOFF = 50.0 * float(np.finfo(float).eps)
 # Semi-infinite y ranges end at lower + 2 _Y_MARGIN; for integrands bounded by
 # the exp(-y) envelope the dropped tail is below exp(-_Y_MARGIN) of the result.
 _Y_MARGIN = 45.0
-
-# A primed sum stops when its geometric tail falls below _SERIES_TAIL_TOL of
-# the sum, and is returned unconverged after _MAX_TERMS terms.  The
-# finite-temperature observables switch to an Euler-Maclaurin tail long
-# before a sum could reach the budget.
-_SERIES_TAIL_TOL = 1e-12
-_MAX_TERMS = 1_000_000
-
-# A primed sum asks for its terms in blocks of l.  The first block
-# ends at the first index where the sum may stop; later blocks double from
-# 8 up to the cap, which bounds the memory of a block and the terms
-# computed past the index where the sum stops.
-_BLOCK_MAX = 64
 
 # Most integrand points evaluated in one call.  Larger batches (the
 # Matsubara terms of a sum, a level of a rule) are evaluated in chunks,
@@ -147,11 +129,13 @@ class QuadratureResult:
 
     ``abs_error_estimate`` is an upper-bound style estimate: the last level
     difference of a rule, or for the wedge the geometric tail of its
-    shrinking differences, or the tail bound of a sum, plus the truncated
-    range.  Tightening rel_tol never moves a converged value by more than the
+    shrinking differences, plus the truncated range.  A Matsubara sum adds
+    the estimates of its terms to its truncation: the ideal metal's bound
+    on the terms it left out, or the remainder of its Euler-Maclaurin tail.
+    Tightening rel_tol never moves a converged value by more than the
     previously reported estimate.  ``converged`` is False when the level cap
-    or term budget ran out, in which case the best available value is still
-    reported.
+    ran out or a sum's truncation missed its target, in which case the best
+    available value is still reported.
     """
 
     value: float
@@ -432,7 +416,7 @@ def integrate_xi_y(
             diff = abs(levels[-2] - levels[-3])
             if d < diff:
                 # Differences shrinking by r bound the rest of the sequence by a
-                # geometric tail, as in _sum_primed.
+                # geometric tail.
                 r = d / diff
                 error = d * r / (1.0 - r)
             # No estimate is smaller than the roundoff of the sum.
@@ -449,84 +433,6 @@ def integrate_xi_y(
         if not open_:
             break
     return _Results(results) if many else results[0]
-
-
-def _blocks(
-    terms: Callable[[np.ndarray], np.ndarray], n: int, first: int
-) -> Iterator[tuple[int, float]]:
-    """(l, terms(l)) for l = 0 .. n - 1, evaluated in blocks of l: the first
-    of ``first`` indices, later ones doubling from 8 up to ``_BLOCK_MAX``."""
-    start, size = 0, first
-    while start < n:
-        ls = np.arange(start, min(start + size, n))
-        values = np.asarray(terms(ls), dtype=float)
-        if values.shape != ls.shape:
-            raise ValueError(
-                f"terms(ls) must return one value per l: got shape {values.shape} "
-                f"for {ls.size} indices"
-            )
-        yield from zip(ls.tolist(), values.tolist())
-        start += ls.size
-        size = 8 if start == first else min(2 * size, _BLOCK_MAX)
-
-
-def _sum_primed(terms: Callable[[np.ndarray], np.ndarray], first_stop: int) -> QuadratureResult:
-    """Sum the terms t_l for l = 0, 1, 2, ... with t_0 at half weight.
-
-    ``terms(ls)`` returns t_l for an integer array of indices; it is called
-    on consecutive blocks of l, the first l = 0 .. ``first_stop``, later
-    ones doubling from 8 up to a fixed cap.  Truncation relies on the geometric
-    decay of the terms and reads them one by one in order: once the running
-    ratio of consecutive magnitudes is below 1, the remaining tail is
-    estimated as t_l * r / (1 - r) and the sum stops, from l = ``first_stop``
-    on, when that falls under ``_SERIES_TAIL_TOL`` of the accumulated value
-    (a caller whose terms can dip and rise again sets ``first_stop`` past
-    the dips); two zero terms in a row end it with a tail of 0.  A sum that
-    fails the test at ``first_stop`` goes on term by term; after
-    ``_MAX_TERMS`` terms it is returned unconverged.  Terms of the last
-    block past the stopping index are discarded, and ``evaluations`` counts
-    the terms summed.
-    """
-    seq = _blocks(terms, _MAX_TERMS + 1, first_stop + 1)
-    summed = [0.5 * next(seq)[1]]
-    # Upper bound on |sum|, so the exact sum is taken only where the stop
-    # test could pass; the factor covers the rounding of the running total.
-    abs_sum = abs(summed[0])
-    prev = 0.0
-    tail = math.inf
-    converged = False
-    zeros_in_row = 0
-    for l, t_l in seq:
-        summed.append(t_l)
-        mag = abs(t_l)
-        abs_sum += mag
-        if mag == 0.0:
-            zeros_in_row += 1
-            if zeros_in_row >= 2:
-                tail = 0.0
-                converged = True
-                break
-            prev = 0.0
-            continue
-        zeros_in_row = 0
-        if l >= first_stop and prev > 0.0:
-            r = mag / prev
-            if r < 1.0:
-                tail = mag * r / (1.0 - r)
-                bound = _SERIES_TAIL_TOL * abs_sum * (1.0 + 1e-9)
-                if tail <= max(bound, _ABS_FLOOR) and tail <= max(
-                    _SERIES_TAIL_TOL * abs(math.fsum(summed)), _ABS_FLOOR
-                ):
-                    converged = True
-                    break
-        prev = mag
-    value = math.fsum(summed)
-    return QuadratureResult(
-        value=value,
-        abs_error_estimate=float(tail) if math.isfinite(tail) else abs(value),
-        evaluations=len(summed),
-        converged=converged,
-    )
 
 
 def log1mexp(y):

@@ -34,20 +34,22 @@ from casimir_impedance import (
     static_reflection_factors,
 )
 from casimir_impedance import finite_temperature, quadrature
-from casimir_impedance.zero_temperature import force_bracket
+from casimir_impedance.zero_temperature import _integrand, force_bracket
+
+import matsubara_stop_sweep as sweep
 
 
 def test_closed_series_matches_integral_route(ideal_energy_T_integral):
     for a, T in ((1e-6, 300.0), (1e-3, 1.0), (5e-7, 70.0)):
         closed = ideal_energy_T(a, T)
         integral = ideal_energy_T_integral(a, T)
-        assert closed == pytest.approx(integral, rel=1e-8)
+        assert closed == pytest.approx(integral, rel=1e-8, abs=0)
 
 
 def test_zero_temperature_limit():
     a = 1e-6
     e0 = ideal_closed_forms(a)[0]
-    assert ideal_energy_T(a, 1e-3) == pytest.approx(e0, rel=1e-8)
+    assert ideal_energy_T(a, 1e-3) == pytest.approx(e0, rel=1e-8, abs=0)
 
 
 def test_classical_high_temperature_limit(ideal_energy_T_integral):
@@ -56,8 +58,8 @@ def test_classical_high_temperature_limit(ideal_energy_T_integral):
     a = 1e-6
     T = 50.0 * effective_temperature(a)
     classical = -quadrature._ZETA_3 * CODATA.k_B * T / (8.0 * math.pi * a**2)
-    assert ideal_energy_T_integral(a, T) == pytest.approx(classical, rel=1e-10)
-    assert ideal_energy_T(a, T) == pytest.approx(classical, rel=1e-6)
+    assert ideal_energy_T_integral(a, T) == pytest.approx(classical, rel=1e-10, abs=0)
+    assert ideal_energy_T(a, T) == pytest.approx(classical, rel=1e-6, abs=0)
 
 
 @pytest.mark.parametrize("tau", [0.3, 1.0, 2.6, 26.0, 262.0, 2620.0, 1e4])
@@ -88,19 +90,18 @@ def test_thermal_energy_grows_with_temperature():
 
 
 def test_primed_sum_convention(ideal_energy_T_integral, y_integral):
-    # explicit half-weight l = 0 reimplementation of the mode sum
+    # explicit half-weight l = 0 reimplementation of the mode sum, one y
+    # integral per term, every term to xi = 80
     a, T = 1e-6, 300.0
-    tau = T / effective_temperature(a)
+    step = 2.0 * math.pi * T / effective_temperature(a)
 
     def term(l):
-        return y_integral(lambda y: y * log1mexp(y), 2.0 * math.pi * tau * l).value
+        return y_integral(lambda y: y * log1mexp(y), step * l).value
 
-    assert term(0) == pytest.approx(-quadrature._ZETA_3, rel=1e-10)
-    explicit = 0.5 * term(0) + sum(term(l) for l in range(1, 40))
-    summed = quadrature._sum_primed(lambda ls: [term(l) for l in ls], 3)
-    assert summed.value == pytest.approx(explicit, rel=1e-10)
+    assert term(0) == pytest.approx(-quadrature._ZETA_3, rel=1e-10, abs=0)
+    explicit = 0.5 * term(0) + sum(term(l) for l in range(1, math.ceil(80.0 / step) + 1))
     expected = CODATA.k_B * T / (4.0 * math.pi * a**2) * explicit
-    assert ideal_energy_T_integral(a, T) == pytest.approx(expected, rel=1e-10)
+    assert ideal_energy_T_integral(a, T) == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 def test_ideal_model_short_circuits(ideal_model):
@@ -159,7 +160,7 @@ def test_decomposition_identity(aluminum, plasma_impedance, fast_config):
     zero, thermal = obs.decomposition
     assert zero + thermal == obs.value
     assert zero == pytest.approx(
-        energy_pp0(a, plasma_impedance, aluminum, fast_config).value, rel=1e-12
+        energy_pp0(a, plasma_impedance, aluminum, fast_config).value, rel=1e-12, abs=0
     )
 
 
@@ -226,22 +227,90 @@ def test_energy_stable_under_tolerance_refinement(aluminum, plasma_impedance):
     a, T = 1e-6, 300.0
     coarse = energy_ppT(a, T, plasma_impedance, aluminum, QuadratureConfig(rel_tol=1e-6))
     fine = energy_ppT(a, T, plasma_impedance, aluminum, QuadratureConfig(rel_tol=1e-8))
-    assert coarse.value == pytest.approx(fine.value, rel=1e-6)
+    assert coarse.value == pytest.approx(fine.value, rel=1e-6, abs=0)
 
 
 def test_sphere_plate_thermal_mapping(aluminum, plasma_impedance, fast_config):
     a, R, T = 1e-6, 1e-4, 300.0
     e = energy_ppT(a, T, plasma_impedance, aluminum, fast_config)
     f_sp = sphere_plate_T(a, R, T, plasma_impedance, aluminum, fast_config)
-    assert f_sp.value == pytest.approx(2.0 * math.pi * R * e.value, rel=1e-14)
+    assert f_sp.value == pytest.approx(2.0 * math.pi * R * e.value, rel=1e-14, abs=0)
     assert f_sp.kind is ObservableKind.SPHERE_PLATE_FORCE
+
+
+def _sequential_pert_sum(term):
+    """Reference for ``_pert_sum``: (value, terms taken) of the geometric
+    stop rule with the exact sum taken at every ratio test, or None where
+    the term budget runs out."""
+    terms = []
+    prev = 0.0
+    zeros_in_row = 0
+    for l in range(1, finite_temperature._MAX_TERMS + 1):
+        t_l = float(term(l))
+        terms.append(t_l)
+        mag = abs(t_l)
+        if mag == 0.0:
+            zeros_in_row += 1
+            if zeros_in_row >= 2:
+                return math.fsum(terms), len(terms)
+            prev = 0.0
+            continue
+        zeros_in_row = 0
+        if l >= 3 and prev > 0.0:
+            r = mag / prev
+            if r < 1.0:
+                tail = mag * r / (1.0 - r)
+                partial = abs(math.fsum(terms))
+                if tail <= max(finite_temperature._SERIES_TAIL_TOL * partial, 1e-300):
+                    return math.fsum(terms), len(terms)
+        prev = mag
+    return None
+
+
+@pytest.mark.parametrize("series, max_terms", [
+    (lambda l: 0.5**l, None),
+    (lambda l: math.exp(-3.0 * l), None),
+    (lambda l: 1.0 if l == 1 else 0.0, None),
+    (lambda l: 1.0 / (l + 1.0), 10),
+    (lambda l: 0.99**l, None),
+    (lambda l: (-0.5) ** l, None),
+], ids=["half", "exp3", "exact-zeros", "budget", "slow", "alternating"])
+def test_pert_sum_matches_sequential_rule(series, max_terms, monkeypatch):
+    # The scalar l-sum of the delta_0 / a expansions: the geometric tail
+    # from l = 3, two zeros in a row and the term budget, read in order.
+    if max_terms is not None:
+        monkeypatch.setattr(finite_temperature, "_MAX_TERMS", max_terms)
+    asked = []
+
+    def term(l):
+        asked.append(l)
+        return series(l)
+
+    expected = _sequential_pert_sum(series)
+    if expected is None:
+        with pytest.raises(RuntimeError, match="did not converge"):
+            finite_temperature._pert_sum(term)
+        assert asked == list(range(1, max_terms + 1))
+        return
+    value, n = expected
+    assert finite_temperature._pert_sum(term) == value
+    assert asked == list(range(1, n + 1))
+
+
+def test_pert_sum_values():
+    q = math.exp(-3.0)
+    assert finite_temperature._pert_sum(lambda l: 0.5**l) == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert finite_temperature._pert_sum(lambda l: q**l) == pytest.approx(
+        q / (1.0 - q), rel=1e-12, abs=0
+    )
+    assert finite_temperature._pert_sum(lambda l: 1.0 if l == 1 else 0.0) == 1.0
 
 
 def test_ideal_pert_matches_closed_difference():
     # with no material the expansion must reproduce E(T) - E(0) exactly
     for a, T in ((1e-6, 300.0), (1e-3, 1.0)):
         expected = ideal_energy_T(a, T) - ideal_closed_forms(a)[0]
-        assert delta_T_energy_pert(a, T) == pytest.approx(expected, rel=1e-6)
+        assert delta_T_energy_pert(a, T) == pytest.approx(expected, rel=1e-6, abs=0)
 
 
 def test_ideal_pert_plus_e0_is_the_closed_series_to_roundoff_below_half_t_eff():
@@ -260,7 +329,7 @@ def test_ideal_pert_plus_e0_is_the_closed_series_to_roundoff_below_half_t_eff():
 def test_ideal_force_pert_matches_direct_difference(ideal_model):
     a, T = 1e-6, 300.0
     direct = force_ppT(a, T, ideal_model).value - ideal_closed_forms(a)[1]
-    assert delta_T_force_pert(a, T) == pytest.approx(direct, rel=1e-6)
+    assert delta_T_force_pert(a, T) == pytest.approx(direct, rel=1e-6, abs=0)
 
 
 def test_pert_corrections_negative(aluminum):
@@ -342,43 +411,55 @@ def _step(a, T):
     return 2.0 * math.pi * T / effective_temperature(a)
 
 
+def _bound_stop(terms, observable, step, rel_tol=1e-9):
+    """The stop rule of a term-by-term sum, one term at a time: the first L
+    whose tail bound B(L) is within rel_tol / 2 of the primed partial sum
+    S_L of ``terms``, or None."""
+    n_pow = 1 if observable is energy_ppT else 2
+    partial = 0.0
+    for L, t in enumerate(terms):
+        partial += 0.5 * t if L == 0 else t
+        if finite_temperature._tail_bound(n_pow, step, L) <= 0.5 * rel_tol * partial:
+            return L
+    return None
+
+
 @pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
 def test_batched_matsubara_sum_matches_per_term_integrals(
     observable, monkeypatch, aluminum, plasma_lifshitz, y_integral
 ):
     # Oracle: one y integral per Matsubara index, the integrand written
-    # out, summed with the observable's stop rule.  The Lifshitz formalism
+    # out, summed up to the first L where the ideal metal's bound on the
+    # rest is within rel_tol / 2 of the partial sum.  The Lifshitz formalism
     # makes the static l = 0 term non-zero.  The step lies just above the
-    # tail threshold, so the sum runs term by term, its first block of l
-    # from one engine call.
+    # tail threshold, so the sum runs term by term, in at most two engine
+    # calls: the ideal force stops where the first ends, and the material
+    # part of the energy, 4% of the ideal metal's, needs the second.
     a, T = 1e-6, 36.0
     step = _step(a, T)
     assert step >= finite_temperature._TAIL_STEP_MAX
     integrand = _mode_integrand(plasma_lifshitz, aluminum, a, observable is energy_ppT)
-    results = []
-
-    def term(l):
-        xi = step * l
-        results.append(y_integral(lambda y: integrand(xi, y), xi))
-        return results[-1].value
-
-    first_stop = math.ceil(finite_temperature._STOP_XI / step)
-    total = quadrature._sum_primed(lambda ls: [term(l) for l in ls], first_stop)
-    n = total.evaluations
-    assert n > 128 and results[0].value != 0.0
-    calls = []
+    results = [
+        y_integral(lambda y, xi=step * l: integrand(xi, y), step * l)
+        for l in range(math.ceil(40.0 / step) + 1)
+    ]
+    L = _bound_stop([r.value for r in results], observable, step)
+    assert L is not None and results[0].value != 0.0
+    total = math.fsum([0.5 * results[0].value, *(r.value for r in results[1:L + 1])])
+    handed = []
     engine = finite_temperature._integrate_y_batch
 
-    def counted_engine(*args, **kwargs):
-        calls.append(1)
-        return engine(*args, **kwargs)
+    def counted_engine(f, lowers, config):
+        handed.append(len(lowers))
+        return engine(f, lowers, config)
 
     monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
     obs = observable(a, T, plasma_lifshitz, aluminum)
-    assert obs.value == pytest.approx(_from_sum(observable, a, T, total.value), rel=1e-13)
+    n = sum(handed)
+    assert obs.value == pytest.approx(_from_sum(observable, a, T, total), rel=1e-13, abs=0)
     assert obs.quadrature.evaluations == n + sum(r.evaluations for r in results[:n])
-    assert obs.quadrature.converged == all(r.converged for r in results[:n])
-    assert len(calls) <= math.ceil(n / 64) + 2
+    assert obs.quadrature.converged == all(r.converged for r in results[:L + 1])
+    assert len(handed) == (2 if observable is energy_ppT else 1) and n >= L + 1
 
 
 @pytest.mark.parametrize("energy", [False, True], ids=["force", "energy"])
@@ -455,7 +536,7 @@ def test_tail_matches_exact_primed_sum(observable, model, points):
         exact = _exact_primed(observable, model, material, a, T)
         obs = observable(a, T, model, material)
         assert obs.quadrature.converged
-        assert obs.value == pytest.approx(exact, rel=1e-11)
+        assert obs.value == pytest.approx(exact, rel=1e-11, abs=0)
         assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
 
 
@@ -481,14 +562,17 @@ def test_tail_matches_the_term_by_term_sum_at_30_nm(observable, formalism, kind,
     # Below 100 nm the tail path is farthest from its accuracy at 1 um: at
     # 30 nm and step 0.18, just under the threshold, it differs from the
     # term-by-term sum by up to 1.26e-11 relative (plasma-approx Lifshitz
-    # force), 0.011 of its error estimate.
+    # force), 0.013 of its error estimate.  The term-by-term reference runs
+    # at rel_tol 1e-11: it stops once the ideal metal's bound on its tail
+    # is within rel_tol / 2 of the sum, and at the default rel_tol the
+    # energies' true tails come to 0.998 of that bound.
     model = ImpedanceModel(kind, formalism)
     a = 3e-8
     T = _T_at_step(a, 0.18)
     assert _step(a, T) < finite_temperature._TAIL_STEP_MAX
     tail = observable(a, T, model, ALUMINUM)
     monkeypatch.setattr(finite_temperature, "_TAIL_STEP_MAX", 0.0)
-    term_by_term = observable(a, T, model, ALUMINUM)
+    term_by_term = observable(a, T, model, ALUMINUM, QuadratureConfig(rel_tol=1e-11))
     assert tail.quadrature.converged and term_by_term.quadrature.converged
     assert abs(tail.value - term_by_term.value) <= tail.quadrature.abs_error_estimate
 
@@ -503,7 +587,7 @@ def test_tail_error_estimate_holds_at_tight_tolerance(observable, aluminum, plas
     T = _T_at_step(a, 0.18)
     exact = _exact_primed(observable, plasma_impedance, aluminum, a, T, config)
     obs = observable(a, T, plasma_impedance, aluminum, config)
-    assert obs.value == pytest.approx(exact, rel=1e-11)
+    assert obs.value == pytest.approx(exact, rel=1e-11, abs=0)
     assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
     assert not obs.quadrature.converged
 
@@ -529,12 +613,10 @@ def test_tail_wedge_below_the_dip_stops_at_its_second_halving(aT, aluminum):
 )
 def test_term_by_term_sum_does_not_stop_at_the_plasma_dip(a, T, aluminum):
     # The plasma-approx Lifshitz terms at 150 nm dip almost to zero at
-    # xi = w_p = 19 and rise again.  A sum that stopped in the dip was off by
-    # 8.7e-10 relative, 2.6 to 3.6 times its error estimate.  At 280 nm and
-    # step 0.5 the dip, w_p = 35.5, lies just below xi = 36 and the terms
-    # still rise at the first stop L = ceil(36 / step) = 73 (rounding puts
-    # 36 / step just above 72), so the tail test fails there and the sum
-    # goes on, 3 terms past L.
+    # xi = w_p = 19 and rise again; at 280 nm the dip, w_p = 35.5, lies
+    # past the stop.  A sum that stopped on the ratio of its terms in the
+    # dip was off by 8.7e-10 relative, 2.6 to 3.6 times its error estimate.
+    # The ideal metal's bound holds in and past a dip alike.
     assert _step(a, T) >= finite_temperature._TAIL_STEP_MAX
     model = ImpedanceModel(ImpedanceKind.PLASMA_APPROX, Formalism.LIFSHITZ)
     exact = _exact_primed(force_ppT, model, aluminum, a, T)
@@ -545,10 +627,10 @@ def test_term_by_term_sum_does_not_stop_at_the_plasma_dip(a, T, aluminum):
 
 def test_tail_threshold_sits_at_the_cost_crossover(monkeypatch, aluminum, plasma_impedance):
     # Hardware-independent reason for the split: the head and tail cost a
-    # fixed 16,911 integrand points, the term-by-term sum, which runs at
-    # least to xi = 36, about 4,600 / step.  Below the threshold the tail is
-    # cheaper, from step 0.27 up the sum (17,010 points at 0.27, 15,246 at
-    # 0.3).
+    # fixed 16,911 integrand points, the term-by-term sum, which stops on
+    # the ideal metal's bound near xi = 26, about 3,350 / step.  Up to the
+    # threshold the tail is cheaper (17,640 term-by-term points at 0.19),
+    # from step 0.2 up the sum (16,758 points at 0.2, 11,214 at 0.3).
     assert 0.12 < finite_temperature._TAIL_STEP_MAX < 0.25
     a = 1e-6
     tail, exact = math.inf, 0.0  # thresholds that force each path
@@ -557,21 +639,100 @@ def test_tail_threshold_sits_at_the_cost_crossover(monkeypatch, aluminum, plasma
         monkeypatch.setattr(finite_temperature, "_TAIL_STEP_MAX", threshold)
         return force_ppT(a, _T_at_step(a, step), plasma_impedance, aluminum).quadrature.evaluations
 
-    assert points(0.12, tail) < points(0.12, exact)
-    for step in (0.3, 1.65):
+    for step in (0.12, 0.19):
+        assert points(step, tail) < points(step, exact)
+    for step in (0.2, 0.3, 1.65):
         assert points(step, exact) < points(step, tail)
 
 
+def _ideal_term(n, xi):
+    """b(xi) = 2 int_xi^inf y^n / (e^y - 1) dy, the ideal metal's energy
+    (n = 1) or force (n = 2) term, from its k series 2 S_k e^(-k xi) p_k(xi)
+    cut where e^(-k xi) < e^-40; at xi = 0 it is 2 n! zeta(n + 1)."""
+    if xi == 0.0:
+        return math.pi**2 / 3.0 if n == 1 else 4.0 * quadrature._ZETA_3
+    k = np.arange(1, math.ceil(40.0 / xi) + 2)
+    p = xi / k + 1.0 / k**2 if n == 1 else xi**2 / k + 2.0 * xi / k**2 + 2.0 / k**3
+    return 2.0 * math.fsum((np.exp(-k * xi) * p).tolist())
+
+
+_BOUND_XI = np.concatenate([[0.0, 0.05, 0.25, 1.0], np.linspace(2.5, 80.0, 32)])
+
+
+@pytest.mark.parametrize("a", [1e-9, 3e-8, 1e-6, 1e-4, 1e-2])
+@pytest.mark.parametrize("observable, model, points", _tail_cases())
+def test_every_matsubara_term_lies_under_the_ideal_metal_bound(observable, model, points, a):
+    # Both reflection factors lie in [0, 1], so each term the sum integrates
+    # lies in [0, b(xi)], b the ideal metal's term; the stop rule rests on
+    # it.  Every (kind, formalism) pair that runs at T > 0, 1 nm to 1 cm,
+    # xi from 0 (the static term) to 80, each term within its y error.
+    energy = observable is energy_ppT
+    kind = ObservableKind.ENERGY_PER_AREA if energy else ObservableKind.FORCE_PER_AREA
+    material = None if model.kind is ImpedanceKind.IDEAL_METAL else ALUMINUM
+    g = _integrand(((kind, model),), a, material, ideal=False, static=True)
+    values, errors, _, _ = quadrature._integrate_y_batch(
+        lambda xi, y: g(xi, y)[0], _BOUND_XI, quadrature.DEFAULT_CONFIG
+    )
+    n = 1 if energy else 2
+    bound = np.array([_ideal_term(n, xi) for xi in _BOUND_XI.tolist()])
+    assert np.all(values + errors >= 0.0)
+    assert np.all(values - errors <= bound * (1.0 + quadrature._ROUNDOFF))
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["energy", "force"])
+@pytest.mark.parametrize("step", [0.19, 0.5, 1.65, 5.0, 40.0])
+def test_tail_bound_covers_the_ideal_terms_summed_to_xi_200(n, step):
+    # B(L) >= S_{l > L} b(xi_l), the sum taken term by term to xi = 200,
+    # for every L with xi_L <= 80.
+    terms = [_ideal_term(n, step * l) for l in range(math.ceil(200.0 / step) + 1)]
+    for L in range(int(80.0 / step) + 1):
+        assert finite_temperature._tail_bound(n, step, L) >= math.fsum(terms[L + 1:])
+
+
+def _sweep_slice():
+    """Two cases of ``tests/matsubara_stop_sweep.py`` per (kind, formalism,
+    observable, rel_tol), their separation and step rotated through the
+    sweep's lists."""
+    groups = {}
+    for case in sweep.cases():
+        key = (case.kind, case.formalism, case.observable, case.rel_tol)
+        groups.setdefault(key, []).append(case)
+    for g, group in enumerate(groups.values()):
+        for j in range(2):
+            case = group[(g * 7 + j * len(group) // 2 + j * 3) % len(group)]
+            yield pytest.param(case, id=case.label().replace(" ", ""))
+
+
+@pytest.mark.parametrize("case", _sweep_slice())
+def test_term_by_term_sum_meets_its_gates(case):
+    # A stratified slice of the sweep: the reported truncation bounds the
+    # true tail (the same terms to xi = 80), |value - ref| is within the
+    # estimate (ref from terms at rel_tol 1e-13), and at the default
+    # rel_tol the sum takes no more points than the former ratio stop on
+    # the same terms.  A sum may come back unconverged only where the
+    # former stop did too: some plasma Lifshitz terms hit the y rule's level
+    # cap at rel_tol 1e-12.
+    out = sweep.run(case)
+    assert out.converged or not out.former_converged
+    assert out.tail_over_bound <= 1.0
+    assert out.err_over_estimate <= 1.0
+    if case.rel_tol == 1e-9:
+        assert out.points <= out.former_points
+
+
 @pytest.mark.parametrize("step", [0.3, 1.0, 1.65, 5.5, 800.0])
-def test_term_by_term_sum_takes_one_integrand_call(step, monkeypatch, aluminum, plasma_impedance):
-    # Hardware-independent cost guard for the term-by-term side.  The sum
-    # runs to the first index with xi >= 36, where every measured sum passes
-    # its tail test, so one y-rule call gets exactly those terms, also when that is
-    # fewer than 16: every term handed to the y rule is counted, also at
-    # step 800, where all terms but l = 0 underflow to zero.  The y
-    # rule's first pass evaluates every node in one integrand call, and at
-    # the default tolerance no term needs a later level.
-    handed, integrand_calls, points = [], [], []
+@pytest.mark.parametrize("kind", [ImpedanceKind.IDEAL_METAL, ImpedanceKind.PLASMA_EXACT])
+def test_term_by_term_sum_takes_one_integrand_call(step, kind, monkeypatch, aluminum):
+    # Hardware-independent cost guard for the term-by-term side.  The y rule
+    # gets exactly the terms to the bound's stop L: in one call for the
+    # ideal force, whose terms are the bound, and in at most two for the
+    # plasma force, whose sum is 92% of the ideal metal's.  Every term handed
+    # to the y rule is counted, also at step 800, where all terms but
+    # l = 0 underflow to zero and the sum stops at L = 0 after a first call
+    # that runs to l = 1.  The y rule's first pass evaluates every node in
+    # one integrand call, and at the default tolerance no term needs a
+    # later level.
+    handed, terms, integrand_calls, points = [], [], [], []
     engine = finite_temperature._integrate_y_batch
 
     def counted_engine(f, lowers, config):
@@ -583,24 +744,34 @@ def test_term_by_term_sum_takes_one_integrand_call(step, monkeypatch, aluminum, 
             points.append(np.broadcast(xi, y).size)
             return f(xi, y)
 
-        return engine(counted, lowers, config)
+        out = engine(counted, lowers, config)
+        terms.extend(out[0].tolist())
+        return out
 
     monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
     a = 1e-6
-    obs = force_ppT(a, _T_at_step(a, step), plasma_impedance, aluminum)
+    model = ImpedanceModel(kind, Formalism.IMPEDANCE)
+    obs = force_ppT(a, _T_at_step(a, step), model, aluminum)
     assert obs.quadrature.converged
-    assert handed == [max(3, math.ceil(finite_temperature._STOP_XI / step)) + 1]
-    assert integrand_calls == [1]
-    assert obs.quadrature.evaluations == handed[0] + sum(points)
+    L = _bound_stop(terms, force_ppT, step)
+    assert sum(handed) == max(L, 1) + 1
+    assert len(handed) <= (1 if kind is ImpedanceKind.IDEAL_METAL else 2)
+    assert L <= max(3, math.ceil(36.0 / step))  # the former stop at xi = 36
+    assert integrand_calls == [1] * len(handed)
+    assert obs.quadrature.evaluations == sum(handed) + sum(points)
 
 
-def test_term_by_term_sum_goes_on_past_a_slow_tail(monkeypatch, aluminum, plasma_impedance):
-    # Terms I(xi) = exp(-xi/8) still decay slowly at xi = 36: the sum fails
-    # its tail test at L, where its first engine call ends, and goes on in
-    # further calls until the geometric tail is negligible.
-    def slow_integrand(*args, **kwargs):
-        return lambda xi, y: (np.exp(xi - y - xi / 8.0),)
-
+def test_term_by_term_sum_extends_once_for_terms_far_below_the_bound(
+    monkeypatch, aluminum, plasma_impedance, ideal_model
+):
+    # Terms at 1e-6 of the ideal force's lie under the bound but far below
+    # it: the first engine call ends where the ideal force stops, which
+    # leaves a tail near rel_tol / 2 of the ideal sum, 1e6 times the target
+    # of this one.  The second call runs to the L that the first partial
+    # sum demands, and the reported truncation bounds the true tail.
+    a, step = 1e-6, 1.0
+    T = _T_at_step(a, step)
+    exact = 1e-6 * _exact_primed(force_ppT, ideal_model, None, a, T)
     handed = []
     engine = finite_temperature._integrate_y_batch
 
@@ -608,16 +779,19 @@ def test_term_by_term_sum_goes_on_past_a_slow_tail(monkeypatch, aluminum, plasma
         handed.append(len(lowers))
         return engine(f, lowers, config)
 
-    monkeypatch.setattr(finite_temperature, "_integrand", slow_integrand)
+    def scaled_integrand(*args, **kwargs):
+        return lambda xi, y: (2e-6 * y * y / np.expm1(y),)
+
     monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
-    a, step = 1e-6, 1.0
-    T = _T_at_step(a, step)
+    force_ppT(a, T, ideal_model)
+    (ideal_terms,) = handed
+    handed.clear()
+    monkeypatch.setattr(finite_temperature, "_integrand", scaled_integrand)
     obs = force_ppT(a, T, plasma_impedance, aluminum)
-    r = math.exp(-step / 8.0)
     assert obs.quadrature.converged
-    assert obs.value == pytest.approx(_from_sum(force_ppT, a, T, 1.0 / (1.0 - r) - 0.5), rel=1e-9)
-    assert handed[0] == math.ceil(finite_temperature._STOP_XI / step) + 1
-    assert len(handed) > 1
+    assert len(handed) == 2 and handed[0] == ideal_terms
+    assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
+    assert abs(obs.value / exact - 1.0) < 1e-9
 
 
 def test_tail_reports_a_non_finite_integrand_where_it_was_evaluated(
@@ -684,4 +858,4 @@ def test_plates_approach_zero_temperature_continuously(
             assert gaps[-1] < 1e-7
             assert gaps[1] < 1e-2 * gaps[0]
     ideal = ideal_closed_forms(a)[1] + delta_T_force_pert(a, 1e-3)
-    assert force_ppT(a, 1e-3, ideal_model).value == pytest.approx(ideal, rel=1e-9)
+    assert force_ppT(a, 1e-3, ideal_model).value == pytest.approx(ideal, rel=1e-9, abs=0)

@@ -1,4 +1,4 @@
-"""Quadrature engine, Matsubara summation, and the special-function helpers."""
+"""Quadrature engine and the special-function helpers."""
 
 import math
 import os
@@ -31,7 +31,6 @@ from casimir_impedance.quadrature import (
     DEFAULT_CONFIG,
     _integrate_y_batch,
     _level_ordered,
-    _sum_primed,
 )
 from casimir_impedance.zero_temperature import force_bracket
 
@@ -240,32 +239,6 @@ def test_wedge_trim_below_x_1e_8_is_negligible(lower, monkeypatch):
     assert diff <= 1e-14 * abs(full.value) and diff <= trimmed.abs_error_estimate
 
 
-def test_matsubara_prime_weight():
-    # term(l) = x^l: 0.5 + x / (1 - x)
-    res = _sum_primed(lambda l: 0.5**l, 3)
-    assert res.converged
-    assert res.value == pytest.approx(1.5, rel=1e-12)
-
-
-def test_matsubara_exponential_terms():
-    q = math.exp(-3.0)
-    res = _sum_primed(lambda ls: np.exp(-3.0 * ls), 3)
-    assert res.value == pytest.approx(0.5 + q / (1.0 - q), rel=1e-12)
-
-
-def test_matsubara_stops_on_exact_zeros():
-    res = _sum_primed(lambda ls: np.where(ls == 1, 1.0, 0.0), 3)
-    assert res.converged
-    assert res.value == 1.0
-    assert res.evaluations <= 5
-
-
-def test_matsubara_budget_exhaustion(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_TERMS", 10)
-    res = _sum_primed(lambda l: 1.0 / (l + 1.0), 3)
-    assert not res.converged
-
-
 def test_config_validation():
     with pytest.raises(ValueError, match="rel_tol"):
         QuadratureConfig(rel_tol=0.0)
@@ -353,72 +326,6 @@ def test_dilog_values():
     )
     with pytest.raises(ValueError, match="0 <= x <= 1"):
         dilog(1.5)
-
-
-def _sequential_primed_sum(term):
-    """Reference: one scalar term at a time, exact sum at every ratio test."""
-    terms = [0.5 * float(term(0))]
-    prev = 0.0
-    tail = math.inf
-    converged = False
-    zeros_in_row = 0
-    for l in range(1, quadrature._MAX_TERMS + 1):
-        t_l = float(term(l))
-        terms.append(t_l)
-        mag = abs(t_l)
-        if mag == 0.0:
-            zeros_in_row += 1
-            if zeros_in_row >= 2:
-                tail = 0.0
-                converged = True
-                break
-            prev = 0.0
-            continue
-        zeros_in_row = 0
-        if l >= 3 and prev > 0.0:
-            r = mag / prev
-            if r < 1.0:
-                tail = mag * r / (1.0 - r)
-                partial = abs(math.fsum(terms))
-                if tail <= max(quadrature._SERIES_TAIL_TOL * partial, 1e-300):
-                    converged = True
-                    break
-        prev = mag
-    value = math.fsum(terms)
-    return (value, float(tail) if math.isfinite(tail) else abs(value),
-            len(terms), converged)
-
-
-@pytest.mark.parametrize("series, max_terms", [
-    (lambda l: 0.5**l, None),
-    (lambda l: math.exp(-3.0 * l), None),
-    (lambda l: 1.0 if l == 1 else 0.0, None),
-    (lambda l: 1.0 / (l + 1.0), 10),
-    (lambda l: 0.99**l, None),
-    (lambda l: (-0.5) ** l, None),
-], ids=["half", "exp3", "exact-zeros", "budget", "slow", "alternating"])
-def test_blocked_stop_rule_matches_sequential_rule(series, max_terms, monkeypatch):
-    if max_terms is not None:
-        monkeypatch.setattr(quadrature, "_MAX_TERMS", max_terms)
-    blocks = []
-
-    def terms(ls):
-        blocks.append(ls.tolist())
-        return [series(l) for l in ls.tolist()]
-
-    res = _sum_primed(terms, 3)
-    value, tail, n, converged = _sequential_primed_sum(series)
-    assert (res.value, res.abs_error_estimate, res.evaluations, res.converged) == (
-        value, tail, n, converged)
-    # Consecutive capped blocks from l = 0, none begun past the stopping
-    # index (the slow series stops near l = 2,750, after 47 blocks).
-    assert sum(blocks, []) == list(range(len(sum(blocks, []))))
-    assert blocks[-1][0] < n and max(map(len, blocks)) <= 64
-
-
-def test_matsubara_terms_must_return_one_value_per_index():
-    with pytest.raises(ValueError, match="one value per l"):
-        _sum_primed(lambda ls: 1.0, 3)
 
 
 def _nodes(h):
