@@ -191,7 +191,8 @@ def _evaluate(
     """The components of f(xi, y), each broadcast to the points of xi and
     y, and whether f returns a tuple of them rather than one array; of a
     tuple, those at the indices ``keep`` (all when None).  A non-finite
-    value raises an IntegrandError that names its (xi, y)."""
+    value raises an IntegrandError that names its (xi, y); a component is
+    searched only if its sum is not finite, as any NaN or inf makes it."""
     shape = np.broadcast_shapes(xi.shape, y.shape)
     with np.errstate(all="ignore"):
         out = f(xi, y)
@@ -202,15 +203,14 @@ def _evaluate(
         out = [out[i] for i in keep]
     values = []
     for v in out:
-        v = np.broadcast_to(np.asarray(v, dtype=float), shape)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            k = np.unravel_index(int(np.argmax(bad)), shape)
+        v = np.asarray(v, dtype=float)
+        if not math.isfinite(v.sum()) and not np.isfinite(v).all():
+            k = np.unravel_index(int(np.argmax(~np.isfinite(np.broadcast_to(v, shape)))), shape)
             at_xi = float(np.broadcast_to(xi, shape)[k])
             at_y = float(np.broadcast_to(y, shape)[k])
             message = f"integrand returned non-finite value at (xi={at_xi!r}, y={at_y!r})"
             raise IntegrandError(message)
-        values.append(v)
+        values.append(np.broadcast_to(v, shape))
     return values, many
 
 

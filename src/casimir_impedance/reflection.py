@@ -15,11 +15,12 @@ The two prescriptions coincide on the light cone y = xi, and their difference
 off the cone is exactly the deviation this package quantifies.
 
 Each formula exists once, as a private function of checked arguments: Z of a
-kind from its scale w_p or sigma_r, the running factors and the static
-(xi = 0) factors.  The public ``impedance``, ``reflection_factors`` and
-``static_reflection_factors`` check their arguments and call them;
-``_plate_factors`` resolves a model at one separation once, for the plate
-integrand, and checks only the points of each call.
+kind from its scale w_p or sigma_r, the running factors (both computed in
+place) and the static (xi = 0) factors.  The public ``impedance``,
+``reflection_factors`` and ``static_reflection_factors`` check their
+arguments and call them; ``_plate_factors`` resolves a model at one
+separation once, for the plate integrand, and checks only the points of
+each call, by reductions.
 """
 
 from __future__ import annotations
@@ -79,29 +80,36 @@ def _scale(kind: ImpedanceKind, a: float, material: Material | None):
     return 2.0 * a * rate / CODATA.c
 
 
-def _impedance(kind: ImpedanceKind, xi, scale):
-    """Z at xi >= 0 of a kind other than the ideal metal, from its ``_scale``."""
+def _impedance(kind: ImpedanceKind, xi: np.ndarray, scale):
+    """Z at xi >= 0 of a kind other than the ideal metal from its ``_scale``, in place."""
+    Z = np.empty(xi.shape)
     if kind is ImpedanceKind.PLASMA_EXACT:
-        return xi / np.sqrt(scale * scale + xi * xi)
+        np.sqrt(np.add(scale * scale, np.multiply(xi, xi, out=Z), out=Z), out=Z)
+        return np.divide(xi, Z, out=Z)
     if kind is ImpedanceKind.PLASMA_APPROX:
-        return xi / scale
+        return np.divide(xi, scale, out=Z)
     if kind is ImpedanceKind.NORMAL_SKIN:
-        return np.sqrt(xi / (4.0 * np.pi * scale))
+        return np.sqrt(np.divide(xi, 4.0 * np.pi * scale, out=Z), out=Z)
     raise ValueError(f"unknown impedance kind {kind!r}")  # pragma: no cover
 
 
-def _check_xi(xi) -> None:
-    if np.any(xi < 0.0):
-        raise ValueError("reduced frequency xi must be >= 0")
-
-
-def _check_points(Zs, y, xi) -> None:
-    for Z in Zs:
-        if np.any(Z < 0.0):
-            raise ValueError("impedance must be >= 0 on the imaginary axis")
-    if np.any(xi < 0.0) or np.any(y < 0.0):
-        raise ValueError("reduced variables must be >= 0")
-    if np.any(y < xi):
+def _check_points(xi, Zs=(), y=None) -> None:
+    """Check xi >= 0, each Z >= 0, y >= 0 and y >= xi, in that order, by
+    reductions: y >= xi compares the least y along the axes where xi is
+    broadcast with the largest xi along those where y is.  A NaN fails no
+    check, as it fails no comparison."""
+    checks = [(xi, "reduced frequency xi must be >= 0")]
+    checks += [(Z, "impedance must be >= 0 on the imaginary axis") for Z in Zs]
+    for v, message in checks + ([] if y is None else [(y, "reduced variables must be >= 0")]):
+        if np.fmin.reduce(v, axis=None, initial=np.inf) < 0.0:
+            raise ValueError(message)
+    if y is None:
+        return
+    n = max(xi.ndim, y.ndim)
+    xi, y = (v.reshape((1,) * (n - v.ndim) + v.shape) for v in (xi, y))
+    axes = [tuple(i for i in range(n) if v.shape[i] == 1) for v in (xi, y)]
+    lo = np.fmin.reduce(y, axis=axes[0], keepdims=True, initial=np.inf)
+    if np.less(lo, np.fmax.reduce(xi, axis=axes[1], keepdims=True, initial=-np.inf)).any():
         raise ValueError("domain requires y >= xi")
 
 
@@ -123,7 +131,7 @@ def impedance(kind: ImpedanceKind, xi, a: float, material: Material | None = Non
     """
     scale = _scale(kind, a, material)
     xi = np.asarray(xi, dtype=float)
-    _check_xi(xi)
+    _check_points(xi)
     if scale is None:
         out = np.zeros(xi.shape)
     else:
@@ -131,31 +139,39 @@ def impedance(kind: ImpedanceKind, xi, a: float, material: Material | None = Non
     return float(out) if out.ndim == 0 else out
 
 
-def _guarded_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num/den with the 0/0 corners resolved to 0 (vanishing numerator wins)."""
-    out = np.zeros(np.broadcast(num, den).shape)
-    mask = num != 0.0
-    if out.ndim == 0:
-        return num / den if mask else out
-    np.divide(num, den, out=out, where=mask)
-    return out
+def _ratios(num, *dens):
+    """num/den written into each den, 0 where num is (the 0/0 corners)."""
+    with np.errstate(invalid="ignore"):
+        for den in dens:
+            np.divide(num, den, out=den)
+    zero = num == 0.0
+    for den in dens:
+        den[zero] = 0.0
+    return dens
 
 
 def _factors(Z, y, xi, formalism: Formalism):
-    """(x_par, x_perp) at checked points."""
+    """(x_par, x_perp) at checked points, each step written into new arrays."""
+    shape = np.broadcast_shapes(Z.shape, y.shape, xi.shape)
+    num, x_par, x_perp = np.empty(shape), np.empty(shape), np.empty(shape)
     if formalism is Formalism.IMPEDANCE:
-        num = 4.0 * xi * y * Z
-        return (
-            _guarded_ratio(num, np.square(y + xi * Z)),
-            _guarded_ratio(num, np.square(xi + y * Z)),
-        )
+        # num = 4 xi y Z; x_par = (y + xi Z)^2; x_perp = (xi + y Z)^2.
+        np.multiply(np.multiply(np.multiply(4.0, xi, out=num), y, out=num), Z, out=num)
+        np.square(np.add(y, np.multiply(xi, Z, out=x_par), out=x_par), out=x_par)
+        np.square(np.add(xi, np.multiply(y, Z, out=x_perp), out=x_perp), out=x_perp)
+        return _ratios(num, x_par, x_perp)
     if formalism is Formalism.LIFSHITZ:
-        s = np.sqrt(np.square(xi) + (np.square(y) - np.square(xi)) * np.square(Z))
-        num = 4.0 * y * Z * s
-        return (
-            _guarded_ratio(num, np.square(y + Z * s)),
-            _guarded_ratio(num, np.square(y * Z + s)),
-        )
+        # s = sqrt(xi^2 + (y^2 - xi^2) Z^2), xi^2 in num, y^2 and Z^2 in x_par.
+        s = np.empty(shape)
+        xi2 = np.square(xi, out=num)
+        np.subtract(np.square(y, out=x_par), xi2, out=s)
+        np.multiply(s, np.square(Z, out=x_par), out=s)
+        np.sqrt(np.add(xi2, s, out=s), out=s)
+        # num = 4 y Z s; x_par = (y + Z s)^2; x_perp = (y Z + s)^2.
+        np.multiply(np.multiply(np.multiply(4.0, y, out=num), Z, out=num), s, out=num)
+        np.square(np.add(y, np.multiply(Z, s, out=x_par), out=x_par), out=x_par)
+        np.square(np.add(np.multiply(y, Z, out=x_perp), s, out=x_perp), out=x_perp)
+        return _ratios(num, x_par, x_perp)
     raise ValueError(f"unknown formalism {formalism!r}")  # pragma: no cover
 
 
@@ -172,7 +188,7 @@ def reflection_factors(Z, y, xi, formalism: Formalism = Formalism.IMPEDANCE):
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    _check_points((Z,), y, xi)
+    _check_points(xi, (Z,), y)
     x_par, x_perp = _factors(Z, y, xi, formalism)
     if x_par.ndim == 0:
         return float(x_par), float(x_perp)
@@ -191,7 +207,7 @@ def _static_factors(model: ImpedanceModel, y: np.ndarray, scale):
     zeros = np.zeros_like(y)
     if model.kind in (ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX):
         q = scale if model.formalism is Formalism.IMPEDANCE else np.hypot(y, scale)
-        return zeros, _guarded_ratio(4.0 * y * q, np.square(y + q))
+        return zeros, *_ratios(4.0 * y * q, np.asarray(np.square(y + q)))
     if model.kind is ImpedanceKind.IDEAL_METAL or model.formalism is Formalism.IMPEDANCE:
         return zeros, zeros.copy()
     raise ValueError(_NO_STATIC_LIMIT)
@@ -236,9 +252,10 @@ def _plate_factors(
 
     Each call checks its points once, as :func:`impedance` and
     :func:`reflection_factors` do, with their messages, and computes Z once
-    per kind.  The ideal metal's factors are the scalars (0.0, 0.0), so a
-    bracket of them is computed once per value of y.  With ``static=True``
-    points at xi = 0 take the static factors.
+    per kind.  Every model gets factor arrays of its own, which the caller
+    may overwrite.  The ideal metal's are zeros of y's shape, so a bracket
+    of them is computed once per value of y.  With ``static=True`` points
+    at xi = 0 take the static factors.
     """
     kinds = []
     for model in models:
@@ -250,9 +267,9 @@ def _plate_factors(
     static = static and any(scale is not None for scale in scales)
 
     def factors(xi: np.ndarray, y: np.ndarray):
-        _check_xi(xi)
-        Zs = [0.0 if s is None else _impedance(kind, xi, s) for kind, s in zip(kinds, scales)]
-        _check_points(Zs, y, xi)
+        with np.errstate(invalid="ignore"):  # at a negative xi, rejected next
+            Zs = [None if s is None else _impedance(kind, xi, s) for kind, s in zip(kinds, scales)]
+        _check_points(xi, [Z for Z in Zs if Z is not None], y)
         at = ()
         if static:
             zero = xi == 0.0
@@ -265,7 +282,7 @@ def _plate_factors(
         out = []
         for k, model in plan:
             if scales[k] is None:
-                out.append((0.0, 0.0))
+                out.append((np.zeros(y.shape), np.zeros(y.shape)))
                 continue
             x_par, x_perp = _factors(Zs[k], y, xi, model.formalism)
             if at:

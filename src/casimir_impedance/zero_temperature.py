@@ -114,17 +114,33 @@ def energy_bracket(x_par, x_perp, y, ideal: bool = True):
     With ``ideal=False`` the ideal-metal part 2 ln(1 - e^-y) is left out,
     leaving the material-dependent logarithms alone.
     """
-    em1 = np.expm1(y)
-    logs = np.log1p(x_par / em1)
-    if ideal:
-        logs = 2.0 * log1mexp(y) + logs
-    return logs + np.log1p(x_perp / em1)
+    return _bracket(True, *_owned(x_par, x_perp, y), y, ideal)[()]
 
 
 def force_bracket(x_par, x_perp, y):
     """Mode-sum bracket of the force integrand (both polarizations)."""
+    return _bracket(False, *_owned(x_par, x_perp, y), y)[()]
+
+
+def _owned(x_par, x_perp, y):
+    """Copies of the factors at the points' shape, for a bracket to write into."""
+    return [np.array(x, dtype=float) for x in np.broadcast_arrays(x_par, x_perp, y)[:2]]
+
+
+def _bracket(energy: bool, x_par, x_perp, y, ideal: bool = True):
+    """The energy or force bracket, written into the arrays x_par (returned) and x_perp."""
     em1 = np.expm1(y)
-    return (1.0 - x_par) / (em1 + x_par) + (1.0 - x_perp) / (em1 + x_perp)
+    if energy:
+        np.log1p(np.divide(x_par, em1, out=x_par), out=x_par)
+        if ideal:
+            np.add(2.0 * log1mexp(y), x_par, out=x_par)
+        np.log1p(np.divide(x_perp, em1, out=x_perp), out=x_perp)
+    else:
+        den = np.add(em1, x_par, out=np.empty(x_par.shape))
+        np.divide(np.subtract(1.0, x_par, out=x_par), den, out=x_par)
+        np.add(em1, x_perp, out=den)
+        np.divide(np.subtract(1.0, x_perp, out=x_perp), den, out=x_perp)
+    return np.add(x_par, x_perp, out=x_par)
 
 
 def _integrand(
@@ -147,11 +163,13 @@ def _integrand(
     per value of y, and the impedance once per value of xi: the wedge passes
     y as a column, the y rule xi.  The ideal metal's factors are 0, so its
     whole integrand is a function of y, one value per row of the wedge.
-    Every point gets the bits it gets from flat arrays and with no other
-    request.  ``ideal=False`` drops the ideal-metal part of the energy
-    bracket, which the finite-temperature closed series carries.  With
-    ``static=True`` points at xi = 0 take the models' static reflection
-    factors, for the l = 0 Matsubara term; the wedges never evaluate there.
+    A request writes its values into its model's factors, or into copies
+    if a later request reads them.  Every point gets the bits it gets from
+    flat arrays and with no other request.  ``ideal=False`` drops the
+    ideal-metal part of the energy bracket, which the finite-temperature
+    closed series carries.  With ``static=True`` points at xi = 0 take the
+    models' static reflection factors, for the l = 0 Matsubara term; the
+    wedges never evaluate there.
     """
     # The unique models in order, by comparison: hashing a model costs more.
     models = []
@@ -159,16 +177,20 @@ def _integrand(
         if model not in models:
             models.append(model)
     factors = _plate_factors(models, a, material, static)
+    index = [models.index(model) for _, model in requests]
     brackets = [
-        (kind is ObservableKind.ENERGY_PER_AREA, models.index(model)) for kind, model in requests
+        (kind is ObservableKind.ENERGY_PER_AREA, m, m in index[i + 1:])
+        for i, ((kind, _), m) in enumerate(zip(requests, index))
     ]
 
     def g(xi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
         fs = factors(xi, y)
-        return tuple([
-            y * energy_bracket(*fs[m], y, ideal) if energy else y * y * force_bracket(*fs[m], y)
-            for energy, m in brackets
-        ])
+        out = []
+        for energy, m, shared in brackets:
+            pair = [x.copy() for x in fs[m]] if shared else fs[m]
+            b = _bracket(energy, *pair, y, ideal)
+            out.append(np.multiply(y if energy else y * y, b, out=b))
+        return tuple(out)
 
     return g
 

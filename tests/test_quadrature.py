@@ -38,19 +38,19 @@ from casimir_impedance.zero_temperature import force_bracket
 def test_y_rule_from_zero(y_integral):
     res = y_integral(lambda y: y * np.exp(-y), 0.0)
     assert res.converged
-    assert res.value == pytest.approx(1.0, rel=1e-12)
+    assert res.value == pytest.approx(1.0, rel=1e-12, abs=0)
     assert abs(res.value - 1.0) <= res.abs_error_estimate
 
 
 def test_y_rule_offset_lower_bound(y_integral):
     # int_a^inf y e^-y dy = (1 + a) e^-a
     res = y_integral(lambda y: y * np.exp(-y), 2.0)
-    assert res.value == pytest.approx(3.0 * math.exp(-2.0), rel=1e-12)
+    assert res.value == pytest.approx(3.0 * math.exp(-2.0), rel=1e-12, abs=0)
 
 
 def test_y_rule_cubic_moment(y_integral):
     res = y_integral(lambda y: y**3 * np.exp(-y), 0.0)
-    assert res.value == pytest.approx(6.0, rel=1e-11)
+    assert res.value == pytest.approx(6.0, rel=1e-11, abs=0)
 
 
 def test_y_rule_rejects_negative_lower(y_integral):
@@ -82,6 +82,37 @@ def test_integrate_xi_y_nonfinite_integrand_names_both_coordinates(points):
     assert float(re.search(r"y=([-+.\deE]+)", str(info.value)).group(1)) > 1.0
 
 
+def test_wedge_names_a_single_nan_among_its_first_pass():
+    # The values are searched only when their sum is not finite, and a NaN
+    # makes it so: one NaN among the 12,375 values of the first pass is
+    # named at its (xi, y).
+    y, u, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
+
+    def f(xi, y):
+        out = np.exp(-y) * np.ones_like(xi)
+        out[50, 60] = np.nan
+        return out
+
+    with pytest.raises(IntegrandError) as info:
+        integrate_xi_y(f)
+    assert str(info.value) == (
+        f"integrand returned non-finite value at (xi={float(u[60] * y[50])!r}, y={float(y[50])!r})"
+    )
+
+
+def test_finite_values_whose_sum_overflows_are_not_rejected():
+    # Finite values near the largest double overflow their sum; no value is
+    # non-finite, so the rules return the overflowed integral unconverged.
+    def f(xi, y):
+        return np.full(np.broadcast_shapes(xi.shape, y.shape), 1e308)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = integrate_xi_y(f)
+        values, _, _, converged = _integrate_y_batch(f, np.array([0.0, 1.0]), DEFAULT_CONFIG)
+    assert res.value == math.inf and not res.converged
+    assert (values == math.inf).all() and not converged.any()
+
+
 def test_y_rule_deterministic(y_integral):
     f = lambda y: y**2 / np.expm1(y + 1e-9)
     a = y_integral(f, 0.0)
@@ -93,7 +124,7 @@ def test_wedge_integral_ideal_mode_density():
     # int_0^inf dxi int_xi^inf 2 y ln(1 - e^-y) dy = -4 zeta(4)
     res = integrate_xi_y(lambda xi, y: 2.0 * y * log1mexp(y))
     assert res.converged
-    assert res.value == pytest.approx(-4.0 * _ZETA_4, rel=1e-9)
+    assert res.value == pytest.approx(-4.0 * _ZETA_4, rel=1e-9, abs=0)
 
 
 def test_wedge_integral_exponential():
@@ -101,7 +132,7 @@ def test_wedge_integral_exponential():
     # xi_0 it gives e^-xi_0
     for lower in (0.0, 2.5):
         res = integrate_xi_y(lambda xi, y: np.exp(-y) * np.ones_like(xi), lower=lower)
-        assert res.value == pytest.approx(math.exp(-lower), rel=1e-10)
+        assert res.value == pytest.approx(math.exp(-lower), rel=1e-10, abs=0)
 
 
 def _plate_integrand(kind, a):
@@ -139,7 +170,7 @@ def test_wedge_rule_stops_unconverged_at_its_level_cap():
 
     res = integrate_xi_y(step)
     assert not res.converged
-    assert res.value == pytest.approx(0.5, rel=2e-2)
+    assert res.value == pytest.approx(0.5, rel=2e-2, abs=0)
     assert res.evaluations == sum(sizes) == 794_523
     assert max(sizes) <= quadrature._EVAL_MAX
 
@@ -259,9 +290,9 @@ def test_log1mexp_branches():
     assert abs(lo - hi) < 1e-11
     # both branches round-trip through exp
     for y in (1e-12, 1e-6, 0.1, 0.693, 0.694, 5.0, 30.0):
-        assert math.exp(log1mexp(y)) == pytest.approx(-math.expm1(-y), rel=1e-13)
+        assert math.exp(log1mexp(y)) == pytest.approx(-math.expm1(-y), rel=1e-13, abs=0)
     # large argument: naive log(1 - exp(-y)) would round to 0
-    assert log1mexp(40.0) == pytest.approx(-math.exp(-40.0), rel=1e-10)
+    assert log1mexp(40.0) == pytest.approx(-math.exp(-40.0), rel=1e-10, abs=0)
 
 
 def test_log1mexp_vectorized():
@@ -314,15 +345,15 @@ def test_package_runs_without_scipy():
 
 def test_zeta_4_is_one_ulp_above_its_rounded_closed_form():
     # pi**4 / 90 rounds twice and lands one ulp below zeta(4).
-    assert _ZETA_4 == pytest.approx(math.pi**4 / 90.0, rel=1e-15)
+    assert _ZETA_4 == pytest.approx(math.pi**4 / 90.0, rel=1e-15, abs=0)
     assert _ZETA_4 == math.nextafter(math.pi**4 / 90.0, math.inf)
 
 
 def test_dilog_values():
     assert dilog(0.0) == 0.0
-    assert dilog(1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-14)
+    assert dilog(1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-14, abs=0)
     assert dilog(0.5) == pytest.approx(
-        math.pi**2 / 12.0 - 0.5 * math.log(2.0) ** 2, rel=1e-14
+        math.pi**2 / 12.0 - 0.5 * math.log(2.0) ** 2, rel=1e-14, abs=0
     )
     with pytest.raises(ValueError, match="0 <= x <= 1"):
         dilog(1.5)

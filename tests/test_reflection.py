@@ -126,7 +126,7 @@ def test_static_factors_impedance_formalism():
     xi = np.array([1e-12, 1e-14])
     Z = impedance(ImpedanceKind.NORMAL_SKIN, xi, A, ALUMINUM)
     x_perp = reflection_factors(Z, 2.0, xi)[1]
-    assert x_perp[0] / x_perp[1] == pytest.approx(10.0, rel=1e-3)
+    assert x_perp[0] / x_perp[1] == pytest.approx(10.0, rel=1e-3, abs=0)
 
 
 def test_static_factors_lifshitz_plasma():

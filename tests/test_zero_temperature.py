@@ -1,5 +1,6 @@
 """Zero-temperature observables: closed forms, quadrature routes, deviations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,19 +23,21 @@ from casimir_impedance import (
     reflection_factors,
     static_reflection_factors,
 )
-from casimir_impedance import quadrature, zero_temperature
+from casimir_impedance import quadrature, reflection, zero_temperature
 from casimir_impedance.quadrature import DEFAULT_CONFIG
 from casimir_impedance.zero_temperature import _integrand, energy_bracket, force_bracket
+
+import expression_kernel as frozen
 
 
 def test_ideal_closed_forms():
     a = 1e-6
     e, f = ideal_closed_forms(a)
     hc = CODATA.hbar * CODATA.c
-    assert e == pytest.approx(-math.pi**2 * hc / (720.0 * a**3), rel=1e-15)
-    assert f == pytest.approx(-math.pi**2 * hc / (240.0 * a**4), rel=1e-15)
+    assert e == pytest.approx(-math.pi**2 * hc / (720.0 * a**3), rel=1e-15, abs=0)
+    assert f == pytest.approx(-math.pi**2 * hc / (240.0 * a**4), rel=1e-15, abs=0)
     # F = -dE/da holds exactly for the power laws
-    assert f == pytest.approx(3.0 * e / a, rel=1e-15)
+    assert f == pytest.approx(3.0 * e / a, rel=1e-15, abs=0)
     with pytest.raises(ValueError, match="positive"):
         ideal_closed_forms(0.0)
 
@@ -58,8 +61,8 @@ def test_ideal_quadrature_matches_closed_form(ideal_model):
     e_closed, f_closed = ideal_closed_forms(a)
     e = energy_pp0(a, ideal_model)
     f = force_pp0(a, ideal_model)
-    assert e.value == pytest.approx(e_closed, rel=1e-9)
-    assert f.value == pytest.approx(f_closed, rel=1e-9)
+    assert e.value == pytest.approx(e_closed, rel=1e-9, abs=0)
+    assert f.value == pytest.approx(f_closed, rel=1e-9, abs=0)
     assert e.quadrature.converged and f.quadrature.converged
 
 
@@ -67,7 +70,7 @@ def test_lifshitz_ideal_matches_closed_form():
     a = 5e-7
     model = ImpedanceModel(ImpedanceKind.IDEAL_METAL, Formalism.LIFSHITZ)
     e = energy_pp0(a, model)
-    assert e.value == pytest.approx(ideal_closed_forms(a)[0], rel=1e-9)
+    assert e.value == pytest.approx(ideal_closed_forms(a)[0], rel=1e-9, abs=0)
 
 
 def test_observable_metadata(aluminum, plasma_impedance, fast_config):
@@ -101,7 +104,7 @@ def test_force_is_energy_gradient(aluminum, plasma_impedance, fast_config):
     e_hi = energy_pp0(a + h, plasma_impedance, aluminum, fast_config).value
     e_lo = energy_pp0(a - h, plasma_impedance, aluminum, fast_config).value
     f = force_pp0(a, plasma_impedance, aluminum, fast_config).value
-    assert f == pytest.approx(-(e_hi - e_lo) / (2.0 * h), rel=1e-3)
+    assert f == pytest.approx(-(e_hi - e_lo) / (2.0 * h), rel=1e-3, abs=0)
 
 
 def test_sphere_plate_mapping(aluminum, plasma_impedance, fast_config):
@@ -109,9 +112,9 @@ def test_sphere_plate_mapping(aluminum, plasma_impedance, fast_config):
     e = energy_pp0(a, plasma_impedance, aluminum, fast_config)
     f_sp = force_sphere0(a, R, plasma_impedance, aluminum, fast_config)
     assert f_sp.kind is ObservableKind.SPHERE_PLATE_FORCE
-    assert f_sp.value == pytest.approx(2.0 * math.pi * R * e.value, rel=1e-14)
+    assert f_sp.value == pytest.approx(2.0 * math.pi * R * e.value, rel=1e-14, abs=0)
     f_sp2 = force_sphere0(a, 2.0 * R, plasma_impedance, aluminum, fast_config)
-    assert f_sp2.value == pytest.approx(2.0 * f_sp.value, rel=1e-14)
+    assert f_sp2.value == pytest.approx(2.0 * f_sp.value, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("T", [0.0, 300.0])
@@ -141,14 +144,14 @@ def _deviation(observable, kind, a, material, config):
 def test_deviation_pins_at_100nm(aluminum, fast_config):
     # frozen values for Al at a = 100 nm, both formalisms fully converged
     d_f = _deviation(force_pp0, ImpedanceKind.PLASMA_EXACT, 1e-7, aluminum, fast_config)
-    assert d_f == pytest.approx(4.635e-3, rel=2e-3)
+    assert d_f == pytest.approx(4.635e-3, rel=2e-3, abs=0)
     d_e = _deviation(energy_pp0, ImpedanceKind.PLASMA_EXACT, 1e-7, aluminum, fast_config)
-    assert d_e == pytest.approx(3.0933e-3, rel=2e-3)
+    assert d_e == pytest.approx(3.0933e-3, rel=2e-3, abs=0)
 
 
 def test_deviation_approx_kind(aluminum, fast_config):
     d_e = _deviation(energy_pp0, ImpedanceKind.PLASMA_APPROX, 1e-7, aluminum, fast_config)
-    assert d_e == pytest.approx(3.030e-3, rel=2e-3)
+    assert d_e == pytest.approx(3.030e-3, rel=2e-3, abs=0)
 
 
 def test_deviation_shrinks_with_separation(aluminum, fast_config):
@@ -162,11 +165,11 @@ def test_normal_skin_corrections(aluminum):
     e, f = normal_skin_pert0(a, aluminum)
     e0, f0 = ideal_closed_forms(a)
     root = math.sqrt(CODATA.c / (aluminum.sigma * a))
-    assert 1.0 - e / e0 == pytest.approx(1.6578e-3, rel=1e-3)
-    assert 1.0 - f / f0 == pytest.approx(1.9341e-3, rel=1e-3)
+    assert 1.0 - e / e0 == pytest.approx(1.6578e-3, rel=1e-3, abs=0)
+    assert 1.0 - f / f0 == pytest.approx(1.9341e-3, rel=1e-3, abs=0)
     # the coefficients multiplying sqrt(c/(sigma a))
-    assert (1.0 - e / e0) / root == pytest.approx(1.656273, rel=1e-5)
-    assert (1.0 - f / f0) / root == pytest.approx(1.932318, rel=1e-5)
+    assert (1.0 - e / e0) / root == pytest.approx(1.656273, rel=1e-5, abs=0)
+    assert (1.0 - f / f0) / root == pytest.approx(1.932318, rel=1e-5, abs=0)
 
 
 def test_normal_skin_domain(aluminum):
@@ -225,7 +228,7 @@ def _normal_skin_oracle(energy, a, n):
 @pytest.mark.parametrize("energy", [True, False], ids=["energy", "force"])
 def test_normal_skin_matches_graded_oracle(aluminum, a, energy):
     oracle = _normal_skin_oracle(energy, a, 24)
-    assert _normal_skin_oracle(energy, a, 16) == pytest.approx(oracle, rel=1e-15)
+    assert _normal_skin_oracle(energy, a, 16) == pytest.approx(oracle, rel=1e-15, abs=0)
     op = energy_pp0 if energy else force_pp0
     ob = op(a, ImpedanceModel(ImpedanceKind.NORMAL_SKIN), aluminum)
     assert ob.quadrature.converged
@@ -417,6 +420,85 @@ def test_resolved_integrand_gives_the_public_formulas_bits(kind, formalism, kind
         assert np.array_equal(np.broadcast_to(g(xi, y), y_b.shape), expected)
 
 
+def _rule_shapes():
+    """(xi, y, static) of the 99 x 125 first pass of the T = 0 wedge (y a
+    column), the 36 x 125 first pass of a y-rule batch at step 0.37 (xi a
+    column, l = 0 its static row) and 2,000 flat points with y >= xi."""
+    y, u, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
+    yield u * y[:, None], y[:, None], False
+    lowers = 0.37 * np.arange(36)[:, None]
+    yield lowers, lowers + quadrature._y_nodes(2)[0], True
+    rng = np.random.default_rng(7)
+    yy = 10.0 ** rng.uniform(-8.0, 2.0, 2000)
+    yield yy * rng.uniform(0.0, 1.0, 2000), yy, False
+
+
+def _bits_equal(got, want, shape):
+    return np.broadcast_to(got, shape).tobytes() == np.broadcast_to(want, shape).tobytes()
+
+
+@pytest.mark.parametrize("kind, formalism", [(k, f) for k in ImpedanceKind for f in Formalism])
+def test_in_place_integrand_gives_the_expression_forms_bits(kind, formalism):
+    # The kernel writes its factors and brackets into arrays it owns; every
+    # bit equals that of the same operations written as expressions
+    # (tests/expression_kernel.py), alone and in the CLI's groupings, where
+    # a model's factors serve several requests and are overwritten by the
+    # last.
+    model, material = ImpedanceModel(kind, formalism), ALUMINUM
+    a = 1e-3 if kind is ImpedanceKind.NORMAL_SKIN else 1e-6
+    groupings = [((_E, model),), ((_F, model),), ((_F, model), (_E, model), (_F, model))]
+    groupings += [requests for requests in _cli_groupings() if (_E, model) in requests]
+    groupings += [requests for requests in _cli_groupings() if (_F, model) in requests]
+    for requests in groupings:
+        # Normal skin has no static term under the Lifshitz formalism.
+        has_static = all(
+            (m.kind, m.formalism) != (ImpedanceKind.NORMAL_SKIN, Formalism.LIFSHITZ)
+            for _, m in requests
+        )
+        for ideal in (True, False):
+            for xi, y, static in _rule_shapes():
+                static = static and has_static
+                got = _integrand(requests, a, material, ideal=ideal, static=static)(xi, y)
+                want = frozen.plate_integrand(requests, a, material, ideal, static)(xi, y)
+                shape = np.broadcast_shapes(xi.shape, y.shape)
+                assert len(got) == len(want) == len(requests)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and _bits_equal(g, w, shape), (requests, ideal)
+
+
+@pytest.mark.parametrize("formalism", list(Formalism))
+def test_public_kernel_gives_the_expression_bits_and_leaves_its_arguments(formalism):
+    # The public impedance, factors and brackets run the in-place kernel on
+    # arrays of their own: read-only arguments stay untouched, and the bits
+    # are those of the expressions, for arrays and for scalars.
+    model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT, formalism)
+    kinds = [kind for kind in ImpedanceKind if kind is not ImpedanceKind.IDEAL_METAL]
+    for (xi, y, _), kind in itertools.product(_rule_shapes(), kinds):
+        xi, y = (np.array(v) for v in np.broadcast_arrays(xi, y))
+        xi.flags.writeable = y.flags.writeable = False
+        Z = impedance(kind, xi, 1e-6, ALUMINUM)
+        scale = reflection._scale(kind, 1e-6, ALUMINUM)
+        assert _bits_equal(Z, frozen.impedance(kind, xi, scale), y.shape)
+        Z.flags.writeable = False
+        factors = reflection_factors(Z, y, xi, formalism)
+        expected = frozen.factors(Z, y, xi, formalism)
+        assert all(_bits_equal(f, e, y.shape) for f, e in zip(factors, expected))
+        for v in factors:
+            v.flags.writeable = False
+        for ideal in (True, False):
+            got = energy_bracket(*factors, y, ideal)
+            assert _bits_equal(got, frozen.energy_bracket(*factors, y, ideal), y.shape)
+        assert _bits_equal(force_bracket(*factors, y), frozen.force_bracket(*factors, y), y.shape)
+    static = static_reflection_factors(model, y, 1e-6, ALUMINUM)
+    scale = reflection._scale(model.kind, 1e-6, ALUMINUM)
+    expected = frozen.static_factors(model, y, scale)
+    assert all(_bits_equal(s, e, y.shape) for s, e in zip(static, expected))
+    scalars = reflection_factors(0.3, 2.0, 0.5, formalism)
+    assert scalars == tuple(float(v) for v in frozen.factors(0.3, 2.0, 0.5, formalism))
+    assert energy_bracket(*scalars, 2.0) == frozen.energy_bracket(*scalars, 2.0)
+    assert force_bracket(*scalars, 2.0) == frozen.force_bracket(*scalars, 2.0)
+
+
 @pytest.mark.parametrize("op", [force_pp0, energy_pp0])
 @pytest.mark.parametrize("kind", [ImpedanceKind.IDEAL_METAL, ImpedanceKind.PLASMA_EXACT])
 def test_ideal_metal_wedge_integrand_is_one_value_per_row(op, kind, monkeypatch):
@@ -463,6 +545,61 @@ def test_plate_integrand_checks_its_model_and_its_points(kind, kind_of):
     ):
         with pytest.raises(ValueError, match=message):
             g(xi, yy)
+    # One bad point deep inside a call shaped as the wedge's and one shaped
+    # as the y rule's fails, alone and with a NaN in its row; the fourth
+    # message, of Z, comes from the same check in reflection_factors.
+    for xi, yy, Z, message in _bad_points():
+        with pytest.raises(ValueError, match=message):
+            if Z is None:
+                g(xi, yy)
+            else:
+                reflection_factors(Z, yy, xi)
+    # A NaN fails no check: its value comes back NaN, for the rule to name.
+    for xi, yy, at in _rule_points():
+        (xi if xi.shape[1] > 1 else yy)[at] = np.nan
+        (out,) = g(xi, yy)
+        if kind is not ImpedanceKind.IDEAL_METAL:
+            assert np.isnan(out[at]) and np.isnan(out).sum() == 1
+
+
+def _rule_points():
+    """Writable (xi, y, a point deep inside) of the wedge's and the y
+    rule's first passes of ``_rule_shapes``."""
+    for (xi, y, _), at in zip(_rule_shapes(), ((50, 60), (20, 60))):
+        yield np.array(xi), np.array(y), at
+
+
+def _bad_points():
+    """(xi, y, Z, message) with one point of a rule-shaped call out of the
+    domain, without and with a NaN in its row; Z is None but for the
+    impedance message, where it has xi's shape."""
+    for nan in (False, True):
+        for case in range(4):
+            for xi, y, at in _rule_points():
+                wedge = xi.shape[1] > 1
+                col = (at[0], 0)
+                Z = None
+                if nan:
+                    (xi if wedge else y)[at[0], 100] = np.nan
+                if case == 0:
+                    xi[at if wedge else col] = -0.1
+                    message = "reduced frequency xi must be >= 0"
+                elif case == 1:
+                    y[col if wedge else at] = -1.0
+                    message = "reduced variables must be >= 0"
+                elif case == 2:
+                    if wedge:
+                        xi[at] = 2.0 * y[col]
+                    else:
+                        y[at] = 0.5 * xi[col]
+                    message = "domain requires y >= xi"
+                else:
+                    Z = np.full(xi.shape, 0.5)
+                    Z[at if wedge else col] = -0.1
+                    if nan and wedge:
+                        Z[at[0], 100] = np.nan
+                    message = "impedance must be >= 0 on the imaginary axis"
+                yield xi, y, Z, message
 
 
 _E, _F = ObservableKind.ENERGY_PER_AREA, ObservableKind.FORCE_PER_AREA
