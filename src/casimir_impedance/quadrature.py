@@ -39,8 +39,9 @@ share the points: each component keeps its own level sums and stop test
 and is frozen once it has converged (no longer checked, summed or
 counted), so it gets bit for bit the result it would get alone, and the
 wedge returns one result per component.  The node tables of both rules
-are built once per level and shared, read-only, by every call.  The
-special functions need numpy alone.
+are built once per level and shared, read-only, by every call; the
+wedge's holds xi = u y too, which at lower = 0 its integrand gets as
+read-only slices.  The special functions need numpy alone.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def _integrate_y_batch(
     x, w, n_even = _y_nodes(2)
     wv = _y_weighted_values(f, lowers, x, w)
     even, new = wv[:, :n_even], wv[:, n_even:]
-    total, total_abs = even.sum(axis=1), np.abs(even).sum(axis=1)
+    total, total_abs = even.sum(axis=1), np.abs(even, out=even).sum(axis=1)
     previous = _DE_H0 / 2 * total
     evaluations = np.full(lowers.size, x.size)
     value, error = np.empty(lowers.size), np.empty(lowers.size)
@@ -284,7 +285,7 @@ def _integrate_y_batch(
             new = _y_weighted_values(f, lowers[active], x, w)
             evaluations[active] += new.shape[1]
         total[active] += new.sum(axis=1)
-        total_abs[active] += np.abs(new).sum(axis=1)
+        total_abs[active] += np.abs(new, out=new).sum(axis=1)
         v = h * total[active]
         value[active] = v
         error[active] = np.abs(v - previous[active])
@@ -298,44 +299,41 @@ def _integrate_y_batch(
 
 
 @functools.cache
-def _wedge_table(
-    level: int, t_lo: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _wedge_table(level: int, t_lo: float) -> tuple[np.ndarray, ...]:
     """The wedge rule's nodes at step h = ``_DE_H0`` / 2**level, read-only:
     t from ``t_lo`` up and s, each ordered by the level at which a node
-    first appears.  Returns the rows y, the columns u, the weights
-    W = (y dy/dt) (du/ds) and, for each level 0 .. ``level``, how many rows
-    and columns it has: every coarser level is a leading block of the
-    table."""
+    first appears.  Returns the rows y, the points xi = u y and the weights
+    W = (y dy/dt) (du/ds) of the columns u, both rows by columns, and, for
+    each level 0 .. ``level``, how many rows and columns it has: every
+    coarser level is a leading block of the table."""
     h = _DE_H0 / 2**level
     (t, rows), (s, cols) = (
         _level_ordered(h, lo, hi, level)
         for lo, hi in ((t_lo, _DE_T_HI), (-_DE_S_MAX, _DE_S_MAX))
     )
     (y, dy), (u, du) = _exp_sinh(t), _tanh_sinh(s)
-    return _frozen(y, u, (y * dy)[:, None] * du, rows, cols)
+    return _frozen(y, u * y[:, None], (y * dy)[:, None] * du, rows, cols)
 
 
 def _wedge_values(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
+    xi: np.ndarray,
     y: np.ndarray,
-    u: np.ndarray,
     w: np.ndarray,
     lower: float,
     keep: list[int] | None = None,
 ) -> tuple[list[np.ndarray], bool]:
-    """w f(lower + u y, lower + y) on the rows y and the columns u, as
-    ``_evaluate`` gives them; ``f`` gets y as a column, one value per row
-    of xi, and sees at most ``_EVAL_MAX`` points per call."""
-    rows = max(1, _EVAL_MAX // u.size)
+    """w f(lower + xi, lower + y) on a block xi = u y of the node table and
+    its rows y, as ``_evaluate`` gives them; ``f`` gets y as a column and
+    at most ``_EVAL_MAX`` points per call, and xi read-only at lower = 0."""
+    rows = max(1, _EVAL_MAX // xi.shape[1])
     parts = []
     for start in range(0, y.size, rows):
-        yy = y[start:start + rows, None]
-        xi = u * yy
+        xx, yy = xi[start:start + rows], y[start:start + rows, None]
         if lower != 0.0:
             # Only when shifted: an unconditional add slows the T = 0 wedge.
-            xi, yy = xi + lower, yy + lower
-        values, many = _evaluate(f, xi, yy, keep)
+            xx, yy = xx + lower, yy + lower
+        values, many = _evaluate(f, xx, yy, keep)
         ws = w[start:start + rows]
         parts.append([ws * v for v in values])
     return [p[0] if len(parts) == 1 else np.concatenate(p) for p in zip(*parts)], many
@@ -386,26 +384,26 @@ def integrate_xi_y(
     component has its own level sums and stop test and, once converged, is
     no longer checked, summed or counted: it gets the bits it gets alone.
     """
-    y, u, w, rows, cols = _wedge_table(2, _WEDGE_T_LO)
-    first, many = _wedge_values(f, y, u, w, lower)
+    y, xi, w, rows, cols = _wedge_table(2, _WEDGE_T_LO)
+    first, many = _wedge_values(f, xi, y, w, lower)
     # Per component: total, absolute total, points and the levels T_k.
     sums = []
     for wf in first:
         levels = [(_DE_H0 / 2**k) ** 2 * float(wf[:rows[k], :cols[k]].sum()) for k in (0, 1)]
-        sums.append([float(wf.sum()), float(np.abs(wf).sum()), wf.size, levels])
+        sums.append([float(wf.sum()), float(np.abs(wf, out=wf).sum()), wf.size, levels])
     results: list[QuadratureResult | None] = [None] * len(first)
     open_ = list(range(len(first)))
     for level in range(2, _DE_LEVELS + 1):
         if level > 2:
-            y, u, w, rows, cols = _wedge_table(level, _WEDGE_T_LO)
+            y, xi, w, rows, cols = _wedge_table(level, _WEDGE_T_LO)
             old, old_cols = rows[-2], cols[-2]
             for block, _ in (
-                _wedge_values(f, y[old:], u, w[old:], lower, open_),
-                _wedge_values(f, y[:old], u[old_cols:], w[:old, old_cols:], lower, open_),
+                _wedge_values(f, xi[old:], y[old:], w[old:], lower, open_),
+                _wedge_values(f, xi[:old, old_cols:], y[:old], w[:old, old_cols:], lower, open_),
             ):
                 for i, new in zip(open_, block):
                     sums[i][0] += float(new.sum())
-                    sums[i][1] += float(np.abs(new).sum())
+                    sums[i][1] += float(np.abs(new, out=new).sum())
                     sums[i][2] += new.size
         h = _DE_H0 / 2**level
         for i in open_:

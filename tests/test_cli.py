@@ -51,9 +51,9 @@ def _run(spec):
 
 
 def test_parse_length_suffixes():
-    assert parse_length("100nm") == pytest.approx(1e-7, rel=1e-15)
-    assert parse_length("1.5um") == pytest.approx(1.5e-6, rel=1e-15)
-    assert parse_length("2mm") == pytest.approx(2e-3, rel=1e-15)
+    assert parse_length("100nm") == pytest.approx(1e-7, rel=1e-15, abs=0)
+    assert parse_length("1.5um") == pytest.approx(1.5e-6, rel=1e-15, abs=0)
+    assert parse_length("2mm") == pytest.approx(2e-3, rel=1e-15, abs=0)
     assert parse_length("1e-6") == 1e-6
     assert parse_length(2.5e-7) == 2.5e-7
 
@@ -67,8 +67,8 @@ def test_parse_length_errors_name_the_key():
 
 def test_parse_grid():
     lo, hi, count, log = parse_grid("100nm:10um:20:log")
-    assert lo == pytest.approx(1e-7, rel=1e-15)
-    assert hi == pytest.approx(1e-5, rel=1e-15)
+    assert lo == pytest.approx(1e-7, rel=1e-15, abs=0)
+    assert hi == pytest.approx(1e-5, rel=1e-15, abs=0)
     assert (count, log) == (20, True)
     lo, hi, count, log = parse_grid("1e-7:1e-6:5")
     assert (lo, hi, count, log) == (1e-7, 1e-6, 5, False)
@@ -104,7 +104,7 @@ def test_parse_config_key_value(tmp_path):
     )
     spec = parse_config(cfg)
     assert spec.command == "point"
-    assert spec.a == pytest.approx(1e-6)
+    assert spec.a == pytest.approx(1e-6, rel=1e-15, abs=0)
     assert spec.T == 300.0
 
 
@@ -113,7 +113,7 @@ def test_parse_config_json(tmp_path):
     cfg.write_text('{"command": "point", "model": "ideal", "a": "250nm"}')
     spec = parse_config(cfg)
     assert spec.model == "ideal"
-    assert spec.a == pytest.approx(2.5e-7)
+    assert spec.a == pytest.approx(2.5e-7, rel=1e-15, abs=0)
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -134,7 +134,7 @@ def test_flags_override_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("command=point\nmodel=ideal\na=1um\n")
     spec = parse_config(cfg, {"a": "2um", "material": None})
-    assert spec.a == pytest.approx(2e-6)
+    assert spec.a == pytest.approx(2e-6, rel=1e-15, abs=0)
 
 
 def test_validation_messages():
@@ -212,10 +212,10 @@ def test_point_ideal_values():
     rows = _rows(text)
     assert len(rows) == 3
     e0, f0 = ideal_closed_forms(1e-6)
-    assert rows[0][2] == 0.0 and rows[0][3] == pytest.approx(e0, rel=1e-8)
-    assert rows[1][2] == 1.0 and rows[1][3] == pytest.approx(f0, rel=1e-8)
+    assert rows[0][2] == 0.0 and rows[0][3] == pytest.approx(e0, rel=1e-8, abs=0)
+    assert rows[1][2] == 1.0 and rows[1][3] == pytest.approx(f0, rel=1e-8, abs=0)
     assert rows[2][2] == 2.0
-    assert rows[2][3] == pytest.approx(2.0 * math.pi * 1e-4 * rows[0][3], rel=1e-9)
+    assert rows[2][3] == pytest.approx(2.0 * math.pi * 1e-4 * rows[0][3], rel=1e-9, abs=0)
     assert all(row[5] == 1.0 for row in rows)
 
 
@@ -224,7 +224,7 @@ def test_point_thermal_ideal():
     status, text = _run(spec)
     rows = _rows(text)
     assert rows[0][1] == 300.0
-    assert rows[0][3] == pytest.approx(ideal_energy_T(1e-6, 300.0), rel=1e-12)
+    assert rows[0][3] == pytest.approx(ideal_energy_T(1e-6, 300.0), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -263,7 +263,7 @@ def test_thermal_ratio_output():
     (row,) = _rows(text)
     a_m, T_K, T_eff, e_ratio, f_ratio, err, conv = row
     assert (a_m, T_K, conv) == (1e-3, 1.0, 1.0)
-    assert T_eff == pytest.approx(1.1449, rel=1e-3)
+    assert T_eff == pytest.approx(1.1449, rel=1e-3, abs=0)
     assert e_ratio == pytest.approx(0.9999169, abs=2e-6)
     assert f_ratio == pytest.approx(0.9997448, abs=2e-6)
 
@@ -306,10 +306,10 @@ def test_coefficients_table():
     assert status == 0
     rows = _rows(text)
     assert [row[0] for row in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
-    assert rows[3][1] == pytest.approx(-87.131601, rel=1e-6)
-    assert rows[3][2] == pytest.approx(-94.651299, rel=1e-6)
-    assert rows[3][3] == pytest.approx(-22.498445, rel=1e-6)
-    assert rows[1][1] == rows[1][2] == rows[1][3] == pytest.approx(-16.0 / 3.0)
+    assert rows[3][1] == pytest.approx(-87.131601, rel=1e-6, abs=0)
+    assert rows[3][2] == pytest.approx(-94.651299, rel=1e-6, abs=0)
+    assert rows[3][3] == pytest.approx(-22.498445, rel=1e-6, abs=0)
+    assert rows[1][1] == rows[1][2] == rows[1][3] == pytest.approx(-16.0 / 3.0, rel=1e-6, abs=0)
 
 
 def test_figure1_curves_and_determinism():
@@ -337,8 +337,8 @@ def test_scan_run_twice_byte_identical():
     rows = _rows(first)
     assert len(rows) == 4
     e0, f0 = ideal_closed_forms(1e-7)
-    assert rows[0][1] == pytest.approx(e0, rel=1e-6)
-    assert rows[0][4] == pytest.approx(f0, rel=1e-6)
+    assert rows[0][1] == pytest.approx(e0, rel=1e-6, abs=0)
+    assert rows[0][4] == pytest.approx(f0, rel=1e-6, abs=0)
 
 
 def test_thermal_scan_rows_equal_the_library_on_a_linear_grid(capsys):
@@ -574,7 +574,7 @@ def test_main_merges_config_and_flags(tmp_path, capsys):
     status = cli.main(["point", "--config", str(cfg), "--a", "2um"])
     assert status == 0
     rows = _rows(capsys.readouterr().out)
-    assert rows[0][0] == pytest.approx(2e-6)
+    assert rows[0][0] == pytest.approx(2e-6, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])

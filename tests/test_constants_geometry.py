@@ -30,9 +30,9 @@ def test_aluminum_preset():
     assert ALUMINUM.omega_p == 1.9e16
     assert ALUMINUM.gamma == 9.6e13
     # sigma = omega_p^2 / (4 pi gamma), Gaussian units (rad/s)
-    assert ALUMINUM.sigma == pytest.approx(1.9e16**2 / (4 * math.pi * 9.6e13), rel=1e-14)
+    assert ALUMINUM.sigma == pytest.approx(1.9e16**2 / (4 * math.pi * 9.6e13), rel=1e-14, abs=0)
     # delta_0 = c / omega_p, about 15.8 nm
-    assert ALUMINUM.delta_0 == pytest.approx(1.5778550421052632e-08, rel=1e-12)
+    assert ALUMINUM.delta_0 == pytest.approx(1.5778550421052632e-08, rel=1e-12, abs=0)
 
 
 def test_material_validation():
@@ -56,12 +56,12 @@ def test_load_material_roundtrip(tmp_path):
 def test_effective_temperature_definition():
     a = 2.3e-6
     T_eff = effective_temperature(a)
-    assert CODATA.k_B * T_eff == pytest.approx(CODATA.hbar * CODATA.c / (2 * a), rel=1e-14)
+    assert CODATA.k_B * T_eff == pytest.approx(CODATA.hbar * CODATA.c / (2 * a), rel=1e-14, abs=0)
 
 
 def test_effective_temperature_millimeter():
     # the 1 mm gap sits near 1.145 K
-    assert effective_temperature(1e-3) == pytest.approx(1.145, rel=5e-3)
+    assert effective_temperature(1e-3) == pytest.approx(1.145, rel=5e-3, abs=0)
 
 
 def test_geometry_validation():

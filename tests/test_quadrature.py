@@ -86,7 +86,7 @@ def test_wedge_names_a_single_nan_among_its_first_pass():
     # The values are searched only when their sum is not finite, and a NaN
     # makes it so: one NaN among the 12,375 values of the first pass is
     # named at its (xi, y).
-    y, u, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
+    y, xi, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
 
     def f(xi, y):
         out = np.exp(-y) * np.ones_like(xi)
@@ -96,8 +96,29 @@ def test_wedge_names_a_single_nan_among_its_first_pass():
     with pytest.raises(IntegrandError) as info:
         integrate_xi_y(f)
     assert str(info.value) == (
-        f"integrand returned non-finite value at (xi={float(u[60] * y[50])!r}, y={float(y[50])!r})"
+        f"integrand returned non-finite value at (xi={float(xi[50, 60])!r}, y={float(y[50])!r})"
     )
+
+
+@pytest.mark.parametrize("lower", [0.0, 11.84])
+def test_an_integrand_that_writes_into_its_xi_leaves_the_node_table_intact(lower):
+    # At lower = 0 the wedge hands its integrand read-only slices of the
+    # cached xi = u y, so writing into them raises; a shifted wedge hands
+    # it xi + lower, an array of its own.  Either way the table keeps its
+    # values for the next call.
+    table = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)[1]
+    before = table.copy()
+
+    def f(xi, y):
+        xi *= 0.5
+        return np.exp(-y) * np.ones_like(xi)
+
+    if lower == 0.0:
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_xi_y(f)
+    else:
+        assert integrate_xi_y(f, lower=lower).converged
+    assert not table.flags.writeable and table.tobytes() == before.tobytes()
 
 
 def test_finite_values_whose_sum_overflows_are_not_rejected():

@@ -30,32 +30,36 @@ def test_shared_low_orders():
         c = coefficients(variant).c
         assert len(c) == 5
         assert c[0] == 1.0
-        assert c[1] == pytest.approx(-16.0 / 3.0, rel=1e-15)
-        assert c[2] == pytest.approx(24.0, rel=1e-15)
+        assert c[1] == pytest.approx(-16.0 / 3.0, rel=1e-15, abs=0)
+        assert c[2] == pytest.approx(24.0, rel=1e-15, abs=0)
 
 
 def test_closed_form_values():
     lp = coefficients(CoefficientVariant.LIFSHITZ_PLASMA).c
-    assert lp[3] == pytest.approx(-(640.0 / 7.0) * (1.0 - math.pi**2 / 210.0), rel=1e-14)
+    assert lp[3] == pytest.approx(-(640.0 / 7.0) * (1.0 - math.pi**2 / 210.0), rel=1e-14, abs=0)
     assert lp[4] == pytest.approx(
-        (2800.0 / 9.0) * (1.0 - 163.0 * math.pi**2 / 7350.0), rel=1e-14
+        (2800.0 / 9.0) * (1.0 - 163.0 * math.pi**2 / 7350.0), rel=1e-14, abs=0
     )
-    assert lp[3] == pytest.approx(-87.131601, rel=1e-6)
-    assert lp[4] == pytest.approx(243.016063, rel=1e-6)
+    assert lp[3] == pytest.approx(-87.131601, rel=1e-6, abs=0)
+    assert lp[4] == pytest.approx(243.016063, rel=1e-6, abs=0)
 
     ie = coefficients(CoefficientVariant.IMPEDANCE_EXACT).c
-    assert ie[3] == pytest.approx(-(640.0 / 7.0) * (1.0 + math.pi**2 / 280.0), rel=1e-14)
+    assert ie[3] == pytest.approx(-(640.0 / 7.0) * (1.0 + math.pi**2 / 280.0), rel=1e-14, abs=0)
     assert ie[4] == pytest.approx(
-        (2800.0 / 9.0) * (1.0 + 5.0 * math.pi**2 / 294.0), rel=1e-14
+        (2800.0 / 9.0) * (1.0 + 5.0 * math.pi**2 / 294.0), rel=1e-14, abs=0
     )
-    assert ie[3] == pytest.approx(-94.651299, rel=1e-6)
-    assert ie[4] == pytest.approx(363.331240, rel=1e-6)
+    assert ie[3] == pytest.approx(-94.651299, rel=1e-6, abs=0)
+    assert ie[4] == pytest.approx(363.331240, rel=1e-6, abs=0)
 
     ia = coefficients(CoefficientVariant.IMPEDANCE_APPROX).c
-    assert ia[3] == pytest.approx(-11520.0 / (7.0 * math.pi**4) * (Z3 + Z5 / 8.0), rel=1e-14)
-    assert ia[4] == pytest.approx(14000.0 / (3.0 * math.pi**4) * (Z3 + Z5 / 2.0), rel=1e-14)
-    assert ia[3] == pytest.approx(-22.498445, rel=1e-6)
-    assert ia[4] == pytest.approx(82.426567, rel=1e-6)
+    assert ia[3] == pytest.approx(
+        -11520.0 / (7.0 * math.pi**4) * (Z3 + Z5 / 8.0), rel=1e-14, abs=0
+    )
+    assert ia[4] == pytest.approx(
+        14000.0 / (3.0 * math.pi**4) * (Z3 + Z5 / 2.0), rel=1e-14, abs=0
+    )
+    assert ia[3] == pytest.approx(-22.498445, rel=1e-6, abs=0)
+    assert ia[4] == pytest.approx(82.426567, rel=1e-6, abs=0)
 
 
 def test_third_order_ordering():
@@ -73,7 +77,7 @@ def test_series_factor_polynomial():
     for variant in CoefficientVariant:
         c = coefficients(variant).c
         expected = sum(c[k] * d**k for k in range(5))
-        assert _series_factor(d, variant) == pytest.approx(expected, rel=1e-14)
+        assert _series_factor(d, variant) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_series_factor_domain():
@@ -110,14 +114,14 @@ def test_series_tracks_quadrature(aluminum, fast_config):
         aluminum, fast_config,
     ).value
     s_lif = series_force(a, aluminum, CoefficientVariant.LIFSHITZ_PLASMA)
-    assert s_lif == pytest.approx(f_lif, rel=1e-5)
+    assert s_lif == pytest.approx(f_lif, rel=1e-5, abs=0)
 
     f_imp = force_pp0(
         a, ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.IMPEDANCE),
         aluminum, fast_config,
     ).value
     s_imp = series_force(a, aluminum, CoefficientVariant.IMPEDANCE_EXACT)
-    assert s_imp == pytest.approx(f_imp, rel=5e-5)
+    assert s_imp == pytest.approx(f_imp, rel=5e-5, abs=0)
 
 
 def _series_deviation(a, material, config):
@@ -135,9 +139,9 @@ def test_deviation_pins(aluminum, fast_config):
     # 150 nm the ratio delta_0/a = 0.105 sits just past the warning edge
     with pytest.warns(UserWarning, match="exceeds"):
         dev = _series_deviation(1.5e-7, aluminum, fast_config)
-    assert dev == pytest.approx(-9.7017e-2, rel=1e-3)
+    assert dev == pytest.approx(-9.7017e-2, rel=1e-3, abs=0)
     dev = _series_deviation(1.2e-6, aluminum, fast_config)
-    assert dev == pytest.approx(-1.52e-4, rel=1e-2)
+    assert dev == pytest.approx(-1.52e-4, rel=1e-2, abs=0)
 
 
 def test_deviation_fades_at_large_separation(aluminum, fast_config):
@@ -155,7 +159,7 @@ def test_recover_coefficients_from_synthetic_samples(aluminum):
     assert fit.order == 4
     c = coefficients(CoefficientVariant.LIFSHITZ_PLASMA).c
     for est, ref in zip(fit.estimates, c):
-        assert est == pytest.approx(ref, rel=1e-6)
+        assert est == pytest.approx(ref, rel=1e-6, abs=0)
     assert fit.condition_number < 1e4
     assert fit.residual_norm < 1e-12
     assert len(fit.sensitivity) == 5
@@ -244,4 +248,4 @@ def _termwise_c3(sp, model):
 )
 def test_termwise_third_order_coefficient(model, reference):
     sp = pytest.importorskip("sympy")
-    assert _termwise_c3(sp, model) == pytest.approx(reference, rel=1e-12)
+    assert _termwise_c3(sp, model) == pytest.approx(reference, rel=1e-12, abs=0)

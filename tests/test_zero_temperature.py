@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from casimir_impedance import (
     QuadratureConfig,
     energy_pp0,
     force_pp0,
+    force_ppT,
     force_sphere0,
     ideal_closed_forms,
     impedance,
@@ -379,10 +381,10 @@ def test_integrand_on_factored_points_equals_its_flat_call(kind, formalism, kind
 def _first_passes():
     """(xi, y, static) on the first-pass nodes of the wedge, from lower 0 and
     1.7, and of the y rule, from lower bounds 0 (static) and step l."""
-    y, u, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
+    y, xi, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
     for lower in (0.0, 1.7):
         yy = y[:, None]
-        yield u * yy + lower, yy + lower, False
+        yield xi + lower, yy + lower, False
     x = quadrature._y_nodes(2)[0]
     for lowers, static in ((np.array([[0.0]]), True), (0.37 * np.arange(1, 6)[:, None], False)):
         yield lowers, lowers + x, static
@@ -424,13 +426,37 @@ def _rule_shapes():
     """(xi, y, static) of the 99 x 125 first pass of the T = 0 wedge (y a
     column), the 36 x 125 first pass of a y-rule batch at step 0.37 (xi a
     column, l = 0 its static row) and 2,000 flat points with y >= xi."""
-    y, u, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
-    yield u * y[:, None], y[:, None], False
+    y, xi, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
+    yield xi, y[:, None], False
     lowers = 0.37 * np.arange(36)[:, None]
     yield lowers, lowers + quadrature._y_nodes(2)[0], True
     rng = np.random.default_rng(7)
     yy = 10.0 ** rng.uniform(-8.0, 2.0, 2000)
     yield yy * rng.uniform(0.0, 1.0, 2000), yy, False
+
+
+def _kernel_shapes():
+    """``_rule_shapes`` and the other shapes the kernel meets: the shifted
+    wedge's first pass (lower = 32 * step at step 0.37, the
+    Euler-Maclaurin tail), both blocks of level 3 (its new rows against
+    every column, and the old rows against the new columns, a strided
+    slice of the node table), and flat points with exact zero numerators
+    (xi = 0, and xi = 5e-324, where a plasma Z rounds to 0; x_perp is 0/0
+    at both) and with a NaN among positive numerators alone."""
+    yield from _rule_shapes()
+    y, xi, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
+    lower = 32 * 0.37
+    yield xi + lower, y[:, None] + lower, False
+    y, xi, _, rows, cols = quadrature._wedge_table(3, quadrature._WEDGE_T_LO)
+    yield xi[rows[-2]:], y[rows[-2]:, None], False
+    yield xi[:rows[-2], cols[-2]:], y[:rows[-2], None], False
+    yy = np.geomspace(1e-3, 60.0, 200)
+    flat = yy * np.linspace(0.0, 1.0, 200)
+    flat[1::7], flat[3::7] = 0.0, 5e-324
+    yield flat, yy, False
+    flat = yy * np.linspace(0.01, 1.0, 200)
+    flat[57] = np.nan
+    yield flat, yy, False
 
 
 def _bits_equal(got, want, shape):
@@ -443,7 +469,7 @@ def test_in_place_integrand_gives_the_expression_forms_bits(kind, formalism):
     # bit equals that of the same operations written as expressions
     # (tests/expression_kernel.py), alone and in the CLI's groupings, where
     # a model's factors serve several requests and are overwritten by the
-    # last.
+    # last, on every shape the rules hand it (``_kernel_shapes``).
     model, material = ImpedanceModel(kind, formalism), ALUMINUM
     a = 1e-3 if kind is ImpedanceKind.NORMAL_SKIN else 1e-6
     groupings = [((_E, model),), ((_F, model),), ((_F, model), (_E, model), (_F, model))]
@@ -456,7 +482,7 @@ def test_in_place_integrand_gives_the_expression_forms_bits(kind, formalism):
             for _, m in requests
         )
         for ideal in (True, False):
-            for xi, y, static in _rule_shapes():
+            for xi, y, static in _kernel_shapes():
                 static = static and has_static
                 got = _integrand(requests, a, material, ideal=ideal, static=static)(xi, y)
                 want = frozen.plate_integrand(requests, a, material, ideal, static)(xi, y)
@@ -497,6 +523,51 @@ def test_public_kernel_gives_the_expression_bits_and_leaves_its_arguments(formal
     assert scalars == tuple(float(v) for v in frozen.factors(0.3, 2.0, 0.5, formalism))
     assert energy_bracket(*scalars, 2.0) == frozen.energy_bracket(*scalars, 2.0)
     assert force_bracket(*scalars, 2.0) == frozen.force_bracket(*scalars, 2.0)
+
+
+# The tracemalloc peak of one plate call, in arrays of the wedge's first
+# pass (12,375 points of 8 bytes), at the counts of the contiguous kernel:
+# 5.05 under the impedance formalism, 6.04 under Lifshitz (one more for s)
+# and 7.07 for a force on the Matsubara tail path, whose shifted wedge owns
+# its xi + lower.  The kernel before it read 5.69, 6.69 and 6.73.  Half an
+# array of slack: a new full-size temporary fails.
+_WORKING_SETS = [
+    (op, kind, a, formalism, 5.05 if formalism is Formalism.IMPEDANCE else 6.04)
+    for op in (force_pp0, energy_pp0)
+    for kind, a in ((ImpedanceKind.PLASMA_EXACT, 1e-6), (ImpedanceKind.NORMAL_SKIN, 1e-3))
+    for formalism in Formalism
+]
+
+
+def _peak_arrays(call) -> float:
+    """The tracemalloc peak of call(), in arrays of 12,375 points, after a
+    first call has built the node tables."""
+    call()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak / (12_375 * 8)
+
+
+@pytest.mark.parametrize("op, kind, a, formalism, arrays", _WORKING_SETS)
+def test_a_plate_call_keeps_its_working_set(op, kind, a, formalism, arrays):
+    model = ImpedanceModel(kind, formalism)
+    assert _peak_arrays(lambda: op(a, model, ALUMINUM)) < arrays + 0.5
+
+
+def test_a_tail_path_force_keeps_its_working_set():
+    # At 1 um and 10 K the Matsubara step is 0.055, below the tail path's
+    # 0.19: 36 y-integrals and the wedge shifted to the 32nd term.
+    model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.LIFSHITZ)
+    assert _peak_arrays(lambda: force_ppT(1e-6, 10.0, model, ALUMINUM)) < 7.07 + 0.5
 
 
 @pytest.mark.parametrize("op", [force_pp0, energy_pp0])
