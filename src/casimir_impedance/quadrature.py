@@ -39,9 +39,9 @@ share the points: each component keeps its own level sums and stop test
 and is frozen once it has converged (no longer checked, summed or
 counted), so it gets bit for bit the result it would get alone, and the
 wedge returns one result per component.  The node tables of both rules
-are built once per level and shared, read-only, by every call; the
-wedge's holds xi = u y too, which at lower = 0 its integrand gets as
-read-only slices.  The special functions need numpy alone.
+are built once per level and shared, read-only, by every call; so are the
+points xi = u y of the wedge's first pass, which its integrand gets at
+lower = 0.  The special functions need numpy alone.
 """
 
 from __future__ import annotations
@@ -299,37 +299,50 @@ def _integrate_y_batch(
 
 
 @functools.cache
-def _wedge_table(level: int, t_lo: float) -> tuple[np.ndarray, ...]:
+def _wedge_table(
+    level: int, t_lo: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The wedge rule's nodes at step h = ``_DE_H0`` / 2**level, read-only:
     t from ``t_lo`` up and s, each ordered by the level at which a node
-    first appears.  Returns the rows y, the points xi = u y and the weights
-    W = (y dy/dt) (du/ds) of the columns u, both rows by columns, and, for
-    each level 0 .. ``level``, how many rows and columns it has: every
-    coarser level is a leading block of the table."""
+    first appears.  Returns the rows y, the columns u, the weights
+    W = (y dy/dt) (du/ds) and, for each level 0 .. ``level``, how many rows
+    and columns it has: every coarser level is a leading block of the
+    table."""
     h = _DE_H0 / 2**level
     (t, rows), (s, cols) = (
         _level_ordered(h, lo, hi, level)
         for lo, hi in ((t_lo, _DE_T_HI), (-_DE_S_MAX, _DE_S_MAX))
     )
     (y, dy), (u, du) = _exp_sinh(t), _tanh_sinh(s)
-    return _frozen(y, u * y[:, None], (y * dy)[:, None] * du, rows, cols)
+    return _frozen(y, u, (y * dy)[:, None] * du, rows, cols)
+
+
+@functools.cache
+def _first_pass_points(t_lo: float) -> np.ndarray:
+    """xi = u y on the wedge's first pass, ``_wedge_table(2, t_lo)``, rows
+    by columns and read-only: every wedge call evaluates it."""
+    y, u, *_ = _wedge_table(2, t_lo)
+    return _frozen(u * y[:, None])[0]
 
 
 def _wedge_values(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
-    xi: np.ndarray,
     y: np.ndarray,
+    u: np.ndarray,
     w: np.ndarray,
     lower: float,
     keep: list[int] | None = None,
+    xi: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], bool]:
-    """w f(lower + xi, lower + y) on a block xi = u y of the node table and
-    its rows y, as ``_evaluate`` gives them; ``f`` gets y as a column and
-    at most ``_EVAL_MAX`` points per call, and xi read-only at lower = 0."""
-    rows = max(1, _EVAL_MAX // xi.shape[1])
+    """w f(lower + u y, lower + y) on the rows y and the columns u, as
+    ``_evaluate`` gives them, with u y read from ``xi`` if given; ``f``
+    gets y as a column, one value per row of xi (read-only slices of that
+    ``xi`` at lower = 0), and sees at most ``_EVAL_MAX`` points per call."""
+    rows = max(1, _EVAL_MAX // u.size)
     parts = []
     for start in range(0, y.size, rows):
-        xx, yy = xi[start:start + rows], y[start:start + rows, None]
+        yy = y[start:start + rows, None]
+        xx = u * yy if xi is None else xi[start:start + rows]
         if lower != 0.0:
             # Only when shifted: an unconditional add slows the T = 0 wedge.
             xx, yy = xx + lower, yy + lower
@@ -362,7 +375,8 @@ def integrate_xi_y(
     with u = (1 + tanh(pi/2 sinh s)) / 2, both at step
     h = ``_DE_H0`` / 2**k at level k.  The measure x dx bounds the corner
     x < 1e-8 by 5e-17 max|f|.  ``f`` gets xi as rows of nodes and y as a
-    column, one value per row.  The first pass evaluates level 2, 12,375
+    column, one value per row, and must not write into them: xi may be
+    read-only.  The first pass evaluates level 2, 12,375
     points, in one integrand call and takes T_0, T_1 and T_2 as sums over
     leading blocks of its node table; a later level evaluates only its new
     nodes, the new rows against every column and the old rows against the
@@ -384,8 +398,8 @@ def integrate_xi_y(
     component has its own level sums and stop test and, once converged, is
     no longer checked, summed or counted: it gets the bits it gets alone.
     """
-    y, xi, w, rows, cols = _wedge_table(2, _WEDGE_T_LO)
-    first, many = _wedge_values(f, xi, y, w, lower)
+    y, u, w, rows, cols = _wedge_table(2, _WEDGE_T_LO)
+    first, many = _wedge_values(f, y, u, w, lower, xi=_first_pass_points(_WEDGE_T_LO))
     # Per component: total, absolute total, points and the levels T_k.
     sums = []
     for wf in first:
@@ -395,11 +409,11 @@ def integrate_xi_y(
     open_ = list(range(len(first)))
     for level in range(2, _DE_LEVELS + 1):
         if level > 2:
-            y, xi, w, rows, cols = _wedge_table(level, _WEDGE_T_LO)
+            y, u, w, rows, cols = _wedge_table(level, _WEDGE_T_LO)
             old, old_cols = rows[-2], cols[-2]
             for block, _ in (
-                _wedge_values(f, xi[old:], y[old:], w[old:], lower, open_),
-                _wedge_values(f, xi[:old, old_cols:], y[:old], w[:old, old_cols:], lower, open_),
+                _wedge_values(f, y[old:], u, w[old:], lower, open_),
+                _wedge_values(f, y[:old], u[old_cols:], w[:old, old_cols:], lower, open_),
             ):
                 for i, new in zip(open_, block):
                     sums[i][0] += float(new.sum())

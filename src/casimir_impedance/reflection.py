@@ -153,9 +153,15 @@ def _ratios(num, *dens):
 
 
 def _factors(Z, y, xi, formalism: Formalism):
-    """(x_par, x_perp) at checked points, each step written into new arrays."""
+    """(x_par, x_perp) at checked points, each step written into new arrays,
+    a broadcast y first spread into x_perp."""
     shape = np.broadcast_shapes(Z.shape, y.shape, xi.shape)
     num, x_par, x_perp = np.empty(shape), np.empty(shape), np.empty(shape)
+    if y.shape != shape:
+        # A broadcast operand sends a ufunc through a 64 KiB buffer, row by
+        # row: y, a column in the wedge, waits in x_perp for its own product.
+        np.copyto(x_perp, y)
+        y = x_perp
     if formalism is Formalism.IMPEDANCE:
         # num = 4 xi y Z; x_par = (y + xi Z)^2; x_perp = (xi + y Z)^2.
         np.multiply(np.multiply(np.multiply(4.0, xi, out=num), y, out=num), Z, out=num)
@@ -245,28 +251,18 @@ def static_reflection_factors(
     return x_par, x_perp
 
 
-def _spread(v: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """v as one contiguous array of ``shape``, or v if it has that shape."""
-    if v.shape == shape:
-        return v
-    out = np.empty(shape)
-    np.copyto(out, v)
-    return out
-
-
 def _plate_factors(
     models: list[ImpedanceModel], a: float, material: Material | None, static: bool
 ):
     """The reflection factors of each model at separation a as one function
-    of the points, f(xi, y) -> (y, [(x_par, x_perp) of each model]), with
-    the kinds, the material and the scales resolved here, once.
+    of the points, f(xi, y) -> [(x_par, x_perp) of each model], with the
+    kinds, the material and the scales resolved here, once.
 
     Each call checks its points once, as :func:`impedance` and
-    :func:`reflection_factors` do, with their messages, computes Z once per
-    kind, and with a model other than the ideal metal then spreads xi with
-    each Z, or y, to the points once, and returns that y.  Every model gets
-    factor arrays of its own, which the caller may overwrite; the ideal
-    metal's are zeros of the given y's shape.  With ``static=True`` points
+    :func:`reflection_factors` do, with their messages, and computes Z once
+    per kind.  Every model gets factor arrays of its own, which the caller
+    may overwrite.  The ideal metal's are zeros of y's shape, so a bracket
+    of them is computed once per value of y.  With ``static=True`` points
     at xi = 0 take the static factors.
     """
     kinds = []
@@ -275,9 +271,8 @@ def _plate_factors(
             kinds.append(model.kind)
     scales = [_scale(kind, a, material) for kind in kinds]
     plan = [(kinds.index(model.kind), model) for model in models]
-    real = any(scale is not None for scale in scales)
     # The ideal metal's static factors are its factors, 0.
-    static = static and real
+    static = static and any(scale is not None for scale in scales)
 
     def factors(xi: np.ndarray, y: np.ndarray):
         with np.errstate(invalid="ignore"):  # at a negative xi, rejected next
@@ -292,18 +287,17 @@ def _plate_factors(
                 at = tuple(
                     i if n > 1 else slice(None) for i, n in zip(np.nonzero(zero), zero.shape)
                 )
-        given, shape = y.shape, np.broadcast_shapes(xi.shape, y.shape)
-        if real:
-            xi, y, *Zs = (v if v is None else _spread(v, shape) for v in (xi, y, *Zs))
         out = []
         for k, model in plan:
             if scales[k] is None:
-                out.append((np.zeros(given), np.zeros(given)))
+                out.append((np.zeros(y.shape), np.zeros(y.shape)))
                 continue
             x_par, x_perp = _factors(Zs[k], y, xi, model.formalism)
             if at:
-                x_par[at], x_perp[at] = _static_factors(model, y[at], scales[k])
+                x_par[at], x_perp[at] = _static_factors(
+                    model, np.broadcast_to(y, x_par.shape)[at], scales[k]
+                )
             out.append((x_par, x_perp))
-        return y, out
+        return out
 
     return factors

@@ -37,7 +37,7 @@ from .quadrature import (
     integrate_xi_y,
     log1mexp,
 )
-from .reflection import Formalism, ImpedanceKind, ImpedanceModel, _plate_factors, _spread
+from .reflection import Formalism, ImpedanceKind, ImpedanceModel, _plate_factors
 
 __all__ = [
     "ObservableKind",
@@ -130,7 +130,8 @@ def _owned(x_par, x_perp, y):
 
 def _bracket(energy: bool, x_par, x_perp, em1, logs=None):
     """The energy or force bracket from em1 = expm1(y) and, if given, the
-    energy's ideal-metal part logs = 2 log1mexp(y), written into x_par (returned) and x_perp."""
+    energy's ideal-metal part logs = 2 log1mexp(y), written into the arrays
+    x_par (returned) and x_perp."""
     if energy:
         np.log1p(np.divide(x_par, em1, out=x_par), out=x_par)
         if logs is not None:
@@ -158,20 +159,21 @@ def _integrand(
     Every reduction of the plates shares it: the T = 0 wedge, the Matsubara
     y-integrals and their shifted-wedge tail.  The models are resolved here,
     once (a separation a <= 0 or a missing material raises here); each call
-    checks its points once and computes each kind's Z and each model's
-    factors once for all the requests.  xi and y need only broadcast to the
-    points: the wedge passes y as a column, the y rule xi.  A factor of y
-    alone (expm1, 2 log1mexp, y^2) is computed once per call and per value
-    of y, and spread to the points once for the models other than the ideal
-    metal, whose factors are 0: its whole integrand is a function of y,
-    one value per row of the wedge.  A request writes its values into its
-    model's factors, or into copies if a later request reads them.  Every
-    point gets the bits it gets from flat arrays and with no other
-    request.  ``ideal=False`` drops the
-    ideal-metal part of the energy bracket, which the finite-temperature
-    closed series carries.  With ``static=True`` points at xi = 0 take the
-    models' static reflection factors, for the l = 0 Matsubara term; the
-    wedges never evaluate there.
+    checks its points once and computes each kind's Z, each model's factors
+    and expm1(y) and 2 log1mexp(y) once for all the requests.  xi and y
+    need only broadcast to the points, so a factor of y alone (expm1,
+    log1mexp, y^2) is computed once per value of y, and the impedance once
+    per value of xi: the wedge passes y as a column, the y rule xi.  A
+    model's factors spread a column y over the points in an array of their
+    own.  The ideal metal's factors are 0, so its whole integrand is a
+    function of y, one value per row of the wedge.  A request writes its
+    values into its model's factors, or into copies if a later request
+    reads them.  Every point gets the bits it gets from flat arrays and
+    with no other request.  ``ideal=False`` drops the ideal-metal part of
+    the energy bracket, which the finite-temperature closed series
+    carries.  With ``static=True`` points at xi = 0 take the models'
+    static reflection factors, for the l = 0 Matsubara term; the wedges
+    never evaluate there.
     """
     # The unique models in order, by comparison: hashing a model costs more.
     models = []
@@ -181,27 +183,19 @@ def _integrand(
     factors = _plate_factors(models, a, material, static)
     index = [models.index(model) for _, model in requests]
     brackets = [
-        (kind is ObservableKind.ENERGY_PER_AREA, m, m in index[i + 1:],
-         models[m].kind is not ImpedanceKind.IDEAL_METAL)
+        (kind is ObservableKind.ENERGY_PER_AREA, m, m in index[i + 1:])
         for i, ((kind, _), m) in enumerate(zip(requests, index))
     ]
-    logs = ideal and any(energy for energy, *_ in brackets)
+    logs = ideal and any(energy for energy, _, _ in brackets)
 
     def g(xi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-        ys, fs = factors(xi, y)
-        # The factors of y alone, at y as given for the ideal metal and spread
-        # once to the points ys for the other models; y^2 once a force needs it.
-        given = (np.expm1(y), 2.0 * log1mexp(y) if logs else None)
-        at = ((y, *given), (ys, *(v if v is None else _spread(v, ys.shape) for v in given)))
-        squares = {}
+        fs = factors(xi, y)
+        em1, two_logs = np.expm1(y), 2.0 * log1mexp(y) if logs else None
         out = []
-        for energy, m, shared, real in brackets:
-            yy, em1, two_logs = at[real]
+        for energy, m, shared in brackets:
             pair = [x.copy() for x in fs[m]] if shared else fs[m]
             b = _bracket(energy, *pair, em1, two_logs)
-            if not (energy or real in squares):
-                squares[real] = _spread(y * y, yy.shape)
-            out.append(np.multiply(yy if energy else squares[real], b, out=b))
+            out.append(np.multiply(y if energy else y * y, b, out=b))
         return tuple(out)
 
     return g

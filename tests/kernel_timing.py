@@ -58,8 +58,8 @@ WORKLOADS = ("zeroT-plates", "lowT-matsubara", "cli-scans")
 
 def shapes():
     """(name, xi, y, static) of the wedge's first pass and a y-rule batch."""
-    y, xi, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
-    yield "wedge", xi, y[:, None], False
+    y = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)[0]
+    yield "wedge", quadrature._first_pass_points(quadrature._WEDGE_T_LO), y[:, None], False
     lowers = 0.37 * np.arange(36)[:, None]
     yield "y-rule", lowers, lowers + quadrature._y_nodes(2)[0], True
 

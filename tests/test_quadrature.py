@@ -86,7 +86,8 @@ def test_wedge_names_a_single_nan_among_its_first_pass():
     # The values are searched only when their sum is not finite, and a NaN
     # makes it so: one NaN among the 12,375 values of the first pass is
     # named at its (xi, y).
-    y, xi, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
+    y = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)[0]
+    xi = quadrature._first_pass_points(quadrature._WEDGE_T_LO)
 
     def f(xi, y):
         out = np.exp(-y) * np.ones_like(xi)
@@ -103,10 +104,10 @@ def test_wedge_names_a_single_nan_among_its_first_pass():
 @pytest.mark.parametrize("lower", [0.0, 11.84])
 def test_an_integrand_that_writes_into_its_xi_leaves_the_node_table_intact(lower):
     # At lower = 0 the wedge hands its integrand read-only slices of the
-    # cached xi = u y, so writing into them raises; a shifted wedge hands
-    # it xi + lower, an array of its own.  Either way the table keeps its
-    # values for the next call.
-    table = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)[1]
+    # cached first-pass xi = u y, so writing into them raises; a shifted
+    # wedge hands it xi + lower, an array of its own.  Either way the
+    # cached points keep their values for the next call.
+    table = quadrature._first_pass_points(quadrature._WEDGE_T_LO)
     before = table.copy()
 
     def f(xi, y):

@@ -378,10 +378,16 @@ def test_integrand_on_factored_points_equals_its_flat_call(kind, formalism, kind
         assert factored.tobytes() == flat.reshape(shape).tobytes()
 
 
+def _first_pass():
+    """The rows y of the wedge's first pass and its points xi, rows by columns."""
+    return (quadrature._wedge_table(2, quadrature._WEDGE_T_LO)[0],
+            quadrature._first_pass_points(quadrature._WEDGE_T_LO))
+
+
 def _first_passes():
     """(xi, y, static) on the first-pass nodes of the wedge, from lower 0 and
     1.7, and of the y rule, from lower bounds 0 (static) and step l."""
-    y, xi, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
+    y, xi = _first_pass()
     for lower in (0.0, 1.7):
         yy = y[:, None]
         yield xi + lower, yy + lower, False
@@ -426,7 +432,7 @@ def _rule_shapes():
     """(xi, y, static) of the 99 x 125 first pass of the T = 0 wedge (y a
     column), the 36 x 125 first pass of a y-rule batch at step 0.37 (xi a
     column, l = 0 its static row) and 2,000 flat points with y >= xi."""
-    y, xi, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
+    y, xi = _first_pass()
     yield xi, y[:, None], False
     lowers = 0.37 * np.arange(36)[:, None]
     yield lowers, lowers + quadrature._y_nodes(2)[0], True
@@ -439,17 +445,16 @@ def _kernel_shapes():
     """``_rule_shapes`` and the other shapes the kernel meets: the shifted
     wedge's first pass (lower = 32 * step at step 0.37, the
     Euler-Maclaurin tail), both blocks of level 3 (its new rows against
-    every column, and the old rows against the new columns, a strided
-    slice of the node table), and flat points with exact zero numerators
+    every column, and the old rows against the new columns), and flat points with exact zero numerators
     (xi = 0, and xi = 5e-324, where a plasma Z rounds to 0; x_perp is 0/0
     at both) and with a NaN among positive numerators alone."""
     yield from _rule_shapes()
-    y, xi, *_ = quadrature._wedge_table(2, quadrature._WEDGE_T_LO)
+    y, xi = _first_pass()
     lower = 32 * 0.37
     yield xi + lower, y[:, None] + lower, False
-    y, xi, _, rows, cols = quadrature._wedge_table(3, quadrature._WEDGE_T_LO)
-    yield xi[rows[-2]:], y[rows[-2]:, None], False
-    yield xi[:rows[-2], cols[-2]:], y[:rows[-2], None], False
+    y, u, _, rows, cols = quadrature._wedge_table(3, quadrature._WEDGE_T_LO)
+    yield u * y[rows[-2]:, None], y[rows[-2]:, None], False
+    yield u[cols[-2]:] * y[:rows[-2], None], y[:rows[-2], None], False
     yy = np.geomspace(1e-3, 60.0, 200)
     flat = yy * np.linspace(0.0, 1.0, 200)
     flat[1::7], flat[3::7] = 0.0, 5e-324
@@ -527,12 +532,14 @@ def test_public_kernel_gives_the_expression_bits_and_leaves_its_arguments(formal
 
 # The tracemalloc peak of one plate call, in arrays of the wedge's first
 # pass (12,375 points of 8 bytes), at the counts of the contiguous kernel:
-# 5.05 under the impedance formalism, 6.04 under Lifshitz (one more for s)
-# and 7.07 for a force on the Matsubara tail path, whose shifted wedge owns
-# its xi + lower.  The kernel before it read 5.69, 6.69 and 6.73.  Half an
-# array of slack: a new full-size temporary fails.
+# 4.04 under the impedance formalism (Z and the factors' three arrays),
+# 5.04 under Lifshitz (one more for s) and 6.07 for a force on the
+# Matsubara tail path, whose shifted wedge owns its xi + lower.  The kernel
+# before it read 5.69, 6.69 and 6.73: a per-call xi = u y and the 64 KiB
+# buffer numpy takes for a ufunc with a broadcast column.  Half an array
+# of slack: a new full-size temporary fails.
 _WORKING_SETS = [
-    (op, kind, a, formalism, 5.05 if formalism is Formalism.IMPEDANCE else 6.04)
+    (op, kind, a, formalism, 4.04 if formalism is Formalism.IMPEDANCE else 5.04)
     for op in (force_pp0, energy_pp0)
     for kind, a in ((ImpedanceKind.PLASMA_EXACT, 1e-6), (ImpedanceKind.NORMAL_SKIN, 1e-3))
     for formalism in Formalism
@@ -567,7 +574,7 @@ def test_a_tail_path_force_keeps_its_working_set():
     # At 1 um and 10 K the Matsubara step is 0.055, below the tail path's
     # 0.19: 36 y-integrals and the wedge shifted to the 32nd term.
     model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.LIFSHITZ)
-    assert _peak_arrays(lambda: force_ppT(1e-6, 10.0, model, ALUMINUM)) < 7.07 + 0.5
+    assert _peak_arrays(lambda: force_ppT(1e-6, 10.0, model, ALUMINUM)) < 6.07 + 0.5
 
 
 @pytest.mark.parametrize("op", [force_pp0, energy_pp0])
