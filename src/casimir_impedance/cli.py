@@ -16,9 +16,10 @@ tolerances, tool version, column names), then purely numeric rows in
 scientific notation with 17 significant digits.  Rows derived from quadrature
 carry the error estimate and a converged flag.  Grid commands compute one
 separation after another and write the rows in grid order.  Each row is one
-call of the plate core: at T = 0 all of a row's observables and formalisms
-(energy and force, or the Lifshitz and impedance forms of each plasma kind)
-are the components of one wedge integral.  Identical configurations produce
+call of the plate core: all of a row's observables and formalisms (energy
+and force, or the Lifshitz and impedance forms of each plasma kind) are the
+components of one reduction, a wedge integral at T = 0 and a set of
+Matsubara sums at T > 0.  Identical configurations produce
 byte-identical files.  Warnings raised while the
 rows are computed are collapsed into one stderr line per source with a count.
 
@@ -315,7 +316,7 @@ def _entry(ob) -> tuple[float, float, float]:
 
 def _energy_force(a: float, spec: RunSpec, material, model, config):
     """The plate (energy, force) at separation a and the run's temperature,
-    from one call of the plate core: one wedge at T = 0."""
+    from one call of the plate core: one reduction at every T."""
     kinds = (ObservableKind.ENERGY_PER_AREA, ObservableKind.FORCE_PER_AREA)
     return _plates(a, spec.T, tuple((kind, model) for kind in kinds), material, config)
 

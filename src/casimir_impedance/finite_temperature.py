@@ -16,12 +16,13 @@ in coth and sinh^-2, or from T = T_eff up from its own Matsubara form
 
 The integrand of I_E and I_F is the plate integrand of the T = 0 wedge.
 Energy and pressure share one core with their T = 0 counterparts,
-``zero_temperature._plates``, which takes one sum per observable.  Each
-sum takes its terms from the y rule in one of two reductions chosen by the
-step xi_1 = 2 pi T / T_eff (see ``_matsubara_correction``).  From
+``zero_temperature._plates``, which takes all the sums of a row in one
+reduction, as at T = 0, the observables its components.  It takes the
+terms from the y rule in one of two ways chosen by the step
+xi_1 = 2 pi T / T_eff (see ``_matsubara_correction``).  From
 ``_TAIL_STEP_MAX`` up the terms are summed one by one, in one or two
 calls, until the ideal metal's terms, which bound every model's, bound the
-rest of the sum within rel_tol / 2 of it.  Below it, where that would take
+rest of each sum within rel_tol / 2 of it.  Below it, where that would take
 about 26 / xi_1 terms, the first ``_HEAD`` terms are summed exactly and the
 rest is an Euler-Maclaurin tail whose integral is the T = 0 wedge shifted
 to xi_L, so the cost no longer grows as T falls.
@@ -230,106 +231,104 @@ def _stop(n: int, step: float, target: float) -> int:
 def _matsubara_correction(
     a: float,
     T: float,
-    model: ImpedanceModel,
+    requests: tuple[tuple[ObservableKind, ImpedanceModel], ...],
     material: Material | None,
     config: QuadratureConfig,
-    integrand_kind: ObservableKind,
-) -> QuadratureResult:
-    """Primed Matsubara sum S'_l f(l) of the y-integrals f(l) = I(xi_l).
+) -> list[QuadratureResult]:
+    """Primed Matsubara sums S'_l f(l) of the y-integrals f(l) = I(xi_l), one
+    per request, a (kind, model) pair, all in one reduction.
 
     For the energy the integrand is the material-dependent part of the mode
     sum alone (the ideal-metal piece is carried by the closed series); for the
-    force it is the complete bracket.
+    force it is the complete bracket.  The requests are the components of
+    one integrand, which the y rule and the wedge reduce each on its own:
+    each sum gets the bits it gets alone.
 
     With the step xi_1 = 2 pi T / T_eff at or above ``_TAIL_STEP_MAX`` the
     terms are summed one by one.  Both reflection factors lie in [0, 1], so
     every term lies in [0, b(xi_l)], b the ideal metal's term (see
-    ``_ideal_sums``).  The sum stops at the smallest L whose bound
+    ``_ideal_sums``).  A sum stops at the smallest L whose bound
     B(L) >= S_{l > L} b(xi_l) (``_tail_bound``) is within rel_tol / 2 of
     the partial sum S_L, or its roundoff, and reports B(L) as truncation.
-    A first ``_integrate_y_batch`` call runs to the L where the ideal
-    metal's sum stops; a second, if no S_L meets its target, to the L that
-    the last S_L demands, which suffices as no term is negative.  Terms
-    past the stop are dropped but counted in ``evaluations``.  Below
-    ``_TAIL_STEP_MAX`` the term count would grow like 1/T, so the sum is an
-    exact head of ``_HEAD`` = L terms plus the Euler-Maclaurin tail
+    It takes the terms to the L where the ideal metal's sum stops, then, if
+    no S_L meets its target, to the L that the last S_L demands, which
+    suffices as no term is negative: one ``_integrate_y_batch`` call to the
+    largest first L and, if needed, one to the largest second L.  Each sum
+    adds and counts only the terms to its own L; those past its stop are
+    dropped but counted in ``evaluations``.  Below ``_TAIL_STEP_MAX`` the
+    term count would grow like 1/T, so a sum is an exact head of
+    ``_HEAD`` = L terms plus the Euler-Maclaurin tail
 
         S_{l >= L} f(l) = (1/step) int_{xi_L}^inf I(xi) dxi + f(L)/2
                           - f'(L)/12 + f^(3)(L)/720 - f^(5)(L)/30240,
 
     whose derivatives are 7-point central differences of f(L-3 .. L+3) and
-    whose integral is the T = 0 wedge rule shifted by xi_L; all L + 4 terms
-    come from one ``_integrate_y_batch`` call.  Its truncation, the last
-    Euler-Maclaurin term plus the stencils' error bounded by their
-    difference from 5-point stencils, must be within rel_tol of the sum.
-    The error adds the truncation, the wedge error over the step and the
-    y-errors of the terms summed; ``evaluations`` counts every term
-    integrated plus every integrand point of the y-integrals and the wedge.
+    whose integral is the T = 0 wedge rule shifted by xi_L: all L + 4 terms
+    come from one ``_integrate_y_batch`` call, the integrals from one wedge.
+    Its truncation, the last Euler-Maclaurin term plus the stencils' error
+    bounded by their difference from 5-point stencils, must be within
+    rel_tol of the sum.  The error adds the truncation, the wedge error over
+    the step and the y-errors of the terms summed; ``evaluations`` counts
+    every term integrated plus every integrand point of the y-integrals and
+    the wedge.
     """
     step = 2.0 * math.pi * (1.0 / _t(a, T))
-    request = ((integrand_kind, model),)
-    g_static = _integrand(request, a, material, ideal=False, static=True)
-
-    def g_terms(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return g_static(xi, y)[0]
-
-    # Each reduction sets its value, truncation bound, extra points and flag.
+    g_static = _integrand(requests, a, material, ideal=False, static=True)
+    # Per sum: value, truncation bound, terms summed and counted, extra
+    # points and flag.
+    sums = []
     if step >= _TAIL_STEP_MAX:
-        n_pow = 1 if integrand_kind is ObservableKind.ENERGY_PER_AREA else 2
-        half_tol = 0.5 * config.rel_tol
+        half_tol, k = 0.5 * config.rel_tol, np.arange(1, _IDEAL_K + 1)
+        ns = [1 if kind is ObservableKind.ENERGY_PER_AREA else 2 for kind, _ in requests]
         # The ideal metal's sum S'_l b(xi_l): b(0) / 2 = n! zeta(n + 1).
-        k = np.arange(1, _IDEAL_K + 1)
-        total = (math.pi**2 / 6.0, 2.0 * _ZETA_3)[n_pow - 1] + _ideal_sums(n_pow, step, 1, k).sum()
-        start, parts = 0, []
+        totals = [(math.pi**2 / 6.0, 2.0 * _ZETA_3)[n - 1] + _ideal_sums(n, step, 1, k).sum()
+                  for n in ns]
+        # Per sum: its stop L and its test of S_0 .. S_L; the terms so far.
+        stops, tests, terms, open_ = [0] * len(ns), [None] * len(ns), None, range(len(ns))
         for _ in range(2):
-            # From l = 1: S_0 = 0 (the normal-skin energy) would demand every
-            # term down to the absolute floor.
-            L = max(1, _stop(n_pow, step, _target(total, total, half_tol)))
-            parts.append(_integrate_y_batch(g_terms, step * np.arange(start, L + 1), config))
-            start = L + 1
-            f, errs, evals, conv = (np.concatenate(col) for col in zip(*parts))
-            partial = np.cumsum(f) - 0.5 * f[0]
-            bounds = _tail_bound(n_pow, step, np.arange(f.size))
-            passed = np.flatnonzero(bounds <= _target(partial, partial, half_tol))
-            total = partial[-1]
-            if passed.size:
-                break
-        n = passed[0] + 1 if passed.size else f.size
-        value = math.fsum([0.5 * f[0], *f[1:n].tolist()])
-        # The terms' level differences do not see their rounding.
-        bound = float(bounds[n - 1]) + _ROUNDOFF * abs(value)
-        extra, ok = 0, passed.size > 0
+            for r in open_:
+                # From l = 1: S_0 = 0 (the normal-skin energy) would demand
+                # every term down to the absolute floor.
+                stops[r] = max(1, _stop(ns[r], step, _target(totals[r], totals[r], half_tol)))
+            start = 0 if terms is None else terms[0].shape[1]
+            if max(stops) >= start:
+                new = _integrate_y_batch(g_static, step * np.arange(start, max(stops) + 1), config)
+                terms = new if terms is None else [np.hstack(p) for p in zip(terms, new)]
+            for r in open_:
+                partial = np.cumsum(terms[0][r, :stops[r] + 1]) - 0.5 * terms[0][r, 0]
+                bounds = _tail_bound(ns[r], step, np.arange(partial.size))
+                tests[r] = bounds, np.flatnonzero(bounds <= _target(partial, partial, half_tol))
+                totals[r] = partial[-1]
+            open_ = [r for r in open_ if not tests[r][1].size]
+        for f, L, (bounds, passed) in zip(terms[0], stops, tests):
+            n = passed[0] + 1 if passed.size else L + 1
+            value = math.fsum([0.5 * f[0], *f[1:n].tolist()])
+            # The terms' level differences do not see their rounding.
+            bound = float(bounds[n - 1]) + _ROUNDOFF * abs(value)
+            sums.append((value, bound, n, L + 1, 0, passed.size > 0))
     else:
-        f, errs, evals, conv = _integrate_y_batch(g_terms, step * np.arange(_HEAD + 4), config)
-        g = _integrand(request, a, material, ideal=False)
-        (wedge,) = integrate_xi_y(g, config, lower=step * _HEAD)
-        around = f[_HEAD - 3:]
-        last = float(_D5 @ around) / 30240.0
-        truncation = (
-            abs(last)
-            + abs(float(_D1_GAP @ around)) / 12.0
-            + abs(float(_D3_GAP @ around)) / 720.0
+        terms = _integrate_y_batch(g_static, step * np.arange(_HEAD + 4), config)
+        g = _integrand(requests, a, material, ideal=False)
+        for f, wedge in zip(terms[0], integrate_xi_y(g, config, lower=step * _HEAD)):
+            around = f[_HEAD - 3:]
+            d1, d3, last = float(_D1 @ around), float(_D3 @ around), float(_D5 @ around) / 30240.0
+            truncation = abs(last) + abs(float(_D1_GAP @ around)) / 12.0
+            truncation += abs(float(_D3_GAP @ around)) / 720.0
+            value = math.fsum([0.5 * f[0], *f[1:_HEAD].tolist(), wedge.value / step,
+                               0.5 * f[_HEAD], -d1 / 12.0, d3 / 720.0, -last])
+            ok = wedge.converged and truncation <= config.rel_tol * abs(value)
+            bound = truncation + wedge.abs_error_estimate / step
+            sums.append((value, bound, f.size, f.size, wedge.evaluations, ok))
+    _, errs, evals, conv = terms
+    return [
+        QuadratureResult(
+            value=value,
+            abs_error_estimate=bound + math.fsum(errs[r, :n].tolist()),
+            evaluations=end + int(evals[r, :end].sum()) + extra,
+            converged=bool(ok and conv[r, :n].all()),
         )
-        value = math.fsum(
-            [
-                0.5 * f[0],
-                *f[1:_HEAD].tolist(),
-                wedge.value / step,
-                0.5 * f[_HEAD],
-                -float(_D1 @ around) / 12.0,
-                float(_D3 @ around) / 720.0,
-                -last,
-            ]
-        )
-        bound, n = truncation + wedge.abs_error_estimate / step, f.size
-        extra = wedge.evaluations
-        ok = wedge.converged and truncation <= config.rel_tol * abs(value)
-    return QuadratureResult(
-        value=value,
-        abs_error_estimate=bound + math.fsum(errs[:n].tolist()),
-        evaluations=errs.size + int(evals.sum()) + extra,
-        converged=bool(ok and conv[:n].all()),
-    )
+        for r, (value, bound, n, end, extra, ok) in enumerate(sums)
+    ]
 
 
 def _thermal_plate(

@@ -22,26 +22,25 @@ Both rules call their integrand as f(xi, y) on arrays that broadcast to
 the points they evaluate, so a factor that depends on xi or on y alone is
 computed once per row or column, not once per point.  The result may have
 any shape that broadcasts to the points; each point is checked, and a
-non-finite value is rejected at its (xi, y).  The y integrals from a lower
-bound, int_lower^inf dy f(lower, y), take an exp-sinh rule on
+non-finite value is rejected at its (xi, y).  It may also be a tuple of
+such arrays, components that share the points: each integral of a
+component keeps its own sums and stop test and is frozen once it has
+converged (no longer checked, summed or counted), so it gets bit for bit
+the result it would get alone, and the rule returns one result per
+component.  The y integrals from a lower bound,
+int_lower^inf dy f(lower, y), take an exp-sinh rule on
 y = lower + exp(pi/2 sinh t) for a batch of lower bounds at once, with xi
 a column of each integral's lower bound and y one row of nodes per
-integral.  An integral stops being evaluated once it has converged, and
-its sums are row sums over its own nodes, so it gets bit for bit the
-results it would get alone.
+integral; an integral's sums are row sums over its own nodes.
 
 The wedge lower <= xi <= y < infinity is taken by ``integrate_xi_y`` with
 the product of the same exp-sinh rule in y, from x = y - lower = 1e-8 up,
 and a tanh-sinh rule in u = (xi - lower) / (y - lower); it passes y as a
 column, one value per row of xi.  Its first pass is one integrand call on
-12,375 points.  Its integrand may return a tuple of arrays, components that
-share the points: each component keeps its own level sums and stop test
-and is frozen once it has converged (no longer checked, summed or
-counted), so it gets bit for bit the result it would get alone, and the
-wedge returns one result per component.  The node tables of both rules
-are built once per level and shared, read-only, by every call; so are the
-points xi = u y of the wedge's first pass, which its integrand gets at
-lower = 0.  The special functions need numpy alone.
+12,375 points.  The node tables of both rules are built once per level and
+shared, read-only, by every call; so are the points xi = u y of the
+wedge's first pass, which its integrand gets at lower = 0.  The special
+functions need numpy alone.
 """
 
 from __future__ import annotations
@@ -187,32 +186,42 @@ def _evaluate(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
     xi: np.ndarray,
     y: np.ndarray,
+    w: np.ndarray,
     keep: list[int] | None = None,
 ) -> tuple[list[np.ndarray], bool]:
-    """The components of f(xi, y), each broadcast to the points of xi and
-    y, and whether f returns a tuple of them rather than one array; of a
-    tuple, those at the indices ``keep`` (all when None).  A non-finite
-    value raises an IntegrandError that names its (xi, y); a component is
-    searched only if its sum is not finite, as any NaN or inf makes it."""
-    shape = np.broadcast_shapes(xi.shape, y.shape)
-    with np.errstate(all="ignore"):
-        out = f(xi, y)
-    many = isinstance(out, tuple)
-    if not many:
-        out = (out,)
-    elif keep is not None:
-        out = [out[i] for i in keep]
-    values = []
-    for v in out:
-        v = np.asarray(v, dtype=float)
-        if not math.isfinite(v.sum()) and not np.isfinite(v).all():
-            k = np.unravel_index(int(np.argmax(~np.isfinite(np.broadcast_to(v, shape)))), shape)
-            at_xi = float(np.broadcast_to(xi, shape)[k])
-            at_y = float(np.broadcast_to(y, shape)[k])
-            message = f"integrand returned non-finite value at (xi={at_xi!r}, y={at_y!r})"
-            raise IntegrandError(message)
-        values.append(np.broadcast_to(v, shape))
-    return values, many
+    """w f(xi, y) on the rows of the grid that xi, y and the weights w
+    broadcast to, one array per component, and whether f returns a tuple of
+    them rather than one array; of a tuple, those at the indices ``keep``
+    (all when None).  ``f`` gets a block of rows, at most ``_EVAL_MAX``
+    points, per call.  A non-finite value raises an IntegrandError that
+    names its (xi, y); a component is searched only if its sum is not
+    finite, as any NaN or inf makes it."""
+    n_rows, n_cols = np.broadcast_shapes(xi.shape, y.shape, w.shape)
+    rows = max(1, _EVAL_MAX // n_cols)
+    parts = []
+    for start in range(0, n_rows, rows):
+        # An operand with one entry per row is sliced; a row or a scalar broadcasts.
+        xs, ys, ws = (
+            a[start:start + rows] if a.ndim == 2 and len(a) > 1 else a for a in (xi, y, w)
+        )
+        shape = np.broadcast_shapes(xs.shape, ys.shape)
+        with np.errstate(all="ignore"):
+            out = f(xs, ys)
+        many = isinstance(out, tuple)
+        if not many:
+            out = (out,)
+        elif keep is not None:
+            out = [out[i] for i in keep]
+        parts.append([])
+        for v in out:
+            v = np.asarray(v, dtype=float)
+            if not math.isfinite(v.sum()) and not np.isfinite(v).all():
+                bad = ~np.isfinite(np.broadcast_to(v, shape))
+                at_xi, at_y = (float(np.broadcast_to(p, shape)[bad][0]) for p in (xs, ys))
+                message = f"integrand returned non-finite value at (xi={at_xi!r}, y={at_y!r})"
+                raise IntegrandError(message)
+            parts[-1].append(ws * np.broadcast_to(v, shape))
+    return [p[0] if len(parts) == 1 else np.concatenate(p) for p in zip(*parts)], many
 
 
 @functools.cache
@@ -228,26 +237,8 @@ def _y_nodes(level: int) -> tuple[np.ndarray, np.ndarray, int]:
     return x, w, int(counts[0])
 
 
-def _y_weighted_values(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lowers: np.ndarray,
-    x: np.ndarray,
-    w: np.ndarray,
-) -> np.ndarray:
-    """w f(lower, y) at y = lower + x, one row per lower bound, with the
-    exp-sinh weights w = dx/dt; ``f`` gets xi as a column of lower bounds
-    and sees at most ``_EVAL_MAX`` points per call."""
-    rows = max(1, _EVAL_MAX // x.size)
-    parts = []
-    for start in range(0, lowers.size, rows):
-        lower = lowers[start:start + rows, None]
-        (v,), _ = _evaluate(f, lower, lower + x)
-        parts.append(w * v)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _integrate_y_batch(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
     lowers: np.ndarray,
     config: QuadratureConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -260,29 +251,38 @@ def _integrate_y_batch(
     evaluates every node at step ``_DE_H0`` / 4 in one integrand call and
     compares that sum with the sum over its own even nodes (step
     ``_DE_H0`` / 2); each later level adds the odd nodes of the halved step
-    for the integrals still open.  An integral's sums are row sums over its
-    own nodes, so its results are bit for bit those it would get alone.
-    Returns per-integral (values, error bounds including the truncated tail,
-    evaluations, converged flags).
+    for the integrals still open.  A tuple ``f`` has one integral per
+    component and lower bound.  An integral's sums are row sums over its
+    own nodes, and once converged it is no longer checked, summed or
+    counted, so its results are bit for bit those it would get alone.
+    Returns (values, error bounds including the truncated tail,
+    evaluations, converged flags), one entry per lower bound; of a tuple
+    ``f``, one contiguous row per component.
     """
     lowers = np.asarray(lowers, dtype=float)
     if np.any(lowers < 0.0):
         raise ValueError(f"lower bound must be >= 0, got {float(lowers.min())!r}")
-    active = np.arange(lowers.size)
     # Even nodes first, so each sum runs over a contiguous slice of a row.
     x, w, n_even = _y_nodes(2)
-    wv = _y_weighted_values(f, lowers, x, w)
+    values, many = _evaluate(f, lowers[:, None], lowers[:, None] + x, w)
+    wv = values[0] if len(values) == 1 else np.concatenate(values)
+    # Integral i is component i // lowers.size at lower bound i % lowers.size.
     even, new = wv[:, :n_even], wv[:, n_even:]
     total, total_abs = even.sum(axis=1), np.abs(even, out=even).sum(axis=1)
     previous = _DE_H0 / 2 * total
-    evaluations = np.full(lowers.size, x.size)
-    value, error = np.empty(lowers.size), np.empty(lowers.size)
-    converged = np.zeros(lowers.size, dtype=bool)
+    active = np.arange(total.size)
+    evaluations = np.full(total.size, x.size)
+    value, error = np.empty(total.size), np.empty(total.size)
+    converged = np.zeros(total.size, dtype=bool)
     for level in range(2, _DE_LEVELS + 1):
         h = _DE_H0 / 2**level
         if level > 2:
             x, w, _ = _y_nodes(level)
-            new = _y_weighted_values(f, lowers[active], x, w)
+            (keep, c), (rows, r) = (
+                np.unique(i, return_inverse=True) for i in np.divmod(active, lowers.size)
+            )
+            values, _ = _evaluate(f, lowers[rows, None], lowers[rows, None] + x, w, keep.tolist())
+            new = np.concatenate(values)[c * rows.size + r]
             evaluations[active] += new.shape[1]
         total[active] += new.sum(axis=1)
         total_abs[active] += np.abs(new, out=new).sum(axis=1)
@@ -295,7 +295,8 @@ def _integrate_y_batch(
         active = active[~done]
         if active.size == 0:
             break
-    return value, error + np.abs(value) * math.exp(-_Y_MARGIN), evaluations, converged
+    out = value, error + np.abs(value) * math.exp(-_Y_MARGIN), evaluations, converged
+    return tuple(col.reshape(-1, lowers.size) if many else col for col in out)
 
 
 @functools.cache
@@ -337,19 +338,13 @@ def _wedge_values(
     """w f(lower + u y, lower + y) on the rows y and the columns u, as
     ``_evaluate`` gives them, with u y read from ``xi`` if given; ``f``
     gets y as a column, one value per row of xi (read-only slices of that
-    ``xi`` at lower = 0), and sees at most ``_EVAL_MAX`` points per call."""
-    rows = max(1, _EVAL_MAX // u.size)
-    parts = []
-    for start in range(0, y.size, rows):
-        yy = y[start:start + rows, None]
-        xx = u * yy if xi is None else xi[start:start + rows]
-        if lower != 0.0:
-            # Only when shifted: an unconditional add slows the T = 0 wedge.
-            xx, yy = xx + lower, yy + lower
-        values, many = _evaluate(f, xx, yy, keep)
-        ws = w[start:start + rows]
-        parts.append([ws * v for v in values])
-    return [p[0] if len(parts) == 1 else np.concatenate(p) for p in zip(*parts)], many
+    ``xi`` at lower = 0)."""
+    yy = y[:, None]
+    xx = u * yy if xi is None else xi
+    if lower != 0.0:
+        # Only when shifted: an unconditional add slows the T = 0 wedge.
+        xx, yy = xx + lower, yy + lower
+    return _evaluate(f, xx, yy, w, keep)
 
 
 class _Results(tuple):

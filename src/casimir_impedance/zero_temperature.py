@@ -13,8 +13,8 @@ with the polarization factors x_p from :mod:`casimir_impedance.reflection`.
 Setting both factors to zero recovers the ideal-metal closed forms
 E = -pi^2 hbar c/(720 a^3) and F = -pi^2 hbar c/(240 a^4).  The sphere-plate
 force follows from the proximity mapping F_sp = 2 pi R E(a).  One core,
-``_plates``, takes any set of (observable, model) pairs at one separation; at
-T = 0 they are the components of one wedge integral.
+``_plates``, takes any set of (observable, model) pairs at one separation and
+temperature as the components of one reduction.
 """
 
 from __future__ import annotations
@@ -209,10 +209,11 @@ def _plates(
     config: QuadratureConfig,
 ) -> list[Observable]:
     """The plate energy or pressure of each request, a (kind, model) pair,
-    at separation a and temperature T.  At T = 0 the requests are the
-    components of one wedge integral and each gets the bits it gets alone;
-    at T > 0 each is its own Matsubara sum, which for the energy adds to
-    ``finite_temperature.ideal_energy_T``.
+    at separation a and temperature T.  The requests are the components of
+    one reduction and each gets the bits it gets alone: one wedge integral
+    at T = 0, one set of Matsubara sums at T > 0, which for the energy add
+    to ``finite_temperature.ideal_energy_T`` (the ideal metal's energy is
+    that alone).
     """
     geometry = Geometry(separation=a)
     if T == 0.0:
@@ -229,17 +230,18 @@ def _plates(
     # Imported here: finite_temperature builds on this module.
     from .finite_temperature import _NOTHING, _matsubara_correction, ideal_energy_T
 
+    def no_sum(kind, model):
+        return kind is ObservableKind.ENERGY_PER_AREA and model.kind is ImpedanceKind.IDEAL_METAL
+
+    summed = tuple(request for request in requests if not no_sum(*request))
+    raws = iter(_matsubara_correction(a, T, summed, material, config) if summed else ())
     out = []
     for kind, model in requests:
-        energy = kind is ObservableKind.ENERGY_PER_AREA
-        if energy:
+        if kind is ObservableKind.ENERGY_PER_AREA:
             offset, scale = ideal_energy_T(a, T), CODATA.k_B * T / (8.0 * math.pi * a**2)
         else:
             offset, scale = 0.0, -CODATA.k_B * T / (8.0 * math.pi * a**3)
-        if energy and model.kind is ImpedanceKind.IDEAL_METAL:
-            raw = _NOTHING
-        else:
-            raw = _matsubara_correction(a, T, model, material, config, kind)
+        raw = _NOTHING if no_sum(kind, model) else next(raws)
         out.append(_observable(kind, scale, raw, geometry, model, T, offset))
     return out
 

@@ -22,8 +22,10 @@ material and of steps covers every material and temperature.  For each
 
 It ends with the worst case of each column and the cases that failed a
 gate: not converged, tail/B > 1 or err/est > 1, or at rel_tol 1e-9 more
-points than the former stop.  ``tests/test_finite_temperature.py`` runs a
-stratified slice of the grid.
+points than the former stop.  Last it takes every grid point that has both
+sums once more as one (energy, force) row, one reduction, and counts the
+results that differ from the two sums taken alone; any is a failure.
+``tests/test_finite_temperature.py`` runs a stratified slice of the grid.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from casimir_impedance import ALUMINUM, Formalism, ImpedanceKind, ImpedanceModel
-from casimir_impedance import QuadratureConfig, effective_temperature
+from casimir_impedance import QuadratureConfig, QuadratureResult, effective_temperature
 from casimir_impedance import finite_temperature
 from casimir_impedance.reflection import _scale
 from casimir_impedance.zero_temperature import ObservableKind, _integrand
@@ -84,6 +86,7 @@ class Case:
 
 @dataclass(frozen=True)
 class Outcome:
+    result: QuadratureResult
     converged: bool
     tail_over_bound: float
     err_over_estimate: float
@@ -120,7 +123,7 @@ def _terms(case: Case, step: float, config: QuadratureConfig):
         case.a, ALUMINUM, ideal=False, static=True,
     )
     lowers = step * np.arange(max(math.ceil(80.0 / step) + 1, 12))
-    return finite_temperature._integrate_y_batch(lambda xi, y: g(xi, y)[0], lowers, config)
+    return [col[0] for col in finite_temperature._integrate_y_batch(g, lowers, config)]
 
 
 def _primed(f) -> float:
@@ -162,16 +165,22 @@ def _former(f, errs, evals, conv, step: float):
             handed + int(evals[:handed].sum()))
 
 
+def _sums(case: Case, observables) -> list[QuadratureResult]:
+    """The sums of ``observables`` at case's grid point, one reduction."""
+    T = case.step * effective_temperature(case.a) / (2.0 * math.pi)
+    model = ImpedanceModel(case.kind, case.formalism)
+    requests = tuple((observable, model) for observable in observables)
+    config = QuadratureConfig(rel_tol=case.rel_tol)
+    return finite_temperature._matsubara_correction(case.a, T, requests, ALUMINUM, config)
+
+
 def run(case: Case) -> Outcome:
     config = QuadratureConfig(rel_tol=case.rel_tol)
     T = case.step * effective_temperature(case.a) / (2.0 * math.pi)
     # The step as the sum computes it, which may differ from case.step by
     # an ulp.
     step = 2.0 * math.pi * (1.0 / finite_temperature._t(case.a, T))
-    model = ImpedanceModel(case.kind, case.formalism)
-    res = finite_temperature._matsubara_correction(
-        case.a, T, model, ALUMINUM, config, case.observable
-    )
+    (res,) = _sums(case, (case.observable,))
     f, errs, evals, conv = _terms(case, step, config)
     # The stop L: the partial sum the result reports.
     partial = [_primed(f[:n]) for n in range(1, f.size + 1)]
@@ -182,6 +191,7 @@ def run(case: Case) -> Outcome:
     ref = _primed(_terms(case, step, REF_CONFIG)[0])
     value, estimate, converged, points = _former(f, errs, evals, conv, step)
     return Outcome(
+        result=res,
         converged=res.converged,
         tail_over_bound=_ratio(tail, bound),
         err_over_estimate=_ratio(abs(res.value - ref), res.abs_error_estimate),
@@ -212,10 +222,12 @@ def failures(case: Case, out: Outcome) -> list[str]:
 
 def main() -> int:
     worst = {"tail/B": (0.0, None), "err/est": (0.0, None), "points/former": (0.0, None)}
-    failed = []
+    failed, singles = [], {}
     total = former = 0
     for case in cases():
         out = run(case)
+        point = (case.kind, case.formalism, case.a, case.step, case.rel_tol)
+        singles.setdefault(point, (case, {}))[1][case.observable] = out.result
         ratio = out.points / out.former_points
         print(
             f"{case.label()}  tail/B {out.tail_over_bound:.6f}  "
@@ -235,9 +247,14 @@ def main() -> int:
     for key, (value, case) in worst.items():
         print(f"  {key:14s} {value:.6g}  {case.label()}")
     print(f"points at rel_tol 1e-9: {total} against {former} for the former stop")
+    differ = 0
+    for case, alone in singles.values():
+        if len(alone) == len(KINDS):
+            differ += sum(r != alone[kind] for r, kind in zip(_sums(case, KINDS), KINDS))
+    print(f"(energy, force) rows: {differ} results differ from the sums taken alone")
     for case, why in failed:
         print(f"FAILED {case.label()}: {why}")
-    return 1 if failed else 0
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":

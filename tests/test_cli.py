@@ -92,6 +92,28 @@ def test_parse_grid_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: grid: expected MIN:MAX:COUNT[:log|lin]")
 
 
+@pytest.mark.parametrize(
+    ("config", "flags", "message"),
+    [
+        ('{"command": ', [], "error: config: invalid JSON (Expecting value: line 1 column 13"),
+        ("command=point\nmodel\n", [], "error: config: line 2 is not key=value: 'model'\n"),
+        ("command=point\nT=abc\n", [], "error: T: could not convert string to float: 'abc'\n"),
+        (
+            "model=ideal\na=1um\n",
+            ["--material", "no-such-metal"],
+            "error: material: 'no-such-metal' is neither a preset (Al) nor a file\n",
+        ),
+    ],
+    ids=["invalid-json", "not-key-value", "T-not-a-number", "unknown-material"],
+)
+def test_bad_input_exits_1_with_a_message_naming_it(config, flags, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert cli.main(["point", "--config", str(cfg), *flags]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(message)
+
+
 def test_parse_config_key_value(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -236,8 +258,8 @@ def test_point_thermal_ideal():
 )
 def test_point_sphere_row_maps_the_energy_row(T, module, engine, monkeypatch, capsys):
     # The sphere row is 2 pi R times the energy row above it, not a third
-    # plate computation: one wedge for energy and force together at T = 0,
-    # one Matsubara sum each at T > 0.
+    # plate computation: one reduction for energy and force together, the
+    # wedge at T = 0 and the Matsubara sums at T > 0.
     calls = []
     original = getattr(module, engine)
 
@@ -249,7 +271,7 @@ def test_point_sphere_row_maps_the_energy_row(T, module, engine, monkeypatch, ca
     argv = ["point", "--material", "Al", "--a", "1um", "--R", "100um", "--T", T]
     assert cli.main(argv) == 0
     rows = _rows(capsys.readouterr().out)
-    assert len(calls) == (1 if T == "0" else 2)
+    assert len(calls) == 1
     assert [row[2] for row in rows] == [0.0, 1.0, 2.0]
     assert rows[2][3] == 2.0 * math.pi * parse_length("100um", "R") * rows[0][3]
 
@@ -734,7 +756,8 @@ def test_main_validates_and_loads_the_material_once(tmp_path, monkeypatch):
 
 
 def test_thermal_point_rows_equal_the_library(capsys):
-    # At T > 0 each plate observable is its own Matsubara sum, as before.
+    # At T > 0 the row's two Matsubara sums are one reduction; each is bit
+    # for bit the library's own call.
     assert cli.main(["point", "--material", "Al", "--a", "300nm", "--T", "300"]) == 0
     rows = _rows(capsys.readouterr().out)
     model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT)

@@ -53,6 +53,24 @@ def test_load_material_roundtrip(tmp_path):
     assert m.name == "test"
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("omega_p_rad_s = 1.2e16\ngamma 5.0e13\n", ":2: expected key=value, got 'gamma 5.0e13'"),
+        ("omega_p_rad_s = 1.2e16\ncolor = red\n", ":2: unknown key 'color'"),
+        ("gamma_rad_s = 5e13\ngamma_rad_s = 6e13\n", ":2: duplicate key 'gamma_rad_s'"),
+        ("# no plasma frequency\ngamma_rad_s = 5e13\n", ": missing required key 'omega_p_rad_s'"),
+    ],
+    ids=["no-equals", "unknown-key", "duplicate-key", "missing-key"],
+)
+def test_load_material_rejects_a_malformed_file(text, message, tmp_path):
+    path = tmp_path / "metal.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_material(path)
+    assert str(info.value) == f"{path}{message}"
+
+
 def test_effective_temperature_definition():
     a = 2.3e-6
     T_eff = effective_temperature(a)

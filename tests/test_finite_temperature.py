@@ -34,7 +34,7 @@ from casimir_impedance import (
     static_reflection_factors,
 )
 from casimir_impedance import finite_temperature, quadrature
-from casimir_impedance.zero_temperature import _integrand, force_bracket
+from casimir_impedance.zero_temperature import _integrand, _plates, force_bracket
 
 import matsubara_stop_sweep as sweep
 
@@ -692,6 +692,19 @@ def test_tail_bound_covers_the_ideal_terms_summed_to_xi_200(n, step):
         assert finite_temperature._tail_bound(n, step, L) >= math.fsum(terms[L + 1:])
 
 
+@pytest.mark.parametrize("target", [1e-25, 1e-45])
+@pytest.mark.parametrize("n", [1, 2], ids=["energy", "force"])
+def test_stop_is_the_first_L_whose_bound_meets_the_target(n, target):
+    # _stop searches _STOP_WINDOW indices at a time; these targets put its
+    # L in the second window (337 to 360) and the third (583 to 608).
+    step = 0.19
+    L = 0
+    while finite_temperature._tail_bound(n, step, L) > target:
+        L += 1
+    assert L >= finite_temperature._STOP_WINDOW
+    assert finite_temperature._stop(n, step, target) == L
+
+
 def _sweep_slice():
     """Two cases of ``tests/matsubara_stop_sweep.py`` per (kind, formalism,
     observable, rel_tol), their separation and step rotated through the
@@ -748,7 +761,8 @@ def test_term_by_term_sum_takes_one_integrand_call(step, kind, monkeypatch, alum
             return f(xi, y)
 
         out = engine(counted, lowers, config)
-        terms.extend(out[0].tolist())
+        (row,) = out[0]
+        terms.extend(row.tolist())
         return out
 
     monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
@@ -839,6 +853,56 @@ def test_millikelvin_sum_has_bounded_cost(observable, monkeypatch, aluminum, pla
     assert obs.quadrature.converged
     assert len(engine_calls) == 1 and len(wedge_calls) == 1
     assert obs.quadrature.evaluations <= 100_000
+
+
+_ROWS = {
+    "E,F": ("E", "F"),
+    "E,F,F_ideal": ("E", "F", "F_ideal"),
+    "E_ideal,F_ideal": ("E_ideal", "F_ideal"),
+}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("row", list(_ROWS))
+@pytest.mark.parametrize("step", [0.05, 0.18, 0.1975, 1.65, 5.0])
+def test_a_thermal_row_is_one_reduction_with_each_sum_its_own(
+    step, row, rel_tol, monkeypatch, aluminum, plasma_lifshitz, ideal_model
+):
+    # A T > 0 row of the plate core makes one Matsubara reduction: one y
+    # batch and one shifted wedge below the tail threshold, from it up at
+    # most two y batches and no more than its most demanding sum takes
+    # alone.  Each observable is bit for bit its own call.  From step
+    # 0.1975 up the Lifshitz energy alone takes two batches; in a row its
+    # second stop lies past the others' first at 0.1975, inside it at 1.65
+    # and 5.  At rel_tol 1e-12 some terms need later levels of the y rule.
+    E, F = ObservableKind.ENERGY_PER_AREA, ObservableKind.FORCE_PER_AREA
+    named = {"E": (E, plasma_lifshitz), "F": (F, plasma_lifshitz),
+             "E_ideal": (E, ideal_model), "F_ideal": (F, ideal_model)}
+    requests = tuple(named[name] for name in _ROWS[row])
+    a, config = 1e-6, QuadratureConfig(rel_tol=rel_tol)
+    T = _T_at_step(a, step)
+    calls = []
+    for name in ("_matsubara_correction", "_integrate_y_batch", "integrate_xi_y"):
+        original = getattr(finite_temperature, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(finite_temperature, name, counted)
+    alone, batches = [], []
+    for request in requests:
+        calls.clear()
+        alone += _plates(a, T, (request,), aluminum, config)
+        batches.append(calls.count("_integrate_y_batch"))
+    calls.clear()
+    assert _plates(a, T, requests, aluminum, config) == alone
+    assert calls.count("_matsubara_correction") == 1
+    if step < finite_temperature._TAIL_STEP_MAX:
+        assert calls.count("_integrate_y_batch") == calls.count("integrate_xi_y") == 1
+    else:
+        assert 1 <= calls.count("_integrate_y_batch") <= max(batches) <= 2
+        assert "integrate_xi_y" not in calls
 
 
 def test_plates_approach_zero_temperature_continuously(

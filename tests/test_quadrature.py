@@ -415,6 +415,28 @@ def test_integrate_y_batch_groups_are_independent():
     # The noise-limited groups run to the level cap and report it.
     assert np.all(evals[2::3] == cap) and not np.any(conv[2::3])
 
+    # A tuple integrand: one contiguous row per component, each bit for bit
+    # its own call.  The smooth component converges in the first pass at
+    # every lower bound and turns NaN afterwards: frozen, it is neither
+    # checked nor counted again while the others run on.
+    calls = []
+
+    def components(xi, y):
+        calls.append(1)
+        smooth = y**2 * np.exp(-y) + 0.0 * xi
+        noise = np.exp(-y) + 1e-9 * np.sin(1e12 * y)
+        return smooth if len(calls) == 1 else smooth * np.nan, f(xi, y), noise
+
+    rows = _integrate_y_batch(components, lowers, DEFAULT_CONFIG)
+    assert len(calls) > 1
+    for c in range(3):
+        calls.clear()
+        one = _integrate_y_batch(lambda xi, y, c=c: components(xi, y)[c], lowers, DEFAULT_CONFIG)
+        for got, want in zip(rows, one):
+            assert got.shape == (3, lowers.size) and got[c].flags.c_contiguous
+            assert got[c].tolist() == want.tolist()
+    assert np.all(rows[2][0] == first_pass) and np.all(rows[3][0])
+
 
 def test_panel_evaluation_is_sliced_above_the_point_cap(monkeypatch):
     # 300 groups of 125 first-pass nodes: 37,500 points in the first pass.

@@ -147,6 +147,20 @@ def test_static_factors_reject_a_bad_separation(a):
         static_reflection_factors(model, np.array([0.5, 2.0]), a, ALUMINUM)
 
 
+@pytest.mark.parametrize("y", [-1.0, [2.0, -1e-300], 0.0, 2.5], ids=["-1", "array", "0", "2.5"])
+def test_static_factors_check_y_and_keep_a_scalar_scalar(y):
+    # A negative y is refused; a scalar y gets Python floats, the values
+    # of a one-point array.
+    model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.IMPEDANCE)
+    if np.min(y) < 0.0:
+        with pytest.raises(ValueError, match="^reduced variable y must be >= 0$"):
+            static_reflection_factors(model, y, A, ALUMINUM)
+        return
+    factors = static_reflection_factors(model, y, A, ALUMINUM)
+    assert [type(x) for x in factors] == [float, float]
+    assert factors == tuple(x[0] for x in static_reflection_factors(model, [y], A, ALUMINUM))
+
+
 def test_static_factors_normal_skin_lifshitz_rejected():
     model = ImpedanceModel(ImpedanceKind.NORMAL_SKIN, Formalism.LIFSHITZ)
     with pytest.raises(ValueError, match="normal-skin"):
