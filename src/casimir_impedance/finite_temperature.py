@@ -17,15 +17,13 @@ in coth and sinh^-2, or from T = T_eff up from its own Matsubara form
 The integrand of I_E and I_F is the plate integrand of the T = 0 wedge.
 Energy and pressure share one core with their T = 0 counterparts,
 ``zero_temperature._plates``, which takes all the sums of a row in one
-reduction, as at T = 0, the observables its components.  It takes the
-terms from the y rule in one of two ways chosen by the step
-xi_1 = 2 pi T / T_eff (see ``_matsubara_correction``).  From
-``_TAIL_STEP_MAX`` up the terms are summed one by one, in one or two
-calls, until the ideal metal's terms, which bound every model's, bound the
-rest of each sum within rel_tol / 2 of it.  Below it, where that would take
-about 26 / xi_1 terms, the first ``_HEAD`` terms are summed exactly and the
-rest is an Euler-Maclaurin tail whose integral is the T = 0 wedge shifted
-to xi_L, so the cost no longer grows as T falls.
+reduction, as at T = 0, the observables its components.  One rule sums
+them at every step xi_1 = 2 pi T / T_eff (see ``_matsubara_correction``):
+terms one by one until the ideal metal's terms, which bound every model's,
+bound the rest of the sum within rel_tol / 2 of it, but at most a head of
+``_HEAD`` terms; past the head the rest is an Euler-Maclaurin tail whose
+integral is the T = 0 wedge shifted to xi_L, and the head doubles until
+that tail meets rel_tol.  So the cost does not grow as T falls.
 
 The thermal correction Delta_T = Q(a, T) - Q(a, 0) also has closed expansions
 to second order in delta_0 / a, the penetration-depth-to-gap ratio
@@ -90,22 +88,11 @@ _IDEAL_TAU_SWITCH = 1.0
 # The second-order expansion in delta_0 / a loses meaning past this ratio.
 _PERT_RATIO_MAX = 0.1
 
-# Below this Matsubara step xi_1 = 2 pi T / T_eff a primed sum is its first
-# _HEAD terms plus an Euler-Maclaurin tail (see _matsubara_correction), at a
-# fixed 16,911 integrand points whatever the step (1 um, plasma model).
-# The term-by-term sum, which stops near xi = 26, costs about 3,350 / step
-# points: fewer from step 0.2 up.  In time (best of 7 x 20 calls, 2-vCPU
-# host) the tail takes 0.65-0.69 ms, the sum 1.14, 0.80, 0.60 and 0.33 ms
-# at steps 0.19, 0.21, 0.25 and 1.  The tail's accuracy is measured only up
-# to step 0.19, so the threshold stays there, below both crossovers.
-_TAIL_STEP_MAX = 0.19
+# A primed sum's first head: past it the sum is an Euler-Maclaurin tail
+# (see _matsubara_correction).  Its 36 terms and tail wedge take 16,911
+# integrand points (1 um, plasma model), the terms to xi = 26 about
+# 3,350 / step.
 _HEAD = 32
-
-# The ideal metal's Matsubara sum, which picks where a term-by-term sum
-# first stops, takes its k series to here: from step 0.19 up the rest is
-# below 6e-9 of it.  Stops are searched for this many indices at a time.
-_IDEAL_K = 64
-_STOP_WINDOW = 256
 
 # The closed series (the ideal-metal energy, the delta_0 / a expansions)
 # stop when their tail falls below _SERIES_TAIL_TOL of the sum, and give
@@ -192,40 +179,33 @@ def ideal_energy_T(a: float, T: float) -> float:
     return e0 * (1.0 + 45.0 / math.pi**3 * total - tau**4)
 
 
-def _ideal_sums(n: int, step: float, m, k):
-    """2 S_{l >= m} e^(-k xi_l) p(xi_l), xi_l = step l, in closed form, with
-    p(xi) = e^(k xi) int_xi^inf y^n e^(-k y) dy: summed over k >= 1, the
-    ideal metal's terms b(xi) = 2 int_xi^inf y^n / (e^y - 1) dy of the
-    energy (n = 1) or force (n = 2) from l = m on.  Vectorized over m, k."""
-    q, g = np.exp(-k * step), -1.0 / np.expm1(-k * step)
-    x = m * step
-    # S_{l >= m} xi_l^j q^(l - m) for j = 0, 1, 2.
-    moments = (
-        g,
-        x * g + step * q * g**2,
-        x * x * g + 2.0 * x * step * q * g**2 + step**2 * q * (1.0 + q) * g**3,
-    )
-    p = sum(math.factorial(n) // math.factorial(j) * moments[j] / k ** (n + 1 - j)
-            for j in range(n + 1))
-    return 2.0 * np.exp(-k * x) * p
-
-
 def _tail_bound(n: int, step: float, L):
-    """B(L) >= S_{l > L} b(xi_l): with m = L + 1, 1 / (e^y - 1) <=
-    e^-y / (1 - e^-xi_m) for y >= xi_m, so these b add up to at most the
-    k = 1 term of ``_ideal_sums`` over 1 - e^-xi_m, times 1 + ``_ROUNDOFF``
-    for rounding (from xi_m = 33 on the two agree to it)."""
-    m = L + 1
-    return _ideal_sums(n, step, m, 1) / -np.expm1(-step * m) * (1.0 + _ROUNDOFF)
+    """B(L) >= S_{l > L} b(xi_l), b(xi) = 2 int_xi^inf y^n / (e^y - 1) dy
+    the ideal metal's energy (n = 1) or force (n = 2) term, vectorized over
+    L.  With m = L + 1, 1 / (e^y - 1) <= e^-y / (1 - e^-xi_m) for y >= xi_m,
+    so B(L) is 2 S_{l >= m} e^-xi_l p(xi_l), p(xi) = S_j n!/j! xi^j, in
+    closed form over 1 - e^-xi_m, times 1 + ``_ROUNDOFF`` for rounding (from
+    xi_m = 33 on the two agree to it).  A Python float for an int L."""
+    exp, expm1 = (math.exp, math.expm1) if isinstance(L, int) else (np.exp, np.expm1)
+    q, g = exp(-step), -1.0 / expm1(-step)
+    x = (L + 1) * step
+    # p: S_j n!/j! S_{l >= m} xi_l^j q^(l - m) for j = 0 .. n.
+    p = g + (x * g + step * q * g**2)
+    if n == 2:
+        p = 2.0 * p + (x * x * g + 2.0 * x * step * q * g**2 + step**2 * q * (1.0 + q) * g**3)
+    return 2.0 * exp(-x) * p / -expm1(-x) * (1.0 + _ROUNDOFF)
 
 
-def _stop(n: int, step: float, target: float) -> int:
-    """The smallest L with B(L) <= target; B underflows to 0, so any
-    positive target is met."""
-    L = np.arange(_STOP_WINDOW)
-    while not (hit := _tail_bound(n, step, L) <= target).any():
-        L += _STOP_WINDOW
-    return int(L[hit.argmax()])
+def _stop(n: int, step: float, target: float, head: int) -> int:
+    """The smallest L <= head with B(L) <= target, or head if there is none."""
+    if _tail_bound(n, step, head) > target:
+        return head
+    return int(np.append(_tail_bound(n, step, np.arange(head)) <= target, True).argmax())
+
+
+def _sum_target(value: float, tol: float) -> float:
+    """``quadrature._target`` of a sum, its own absolute sum, on one float."""
+    return max(abs(value) * max(tol, _ROUNDOFF), _ABS_FLOOR)
 
 
 def _matsubara_correction(
@@ -244,91 +224,110 @@ def _matsubara_correction(
     one integrand, which the y rule and the wedge reduce each on its own:
     each sum gets the bits it gets alone.
 
-    With the step xi_1 = 2 pi T / T_eff at or above ``_TAIL_STEP_MAX`` the
-    terms are summed one by one.  Both reflection factors lie in [0, 1], so
-    every term lies in [0, b(xi_l)], b the ideal metal's term (see
-    ``_ideal_sums``).  A sum stops at the smallest L whose bound
-    B(L) >= S_{l > L} b(xi_l) (``_tail_bound``) is within rel_tol / 2 of
-    the partial sum S_L, or its roundoff, and reports B(L) as truncation.
-    It takes the terms to the L where the ideal metal's sum stops, then, if
-    no S_L meets its target, to the L that the last S_L demands, which
-    suffices as no term is negative: one ``_integrate_y_batch`` call to the
-    largest first L and, if needed, one to the largest second L.  Each sum
-    adds and counts only the terms to its own L; those past its stop are
-    dropped but counted in ``evaluations``.  Below ``_TAIL_STEP_MAX`` the
-    term count would grow like 1/T, so a sum is an exact head of
-    ``_HEAD`` = L terms plus the Euler-Maclaurin tail
+    One rule serves every step xi_1 = 2 pi T / T_eff.  Both reflection
+    factors lie in [0, 1], so every term lies in [0, b(xi_l)], b the ideal
+    metal's term, and B(L) >= S_{l > L} b(xi_l) (``_tail_bound``) bounds
+    the rest of the sum past L.  A sum takes its terms one by one to
+    L = min(head, the smallest L whose B(L) is within rel_tol / 2 of a sum
+    or its roundoff), L >= 1: first of a lower bound of the ideal sum, b(0)
+    / 2 plus the k = 1 part of the rest, then of its partial sum S_L.  If
+    B(L) meets the target of S_L it stops at the smallest such L and
+    reports B(L) as truncation; as no term is negative, no smaller L meets
+    it where L does not.  If not, and L is short of the head, S_L demands
+    the next L.  At the head the sum is its terms plus the Euler-Maclaurin
+    tail
 
         S_{l >= L} f(l) = (1/step) int_{xi_L}^inf I(xi) dxi + f(L)/2
                           - f'(L)/12 + f^(3)(L)/720 - f^(5)(L)/30240,
 
     whose derivatives are 7-point central differences of f(L-3 .. L+3) and
-    whose integral is the T = 0 wedge rule shifted by xi_L: all L + 4 terms
-    come from one ``_integrate_y_batch`` call, the integrals from one wedge.
-    Its truncation, the last Euler-Maclaurin term plus the stencils' error
-    bounded by their difference from 5-point stencils, must be within
-    rel_tol of the sum.  The error adds the truncation, the wedge error over
-    the step and the y-errors of the terms summed; ``evaluations`` counts
-    every term integrated plus every integrand point of the y-integrals and
-    the wedge.
+    whose integral is the T = 0 wedge rule shifted by xi_L.  Its truncation,
+    the last Euler-Maclaurin term plus the stencils' error bounded by their
+    difference from 5-point stencils, must be within rel_tol of the sum or
+    its roundoff; while it is not, the head, first ``_HEAD``, doubles.  Each
+    round makes one ``_integrate_y_batch`` call for the terms the open sums
+    ask for, and the sums that reach the same head in it share one wedge.
+    The error adds the truncation, the wedge error over the step, the
+    y-errors of the terms used and the roundoff of the sum, which their
+    level differences do not see.  Each sum counts
+    in ``evaluations`` every term it asked for, the integrand points of
+    their y-integrals and of its wedges; it adds only terms to its own stop.
     """
     step = 2.0 * math.pi * (1.0 / _t(a, T))
     g_static = _integrand(requests, a, material, ideal=False, static=True)
-    # Per sum: value, truncation bound, terms summed and counted, extra
-    # points and flag.
-    sums = []
-    if step >= _TAIL_STEP_MAX:
-        half_tol, k = 0.5 * config.rel_tol, np.arange(1, _IDEAL_K + 1)
-        ns = [1 if kind is ObservableKind.ENERGY_PER_AREA else 2 for kind, _ in requests]
-        # The ideal metal's sum S'_l b(xi_l): b(0) / 2 = n! zeta(n + 1).
-        totals = [(math.pi**2 / 6.0, 2.0 * _ZETA_3)[n - 1] + _ideal_sums(n, step, 1, k).sum()
-                  for n in ns]
-        # Per sum: its stop L and its test of S_0 .. S_L; the terms so far.
-        stops, tests, terms, open_ = [0] * len(ns), [None] * len(ns), None, range(len(ns))
-        for _ in range(2):
-            for r in open_:
-                # From l = 1: S_0 = 0 (the normal-skin energy) would demand
-                # every term down to the absolute floor.
-                stops[r] = max(1, _stop(ns[r], step, _target(totals[r], totals[r], half_tol)))
-            start = 0 if terms is None else terms[0].shape[1]
-            if max(stops) >= start:
-                new = _integrate_y_batch(g_static, step * np.arange(start, max(stops) + 1), config)
-                terms = new if terms is None else [np.hstack(p) for p in zip(terms, new)]
-            for r in open_:
-                partial = np.cumsum(terms[0][r, :stops[r] + 1]) - 0.5 * terms[0][r, 0]
-                bounds = _tail_bound(ns[r], step, np.arange(partial.size))
-                tests[r] = bounds, np.flatnonzero(bounds <= _target(partial, partial, half_tol))
-                totals[r] = partial[-1]
-            open_ = [r for r in open_ if not tests[r][1].size]
-        for f, L, (bounds, passed) in zip(terms[0], stops, tests):
-            n = passed[0] + 1 if passed.size else L + 1
-            value = math.fsum([0.5 * f[0], *f[1:n].tolist()])
-            # The terms' level differences do not see their rounding.
-            bound = float(bounds[n - 1]) + _ROUNDOFF * abs(value)
-            sums.append((value, bound, n, L + 1, 0, passed.size > 0))
-    else:
-        terms = _integrate_y_batch(g_static, step * np.arange(_HEAD + 4), config)
-        g = _integrand(requests, a, material, ideal=False)
-        for f, wedge in zip(terms[0], integrate_xi_y(g, config, lower=step * _HEAD)):
-            around = f[_HEAD - 3:]
-            d1, d3, last = float(_D1 @ around), float(_D3 @ around), float(_D5 @ around) / 30240.0
-            truncation = abs(last) + abs(float(_D1_GAP @ around)) / 12.0
-            truncation += abs(float(_D3_GAP @ around)) / 720.0
-            value = math.fsum([0.5 * f[0], *f[1:_HEAD].tolist(), wedge.value / step,
-                               0.5 * f[_HEAD], -d1 / 12.0, d3 / 720.0, -last])
-            ok = wedge.converged and truncation <= config.rel_tol * abs(value)
-            bound = truncation + wedge.abs_error_estimate / step
-            sums.append((value, bound, f.size, f.size, wedge.evaluations, ok))
-    _, errs, evals, conv = terms
-    return [
-        QuadratureResult(
+    half_tol, size = 0.5 * config.rel_tol, len(requests)
+    ns = [1 if kind is ObservableKind.ENERGY_PER_AREA else 2 for kind, _ in requests]
+    # Per sum: its head, its L, the terms it asked for, its wedges' points
+    # and, once done, its result.  b(0) / 2 is n! zeta(n + 1), the k = 1
+    # part of the rest B(0) (1 - e^-xi_1).  L >= 1: S_0 = 0 (the
+    # normal-skin energy) would demand every term down to the absolute floor.
+    heads, ends, extra, sums = [_HEAD] * size, [0] * size, [0] * size, [None] * size
+    ideal = [(math.pi**2 / 6.0, 2.0 * _ZETA_3)[n - 1] - _tail_bound(n, step, 0) * math.expm1(-step)
+             for n in ns]
+    stops = [max(1, _stop(n, step, _sum_target(b, half_tol), _HEAD)) for n, b in zip(ns, ideal)]
+    terms = None
+
+    def result(r, value, bound, n, ok, roundoff=0.0):
+        """Sum r's result from its first n terms, its truncation ``bound``
+        and the ``roundoff`` of its value if ``bound`` leaves it out."""
+        _, errs, evals, conv = terms
+        return QuadratureResult(
             value=value,
-            abs_error_estimate=bound + math.fsum(errs[r, :n].tolist()),
-            evaluations=end + int(evals[r, :end].sum()) + extra,
+            abs_error_estimate=bound + math.fsum(errs[r, :n].tolist()) + roundoff,
+            evaluations=ends[r] + int(evals[r, :ends[r]].sum()) + extra[r],
             converged=bool(ok and conv[r, :n].all()),
         )
-        for r, (value, bound, n, end, extra, ok) in enumerate(sums)
-    ]
+
+    while open_ := [r for r in range(size) if sums[r] is None]:
+        for r in open_:
+            # At the head, also the 3 terms past it that the tail's stencil needs.
+            ends[r] = max(ends[r], stops[r] + (4 if stops[r] == heads[r] else 1))
+        start = 0 if terms is None else terms[0].shape[1]
+        if max(ends) > start:
+            new = _integrate_y_batch(g_static, step * np.arange(start, max(ends)), config)
+            terms = new if terms is None else [np.hstack(p) for p in zip(terms, new)]
+        tails = {}
+        for r in open_:
+            f, n, L = terms[0][r], ns[r], stops[r]
+            body = f[1:L].tolist()
+            target = _sum_target(math.fsum([0.5 * f[0], *body, f[L]]), half_tol)
+            if _tail_bound(n, step, L) <= target:
+                # The first L to meet it, or L if the cumsum's rounding
+                # misses where the exact sum of the same terms meets it.
+                partials = np.cumsum(f[:L + 1]) - 0.5 * f[0]
+                bounds = _tail_bound(n, step, np.arange(L + 1))
+                hit = bounds <= _target(partials, partials, half_tol)
+                hit[-1] = True
+                L = int(hit.argmax())
+                value = math.fsum([0.5 * f[0], *f[1:L + 1].tolist()])
+                sums[r] = result(r, value, float(bounds[L]) + _ROUNDOFF * abs(value), L + 1, True)
+            elif L < heads[r]:
+                stops[r] = max(L + 1, _stop(n, step, target, heads[r]))
+            else:
+                tails.setdefault(L, []).append((r, body, target))
+        for L, group in tails.items():
+            # The wedge never evaluates xi = 0: the integrand of all the
+            # terms serves it whenever all the sums reach this head.
+            g = g_static if len(group) == size else _integrand(
+                tuple(requests[r] for r, _, _ in group), a, material, ideal=False)
+            for (r, body, target), wedge in zip(group, integrate_xi_y(g, config, lower=step * L)):
+                f = terms[0][r]
+                around = f[L - 3:L + 4]
+                d1, d3 = float(_D1 @ around), float(_D3 @ around)
+                last = float(_D5 @ around) / 30240.0
+                truncation = abs(last) + abs(float(_D1_GAP @ around)) / 12.0
+                truncation += abs(float(_D3_GAP @ around)) / 720.0
+                value = math.fsum([0.5 * f[0], *body, wedge.value / step, 0.5 * f[L], -d1 / 12.0,
+                                   d3 / 720.0, -last])
+                extra[r] += wedge.evaluations
+                if truncation <= _sum_target(value, config.rel_tol):
+                    bound = truncation + wedge.abs_error_estimate / step
+                    floor = _ROUNDOFF * abs(value)
+                    sums[r] = result(r, value, bound, L + 4, wedge.converged, floor)
+                else:
+                    heads[r] *= 2
+                    stops[r] = max(L + 1, _stop(ns[r], step, target, heads[r]))
+    return sums
 
 
 def _thermal_plate(

@@ -424,6 +424,27 @@ def _bound_stop(terms, observable, step, rel_tol=1e-9):
     return None
 
 
+def _recorded(monkeypatch, *names):
+    """From now on, the calls of the ``finite_temperature`` names ``names``:
+    (name, args, kwargs, result) in order."""
+    calls = []
+    for name in names:
+        original = getattr(finite_temperature, name)
+
+        def recorded(*args, name=name, original=original, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append((name, args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(finite_temperature, name, recorded)
+    return calls
+
+
+def _wedge_heads(calls, step):
+    """The heads L of the shifted wedges among ``calls``, in order."""
+    return [round(kw["lower"] / step) for name, _, kw, _ in calls if name == "integrate_xi_y"]
+
+
 @pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
 def test_batched_matsubara_sum_matches_per_term_integrals(
     observable, monkeypatch, aluminum, plasma_lifshitz, y_integral
@@ -431,20 +452,19 @@ def test_batched_matsubara_sum_matches_per_term_integrals(
     # Oracle: one y integral per Matsubara index, the integrand written
     # out, summed up to the first L where the ideal metal's bound on the
     # rest is within rel_tol / 2 of the partial sum.  The Lifshitz formalism
-    # makes the static l = 0 term non-zero.  The step lies just above the
-    # tail threshold, so the sum runs term by term, in at most two engine
-    # calls: the ideal force stops where the first ends, and the material
-    # part of the energy, 4% of the ideal metal's, needs the second.
-    a, T = 1e-6, 36.0
+    # makes the static l = 0 term non-zero.  At step 0.99 that L lies
+    # inside the head, so the sum runs term by term, in at most two engine
+    # calls: the force stops where the first ends, and the material part of
+    # the energy, 4% of the ideal metal's, needs the second.
+    a, T = 1e-6, 180.0
     step = _step(a, T)
-    assert step >= finite_temperature._TAIL_STEP_MAX
     integrand = _mode_integrand(plasma_lifshitz, aluminum, a, observable is energy_ppT)
     results = [
         y_integral(lambda y, xi=step * l: integrand(xi, y), step * l)
         for l in range(math.ceil(40.0 / step) + 1)
     ]
     L = _bound_stop([r.value for r in results], observable, step)
-    assert L is not None and results[0].value != 0.0
+    assert L is not None and L < finite_temperature._HEAD and results[0].value != 0.0
     total = math.fsum([0.5 * results[0].value, *(r.value for r in results[1:L + 1])])
     handed = []
     engine = finite_temperature._integrate_y_batch
@@ -481,11 +501,12 @@ def _T_at_step(a, step):
 
 
 # (kind, formalism) pairs with a defined static term, and for each kind the
-# (a, T) points: at step 0.18, just below the tail threshold, and at a*T =
-# 1e-5 m K, the top of the benchmark's low-temperature range.  At 100 nm the
-# plasma-approx terms dip near xi = w_p = 12.7, where Z = 1, and at 50 nm
-# (step 0.18) near xi = 6.3.  The bottom of the range, a*T = 1e-6 m K, is
-# checked for plasma-exact alone.
+# (a, T) points, where the sum takes its Euler-Maclaurin tail: at step 0.18,
+# the top of the former tail path, and at a*T = 1e-5 m K, the top of the
+# benchmark's low-temperature range.  At 100 nm the plasma-approx terms dip
+# near xi = w_p = 12.7, where Z = 1, and at 50 nm (step 0.18) near
+# xi = 6.3.  The bottom of the range, a*T = 1e-6 m K, is checked for
+# plasma-exact alone.
 _TAIL_PAIRS = [
     (ImpedanceKind.IDEAL_METAL, Formalism.IMPEDANCE),
     (ImpedanceKind.IDEAL_METAL, Formalism.LIFSHITZ),
@@ -529,12 +550,14 @@ def _exact_primed(observable, model, material, a, T, config=quadrature.DEFAULT_C
 
 
 @pytest.mark.parametrize("observable, model, points", _tail_cases())
-def test_tail_matches_exact_primed_sum(observable, model, points):
+def test_tail_matches_exact_primed_sum(observable, model, points, monkeypatch):
     material = None if model.kind is ImpedanceKind.IDEAL_METAL else ALUMINUM
+    calls = _recorded(monkeypatch, "integrate_xi_y")
     for a, T in points:
-        assert _step(a, T) < finite_temperature._TAIL_STEP_MAX
         exact = _exact_primed(observable, model, material, a, T)
+        calls.clear()
         obs = observable(a, T, model, material)
+        assert _wedge_heads(calls, _step(a, T)) == [finite_temperature._HEAD]
         assert obs.quadrature.converged
         assert obs.value == pytest.approx(exact, rel=1e-11, abs=0)
         assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
@@ -558,50 +581,84 @@ def test_tail_error_estimate_holds_at_30_nm(observable, formalism):
 @pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
 @pytest.mark.parametrize("formalism", list(Formalism))
 @pytest.mark.parametrize("kind", [ImpedanceKind.PLASMA_EXACT, ImpedanceKind.PLASMA_APPROX])
-def test_tail_matches_the_term_by_term_sum_at_30_nm(observable, formalism, kind, monkeypatch):
-    # Below 100 nm the tail path is farthest from its accuracy at 1 um: at
-    # 30 nm and step 0.18, just under the threshold, it differs from the
-    # term-by-term sum by up to 1.26e-11 relative (plasma-approx Lifshitz
-    # force), 0.013 of its error estimate.  The term-by-term reference runs
-    # at rel_tol 1e-11: it stops once the ideal metal's bound on its tail
-    # is within rel_tol / 2 of the sum, and at the default rel_tol the
-    # energies' true tails come to 0.998 of that bound.
+def test_tail_matches_the_term_by_term_sum_at_30_nm(observable, formalism, kind):
+    # Below 100 nm the tail is farthest from its accuracy at 1 um: at 30 nm
+    # and step 0.18 it differs from the term-by-term sum by up to 1.26e-11
+    # relative (plasma-approx Lifshitz force), 0.013 of its error estimate.
+    # The term-by-term reference takes the terms at rel_tol 1e-11 to the
+    # first L where the ideal metal's bound on the rest is within rel_tol / 2
+    # of the partial sum; at the default rel_tol the energies' true tails
+    # come to 0.998 of that bound.
     model = ImpedanceModel(kind, formalism)
     a = 3e-8
     T = _T_at_step(a, 0.18)
-    assert _step(a, T) < finite_temperature._TAIL_STEP_MAX
+    step, config = _step(a, T), QuadratureConfig(rel_tol=1e-11)
+    energy = observable is energy_ppT
+    request = (ObservableKind.ENERGY_PER_AREA if energy else ObservableKind.FORCE_PER_AREA, model)
+    g = _integrand((request,), a, ALUMINUM, ideal=False, static=True)
+    (terms,), _, _, (converged,) = finite_temperature._integrate_y_batch(
+        g, step * np.arange(math.ceil(40.0 / step) + 1), config
+    )
+    L = _bound_stop(terms, observable, step, config.rel_tol)
+    term_by_term = _from_sum(observable, a, T, math.fsum([0.5 * terms[0], *terms[1:L + 1]]))
     tail = observable(a, T, model, ALUMINUM)
-    monkeypatch.setattr(finite_temperature, "_TAIL_STEP_MAX", 0.0)
-    term_by_term = observable(a, T, model, ALUMINUM, QuadratureConfig(rel_tol=1e-11))
-    assert tail.quadrature.converged and term_by_term.quadrature.converged
-    assert abs(tail.value - term_by_term.value) <= tail.quadrature.abs_error_estimate
+    assert tail.quadrature.converged and converged[:L + 1].all()
+    assert abs(tail.value - term_by_term) <= tail.quadrature.abs_error_estimate
 
 
-@pytest.mark.parametrize("observable", [force_ppT, energy_ppT])
-def test_tail_error_estimate_holds_at_tight_tolerance(observable, aluminum, plasma_impedance):
-    # At rel_tol 1e-13 the integrals are accurate far below the tail's
-    # truncation (about 2e-12 of the sum at step 0.18), so the estimate must
-    # cover the truncation itself, and the sum cannot claim to meet rel_tol.
-    config = QuadratureConfig(rel_tol=1e-13)
-    a = 1e-6
-    T = _T_at_step(a, 0.18)
-    exact = _exact_primed(observable, plasma_impedance, aluminum, a, T, config)
-    obs = observable(a, T, plasma_impedance, aluminum, config)
-    assert obs.value == pytest.approx(exact, rel=1e-11, abs=0)
+# (observable, kind, formalism, a, step, rel_tol, the heads of its wedges).
+_TIGHT = [
+    (force_ppT, ImpedanceKind.PLASMA_EXACT, Formalism.IMPEDANCE, 1e-6, 0.18, 1e-13, [32, 64, 128]),
+    (energy_ppT, ImpedanceKind.PLASMA_EXACT, Formalism.IMPEDANCE, 1e-6, 0.18, 1e-13, [32, 64, 128]),
+    (energy_ppT, ImpedanceKind.NORMAL_SKIN, Formalism.IMPEDANCE, 1e-3, 0.0055, 1e-12, [32, 64]),
+    (energy_ppT, ImpedanceKind.NORMAL_SKIN, Formalism.IMPEDANCE, 1e-3, 0.0055, 1e-15,
+     [32, 64, 128]),
+    (force_ppT, ImpedanceKind.PLASMA_EXACT, Formalism.LIFSHITZ, 2.8e-7, 0.5, 1e-12, [32, 64]),
+    (force_ppT, ImpedanceKind.PLASMA_APPROX, Formalism.LIFSHITZ, 1.5e-7, 0.7, 1e-12, [32]),
+]
+
+
+@pytest.mark.parametrize(
+    "observable, kind, formalism, a, step, rel_tol, heads", _TIGHT,
+    ids=["force-1um-0.18", "energy-1um-0.18", "normal-skin-1mm-1mK", "normal-skin-below-roundoff",
+         "lifshitz-280nm-0.5", "approx-lifshitz-150nm-0.7"],
+)
+def test_tail_error_estimate_holds_at_tight_tolerance(
+    observable, kind, formalism, a, step, rel_tol, heads, monkeypatch
+):
+    # The Euler-Maclaurin truncation at the first head is about 2e-12 of
+    # the sum at step 0.18 and 1.0e-11 for the normal-skin energy at 1 mm and
+    # 1 mK, where the terms grow like sqrt(xi) from l = 0; the head doubles
+    # until it meets rel_tol, and every sum converges to the exact primed
+    # sum within rel_tol and its estimate.  The plasma-approx Lifshitz force
+    # at 150 nm, step 0.7, is off by 4.8e-15 relative, within its estimate
+    # only with the sum's roundoff; the plasma-exact one at 280 nm, step
+    # 0.5, lies near the plasma dip at xi = w_p = 35.5.  A rel_tol below
+    # the roundoff floor, 50 eps, is met at that floor: the normal-skin
+    # energy at 1e-15 stops at the head of 128 (256 without the floor).
+    model, config = ImpedanceModel(kind, formalism), QuadratureConfig(rel_tol=rel_tol)
+    T = _T_at_step(a, step)
+    exact = _exact_primed(observable, model, ALUMINUM, a, T, config)
+    calls = _recorded(monkeypatch, "_integrate_y_batch", "integrate_xi_y")
+    obs = observable(a, T, model, ALUMINUM, config)
+    assert obs.quadrature.converged
+    assert abs(obs.value - exact) <= max(rel_tol, quadrature._ROUNDOFF) * abs(exact)
     assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
-    assert not obs.quadrature.converged
+    assert _wedge_heads(calls, _step(a, T)) == heads
+    assert [c[0] for c in calls] == ["_integrate_y_batch", "integrate_xi_y"] * len(heads)
 
 
 @pytest.mark.parametrize("aT", [3.0e-5, 3.2e-5, 3.4e-5])
-def test_tail_wedge_below_the_dip_stops_at_its_second_halving(aT, aluminum):
+def test_tail_wedge_below_the_dip_stops_at_its_second_halving(aT, aluminum, monkeypatch):
     # Hardware-independent cost guard: at 100 nm the tail wedge of the
     # plasma-approx impedance force starts at xi_L >= 5.3, below the dip at
     # xi = w_p = 12.7, and still converges at 12,375 points; with the 36 head
     # terms the sum costs 16,911 points (53,983 with a fourth level).
     a = 1e-7
-    assert _step(a, aT / a) < finite_temperature._TAIL_STEP_MAX
     model = ImpedanceModel(ImpedanceKind.PLASMA_APPROX, Formalism.IMPEDANCE)
+    calls = _recorded(monkeypatch, "integrate_xi_y")
     obs = force_ppT(a, aT / a, model, aluminum)
+    assert _wedge_heads(calls, _step(a, aT / a)) == [finite_temperature._HEAD]
     assert obs.quadrature.converged
     assert obs.quadrature.evaluations <= 16_911
 
@@ -616,36 +673,14 @@ def test_term_by_term_sum_does_not_stop_at_the_plasma_dip(a, T, aluminum):
     # xi = w_p = 19 and rise again; at 280 nm the dip, w_p = 35.5, lies
     # past the stop.  A sum that stopped on the ratio of its terms in the
     # dip was off by 8.7e-10 relative, 2.6 to 3.6 times its error estimate.
-    # The ideal metal's bound holds in and past a dip alike.
-    assert _step(a, T) >= finite_temperature._TAIL_STEP_MAX
+    # The ideal metal's bound holds in and past a dip alike: at step 1
+    # (1,215 K) the sum stops on it inside the head; at steps 0.2 to 0.6 it
+    # takes the tail, whose wedge from xi_32 spans the dip.
     model = ImpedanceModel(ImpedanceKind.PLASMA_APPROX, Formalism.LIFSHITZ)
     exact = _exact_primed(force_ppT, model, aluminum, a, T)
     obs = force_ppT(a, T, model, aluminum)
     assert obs.quadrature.converged
     assert abs(obs.value - exact) <= obs.quadrature.abs_error_estimate
-
-
-def test_tail_threshold_sits_at_the_cost_crossover(monkeypatch, aluminum, plasma_impedance):
-    # Hardware-independent reason for the split: the head and tail cost a
-    # fixed 16,911 integrand points, the term-by-term sum, which stops on
-    # the ideal metal's bound near xi = 26, about 3,350 / step.  Up to the
-    # threshold the tail is cheaper (17,640 term-by-term points at 0.19),
-    # from step 0.2 up the sum (16,758 points at 0.2, 11,214 at 0.3).  In
-    # time (1 um, best of 7 x 20 calls on a 2-vCPU host) the tail takes
-    # 0.65-0.69 ms and the sum 1.14, 0.80, 0.60 and 0.33 ms at steps 0.19,
-    # 0.21, 0.25 and 1, so the time crossover lies between 0.21 and 0.25.
-    assert 0.12 < finite_temperature._TAIL_STEP_MAX < 0.25
-    a = 1e-6
-    tail, exact = math.inf, 0.0  # thresholds that force each path
-
-    def points(step, threshold):
-        monkeypatch.setattr(finite_temperature, "_TAIL_STEP_MAX", threshold)
-        return force_ppT(a, _T_at_step(a, step), plasma_impedance, aluminum).quadrature.evaluations
-
-    for step in (0.12, 0.19):
-        assert points(step, tail) < points(step, exact)
-    for step in (0.2, 0.3, 1.65):
-        assert points(step, exact) < points(step, tail)
 
 
 def _ideal_term(n, xi):
@@ -692,17 +727,20 @@ def test_tail_bound_covers_the_ideal_terms_summed_to_xi_200(n, step):
         assert finite_temperature._tail_bound(n, step, L) >= math.fsum(terms[L + 1:])
 
 
-@pytest.mark.parametrize("target", [1e-25, 1e-45])
+@pytest.mark.parametrize("target", [1e-4, 1e-25, 1e-45])
 @pytest.mark.parametrize("n", [1, 2], ids=["energy", "force"])
 def test_stop_is_the_first_L_whose_bound_meets_the_target(n, target):
-    # _stop searches _STOP_WINDOW indices at a time; these targets put its
-    # L in the second window (337 to 360) and the third (583 to 608).
+    # _stop searches only up to the head: the first L whose bound meets
+    # the target (L = 76 to 608 at step 0.19), or the head if it lies short
+    # of that L.
     step = 0.19
     L = 0
     while finite_temperature._tail_bound(n, step, L) > target:
         L += 1
-    assert L >= finite_temperature._STOP_WINDOW
-    assert finite_temperature._stop(n, step, target) == L
+    for head in (L, L + 1, 4 * L):
+        assert finite_temperature._stop(n, step, target, head) == L
+    for head in (0, L // 2, L - 1):
+        assert finite_temperature._stop(n, step, target, head) == head
 
 
 def _sweep_slice():
@@ -720,34 +758,38 @@ def _sweep_slice():
 
 
 @pytest.mark.parametrize("case", _sweep_slice())
-def test_term_by_term_sum_meets_its_gates(case):
-    # A stratified slice of the sweep: the reported truncation bounds the
-    # true tail (the same terms to xi = 80), |value - ref| is within the
-    # estimate (ref from terms at rel_tol 1e-13), and at the default
-    # rel_tol the sum takes no more points than the former ratio stop on
-    # the same terms.  A sum may come back unconverged only where the
-    # former stop did too: some plasma Lifshitz terms hit the y rule's level
-    # cap at rel_tol 1e-12.
+def test_matsubara_sum_meets_the_sweep_gates(case):
+    # A stratified slice of the sweep: |value - ref| is within the estimate
+    # plus the error of ref (terms at rel_tol 1e-13 to xi = 80), a sum that
+    # stopped on the ideal bound reports a truncation that bounds its true
+    # tail (the same terms to xi = 80), and at the default rel_tol the sum
+    # takes no more points than the former two-path rule on the same terms,
+    # plus one first pass of the tail where that rule summed more than the
+    # head.  A sum may come back unconverged only where the former rule did
+    # too: some plasma Lifshitz terms hit the y rule's level cap at rel_tol
+    # 1e-12.
     out = sweep.run(case)
     assert out.converged or not out.former_converged
-    assert out.tail_over_bound <= 1.0
+    assert out.tail_over_bound is None or out.tail_over_bound <= 1.0
     assert out.err_over_estimate <= 1.0
     if case.rel_tol == 1e-9:
-        assert out.points <= out.former_points
+        assert out.points <= out.allowed_points
 
 
 @pytest.mark.parametrize("step", [0.3, 1.0, 1.65, 5.5, 800.0])
 @pytest.mark.parametrize("kind", [ImpedanceKind.IDEAL_METAL, ImpedanceKind.PLASMA_EXACT])
 def test_term_by_term_sum_takes_one_integrand_call(step, kind, monkeypatch, aluminum):
-    # Hardware-independent cost guard for the term-by-term side.  The y rule
-    # gets exactly the terms to the bound's stop L: in one call for the
-    # ideal force, whose terms are the bound, and in at most two for the
-    # plasma force, whose sum is 92% of the ideal metal's.  Every term handed
-    # to the y rule is counted, also at step 800, where all terms but
-    # l = 0 underflow to zero and the sum stops at L = 0 after a first call
-    # that runs to l = 1.  The y rule's first pass evaluates every node in
-    # one integrand call, and at the default tolerance no term needs a
-    # later level.
+    # Hardware-independent cost guard, round by round.  From step 1 up the
+    # y rule gets exactly the terms to the bound's stop L, inside the head:
+    # in one round for the ideal force, whose terms are the bound, and in at
+    # most two for the plasma force, whose sum is 92% of the ideal metal's.
+    # At step 0.3 the one round hands it the head's terms and the 3 past it
+    # that the tail's stencil needs, and one wedge from xi_32 follows.
+    # Every term handed to the y rule is counted, also at step 800, where
+    # all terms but l = 0 underflow to zero and the sum stops at L = 0 after
+    # a first call that runs to l = 1.  The y rule's first pass evaluates
+    # every node in one integrand call, and at the default tolerance no term
+    # needs a later level.
     handed, terms, integrand_calls, points = [], [], [], []
     engine = finite_temperature._integrate_y_batch
 
@@ -766,16 +808,27 @@ def test_term_by_term_sum_takes_one_integrand_call(step, kind, monkeypatch, alum
         return out
 
     monkeypatch.setattr(finite_temperature, "_integrate_y_batch", counted_engine)
+    wedges = _recorded(monkeypatch, "integrate_xi_y")
     a = 1e-6
     model = ImpedanceModel(kind, Formalism.IMPEDANCE)
-    obs = force_ppT(a, _T_at_step(a, step), model, aluminum)
+    T = _T_at_step(a, step)
+    obs = force_ppT(a, T, model, aluminum)
     assert obs.quadrature.converged
-    L = _bound_stop(terms, force_ppT, step)
-    assert sum(handed) == max(L, 1) + 1
-    assert len(handed) <= (1 if kind is ImpedanceKind.IDEAL_METAL else 2)
-    assert L <= max(3, math.ceil(36.0 / step))  # the former stop at xi = 36
+    head = finite_temperature._HEAD
+    if step < 1.0:
+        assert handed == [head + 4]
+        assert _wedge_heads(wedges, step) == [head]
+    else:
+        L = _bound_stop(terms, force_ppT, step)
+        assert sum(handed) == max(L, 1) + 1
+        assert len(handed) <= (1 if kind is ImpedanceKind.IDEAL_METAL else 2)
+        assert L < head and not wedges
+        assert L <= max(3, math.ceil(36.0 / step))  # the former stop at xi = 36
+        total = _from_sum(force_ppT, a, T, math.fsum([0.5 * terms[0], *terms[1:L + 1]]))
+        assert obs.value == pytest.approx(total, rel=1e-15, abs=0)
     assert integrand_calls == [1] * len(handed)
-    assert obs.quadrature.evaluations == sum(handed) + sum(points)
+    wedge_points = sum(out[0].evaluations for *_, out in wedges)
+    assert obs.quadrature.evaluations == sum(handed) + sum(points) + wedge_points
 
 
 def test_term_by_term_sum_extends_once_for_terms_far_below_the_bound(
@@ -857,6 +910,7 @@ def test_millikelvin_sum_has_bounded_cost(observable, monkeypatch, aluminum, pla
 
 _ROWS = {
     "E,F": ("E", "F"),
+    "F,E": ("F", "E"),
     "E,F,F_ideal": ("E", "F", "F_ideal"),
     "E_ideal,F_ideal": ("E_ideal", "F_ideal"),
 }
@@ -868,41 +922,39 @@ _ROWS = {
 def test_a_thermal_row_is_one_reduction_with_each_sum_its_own(
     step, row, rel_tol, monkeypatch, aluminum, plasma_lifshitz, ideal_model
 ):
-    # A T > 0 row of the plate core makes one Matsubara reduction: one y
-    # batch and one shifted wedge below the tail threshold, from it up at
-    # most two y batches and no more than its most demanding sum takes
-    # alone.  Each observable is bit for bit its own call.  From step
-    # 0.1975 up the Lifshitz energy alone takes two batches; in a row its
-    # second stop lies past the others' first at 0.1975, inside it at 1.65
-    # and 5.  At rel_tol 1e-12 some terms need later levels of the y rule.
+    # A T > 0 row of the plate core makes one Matsubara reduction, and each
+    # observable is bit for bit its own call.  Each round of the reduction
+    # makes at most one y batch, so a row makes no more than its most
+    # demanding sum alone, and one shifted wedge per head that its sums
+    # reach in it.  At rel_tol 1e-9 every sum takes the tail from xi_32 up
+    # to step 0.1975, in one round; from 1.65 up the Lifshitz energy alone
+    # takes two batches, and in a row its second stop lies inside the
+    # others' first.  At rel_tol 1e-12 the heads double to 64 and, for some
+    # sums, 128 up to step 0.1975, each in the same round of every sum that
+    # reaches it, and some terms need later levels of the y rule.  At step
+    # 0.05 the energy alone reaches 128, so in the (F, E) row that wedge
+    # takes an integrand of the energy alone.
     E, F = ObservableKind.ENERGY_PER_AREA, ObservableKind.FORCE_PER_AREA
     named = {"E": (E, plasma_lifshitz), "F": (F, plasma_lifshitz),
              "E_ideal": (E, ideal_model), "F_ideal": (F, ideal_model)}
     requests = tuple(named[name] for name in _ROWS[row])
     a, config = 1e-6, QuadratureConfig(rel_tol=rel_tol)
     T = _T_at_step(a, step)
-    calls = []
-    for name in ("_matsubara_correction", "_integrate_y_batch", "integrate_xi_y"):
-        original = getattr(finite_temperature, name)
-
-        def counted(*args, name=name, original=original, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(finite_temperature, name, counted)
-    alone, batches = [], []
+    calls = _recorded(monkeypatch, "_matsubara_correction", "_integrate_y_batch", "integrate_xi_y")
+    alone, batches, heads = [], [], set()
     for request in requests:
         calls.clear()
         alone += _plates(a, T, (request,), aluminum, config)
-        batches.append(calls.count("_integrate_y_batch"))
+        batches.append(sum(c[0] == "_integrate_y_batch" for c in calls))
+        heads.update(_wedge_heads(calls, _step(a, T)))
     calls.clear()
     assert _plates(a, T, requests, aluminum, config) == alone
-    assert calls.count("_matsubara_correction") == 1
-    if step < finite_temperature._TAIL_STEP_MAX:
-        assert calls.count("_integrate_y_batch") == calls.count("integrate_xi_y") == 1
-    else:
-        assert 1 <= calls.count("_integrate_y_batch") <= max(batches) <= 2
-        assert "integrate_xi_y" not in calls
+    names = [c[0] for c in calls]
+    assert names.count("_matsubara_correction") == 1
+    assert 1 <= names.count("_integrate_y_batch") <= max(batches)
+    assert _wedge_heads(calls, _step(a, T)) == sorted(heads)
+    if step < 1.0:
+        assert names[:-1] == ["_integrate_y_batch", "integrate_xi_y"] * len(heads)
 
 
 def test_plates_approach_zero_temperature_continuously(

@@ -533,11 +533,11 @@ def test_public_kernel_gives_the_expression_bits_and_leaves_its_arguments(formal
 # The tracemalloc peak of one plate call, in arrays of the wedge's first
 # pass (12,375 points of 8 bytes), at the counts of the contiguous kernel:
 # 4.04 under the impedance formalism (Z and the factors' three arrays),
-# 5.04 under Lifshitz (one more for s) and 6.07 for a force on the
-# Matsubara tail path, whose shifted wedge owns its xi + lower.  The kernel
-# before it read 5.69, 6.69 and 6.73: a per-call xi = u y and the 64 KiB
-# buffer numpy takes for a ufunc with a broadcast column.  Half an array
-# of slack: a new full-size temporary fails.
+# 5.04 under Lifshitz (one more for s) and 6.07 for a force whose Matsubara
+# sum takes an Euler-Maclaurin tail, whose shifted wedge owns its
+# xi + lower.  The kernel before it read 5.69, 6.69 and 6.73: a per-call
+# xi = u y and the 64 KiB buffer numpy takes for a ufunc with a broadcast
+# column.  Half an array of slack: a new full-size temporary fails.
 _WORKING_SETS = [
     (op, kind, a, formalism, 4.04 if formalism is Formalism.IMPEDANCE else 5.04)
     for op in (force_pp0, energy_pp0)
@@ -571,8 +571,8 @@ def test_a_plate_call_keeps_its_working_set(op, kind, a, formalism, arrays):
 
 
 def test_a_tail_path_force_keeps_its_working_set():
-    # At 1 um and 10 K the Matsubara step is 0.055, below the tail path's
-    # 0.19: 36 y-integrals and the wedge shifted to the 32nd term.
+    # At 1 um and 10 K the Matsubara step is 0.055: 36 y-integrals and the
+    # wedge shifted to the 32nd term.
     model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.LIFSHITZ)
     assert _peak_arrays(lambda: force_ppT(1e-6, 10.0, model, ALUMINUM)) < 6.07 + 0.5
 
