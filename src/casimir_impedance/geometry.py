@@ -8,6 +8,7 @@ of the gap, as the ratio t = T_eff / T.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,6 +21,12 @@ __all__ = ["Geometry", "effective_temperature"]
 _PROXIMITY_RATIO_WARN = 0.01
 
 
+def _check_length(name: str, value: float) -> None:
+    """Raise unless 0 < value < inf; a NaN fails."""
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {float(value)!r}")
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Plate separation, optionally with a sphere radius above the plate."""
@@ -28,13 +35,9 @@ class Geometry:
     sphere_radius: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.separation > 0.0):
-            raise ValueError(f"separation must be positive, got {self.separation!r}")
+        _check_length("separation", self.separation)
         if self.sphere_radius is not None:
-            if not (self.sphere_radius > 0.0):
-                raise ValueError(
-                    f"sphere_radius must be positive, got {self.sphere_radius!r}"
-                )
+            _check_length("sphere_radius", self.sphere_radius)
             ratio = self.separation / self.sphere_radius
             if ratio > _PROXIMITY_RATIO_WARN:
                 warnings.warn(
@@ -48,6 +51,5 @@ class Geometry:
 
 def effective_temperature(a: float) -> float:
     """Effective temperature of a gap of width a: k_B T_eff = hbar c / (2 a)."""
-    if not (a > 0.0):
-        raise ValueError(f"separation must be positive, got {a!r}")
+    _check_length("separation", a)
     return CODATA.hbar * CODATA.c / (2.0 * a * CODATA.k_B)

@@ -19,8 +19,8 @@ kind from its scale w_p or sigma_r, the running factors (both computed in
 place) and the static (xi = 0) factors.  The public ``impedance``,
 ``reflection_factors`` and ``static_reflection_factors`` check their
 arguments and call them; ``_plate_factors`` resolves a model at one
-separation once, for the plate integrand, and checks only the points of
-each call, by reductions.
+separation once, for the plate integrand, and checks none of its points:
+the quadrature rules build each inside the domain 0 <= xi <= y.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA
+from .geometry import _check_length
 from .materials import Material
 
 __all__ = [
@@ -70,8 +71,7 @@ def _scale(kind: ImpedanceKind, a: float, material: Material | None):
     frequency w_p = 2 a omega_p / c of both plasma forms, the reduced
     conductivity sigma_r = 2 a sigma / c of normal skin, None for the ideal
     metal."""
-    if not (a > 0.0):
-        raise ValueError(f"separation must be positive, got {float(a)!r}")
+    _check_length("separation", a)
     if kind is ImpedanceKind.IDEAL_METAL:
         return None
     if material is None:
@@ -93,24 +93,19 @@ def _impedance(kind: ImpedanceKind, xi: np.ndarray, scale):
     raise ValueError(f"unknown impedance kind {kind!r}")  # pragma: no cover
 
 
-def _check_points(xi, Zs=(), y=None) -> None:
-    """Check xi >= 0, each Z >= 0, y >= 0 and y >= xi, in that order, by
-    reductions: y >= xi compares the least y along the axes where xi is
-    broadcast with the largest xi along those where y is.  A NaN fails no
-    check, as it fails no comparison."""
-    checks = [(xi, "reduced frequency xi must be >= 0")]
-    checks += [(Z, "impedance must be >= 0 on the imaginary axis") for Z in Zs]
-    for v, message in checks + ([] if y is None else [(y, "reduced variables must be >= 0")]):
-        if np.fmin.reduce(v, axis=None, initial=np.inf) < 0.0:
+def _check_points(xi, Z=None, y=None) -> None:
+    """Check xi >= 0 and, with y, Z >= 0, y >= 0 and y >= xi, in that order.
+    A NaN fails no check, as it fails no comparison."""
+    checks = [(xi, 0.0, "reduced frequency xi must be >= 0")]
+    if y is not None:
+        checks += [
+            (Z, 0.0, "impedance must be >= 0 on the imaginary axis"),
+            (y, 0.0, "reduced variables must be >= 0"),
+            (y, xi, "domain requires y >= xi"),
+        ]
+    for v, bound, message in checks:
+        if np.less(v, bound).any():
             raise ValueError(message)
-    if y is None:
-        return
-    n = max(xi.ndim, y.ndim)
-    xi, y = (v.reshape((1,) * (n - v.ndim) + v.shape) for v in (xi, y))
-    axes = [tuple(i for i in range(n) if v.shape[i] == 1) for v in (xi, y)]
-    lo = np.fmin.reduce(y, axis=axes[0], keepdims=True, initial=np.inf)
-    if np.less(lo, np.fmax.reduce(xi, axis=axes[1], keepdims=True, initial=-np.inf)).any():
-        raise ValueError("domain requires y >= xi")
 
 
 def impedance(kind: ImpedanceKind, xi, a: float, material: Material | None = None):
@@ -132,10 +127,7 @@ def impedance(kind: ImpedanceKind, xi, a: float, material: Material | None = Non
     scale = _scale(kind, a, material)
     xi = np.asarray(xi, dtype=float)
     _check_points(xi)
-    if scale is None:
-        out = np.zeros(xi.shape)
-    else:
-        out = _impedance(kind, xi, scale)
+    out = np.zeros(xi.shape) if scale is None else _impedance(kind, xi, scale)
     return float(out) if out.ndim == 0 else out
 
 
@@ -196,7 +188,7 @@ def reflection_factors(Z, y, xi, formalism: Formalism = Formalism.IMPEDANCE):
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    _check_points(xi, (Z,), y)
+    _check_points(xi, Z, y)
     x_par, x_perp = _factors(Z, y, xi, formalism)
     if x_par.ndim == 0:
         return float(x_par), float(x_perp)
@@ -258,12 +250,12 @@ def _plate_factors(
     of the points, f(xi, y) -> [(x_par, x_perp) of each model], with the
     kinds, the material and the scales resolved here, once.
 
-    Each call checks its points once, as :func:`impedance` and
-    :func:`reflection_factors` do, with their messages, and computes Z once
-    per kind.  Every model gets factor arrays of its own, which the caller
-    may overwrite.  The ideal metal's are zeros of y's shape, so a bracket
-    of them is computed once per value of y.  With ``static=True`` points
-    at xi = 0 take the static factors.
+    The points are not checked: the rules build each inside 0 <= xi <= y,
+    where every Z is >= 0.  Each call computes Z once per kind.  Every model
+    gets factor arrays of its own, which the caller may overwrite.  The
+    ideal metal's are zeros of y's shape, so a bracket of them is computed
+    once per value of y.  With ``static=True`` points at xi = 0 take the
+    static factors.
     """
     kinds = []
     for model in models:
@@ -275,9 +267,7 @@ def _plate_factors(
     static = static and any(scale is not None for scale in scales)
 
     def factors(xi: np.ndarray, y: np.ndarray):
-        with np.errstate(invalid="ignore"):  # at a negative xi, rejected next
-            Zs = [None if s is None else _impedance(kind, xi, s) for kind, s in zip(kinds, scales)]
-        _check_points(xi, [Z for Z in Zs if Z is not None], y)
+        Zs = [None if s is None else _impedance(kind, xi, s) for kind, s in zip(kinds, scales)]
         at = ()
         if static:
             zero = xi == 0.0

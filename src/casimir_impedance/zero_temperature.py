@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import CODATA
-from .geometry import Geometry
+from .geometry import Geometry, _check_length
 from .materials import Material
 from .quadrature import (
     _ZETA_7_2,
@@ -99,8 +99,7 @@ def _observable(
 
 def ideal_closed_forms(a: float) -> tuple[float, float]:
     """Ideal-metal (E, F) at separation a: -pi^2 hbar c/(720 a^3), /(240 a^4)."""
-    if not (a > 0.0):
-        raise ValueError(f"separation must be positive, got {a!r}")
+    _check_length("separation", a)
     hc = CODATA.hbar * CODATA.c
     return (
         -math.pi**2 * hc / (720.0 * a**3),
@@ -158,22 +157,22 @@ def _integrand(
 
     Every reduction of the plates shares it: the T = 0 wedge, the Matsubara
     y-integrals and their shifted-wedge tail.  The models are resolved here,
-    once (a separation a <= 0 or a missing material raises here); each call
-    checks its points once and computes each kind's Z, each model's factors
-    and expm1(y) and 2 log1mexp(y) once for all the requests.  xi and y
-    need only broadcast to the points, so a factor of y alone (expm1,
-    log1mexp, y^2) is computed once per value of y, and the impedance once
-    per value of xi: the wedge passes y as a column, the y rule xi.  A
-    model's factors spread a column y over the points in an array of their
-    own.  The ideal metal's factors are 0, so its whole integrand is a
-    function of y, one value per row of the wedge.  A request writes its
-    values into its model's factors, or into copies if a later request
-    reads them.  Every point gets the bits it gets from flat arrays and
-    with no other request.  ``ideal=False`` drops the ideal-metal part of
-    the energy bracket, which the finite-temperature closed series
-    carries.  With ``static=True`` points at xi = 0 take the models'
-    static reflection factors, for the l = 0 Matsubara term; the wedges
-    never evaluate there.
+    once (a bad separation or a missing material raises here).  A call does
+    not check its points, which the rules build inside 0 <= xi <= y; it
+    computes each kind's Z, each model's factors and expm1(y) and 2
+    log1mexp(y) once for all the requests.  xi and y need only broadcast to
+    the points, so a factor of y alone (expm1, log1mexp, y^2) is computed
+    once per value of y, and the impedance once per value of xi: the wedge
+    passes y as a column, the y rule xi.  A model's factors spread a column
+    y over the points in an array of their own.  The ideal metal's factors
+    are 0, so its whole integrand is a function of y, one value per row of
+    the wedge.  A request writes its values into its model's factors, or
+    into copies if a later request reads them.  Every point gets the bits it
+    gets from flat arrays and with no other request.  ``ideal=False`` drops
+    the ideal-metal part of the energy bracket, which the finite-temperature
+    closed series carries.  With ``static=True`` points at xi = 0 take the
+    models' static reflection factors, for the l = 0 Matsubara term; the
+    wedges never evaluate there.
     """
     # The unique models in order, by comparison: hashing a model costs more.
     models = []

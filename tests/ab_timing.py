@@ -10,15 +10,17 @@ under a name of its own, ``casimir_a`` and ``casimir_b``, so both packages
 live side by side in one interpreter and see the same state of the host.
 A fixed list of public calls (the plate force of the plasma-exact impedance
 model at 1 um across Matsubara steps 0.03-5, each operation kind of the
-lowT-matsubara benchmark workload, and the CLI rows ``point --T`` and
-``thermal-ratio``) is timed block by block: in each block every call runs
-``--calls`` times under one tree, then under the other, the order of the
-trees alternating from block to block.  Each row prints the median over the
-blocks of the time per call for both trees, their ratio CHANGE / PARENT,
-the ratio's quartiles over the blocks, and the deterministic counts: the
-integrand points of an observable's ``evaluations`` and the relative move
-of its value or, for a CLI row, whether both trees print the same CSV
-bytes and else the largest relative move in each column that moved.
+lowT-matsubara and zeroT-plates benchmark workloads, the CLI rows
+``point --T`` and ``thermal-ratio`` and the cli-scans commands ``figure1``,
+``figure2`` and ``scan`` over 100 nm-2 um) is timed block by block: in each
+block every call runs ``--calls`` times under one tree, then under the
+other, the order of the trees alternating from block to block.  Each row
+prints the median over the blocks of the time per call for both trees,
+their ratio CHANGE / PARENT, the ratio's quartiles over the blocks, and the
+deterministic counts: the integrand points of an observable's
+``evaluations`` and the relative move of its value or, for a CLI row,
+whether both trees print the same CSV bytes and else the largest relative
+move in each column that moved.
 
 An A/A run (the same tree twice) reads the host's resolution: a ratio
 between the quartiles of an A/A row is noise.
@@ -77,17 +79,34 @@ def calls(ci):
             out.append((f"{name} {kind.value}/{formalism.value} a={a:g} aT={aT:g}",
                         lambda f=getattr(ci, name), a=a, T=aT / a, m=model, mat=material:
                         f(a, T, m, mat)))
+    # The zeroT-plates operation kinds at 1 um (normal skin at 1 mm), the
+    # sphere's radius 200 a as there.
+    for kind in K:
+        for formalism in F:
+            model = ci.ImpedanceModel(kind, formalism)
+            material = None if kind is K.IDEAL_METAL else al
+            a = 1e-3 if kind is K.NORMAL_SKIN else 1e-6
+            for name in ("force_pp0", "energy_pp0", "force_sphere0"):
+                args = (a, 200.0 * a) if name == "force_sphere0" else (a,)
+                out.append((f"{name} {kind.value}/{formalism.value} a={a:g}",
+                            lambda f=getattr(ci, name), args=args, m=model, mat=material:
+                            f(*args, m, mat)))
     for argv in (["point", "--a", "1um", "--T", "300"], ["point", "--a", "1um", "--T", "1"],
                  ["thermal-ratio", "--a", "1um", "--T", "300"],
-                 ["thermal-ratio", "--a", "1um", "--T", "36"]):
+                 ["thermal-ratio", "--a", "1um", "--T", "36"],
+                 # The cli-scans commands and grid sizes.
+                 ["figure1", "--grid", "100nm:2um:10:log"],
+                 ["figure2", "--grid", "100nm:2um:6:log"],
+                 ["scan", "--grid", "100nm:2um:8:log"]):
         out.append((" ".join(argv), lambda argv=argv: _cli(ci, argv)))
     return out
 
 
 def _cli(ci, argv: list[str]) -> str:
-    """The CSV that the tree's ``casimir`` command prints for ``argv``."""
+    """The CSV that the tree's ``casimir`` command prints for ``argv``; its
+    warnings are dropped."""
     text = io.StringIO()
-    with contextlib.redirect_stdout(text):
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
         importlib.import_module(ci.__name__ + ".cli").main([*argv, "--material", "Al"])
     return text.getvalue()
 

@@ -1,13 +1,13 @@
 """The plate integrand written as numpy expressions, one temporary per step.
 
 A frozen reference for the package's in-place kernel: the impedance, the
-reflection factors with a guarded ratio, the static factors, both brackets
-and the point checks as expressions, and ``plate_integrand``, which
-assembles them as ``zero_temperature._integrand`` does.  Every operation is
-the kernel's, in the kernel's order, so the two agree bit for bit; an
-in-place step that reorders one operation shows up as a differing bit.
-Only the model's scale comes from the package.  Not collected by pytest;
-the tests and ``kernel_timing.py`` import it.
+reflection factors with a guarded ratio, the static factors and both
+brackets as expressions, and ``plate_integrand``, which assembles them as
+``zero_temperature._integrand`` does, with no point checks, as the kernel
+makes none.  Every operation is the kernel's, in the kernel's order, so the
+two agree bit for bit; an in-place step that reorders one operation shows
+up as a differing bit.  Only the model's scale comes from the package.  Not
+collected by pytest; the tests and ``kernel_timing.py`` import it.
 """
 
 from __future__ import annotations
@@ -25,21 +25,6 @@ def impedance(kind, xi, scale):
     if kind is ImpedanceKind.PLASMA_APPROX:
         return xi / scale
     return np.sqrt(xi / (4.0 * np.pi * scale))
-
-
-def check_xi(xi) -> None:
-    if np.any(xi < 0.0):
-        raise ValueError("reduced frequency xi must be >= 0")
-
-
-def check_points(Zs, y, xi) -> None:
-    for Z in Zs:
-        if np.any(Z < 0.0):
-            raise ValueError("impedance must be >= 0 on the imaginary axis")
-    if np.any(xi < 0.0) or np.any(y < 0.0):
-        raise ValueError("reduced variables must be >= 0")
-    if np.any(y < xi):
-        raise ValueError("domain requires y >= xi")
 
 
 def guarded_ratio(num, den):
@@ -93,9 +78,7 @@ def plate_integrand(requests, a, material, ideal=True, static=False):
     static = static and any(scale is not None for scale in scales)
 
     def g(xi, y):
-        check_xi(xi)
         Zs = [0.0 if s is None else impedance(kind, xi, s) for kind, s in zip(kinds, scales)]
-        check_points(Zs, y, xi)
         at = ()
         if static:
             zero = xi == 0.0

@@ -8,9 +8,14 @@ from casimir_impedance import (
     ALUMINUM,
     CODATA,
     Geometry,
+    ImpedanceKind,
+    ImpedanceModel,
     Material,
     PhysicalConstants,
     effective_temperature,
+    energy_pp0,
+    force_pp0,
+    force_sphere0,
     load_material,
 )
 
@@ -83,10 +88,22 @@ def test_effective_temperature_millimeter():
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError, match="separation"):
-        Geometry(separation=0.0)
-    with pytest.raises(ValueError, match="sphere_radius"):
-        Geometry(separation=1e-6, sphere_radius=-1.0)
+    for bad in (0.0, math.inf):
+        with pytest.raises(ValueError, match=f"separation must be positive and finite, got {bad!r}"):
+            Geometry(separation=bad)
+    for bad in (-1.0, math.inf):
+        with pytest.raises(ValueError, match=f"sphere_radius must be positive and finite, got {bad!r}"):
+            Geometry(separation=1e-6, sphere_radius=bad)
+    # An infinite separation or radius used to come back as 0 or -inf,
+    # flagged converged.
+    model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT)
+    for call, name in (
+        (lambda: force_pp0(math.inf, model, ALUMINUM), "separation"),
+        (lambda: energy_pp0(math.inf, model, ALUMINUM), "separation"),
+        (lambda: force_sphere0(1e-6, math.inf, model, ALUMINUM), "sphere_radius"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got inf"):
+            call()
 
 
 def test_geometry_proximity_warning():

@@ -197,16 +197,17 @@ def test_temperature_validation(plasma_impedance, aluminum):
                 call(T)
 
 
-@pytest.mark.parametrize("a", [-1e-6, 0.0, math.nan])
+@pytest.mark.parametrize("a", [-1e-6, 0.0, math.nan, math.inf])
 def test_a_bad_separation_is_named_before_the_temperature(a, aluminum):
     # The separation is checked once, by effective_temperature, and before
     # the temperature, whatever T is.
     for call in (
         lambda: ideal_energy_T(a, -1.0),
+        lambda: energy_ppT(a, 300.0, ImpedanceModel(ImpedanceKind.PLASMA_EXACT), aluminum),
         lambda: delta_T_energy_pert(a, math.inf, aluminum),
         lambda: delta_T_force_pert(a, 0.0, aluminum),
     ):
-        with pytest.raises(ValueError, match=f"separation must be positive, got {a!r}"):
+        with pytest.raises(ValueError, match=f"separation must be positive and finite, got {a!r}"):
             call()
 
 

@@ -23,6 +23,7 @@ from casimir_impedance import (
     reflection_factors,
 )
 from casimir_impedance import quadrature
+from casimir_impedance.finite_temperature import _HEAD
 from casimir_impedance.quadrature import (
     _ZETA_3,
     _ZETA_4,
@@ -32,6 +33,7 @@ from casimir_impedance.quadrature import (
     _integrate_y_batch,
     _level_ordered,
 )
+from casimir_impedance.reflection import _impedance, _scale
 from casimir_impedance.zero_temperature import force_bracket
 
 
@@ -187,7 +189,7 @@ def test_wedge_rule_stops_unconverged_at_its_level_cap():
     def step(xi, y):
         sizes.append(np.broadcast(xi, y).size)
         # Every level up to the cap keeps its points in 0 <= lower <= xi <= y.
-        assert np.all((0.0 <= xi) & (xi <= y))
+        _assert_in_domain(0.0, xi, y)
         return np.where(y < 1.0, 1.0, 0.0)
 
     res = integrate_xi_y(step)
@@ -197,32 +199,48 @@ def test_wedge_rule_stops_unconverged_at_its_level_cap():
     assert max(sizes) <= quadrature._EVAL_MAX
 
 
+def _assert_in_domain(lower, xi, y):
+    """lower <= xi <= y, and Z >= 0 at xi for every impedance kind (the
+    ideal metal's is 0), as the plate integrand relies on."""
+    assert np.all((lower <= xi) & (xi <= y))
+    for kind in ImpedanceKind:
+        scale = _scale(kind, 1e-6, ALUMINUM)
+        if scale is not None:
+            assert np.all(_impedance(kind, xi, scale) >= 0.0)
+
+
 def test_shifted_wedge_points_stay_in_the_domain_up_to_the_level_cap():
-    # The plate integrand's point checks rely on 0 <= lower <= xi <= y; a
-    # jump at y = lower + 1 keeps the rule refining to its cap.  The points
-    # are checked as they come, not stored.
-    lower = 2.5
+    # The plate integrand relies on 0 <= lower <= xi <= y; a jump at
+    # y = lower + 1 keeps the rule refining to its cap.  The points are
+    # checked as they come, not stored.  The lowers include step * L of the
+    # Euler-Maclaurin tail's wedges.
+    for lower in (2.5, 0.16, 23.0, 32.0):
 
-    def step(xi, y):
-        assert np.all((lower <= xi) & (xi <= y))
-        return np.where(y < lower + 1.0, 1.0, 0.0)
+        def step(xi, y):
+            _assert_in_domain(lower, xi, y)
+            return np.where(y < lower + 1.0, 1.0, 0.0)
 
-    res = integrate_xi_y(step, lower=lower)
-    assert not res.converged and res.evaluations == 794_523
+        res = integrate_xi_y(step, lower=lower)
+        assert not res.converged and res.evaluations == 794_523, lower
 
 
 def test_y_rule_points_stay_in_the_domain_up_to_the_level_cap():
-    # xi is a column of the lower bounds, 0 among them, and y >= xi on each
-    # row at every level up to the cap.
-    lowers = np.array([0.0, 0.5, 2.5])
+    # The plate integrand relies on y >= xi >= 0: xi is a column of the
+    # lower bounds, 0 among them, and y >= xi on each row at every level up
+    # to the cap.  The lowers include the Matsubara batches at the head.
+    cap = _nodes(quadrature._DE_H0 / 2**quadrature._DE_LEVELS)
+    for lowers in (
+        np.array([0.0, 0.5, 2.5]),
+        *(step * np.arange(_HEAD + 4) for step in (0.005, 0.19, 40.0)),
+    ):
 
-    def jump(xi, y):
-        assert np.all(np.isin(xi, lowers)) and np.all((0.0 <= xi) & (xi <= y))
-        return np.where(y < xi + 1.0, np.exp(-y), 0.0)
+        def jump(xi, y):
+            assert np.all(np.isin(xi, lowers))
+            _assert_in_domain(0.0, xi, y)
+            return np.where(y < xi + 1.0, np.exp(xi - y), 0.0)
 
-    _, _, evals, conv = _integrate_y_batch(jump, lowers, DEFAULT_CONFIG)
-    assert not conv.any()
-    assert np.all(evals == _nodes(quadrature._DE_H0 / 2**quadrature._DE_LEVELS))
+        _, _, evals, conv = _integrate_y_batch(jump, lowers, DEFAULT_CONFIG)
+        assert not conv.any() and np.all(evals == cap), lowers[1]
 
 
 def _counted(f, sizes):

@@ -45,10 +45,10 @@ def test_impedance_requires_material():
 
 
 @pytest.mark.parametrize("kind", list(ImpedanceKind))
-@pytest.mark.parametrize("a", [-1e-6, 0.0, math.nan])
+@pytest.mark.parametrize("a", [-1e-6, 0.0, math.nan, math.inf])
 def test_impedance_rejects_a_bad_separation(kind, a):
     material = None if kind is ImpedanceKind.IDEAL_METAL else ALUMINUM
-    with pytest.raises(ValueError, match=f"separation must be positive, got {a!r}"):
+    with pytest.raises(ValueError, match=f"separation must be positive and finite, got {a!r}"):
         impedance(kind, np.array([0.0, 0.3, 2.0]), a, material)
 
 
@@ -138,12 +138,12 @@ def test_static_factors_lifshitz_plasma():
     assert np.all(x_par == 0.0)
 
 
-@pytest.mark.parametrize("a", [-1e-6, 0.0, math.nan])
+@pytest.mark.parametrize("a", [-1e-6, 0.0, math.nan, math.inf])
 def test_static_factors_reject_a_bad_separation(a):
     # Checked as by impedance(): a = -1e-6 used to give x_perp = -0.032,
     # outside [0, 1], a = 0 gave 0 and NaN gave NaN.
     model = ImpedanceModel(ImpedanceKind.PLASMA_EXACT, Formalism.IMPEDANCE)
-    with pytest.raises(ValueError, match=f"separation must be positive, got {a!r}"):
+    with pytest.raises(ValueError, match=f"separation must be positive and finite, got {a!r}"):
         static_reflection_factors(model, np.array([0.5, 2.0]), a, ALUMINUM)
 
 

@@ -90,9 +90,9 @@ def test_series_factor_domain():
         _series_factor(0.15, CoefficientVariant.LIFSHITZ_PLASMA)
 
 
-@pytest.mark.parametrize("a", [-1e-6, 0.0, math.nan])
+@pytest.mark.parametrize("a", [-1e-6, 0.0, math.nan, math.inf])
 def test_series_force_names_a_bad_separation_before_its_domain(a):
-    with pytest.raises(ValueError, match=f"separation must be positive, got {a!r}"):
+    with pytest.raises(ValueError, match=f"separation must be positive and finite, got {a!r}"):
         series_force(a, ALUMINUM, CoefficientVariant.IMPEDANCE_APPROX)
 
 
